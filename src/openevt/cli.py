@@ -15,9 +15,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .data import (DistanceMetric, Standardizer, load_dataset_csv,
+from .data import (UNKNOWN, DistanceMetric, Standardizer, load_dataset_csv,
                    load_points_csv)
 from .errors import OpenEvtError, UsageError
+from .gpdc import tail_stats
 from .harness import (DEFAULT_ALPHA_GRID, DEFAULT_DELTA_GRID,
                       THYROID_TAIL_FRACTIONS, default_toy_config, fit_method,
                       gpdc_tail_fraction_sweep, load_letter, load_thyroid,
@@ -276,13 +277,6 @@ def cmd_fit(args) -> int:
 # score
 
 
-_SCORE_COLUMNS = {
-    "gpdc": ("row", "verdict", "score", "xi_hat", "p_xi", "radius", "stage"),
-    "gevc": ("row", "verdict", "score", "d0min", "cdf"),
-    "evm": ("row", "verdict", "score", "psi"),
-}
-
-
 def cmd_score(args) -> int:
     _require_file(args.model)
     _require_file(args.test)
@@ -298,12 +292,9 @@ def cmd_score(args) -> int:
     comments = _config_comments(args, ["model", "test", "label_column",
                                        "delimiter", "header", "seed"])
     comments.append(f"model-kind={loaded.kind}")
-    columns = _SCORE_COLUMNS[loaded.kind]
     if points.shape[0] == 0:
-        _write_csv(args.out, comments, columns, [])
-        print("rows=0")
-        return 0
-    if points.shape[1] != model.p:
+        points = np.empty((0, model.p))
+    elif points.shape[1] != model.p:
         raise UsageError(
             f"dimension mismatch: test rows have {points.shape[1]} features, "
             f"model expects {model.p}"
@@ -311,44 +302,30 @@ def cmd_score(args) -> int:
     if loaded.standardizer is not None:
         points = loaded.standardizer.apply(points)
 
-    rows = []
-    unknown_count = 0
-    for i in range(points.shape[0]):
-        if loaded.kind == "gpdc":
-            verdict, ev = model.score(points[i])
-            rows.append((i, verdict.label, verdict.score, ev.xi_hat, ev.p_xi,
-                         ev.radius, ev.stage))
-        elif loaded.kind == "gevc":
-            verdict, d0 = model.score(points[i])
-            rows.append((i, verdict.label, verdict.score, d0,
-                         verdict.evidence["cdf"]))
-        else:
-            verdict, psi = model.score(points[i])
-            rows.append((i, verdict.label, verdict.score, psi))
-        unknown_count += int(verdict.is_unknown)
-    _write_csv(args.out, comments, columns, rows)
+    evidence = model.evidence(points)
+    m = points.shape[0]
+    _write_csv(args.out, comments, ("row", *evidence),
+               zip(range(m), *(values.tolist() for values in evidence.values())))
     if args.hill_plot_out:
         if loaded.kind != "gpdc":
             raise UsageError("--hill-plot-out only applies to gpdc models")
         _write_hill_plot(args, model, points, comments)
-    print(f"rows={points.shape[0]}")
-    print(f"unknown={unknown_count}")
+    print(f"rows={m}")
+    if m:
+        print(f"unknown={int((evidence['verdict'] == UNKNOWN).sum())}")
     return 0
 
 
 def _write_hill_plot(args, model, points, comments):
     """Per-row tail-shape estimates over a ladder of exceedance counts."""
-    n = model.n
-    kmax = min(max(model.k * 4, 50), n - 1)
+    kmax = min(max(model.k * 4, 50), model.n - 1)
     ladder = sorted({int(k) for k in np.geomspace(5, kmax, num=10)})
     d = model.index.batch_k_smallest(points, kmax + 1)
-    rows = []
-    for i in range(points.shape[0]):
-        if d[i, 0] == 0.0:
-            continue
-        for k in ladder:
-            xi = float(np.log(d[i, :k] / d[i, k]).mean())
-            rows.append((i, k, xi))
+    xi = np.column_stack([
+        tail_stats(d[:, :k + 1], k, model.p, model.gamma, model.n)[1] / model.p
+        for k in ladder])
+    rows = [(i, k, x) for i in np.flatnonzero(d[:, 0] != 0.0).tolist()
+            for k, x in zip(ladder, xi[i].tolist())]
     _write_csv(args.hill_plot_out, comments, ("row", "k", "xi_hat"), rows)
 
 

@@ -120,6 +120,22 @@ class Verdict:
         return self.label == UNKNOWN
 
 
+def as_batch(x0, p: int) -> np.ndarray:
+    """One query point as a (1, p) batch, so that per-point scoring runs the
+    batch path."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 1 or x0.shape[0] != p:
+        raise UsageError(
+            f"dimension mismatch: query has shape {x0.shape}, model is p={p}"
+        )
+    return x0[None, :]
+
+
+def only_row(columns: dict) -> dict:
+    """The one row of a dict of one-row evidence arrays, as Python scalars."""
+    return {name: values.item() for name, values in columns.items()}
+
+
 class LabeledDataset:
     """Immutable training corpus: an (n, p) float matrix plus n class labels.
 

@@ -17,7 +17,8 @@ classes. No model-reduction step is applied: all n per-point fits are kept.
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset, Verdict
+from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
+                   Verdict, as_batch, only_row)
 from .errors import DataError, FitError, UsageError
 from .evt import default_tail_count, fit_weibull_rows
 
@@ -61,12 +62,7 @@ class EvmModel:
 
     def membership(self, x0) -> float:
         """psi(x0): the best per-point margin CDF value, in (0, 1]."""
-        x0 = np.asarray(x0, dtype=float)
-        if x0.ndim != 1 or x0.shape[0] != self.p:
-            raise UsageError(
-                f"dimension mismatch: query has shape {x0.shape}, model is p={self.p}"
-            )
-        return float(self._psi_rows(x0[None, :])[0])
+        return float(self.membership_batch(as_batch(x0, self.p))[0])
 
     def membership_batch(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -83,18 +79,24 @@ class EvmModel:
         return 1.0 - self.membership_batch(points)
 
     def score(self, x0) -> tuple:
-        """Classify one point; returns (Verdict, psi). The verdict score is
-        psi itself (higher means more known, unlike the other classifiers);
-        requires delta to have been set."""
+        """Classify one point; returns (Verdict, psi), the single row of
+        :meth:`evidence` on ``x0``."""
+        row = only_row(self.evidence(as_batch(x0, self.p)))
+        return Verdict(row["verdict"], row["score"], {"psi": row["psi"]}), row["psi"]
+
+    def evidence(self, points) -> dict:
+        """Batch evidence for an (m, p) array, one array per output column:
+        verdict, score and psi. The score is psi itself (higher means more
+        known, unlike the other classifiers); requires delta to have been
+        set."""
         if self.delta is None:
             raise UsageError(
                 "no probability threshold set: fit or construct the model "
                 "with an explicit delta to get binary decisions"
             )
-        psi = self.membership(x0)
-        verdict = Verdict(KNOWN if psi >= self.delta else UNKNOWN, psi,
-                          {"psi": psi})
-        return verdict, psi
+        psi = self.membership_batch(points)
+        return {"verdict": np.where(psi >= self.delta, KNOWN, UNKNOWN),
+                "score": psi, "psi": psi}
 
     def _psi_rows(self, block: np.ndarray) -> np.ndarray:
         d = cdist(block, self._points, **_cdist_metric(self.metric))

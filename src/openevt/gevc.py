@@ -19,7 +19,8 @@ import threading
 
 import numpy as np
 
-from .data import EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset, Verdict
+from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
+                   Verdict, as_batch, only_row)
 from .errors import FitError, UsageError
 from .evt import (ReversedWeibull, reversed_weibull_cdf, reversed_weibull_fit,
                   reversed_weibull_fit_free_endpoint)
@@ -101,25 +102,30 @@ class GevcModel:
         return self._fitted
 
     def score(self, x0) -> tuple:
-        """Classify one point; returns (Verdict, d0min).
+        """Classify one point; returns (Verdict, d0min), the single row of
+        :meth:`evidence` on ``x0``.
 
         Unknown iff W(-d0min) < alpha, where d0min is the distance to the
         nearest training point; the verdict score is 1 - W(-d0min), which
         grows with unknownness.
         """
+        row = only_row(self.evidence(as_batch(x0, self.p)))
+        verdict = Verdict(row["verdict"], row["score"],
+                          {"d0min": row["d0min"], "cdf": row["cdf"]})
+        return verdict, row["d0min"]
+
+    def evidence(self, points) -> dict:
+        """Batch evidence for an (m, p) array, one array per output column:
+        verdict, score = 1 - W(-d0min), d0min and cdf = W(-d0min)."""
         fitted = self.fitted
-        pairs = self._index.k_smallest_distances(x0, 1)
-        d0 = float(pairs[0][0])
+        d0 = self._index.batch_k_smallest(points, 1)[:, 0]
         w = reversed_weibull_cdf(fitted, -d0)
-        verdict = Verdict(UNKNOWN if w < self.alpha else KNOWN, 1.0 - w,
-                          {"d0min": d0, "cdf": w})
-        return verdict, d0
+        return {"verdict": np.where(w < self.alpha, UNKNOWN, KNOWN),
+                "score": 1.0 - w, "d0min": d0, "cdf": w}
 
     def unknownness(self, points) -> np.ndarray:
         """Batch 1 - W(-d0min) for an (m, p) array of query points."""
-        fitted = self.fitted
-        d0 = self._index.batch_k_smallest(np.asarray(points, dtype=float), 1)[:, 0]
-        return 1.0 - reversed_weibull_cdf(fitted, -d0)
+        return self.evidence(points)["score"]
 
     def update(self, new_points) -> "GevcModel":
         """Insert (point, label) pairs, revising affected nearest distances.

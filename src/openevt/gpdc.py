@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset, Verdict
+from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
+                   Verdict, as_batch, only_row)
 from .errors import FitError, UsageError
 from .evt import default_tail_count
 from .neighbors import NeighborIndex
@@ -68,8 +69,10 @@ def _quantile_thresholds(pxi_stats, radius_stats, alpha):
     return s, t
 
 
-def _tail_stats(d: np.ndarray, k: int, p: int, gamma: float, n_ref: int):
-    """Shape and radius statistics from (m, k+1) ascending distance rows.
+def tail_stats(d: np.ndarray, k: int, p: int, gamma: float, n_ref: int):
+    """Shape and radius statistics from (m, k+1) ascending distance rows:
+    the vectorized Hill estimator (``evt.hill_shape`` is its scalar
+    reference), scaled by p, and the ball radius it implies.
 
     ``n_ref`` is the number of training points the distances were measured
     against (n for external queries, n-1 inside the jackknife). Rows whose
@@ -83,6 +86,13 @@ def _tail_stats(d: np.ndarray, k: int, p: int, gamma: float, n_ref: int):
     pxi = np.where(coincident, np.nan, p * xi)
     radius = np.where(coincident, np.nan, radius)
     return coincident, pxi, radius
+
+
+def _blank(values: np.ndarray, absent: np.ndarray) -> np.ndarray:
+    """Object array of ``values`` with None where ``absent``."""
+    out = values.astype(object)
+    out[absent] = None
+    return out
 
 
 class GpdcModel:
@@ -126,35 +136,22 @@ class GpdcModel:
         return self._index
 
     def score(self, x0) -> tuple:
-        """Classify one point; returns (Verdict, GpdcEvidence).
+        """Classify one point; returns (Verdict, GpdcEvidence), the single
+        row of :meth:`evidence` on ``x0``.
 
         The verdict's score field is the continuous unknownness rank (see
         :meth:`continuous_score`), usable for thresholds-free ROC analysis.
         """
-        coincident, pxi, radius = self._point_stats(x0)
-        rank = self._rank(coincident, pxi, radius)
-        if coincident:
-            ev = GpdcEvidence(xi_hat=None, p_xi=None, radius=None,
-                              stage=COINCIDENT_KNOWN)
-            return Verdict(KNOWN, rank, ev), ev
-        s, t = self.shape_threshold, self.radius_threshold
-        xi = pxi / self.p
-        if pxi >= s:
-            ev = GpdcEvidence(xi_hat=xi, p_xi=pxi, radius=None,
-                              stage=REJECTED_SHAPE)
-            return Verdict(UNKNOWN, rank, ev), ev
-        if radius > t:
-            ev = GpdcEvidence(xi_hat=xi, p_xi=pxi, radius=radius,
-                              stage=REJECTED_RADIUS)
-            return Verdict(UNKNOWN, rank, ev), ev
-        ev = GpdcEvidence(xi_hat=xi, p_xi=pxi, radius=radius, stage=ACCEPTED)
-        return Verdict(KNOWN, rank, ev), ev
+        row = only_row(self.evidence(as_batch(x0, self.p)))
+        ev = GpdcEvidence(xi_hat=row["xi_hat"], p_xi=row["p_xi"],
+                          radius=row["radius"], stage=row["stage"])
+        return Verdict(row["verdict"], row["score"], ev), ev
 
     def continuous_score(self, x0) -> float:
         """Unknownness in [0, 1]: the worse of the two statistics' empirical
         ranks within the jackknife sample. 0 for coincident points, near 1
         for points whose statistics exceed everything seen in calibration."""
-        return self._rank(*self._point_stats(x0))
+        return float(self.unknownness(as_batch(x0, self.p))[0])
 
     def recalibrated(self, alpha: float) -> "GpdcModel":
         """New model with thresholds recomputed at a different type-I level,
@@ -167,15 +164,35 @@ class GpdcModel:
         return GpdcModel(self._index, self.k, self.gamma, cal)
 
     def decision_stats(self, points) -> tuple:
-        """Batch evidence for an (m, p) array: (coincident, p_xi, radius)."""
+        """Batch statistics for an (m, p) array: (coincident, p_xi, radius)."""
         points = np.asarray(points, dtype=float)
         d = self._index.batch_k_smallest(points, self.k + 1)
-        return _tail_stats(d, self.k, self.p, self.gamma, self.n)
+        return tail_stats(d, self.k, self.p, self.gamma, self.n)
+
+    def evidence(self, points) -> dict:
+        """Batch evidence for an (m, p) array, one array per output column:
+        verdict, score (see :meth:`unknownness`), xi_hat, p_xi, radius and
+        the deciding stage. Statistics a row's stage did not reach are
+        None: all three for coincident rows, the radius for rows rejected
+        at the shape stage."""
+        coincident, pxi, radius = self.decision_stats(points)
+        unknown = self.decide(coincident, pxi, radius)
+        shape = ~coincident & (pxi >= self.shape_threshold)
+        return {
+            "verdict": np.where(unknown, UNKNOWN, KNOWN),
+            "score": self._ranks(coincident, pxi, radius),
+            "xi_hat": _blank(pxi / self.p, coincident),
+            "p_xi": _blank(pxi, coincident),
+            "radius": _blank(radius, coincident | shape),
+            "stage": np.where(coincident, COINCIDENT_KNOWN,
+                              np.where(shape, REJECTED_SHAPE,
+                                       np.where(unknown, REJECTED_RADIUS,
+                                                ACCEPTED))),
+        }
 
     def unknownness(self, points) -> np.ndarray:
         """Batch continuous scores for an (m, p) array of query points."""
-        coincident, pxi, radius = self.decision_stats(points)
-        return self._ranks(coincident, pxi, radius)
+        return self._ranks(*self.decision_stats(points))
 
     def decide(self, coincident, pxi, radius, alpha: float | None = None):
         """Vectorized decision rule at the model's (or a given) alpha."""
@@ -188,17 +205,6 @@ class GpdcModel:
         return ~coincident & ((pxi >= s) | (radius > t))
 
     # -- internals --------------------------------------------------------
-
-    def _point_stats(self, x0):
-        pairs = self._index.k_smallest_distances(x0, self.k + 1)
-        d = np.array([p[0] for p in pairs])
-        coincident, pxi, radius = _tail_stats(d[None, :], self.k, self.p,
-                                              self.gamma, self.n)
-        return bool(coincident[0]), float(pxi[0]), float(radius[0])
-
-    def _rank(self, coincident, pxi, radius) -> float:
-        return float(self._ranks(np.array([coincident]), np.array([pxi]),
-                                 np.array([radius]))[0])
 
     def _ranks(self, coincident, pxi, radius) -> np.ndarray:
         rs = np.searchsorted(self._pxi_sorted, pxi, side="right") \
@@ -263,7 +269,7 @@ def fit(data: LabeledDataset, k: int | None = None, gamma: float | None = None,
     index = NeighborIndex(data.points, metric)
     # Leave-one-out pass: each training point scored against the other n-1.
     d = index.leave_one_out_smallest(k + 1)
-    coincident, pxi, radius = _tail_stats(d, k, p, gamma, n - 1)
+    coincident, pxi, radius = tail_stats(d, k, p, gamma, n - 1)
     if np.isfinite(pxi).sum() < 3:
         raise FitError(
             "jackknife calibration degenerate: fewer than 3 training points "
@@ -274,30 +280,3 @@ def fit(data: LabeledDataset, k: int | None = None, gamma: float | None = None,
     cal = CalibrationProfile(shape_threshold=s, radius_threshold=t,
                              alpha=alpha, pxi_stats=pxi, radius_stats=radius)
     return GpdcModel(index, k, gamma, cal)
-
-
-class PerClassEnsemble:
-    """One classifier per training class; a point is unknown only when every
-    member classifier marks it unknown. Works for any model whose ``score``
-    returns a Verdict with an unknownness-oriented score field."""
-
-    def __init__(self, models: dict):
-        if not models:
-            raise UsageError("ensemble needs at least one member model")
-        self.models = dict(models)
-
-    @classmethod
-    def fit(cls, data: LabeledDataset, fit_fn=fit, **fit_kwargs) -> "PerClassEnsemble":
-        models = {}
-        for name in data.class_names:
-            models[name] = fit_fn(data.restrict_to_classes([name]), **fit_kwargs)
-        return cls(models)
-
-    def score(self, x0) -> Verdict:
-        verdicts = {}
-        for name, model in self.models.items():
-            out = model.score(x0)
-            verdicts[name] = out[0] if isinstance(out, tuple) else out
-        unknown = all(v.is_unknown for v in verdicts.values())
-        score = min(v.score for v in verdicts.values())
-        return Verdict(UNKNOWN if unknown else KNOWN, score, verdicts)

@@ -212,11 +212,13 @@ def f_measure(decisions) -> float:
     tp = sum(1 for p, t in pairs if p and t)
     fp = sum(1 for p, t in pairs if p and not t)
     fn = sum(1 for p, t in pairs if not p and t)
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
+    return _f_from_counts(tp, fp, fn)
+
+
+def _f_from_counts(tp: int, fp: int, fn: int) -> float:
+    """F-measure 2tp / (2tp + fp + fn), the harmonic mean of precision and
+    recall; 0 when there is no true positive."""
+    return 0.0 if tp == 0 else 2 * tp / (2 * tp + fp + fn)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +252,7 @@ def _flags_over_grid(name: str, model, points: np.ndarray, grid):
         for a in grid:
             out[a] = model.decide(coincident, pxi, radius, alpha=a)
     elif name == "gevc":
-        w = 1.0 - model.unknownness(points)  # the fitted CDF values
+        w = model.evidence(points)["cdf"]
         for a in grid:
             out[a] = w < a
     elif name == "evm":
@@ -406,9 +408,8 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
                         continue
                     fp = int(flag[:n_known_test].sum())
                     tp = int(flag[n_known_test:stop].sum())
-                    fn = n_unknown_test - tp
-                    f = 0.0 if tp == 0 else 2 * tp / (2 * tp + fp + fn)
-                    curve.append((thr, f))
+                    curve.append((thr, _f_from_counts(tp, fp,
+                                                      n_unknown_test - tp)))
                 f_per_method[name] = tuple(curve)
             steps.append(OpennessStep(rep=rep, known_classes=tuple(known),
                                       n_unknown_classes=m,

@@ -5,15 +5,20 @@ The index is backed by a kd-tree (scipy's cKDTree) for dimensions up to
 that, where space partitioning stops paying off. Inserted points go into a
 pending buffer that is scanned exactly and merged into query results; the
 tree is rebuilt once the buffer grows past an amortization threshold.
-Results are exact and deterministic: equal distances are broken by
+Results are exact and deterministic: every distance is recomputed with
+:func:`~openevt.data.distances_to`, and equal distances are broken by
 training index.
 
 The index also maintains, lazily, the vector of nearest-neighbor distances
 within the training set (each point's distance to its closest other point),
 because insertions must report exactly which of those entries improved.
 
-Concurrency: any number of concurrent readers is safe; ``insert`` requires
-exclusive access.
+Concurrency: the kNN queries (``k_smallest_distances``,
+``batch_k_smallest``, ``nearest_within_training``) never rebuild the tree,
+but their ``QueryCounters`` increments are not atomic, so concurrent
+readers may undercount. ``leave_one_out_smallest`` and the first
+``dmin_vector`` call, which materializes the nearest-distance vector, fold
+pending inserts into the tree. ``insert`` requires exclusive access.
 """
 
 from dataclasses import dataclass
@@ -36,7 +41,8 @@ REBUILD_FRACTION = 0.25
 
 @dataclass
 class QueryCounters:
-    """Instrumentation: queries issued and neighbor distances returned."""
+    """Instrumentation: kNN query rows issued and the neighbor distances
+    they looked up (k per row)."""
 
     queries: int = 0
     distances: int = 0
@@ -97,12 +103,17 @@ class NeighborIndex:
         index. ``k`` must not exceed the current size.
         """
         q = self._check_point(q)
-        if not (1 <= k <= self.size):
-            raise UsageError(f"k must be in [1, {self.size}], got {k}")
-        dist, idx = self._query(q, k)
-        self.counters.queries += 1
-        self.counters.distances += k
-        return list(zip(dist.tolist(), idx.tolist()))
+        self._check_k(k)
+        dist, idx = self._knn(q[None, :], k)
+        return list(zip(dist[0].tolist(), idx[0].tolist()))
+
+    def batch_k_smallest(self, queries: np.ndarray, k: int) -> np.ndarray:
+        """(m, k) matrix of the k smallest distances for each query row."""
+        queries = np.asarray(queries, dtype=float)
+        if queries.ndim != 2 or queries.shape[1] != self.dimension:
+            raise UsageError("queries must be an (m, p) matrix matching the index")
+        self._check_k(k)
+        return self._knn(queries, k)[0]
 
     def nearest_within_training(self, i: int) -> tuple:
         """Closest other training point to stored point ``i``: (distance, index)."""
@@ -110,10 +121,11 @@ class NeighborIndex:
             raise UsageError("need at least 2 points for within-training neighbors")
         if not (0 <= i < self.size):
             raise UsageError(f"index {i} out of range [0, {self.size})")
-        dist, idx = self._query(self._points[i], 2, exclude=i)
-        self.counters.queries += 1
-        self.counters.distances += 1
-        return (float(dist[0]), int(idx[0]))
+        # Point i is at distance 0 from itself, so the nearest other point
+        # is whichever of the two closest is not i.
+        dist, idx = self._knn(self._points[i][None, :], 2)
+        j = 1 if idx[0, 0] == i else 0
+        return (float(dist[0, j]), int(idx[0, j]))
 
     def dmin_vector(self) -> np.ndarray:
         """Per-point distance to the closest other stored point."""
@@ -152,6 +164,10 @@ class NeighborIndex:
             )
         return q
 
+    def _check_k(self, k: int):
+        if not (1 <= k <= self.size):
+            raise UsageError(f"k must be in [1, {self.size}], got {k}")
+
     def _rebuild(self):
         self._tree = cKDTree(self._points)
         self._tree_size = self.size
@@ -161,36 +177,50 @@ class NeighborIndex:
         if self._tree is None or self._tree_size < self.size:
             self._rebuild()
 
-    def _query(self, q: np.ndarray, k: int, exclude: int | None = None):
-        """Exact k smallest (distance, index), ties by index, optionally
-        excluding one stored index."""
-        need = k if exclude is None else k + 1
-        need = min(need, self.size)
-        cand = self._candidates(q, need)
-        d = distances_to(q, self._points[cand], self._metric)
-        order = np.lexsort((cand, d))
-        cand = cand[order]
-        d = d[order]
-        if exclude is not None:
-            keep = cand != exclude
-            cand = cand[keep]
-            d = d[keep]
-        return d[:k], cand[:k]
+    def _knn(self, queries: np.ndarray, k: int) -> tuple:
+        """Exact (m, k) distances and indices of each query row's k nearest
+        stored points, ascending with ties broken by index.
 
-    def _candidates(self, q: np.ndarray, k: int) -> np.ndarray:
-        """A superset of the exact k nearest indices (tie-complete)."""
-        if not self._use_tree or self._tree is None:
-            return np.arange(self.size)
-        kt = min(k, self._tree_size)
-        d_tree, _ = self._tree.query(q, k=kt, p=self._metric.order)
-        d_tree = np.atleast_1d(d_tree)
-        # Closed ball at the kth tree distance catches every tied point;
-        # nextafter guards against last-ulp disagreement with our own
-        # distance computation.
-        r = np.nextafter(float(d_tree[-1]), np.inf)
-        ball = self._tree.query_ball_point(q, r, p=self._metric.order)
-        pending = np.arange(self._tree_size, self.size)
-        return np.concatenate([np.asarray(ball, dtype=int), pending])
+        Below the dimension limit the tree proposes candidates: a closed
+        ball at each row's kth tree distance catches every tied point, and
+        the pending inserts are scanned too. Above it every point is a
+        candidate. Either way the distances are recomputed with
+        ``distances_to``.
+        """
+        m = queries.shape[0]
+        self.counters.queries += m
+        self.counters.distances += m * k
+        dist = np.empty((m, k))
+        idx = np.empty((m, k), dtype=int)
+        if self._use_tree:
+            order = self._metric.order
+            kt = min(k, self._tree_size)
+            d_tree, _ = self._tree.query(queries, k=kt, p=order)
+            # nextafter guards against last-ulp disagreement between the
+            # tree's distances and distances_to.
+            radius = np.nextafter(d_tree.reshape(m, kt)[:, -1], np.inf)
+            balls = self._tree.query_ball_point(queries, radius, p=order,
+                                                return_sorted=True)
+            pending = np.arange(self._tree_size, self.size)
+        else:
+            everything = np.arange(self.size)
+        for i in range(m):
+            if self._use_tree:
+                cand = np.concatenate([np.asarray(balls[i], dtype=int), pending])
+                d = distances_to(queries[i], self._points[cand], self._metric)
+            else:
+                cand = everything
+                d = distances_to(queries[i], self._points, self._metric)
+            # Candidates are in index order, so ordering by (distance,
+            # position) breaks ties by index.
+            if k == 1:
+                top = np.argmin(d, keepdims=True)
+            else:
+                # The k smallest and every candidate tied with the kth.
+                near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])
+                top = near[np.lexsort((near, d[near]))[:k]]
+            dist[i], idx[i] = d[top], cand[top]
+        return dist, idx
 
     def _ensure_dmin(self):
         if self._dmin is not None:
@@ -248,24 +278,4 @@ class NeighborIndex:
             d[i] = np.inf
             part = np.partition(d, k - 1)[:k]
             out[i] = np.sort(part)
-        return out
-
-    def batch_k_smallest(self, queries: np.ndarray, k: int) -> np.ndarray:
-        """(m, k) matrix of the k smallest distances for each query row."""
-        queries = np.asarray(queries, dtype=float)
-        if queries.ndim != 2 or queries.shape[1] != self.dimension:
-            raise UsageError("queries must be an (m, p) matrix matching the index")
-        if not (1 <= k <= self.size):
-            raise UsageError(f"k must be in [1, {self.size}], got {k}")
-        m = queries.shape[0]
-        self.counters.queries += m
-        self.counters.distances += m * k
-        if self._use_tree:
-            self._flush()
-            d, _ = self._tree.query(queries, k=k, p=self._metric.order)
-            return np.atleast_2d(d).reshape(m, k)
-        out = np.empty((m, k))
-        for i in range(m):
-            d = distances_to(queries[i], self._points, self._metric)
-            out[i] = np.sort(np.partition(d, k - 1)[:k])
         return out

@@ -1,0 +1,165 @@
+"""Per-point ``score`` is a one-row view of each classifier's batch
+evidence: the two must agree bit for bit, including at distance ties, on
+the flat (no tree) path and with pending inserts in the index."""
+
+import numpy as np
+import pytest
+
+from helpers import brute_knn
+from openevt import evm, gevc, gpdc
+from openevt.data import LabeledDataset
+from openevt.evt import hill_shape
+from openevt.gpdc import tail_stats
+from openevt.neighbors import NeighborIndex
+
+
+def _dataset(case):
+    rng = np.random.default_rng(21)
+    if case == "p16_integer_ties":
+        # Small integer grid: many equal distances at the kth neighbor, plus
+        # duplicated rows (copied with their label, so evm margins stay > 0).
+        pts = rng.integers(0, 4, size=(400, 16)).astype(float)
+        labels = np.where(pts[:, 0] < 2, "a", "b")
+        src = rng.choice(400, size=20, replace=False)
+        pts[:20], labels[:20] = pts[src], labels[src]
+        queries = np.vstack([rng.integers(0, 4, size=(40, 16)).astype(float),
+                             pts[:10]])
+        return LabeledDataset(pts, labels), queries
+    p = {"p2_tree": 2, "p30_flat": 30}[case]
+    pts = np.vstack([rng.normal(size=(150, p)), rng.normal(size=(150, p)) + 4.0])
+    labels = ["a"] * 150 + ["b"] * 150
+    queries = np.vstack([rng.normal(size=(40, p)) * 3.0, pts[:10]])
+    return LabeledDataset(pts, labels), queries
+
+
+CASES = ("p2_tree", "p16_integer_ties", "p30_flat")
+
+
+def _gevc_with_pending():
+    rng = np.random.default_rng(22)
+    model = gevc.fit(LabeledDataset(rng.normal(size=(300, 2)), ["a"] * 300))
+    model.update([(x, "a") for x in rng.normal(size=(30, 2)) * 1.5])
+    assert model.index._tree_size < model.index.size  # inserts still pending
+    queries = np.vstack([rng.normal(size=(40, 2)) * 2.0,
+                         model.index.points[-10:]])
+    return model, queries
+
+
+def _rows(evidence):
+    m = len(evidence["verdict"])
+    return [{name: values[i:i + 1].item() for name, values in evidence.items()}
+            for i in range(m)]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_gpdc_score_is_row_of_evidence(case):
+    data, queries = _dataset(case)
+    model = gpdc.fit(data, k=10)
+    rows = _rows(model.evidence(queries))
+    assert {r["stage"] for r in rows} >= {gpdc.COINCIDENT_KNOWN}
+    for x, row in zip(queries, rows):
+        verdict, ev = model.score(x)
+        assert (verdict.label, verdict.score) == (row["verdict"], row["score"])
+        assert (ev.xi_hat, ev.p_xi, ev.radius, ev.stage) == (
+            row["xi_hat"], row["p_xi"], row["radius"], row["stage"])
+    unknownness = model.unknownness(queries)
+    np.testing.assert_array_equal(unknownness, [r["score"] for r in rows])
+
+
+def _check_gevc(model, queries):
+    evidence = model.evidence(queries)
+    for x, row in zip(queries, _rows(evidence)):
+        verdict, d0 = model.score(x)
+        assert (verdict.label, verdict.score, d0) == (
+            row["verdict"], row["score"], row["d0min"])
+        assert verdict.evidence == {"d0min": row["d0min"], "cdf": row["cdf"]}
+    np.testing.assert_array_equal(model.unknownness(queries), evidence["score"])
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_gevc_score_is_row_of_evidence(case):
+    data, queries = _dataset(case)
+    _check_gevc(gevc.fit(data), queries)
+
+
+def test_gevc_score_is_row_of_evidence_with_pending_inserts():
+    model, queries = _gevc_with_pending()
+    _check_gevc(model, queries)
+    # the pending rows are found: each re-scored insert is at distance 0
+    assert np.all(model.evidence(queries[-10:])["d0min"] == 0.0)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_evm_score_is_row_of_evidence(case):
+    data, queries = _dataset(case)
+    model = evm.fit(data, k=10, delta=0.5)
+    evidence = model.evidence(queries)
+    for x, row in zip(queries, _rows(evidence)):
+        verdict, psi = model.score(x)
+        assert (verdict.label, verdict.score, psi) == (
+            row["verdict"], row["score"], row["psi"])
+        assert psi == model.membership(x)
+
+
+def test_evidence_counters_follow_the_complexity_contract():
+    data, queries = _dataset("p2_tree")
+    m = queries.shape[0]
+    model = gpdc.fit(data, k=10)
+    before = model.index.counters.snapshot()
+    model.evidence(queries)
+    after = model.index.counters.snapshot()
+    assert (after[0] - before[0], after[1] - before[1]) == (m, m * (model.k + 1))
+
+    model, queries = _gevc_with_pending()
+    m = queries.shape[0]
+    before = model.index.counters.snapshot()
+    model.evidence(queries)
+    after = model.index.counters.snapshot()
+    assert (after[0] - before[0], after[1] - before[1]) == (m, m)
+
+
+def test_batch_query_after_inserts_does_not_rebuild_tree():
+    rng = np.random.default_rng(23)
+    base = rng.integers(0, 5, size=(200, 3)).astype(float)
+    ix = NeighborIndex(base)
+    ix.dmin_vector()
+    extra = rng.integers(0, 5, size=(40, 3)).astype(float)
+    for x in extra:
+        ix.insert(x)
+    tree, tree_size = ix._tree, ix._tree_size
+    assert tree_size < ix.size
+    queries = rng.integers(0, 5, size=(25, 3)).astype(float)
+    got = ix.batch_k_smallest(queries, 12)
+    assert ix._tree is tree and ix._tree_size == tree_size
+    allpts = np.vstack([base, extra])
+    for q, row in zip(queries, got):
+        np.testing.assert_array_equal(row, brute_knn(allpts, q, 12)[0])
+        # duplicates across the tree and the pending buffer: lower index wins
+        for k in (1, 12):
+            single = ix.k_smallest_distances(q, k)
+            assert [s[1] for s in single] == brute_knn(allpts, q, k)[1].tolist()
+
+
+@pytest.mark.parametrize("p", [2, 30])
+@pytest.mark.parametrize("k", [1, 9])
+def test_batch_rows_equal_single_queries(p, k):
+    rng = np.random.default_rng(24)
+    pts = rng.integers(0, 3, size=(120, p)).astype(float)
+    queries = rng.integers(0, 3, size=(15, p)).astype(float)
+    ix = NeighborIndex(pts)
+    batch = ix.batch_k_smallest(queries, k)
+    for q, row in zip(queries, batch):
+        single = ix.k_smallest_distances(q, k)
+        d_exp, i_exp = brute_knn(pts, q, k)
+        assert [s[1] for s in single] == i_exp.tolist()
+        np.testing.assert_array_equal(row, [s[0] for s in single])
+
+
+def test_tail_stats_matches_scalar_hill_estimator():
+    rng = np.random.default_rng(25)
+    d = np.sort(rng.uniform(0.5, 3.0, size=(20, 31)), axis=1)
+    for k in (5, 12, 30):
+        _, pxi, _ = tail_stats(d[:, :k + 1], k, 3, 0.001, 500)
+        for row, value in zip(d, pxi / 3):
+            assert value == pytest.approx(hill_shape(-row[:k + 1], k).xi_hat,
+                                          rel=1e-12)
