@@ -9,16 +9,19 @@ Results are exact and deterministic: every distance is recomputed with
 :func:`~openevt.data.distances_to`, and equal distances are broken by
 training index.
 
-The index also maintains, lazily, the vector of nearest-neighbor distances
-within the training set (each point's distance to its closest other point),
-because insertions must report exactly which of those entries improved.
+Every neighbour view is one query, ``_knn``. The leave-one-out distances
+and the nearest-other-point vector are that query over the stored points
+with each point excluded from its own row, so calibration and external
+queries share one arithmetic. The index keeps the nearest-other-point
+vector because insertions must report exactly which of its entries
+improved.
 
-Concurrency: the kNN queries (``k_smallest_distances``,
-``batch_k_smallest``, ``nearest_within_training``) never rebuild the tree,
-but their ``QueryCounters`` increments are not atomic, so concurrent
-readers may undercount. ``leave_one_out_smallest`` and the first
-``dmin_vector`` call, which materializes the nearest-distance vector, fold
-pending inserts into the tree. ``insert`` requires exclusive access.
+Concurrency: no query folds pending inserts into the tree; only ``insert``
+rebuilds it, and ``insert`` requires exclusive access. The first
+``dmin_vector`` call still materializes the nearest-other-point vector
+lazily, a write from a read path: concurrent first calls each compute it
+and store equal arrays. ``QueryCounters`` increments are not atomic, so
+concurrent readers may undercount.
 """
 
 from dataclasses import dataclass
@@ -42,7 +45,8 @@ REBUILD_FRACTION = 0.25
 @dataclass
 class QueryCounters:
     """Instrumentation: kNN query rows issued and the neighbor distances
-    they looked up (k per row)."""
+    they returned (k per row). Every view counts, fits included: a gpdc
+    fit adds (n, n(k+1)) and a gevc fit (n, n)."""
 
     queries: int = 0
     distances: int = 0
@@ -121,11 +125,8 @@ class NeighborIndex:
             raise UsageError("need at least 2 points for within-training neighbors")
         if not (0 <= i < self.size):
             raise UsageError(f"index {i} out of range [0, {self.size})")
-        # Point i is at distance 0 from itself, so the nearest other point
-        # is whichever of the two closest is not i.
-        dist, idx = self._knn(self._points[i][None, :], 2)
-        j = 1 if idx[0, 0] == i else 0
-        return (float(dist[0, j]), int(idx[0, j]))
+        dist, idx = self._knn(self._points[i][None, :], 1, exclude=[i])
+        return (float(dist[0, 0]), int(idx[0, 0]))
 
     def dmin_vector(self) -> np.ndarray:
         """Per-point distance to the closest other stored point."""
@@ -172,20 +173,20 @@ class NeighborIndex:
         self._tree = cKDTree(self._points)
         self._tree_size = self.size
 
-    def _flush(self):
-        """Fold any pending inserts into the tree."""
-        if self._tree is None or self._tree_size < self.size:
-            self._rebuild()
-
-    def _knn(self, queries: np.ndarray, k: int) -> tuple:
+    def _knn(self, queries: np.ndarray, k: int, exclude=None) -> tuple:
         """Exact (m, k) distances and indices of each query row's k nearest
-        stored points, ascending with ties broken by index.
+        stored points, ascending with ties broken by index. ``exclude``
+        names one stored index per row that is never a candidate.
 
-        Below the dimension limit the tree proposes candidates: a closed
-        ball at each row's kth tree distance catches every tied point, and
-        the pending inserts are scanned too. Above it every point is a
-        candidate. Either way the distances are recomputed with
-        ``distances_to``.
+        Below the dimension limit the tree proposes candidates: every tree
+        point within the closed ball at a row's kth tree distance (the
+        (k+1)th when a point is excluded), plus the pending inserts. The
+        tree is asked for one more hit as a probe: a row whose probe lies
+        beyond the ball has no tie at the kth distance, so its tree hits
+        hold its whole ball. Tied rows ask again for twice as many hits
+        until their probe clears the ball or every tree point is a hit.
+        Above the limit every point is a candidate. Either way the
+        distances are recomputed with ``distances_to``.
         """
         m = queries.shape[0]
         self.counters.queries += m
@@ -193,31 +194,45 @@ class NeighborIndex:
         dist = np.empty((m, k))
         idx = np.empty((m, k), dtype=int)
         if self._use_tree:
-            order = self._metric.order
-            kt = min(k, self._tree_size)
-            d_tree, _ = self._tree.query(queries, k=kt, p=order)
+            order, size = self._metric.order, self._tree_size
+            need = min(k + (exclude is not None), size)
+            probe = min(need + 1, size)
+            d_tree, hits = self._tree.query(queries, k=probe, p=order)
+            d_tree, hits = d_tree.reshape(m, probe), hits.reshape(m, probe)
             # nextafter guards against last-ulp disagreement between the
             # tree's distances and distances_to.
-            radius = np.nextafter(d_tree.reshape(m, kt)[:, -1], np.inf)
-            balls = self._tree.query_ball_point(queries, radius, p=order,
-                                                return_sorted=True)
-            pending = np.arange(self._tree_size, self.size)
+            radius = np.nextafter(d_tree[:, need - 1], np.inf)
+            hits = list(hits)
+            tied = np.flatnonzero(d_tree[:, -1] <= radius)
+            while tied.size and probe < size:
+                probe = min(2 * probe, size)
+                d_tree, more = self._tree.query(queries[tied], k=probe, p=order)
+                for row, h in zip(tied.tolist(), more):
+                    hits[row] = h
+                tied = tied[d_tree[:, -1] <= radius[tied]]
+            pending = np.arange(size, self.size)
         else:
             everything = np.arange(self.size)
         for i in range(m):
             if self._use_tree:
-                cand = np.concatenate([np.asarray(balls[i], dtype=int), pending])
+                cand = np.sort(hits[i])
+                if pending.size:
+                    cand = np.concatenate([cand, pending])
                 d = distances_to(queries[i], self._points[cand], self._metric)
+                if exclude is not None:
+                    d[cand == exclude[i]] = np.inf
             else:
                 cand = everything
                 d = distances_to(queries[i], self._points, self._metric)
+                if exclude is not None:
+                    d[exclude[i]] = np.inf
             # Candidates are in index order, so ordering by (distance,
             # position) breaks ties by index.
             if k == 1:
-                top = np.argmin(d, keepdims=True)
+                top = d.argmin(keepdims=True)
             else:
                 # The k smallest and every candidate tied with the kth.
-                near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])
+                near = (d <= np.partition(d, k - 1)[k - 1]).nonzero()[0]
                 top = near[np.lexsort((near, d[near]))[:k]]
             dist[i], idx[i] = d[top], cand[top]
         return dist, idx
@@ -228,54 +243,13 @@ class NeighborIndex:
         if self.size < 2:
             self._dmin = np.full(self.size, np.inf)
             return
-        self._dmin = self._bulk_dmin()
-
-    def _bulk_dmin(self) -> np.ndarray:
-        # Distance values are always recomputed with distances_to so that
-        # batch materialization and incremental insert updates agree bitwise.
-        out = np.empty(self.size)
-        if self._use_tree:
-            self._flush()
-            d2, _ = self._tree.query(self._points, k=2, p=self._metric.order)
-            radius = np.nextafter(d2[:, 1], np.inf)
-            balls = self._tree.query_ball_point(self._points, radius,
-                                                p=self._metric.order)
-            for i in range(self.size):
-                cand = [j for j in balls[i] if j != i]
-                vals = distances_to(self._points[i], self._points[cand],
-                                    self._metric)
-                out[i] = vals.min()
-            return out
-        for i in range(self.size):
-            d = distances_to(self._points[i], self._points, self._metric)
-            d[i] = np.inf
-            out[i] = d.min()
-        return out
+        self._dmin = self._knn(self._points, 1,
+                               exclude=np.arange(self.size))[0][:, 0]
 
     def leave_one_out_smallest(self, k: int) -> np.ndarray:
         """(n, k) matrix: for each stored point, the k smallest distances to
         the other stored points, ascending. Used for jackknife calibration."""
         n = self.size
-        if k > n - 1:
-            raise UsageError(f"k must be <= {n - 1}, got {k}")
-        if self._use_tree:
-            self._flush()
-            d, idx = self._tree.query(self._points, k=k + 1, p=self._metric.order)
-            out = np.empty((n, k))
-            rows = np.arange(n)
-            self_pos = np.argmax(idx == rows[:, None], axis=1)
-            has_self = idx[rows, self_pos] == rows
-            # Points duplicated more than k+1 times may not see their own
-            # index among the hits; drop the last column instead (all the
-            # kept distances are zero in that case).
-            self_pos = np.where(has_self, self_pos, k)
-            for i in range(n):
-                out[i] = np.delete(d[i], self_pos[i])
-            return out
-        out = np.empty((n, k))
-        for i in range(n):
-            d = distances_to(self._points[i], self._points, self._metric)
-            d[i] = np.inf
-            part = np.partition(d, k - 1)[:k]
-            out[i] = np.sort(part)
-        return out
+        if not (1 <= k <= n - 1):
+            raise UsageError(f"k must be in [1, {n - 1}], got {k}")
+        return self._knn(self._points, k, exclude=np.arange(n))[0]

@@ -4,10 +4,13 @@ the flat (no tree) path and with pending inserts in the index."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_knn
 from openevt import evm, gevc, gpdc
-from openevt.data import LabeledDataset
+from openevt.data import DistanceMetric, LabeledDataset
+from openevt.errors import FitError
 from openevt.evt import hill_shape
 from openevt.gpdc import tail_stats
 from openevt.neighbors import NeighborIndex
@@ -116,6 +119,53 @@ def test_evidence_counters_follow_the_complexity_contract():
     model.evidence(queries)
     after = model.index.counters.snapshot()
     assert (after[0] - before[0], after[1] - before[1]) == (m, m)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_fit_counters_follow_the_complexity_contract(case):
+    data, _ = _dataset(case)
+    n = data.n
+    model = gpdc.fit(data, k=10)
+    assert model.index.counters.snapshot() == (n, n * (model.k + 1))
+    model = gevc.fit(data)
+    assert model.index.counters.snapshot() == (n, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=15, max_value=70),
+    p=st.sampled_from([1, 2, 5, 16, 25]),
+    k=st.integers(min_value=2, max_value=10),
+    seed=st.integers(min_value=0, max_value=10_000),
+    grid=st.booleans(),
+    manhattan=st.booleans(),
+)
+def test_calibration_equals_scoring_against_the_others(n, p, k, seed, grid,
+                                                         manhattan):
+    """A training point's jackknife statistics (gpdc) and nearest-other
+    distance (gevc) are those of scoring it against an index of the other
+    n-1 points, bit for bit."""
+    k = min(k, n - 2)
+    rng = np.random.default_rng(seed)
+    # Integer grids force ties and duplicates at the kth distance.
+    pts = (rng.integers(0, 6, size=(n, p)).astype(float) if grid
+           else rng.normal(size=(n, p)))
+    metric = DistanceMetric.manhattan() if manhattan else DistanceMetric()
+    data = LabeledDataset(pts, ["a"] * n)
+    try:
+        gpdc_model = gpdc.fit(data, k=k, metric=metric)
+        gevc_model = gevc.fit(data, metric=metric)
+    except FitError:
+        assume(False)
+    cal = gpdc_model.calibration
+    for i in rng.choice(n, size=4, replace=False):
+        others = NeighborIndex(np.delete(pts, i, axis=0), metric)
+        d = others.batch_k_smallest(pts[i][None, :], k + 1)
+        _, pxi, radius = tail_stats(d, k, p, gpdc_model.gamma, n - 1)
+        np.testing.assert_array_equal(pxi[0], cal.pxi_stats[i])
+        np.testing.assert_array_equal(radius[0], cal.radius_stats[i])
+        assert others.batch_k_smallest(pts[i][None, :], 1)[0, 0] == \
+            gevc_model.dmin[i]
 
 
 def test_batch_query_after_inserts_does_not_rebuild_tree():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_dmin, brute_knn
-from openevt.data import DistanceMetric
+from openevt.data import DistanceMetric, distances_to
 from openevt.errors import UsageError
 from openevt.neighbors import NeighborIndex
 
@@ -204,6 +204,51 @@ def test_leave_one_out_matches_manual():
     ix = NeighborIndex(pts)
     loo = ix.leave_one_out_smallest(5)
     for i in (0, 17, 59):
-        d = np.sqrt(((pts - pts[i]) ** 2).sum(axis=1))
+        # distances_to is the definitional metric (see helpers.brute_knn);
+        # the selection below is independent of the index
+        d = distances_to(pts[i], pts)
         d[i] = np.inf
-        np.testing.assert_allclose(loo[i], np.sort(d)[:5], atol=1e-12)
+        np.testing.assert_array_equal(loo[i], np.sort(d)[:5])
+
+
+def _self_excluding_case(case):
+    """(index, all points) for the leave-one-out and nearest-other checks."""
+    rng = np.random.default_rng(16)
+    if case == "p2_float":
+        pts = rng.normal(size=(300, 2))
+    elif case == "p16_grid_duplicates":
+        pts = rng.integers(0, 3, size=(300, 16)).astype(float)
+        # one point duplicated more than k+1 times (k=5 below)
+        pts[rng.choice(300, size=11, replace=False)] = pts[7]
+    elif case == "p30_flat":
+        pts = rng.normal(size=(200, 30))
+    else:  # pending inserts, with duplicates across tree and buffer
+        base = rng.integers(0, 6, size=(200, 2)).astype(float)
+        ix = NeighborIndex(base)
+        extra = rng.integers(0, 6, size=(40, 2)).astype(float)
+        for x in extra:
+            ix.insert(x)
+        assert ix._tree_size < ix.size
+        return ix, np.vstack([base, extra])
+    return NeighborIndex(pts), pts
+
+
+@pytest.mark.parametrize(
+    "case", ["p2_float", "p16_grid_duplicates", "p30_flat", "pending_inserts"])
+def test_self_excluding_views_match_brute_force(case):
+    ix, pts = _self_excluding_case(case)
+    tree, tree_size = ix._tree, ix._tree_size
+    k = 5
+    loo = ix.leave_one_out_smallest(k)
+    dmin = ix.dmin_vector()
+    assert ix._tree is tree and ix._tree_size == tree_size
+    expected = np.empty((pts.shape[0], k))
+    for i, x in enumerate(pts):
+        d = distances_to(x, pts)
+        d[i] = np.inf
+        expected[i] = np.sort(d)[:k]
+        # the lowest index wins a tie for nearest
+        assert ix.nearest_within_training(i) == (d.min(), int(np.argmin(d)))
+    np.testing.assert_array_equal(loo, expected)
+    np.testing.assert_array_equal(dmin, brute_dmin(pts))
+    np.testing.assert_array_equal(dmin, loo[:, 0])
