@@ -262,6 +262,10 @@ def fit(data: LabeledDataset, k: int | None = None, gamma: float | None = None,
         raise UsageError(f"need n >= k + 2 (n={n}, k={k})")
     _check_alpha(alpha)
     if gamma is None:
+        if k < 2:
+            raise UsageError(
+                f"k={k} needs an explicit gamma: the default gamma = 1/n "
+                f"needs k >= 2, or pass gamma < 1/n = {1.0 / n:g}")
         gamma = 1.0 / n
     if not (0.0 < gamma < k / n):
         raise UsageError(f"gamma must be in (0, k/n) = (0, {k / n:g}), got {gamma}")

@@ -1,20 +1,37 @@
 """Exact k-nearest-neighbor search with incremental insertion.
 
-The index is backed by a kd-tree (scipy's cKDTree) for dimensions up to
-``TREE_DIMENSION_LIMIT`` and falls back to a vectorized flat scan above
-that, where space partitioning stops paying off. Inserted points go into a
-pending buffer that is scanned exactly and merged into query results; the
-tree is rebuilt once the buffer grows past an amortization threshold.
-Results are exact and deterministic: every distance is recomputed with
-:func:`~openevt.data.distances_to`, and equal distances are broken by
-training index.
+Every neighbour view is one query, ``_knn``, run over blocks of query rows
+in two steps. First a candidate source proposes, for each row, a set of
+stored points sure to hold its k nearest:
 
-Every neighbour view is one query, ``_knn``. The leave-one-out distances
-and the nearest-other-point vector are that query over the stored points
-with each point excluded from its own row, so calibration and external
-queries share one arithmetic. The index keeps the nearest-other-point
-vector because insertions must report exactly which of its entries
-improved.
+- up to ``TREE_DIMENSION_LIMIT`` (p = 9, the crossover measured below) a
+  kd-tree (scipy's cKDTree) proposes the row's closed ball at its kth
+  tree distance, plus the pending inserts that the tree does not hold yet;
+- above it, the block is scored against every stored point with the GEMM
+  form of the squared Euclidean distance, ||q||^2 - 2 q.y + ||y||^2, and
+  every point scored within a slack of 4 (p + 4) eps (||q||^2 + max
+  ||y||^2) of the row's kth score is a candidate (exact brute-force
+  k-selection by GEMM, Johnson, Douze & Jegou, *Billion-scale similarity
+  search with GPUs*, sections 3-4). The slack bounds the rounding of both
+  the score and the recomputed distance in any summation order, so a
+  point that belongs in the k nearest can never score outside it. For
+  other Minkowski orders the scores are the exact distances and the slack
+  is 0.
+
+Then one selection step recomputes each candidate's distance with the
+arithmetic of :func:`~openevt.data.distances_to` and keeps each row's
+first k in (distance, index) order. Results are therefore exact and
+deterministic whichever source proposed the candidates, however BLAS
+summed the scores, and at coordinate offsets where the GEMM form cancels:
+the scores only decide which distances are recomputed.
+
+The leave-one-out distances and the nearest-other-point vector are that
+query over the stored points with each point excluded from its own row, so
+calibration and external queries share one arithmetic. The index keeps the
+nearest-other-point vector because insertions must report exactly which of
+its entries improved. Inserted points are appended to a buffer whose
+capacity doubles; the tree is rebuilt once the pending inserts pass an
+amortization threshold.
 
 Concurrency: no query folds pending inserts into the tree; only ``insert``
 rebuilds it, and ``insert`` requires exclusive access. The first
@@ -29,17 +46,28 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .data import EUCLIDEAN, DistanceMetric, distances_to
+from .data import EUCLIDEAN, DistanceMetric, _minkowski, distances_to
 from .errors import UsageError
 
-# Above this dimension a kd-tree degenerates to a near-linear scan with
-# extra overhead, so the flat path is used instead.
-TREE_DIMENSION_LIMIT = 20
+# The kd-tree proposes candidates up to this dimension and the blocked scan
+# above it. Measured on a 2-core x86 VM (OpenBLAS, one thread) for
+# leave-one-out at k=17, the nearest-other vector and 2,000 queries at k=16,
+# with 6,000 and 15,000 Gaussian points and 6,000 integer points: from p=10
+# the scan won all nine; at p=9 it lost the nearest-other vector and the
+# queries at 15,000 points. CHANGES.md has the table.
+TREE_DIMENSION_LIMIT = 9
+
+# A block of query rows holds at most this many float64 elements of
+# candidate differences (rows x stored points x dimension, the worst case
+# when every point is a candidate), which also bounds its score matrix.
+BLOCK_ELEMENTS = 1 << 21
 
 # Rebuild the tree when the pending buffer exceeds
 # max(REBUILD_MIN, REBUILD_FRACTION * tree size).
 REBUILD_MIN = 64
 REBUILD_FRACTION = 0.25
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -63,15 +91,16 @@ class NeighborIndex:
         pts = np.array(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise UsageError("index needs a non-empty (n, p) point matrix")
-        self._points = pts
+        # _points and _dmin are views of the filled prefix of their buffers.
+        self._points = self._point_buffer = pts
         self._metric = metric
         self._labels = list(labels) if labels is not None else None
         self._tree = None
         self._tree_size = 0
-        self._use_tree = pts.shape[1] <= TREE_DIMENSION_LIMIT
-        self._dmin = None if dmin is None else np.array(dmin, dtype=float)
+        self._dmin = self._dmin_buffer = (
+            None if dmin is None else np.array(dmin, dtype=float))
         self.counters = QueryCounters()
-        if self._use_tree:
+        if pts.shape[1] <= TREE_DIMENSION_LIMIT:
             self._rebuild()
 
     # -- basic properties ---------------------------------------------------
@@ -143,12 +172,14 @@ class NeighborIndex:
         d = distances_to(x, self._points, self._metric)
         changed = np.flatnonzero(d < self._dmin)
         self._dmin[changed] = d[changed]
-        own = float(d.min())
-        self._points = np.vstack([self._points, x[None, :]])
-        self._dmin = np.append(self._dmin, own)
+        n = self.size
+        self._point_buffer = _append(self._point_buffer, n, x)
+        self._dmin_buffer = _append(self._dmin_buffer, n, d.min())
+        self._points = self._point_buffer[:n + 1]
+        self._dmin = self._dmin_buffer[:n + 1]
         if self._labels is not None:
             self._labels.append(label)
-        if self._use_tree:
+        if self._tree is not None:
             pending = self.size - self._tree_size
             if pending > max(REBUILD_MIN, REBUILD_FRACTION * self._tree_size):
                 self._rebuild()
@@ -176,75 +207,147 @@ class NeighborIndex:
     def _knn(self, queries: np.ndarray, k: int, exclude=None) -> tuple:
         """Exact (m, k) distances and indices of each query row's k nearest
         stored points, ascending with ties broken by index. ``exclude``
-        names one stored index per row that is never a candidate.
-
-        Below the dimension limit the tree proposes candidates: every tree
-        point within the closed ball at a row's kth tree distance (the
-        (k+1)th when a point is excluded), plus the pending inserts. The
-        tree is asked for one more hit as a probe: a row whose probe lies
-        beyond the ball has no tie at the kth distance, so its tree hits
-        hold its whole ball. Tied rows ask again for twice as many hits
-        until their probe clears the ball or every tree point is a hit.
-        Above the limit every point is a candidate. Either way the
-        distances are recomputed with ``distances_to``.
-        """
-        m = queries.shape[0]
+        names one stored index per row that is never a candidate."""
+        m, (n, p) = queries.shape[0], self._points.shape
         self.counters.queries += m
         self.counters.distances += m * k
+        if exclude is not None:
+            exclude = np.asarray(exclude)
+        norms = None
+        if self._tree is None and self._metric.order == 2.0:
+            norms = np.einsum("ij,ij->i", self._points, self._points)
         dist = np.empty((m, k))
-        idx = np.empty((m, k), dtype=int)
-        if self._use_tree:
-            order, size = self._metric.order, self._tree_size
-            need = min(k + (exclude is not None), size)
-            probe = min(need + 1, size)
-            d_tree, hits = self._tree.query(queries, k=probe, p=order)
-            d_tree, hits = d_tree.reshape(m, probe), hits.reshape(m, probe)
-            # nextafter guards against last-ulp disagreement between the
-            # tree's distances and distances_to.
-            radius = np.nextafter(d_tree[:, need - 1], np.inf)
-            hits = list(hits)
-            tied = np.flatnonzero(d_tree[:, -1] <= radius)
-            while tied.size and probe < size:
-                probe = min(2 * probe, size)
-                d_tree, more = self._tree.query(queries[tied], k=probe, p=order)
-                for row, h in zip(tied.tolist(), more):
-                    hits[row] = h
-                tied = tied[d_tree[:, -1] <= radius[tied]]
-            pending = np.arange(size, self.size)
-        else:
-            everything = np.arange(self.size)
-        for i in range(m):
-            if self._use_tree:
-                cand = np.sort(hits[i])
-                if pending.size:
-                    cand = np.concatenate([cand, pending])
-                d = distances_to(queries[i], self._points[cand], self._metric)
-                if exclude is not None:
-                    d[cand == exclude[i]] = np.inf
+        idx = np.empty((m, k), dtype=np.intp)
+        # No row has more than n candidates of p differences each.
+        step = max(1, BLOCK_ELEMENTS // (n * p))
+        for lo in range(0, m, step):
+            block = slice(lo, lo + step)
+            rows = queries[block]
+            skip = None if exclude is None else exclude[block]
+            if self._tree is not None:
+                cand = self._tree_candidates(rows, k, skip)
             else:
-                cand = everything
-                d = distances_to(queries[i], self._points, self._metric)
-                if exclude is not None:
-                    d[exclude[i]] = np.inf
-            # Candidates are in index order, so ordering by (distance,
-            # position) breaks ties by index.
-            if k == 1:
-                top = d.argmin(keepdims=True)
-            else:
-                # The k smallest and every candidate tied with the kth.
-                near = (d <= np.partition(d, k - 1)[k - 1]).nonzero()[0]
-                top = near[np.lexsort((near, d[near]))[:k]]
-            dist[i], idx[i] = d[top], cand[top]
+                cand = self._scan_candidates(rows, k, skip, norms)
+            dist[block], idx[block] = self._select(rows, cand, k, skip)
         return dist, idx
+
+    def _tree_candidates(self, queries, k, exclude) -> np.ndarray:
+        """Candidate matrix from the tree and the pending inserts.
+
+        A row's candidates are every tree point within the closed ball at
+        its kth tree distance (the (k+1)th when a point is excluded). The
+        tree is asked for one more hit as a probe: a row whose probe lies
+        beyond the ball has no tie at the kth distance, so its hits hold
+        its whole ball. Tied rows ask again for twice as many hits until
+        their probe clears the ball; a row that would ask for every tree
+        point takes them all.
+        """
+        m, size, order = queries.shape[0], self._tree_size, self._metric.order
+        need = min(k + (exclude is not None), size)
+        probe = min(need + 1, size)
+        d_tree, cand = self._tree.query(queries, k=probe, p=order)
+        d_tree, cand = d_tree.reshape(m, probe), cand.reshape(m, probe)
+        # nextafter guards against last-ulp disagreement between the tree's
+        # distances and distances_to.
+        radius = np.nextafter(d_tree[:, need - 1], np.inf)
+        # The tree reports a point at an infinite distance as the missing
+        # index size, so a probe at inf counts as tied too.
+        last = d_tree[:, -1]
+        tied = ((last <= radius) | (last == np.inf)).nonzero()[0]
+        while tied.size:
+            probe = min(2 * probe, size)
+            cand = np.pad(cand, ((0, 0), (0, probe - cand.shape[1])),
+                          constant_values=self.size)
+            if probe == size:
+                cand[tied] = np.arange(size)
+                break
+            d_tree, cand[tied] = self._tree.query(
+                queries.take(tied, axis=0), k=probe, p=order)
+            last = d_tree[:, -1]
+            tied = tied[(last <= radius[tied]) | (last == np.inf)]
+        cand.sort(axis=1)
+        if size == self.size:
+            return cand
+        pending = np.arange(size, self.size)
+        return np.concatenate([cand, pending[None].repeat(m, axis=0)], axis=1)
+
+    def _scan_candidates(self, queries, k, exclude, norms) -> np.ndarray:
+        """Candidate matrix from scoring every stored point.
+
+        With ``norms`` (the stored points' squared norms; Euclidean only)
+        a score is ||q||^2 - 2 q.y + ||y||^2. In any summation order it
+        lies within (p + 2) eps M of the exact squared distance, with
+        M = ||q||^2 + max ||y||^2, and so does the square whose root
+        ``distances_to`` returns. A point y that belongs in a row's k
+        nearest ranks no later than some point z among the row's k best
+        scored, so y's score exceeds the kth score by at most twice both
+        errors plus the root's and the threshold's own rounding, about
+        (4p + 13) eps M: within the slack 4 (p + 4) eps M. Without
+        ``norms`` the scores are the recomputed distances and the slack
+        is 0. An undefined (NaN) score or threshold makes the point a
+        candidate.
+        """
+        (m, p), n = queries.shape, self.size
+        if norms is not None:
+            q_norms = np.einsum("ij,ij->i", queries, queries)
+            with np.errstate(over="ignore", invalid="ignore"):
+                score = queries @ self._points.T
+                score *= -2.0
+                score += q_norms[:, None]
+                score += norms
+            slack = 4.0 * (p + 4) * _EPS * (q_norms + norms.max())
+        else:
+            diff = self._points[None, :, :] - queries[:, None, :]
+            score = _minkowski(diff.reshape(-1, p),
+                               self._metric.order).reshape(m, n)
+            slack = 0.0
+        if exclude is not None:
+            score[np.arange(m), exclude] = np.inf
+        if k == 1:
+            kth = score.min(axis=1)
+        else:
+            kth = np.partition(score, k - 1, axis=1)[:, k - 1]
+        hit = ~(score > (kth + slack)[:, None])
+        counts = hit.sum(axis=1)
+        rows, cols = np.divmod(np.flatnonzero(hit), n)
+        cand = np.full((m, counts.max()), n)
+        cand[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = cols
+        return cand
+
+    def _select(self, queries, cand, k, exclude) -> tuple:
+        """Each row's k nearest candidates, as (m, k) distances and indices.
+
+        ``cand`` is an (m, c) matrix of stored indices, padded with the
+        index ``size``; every row starts with a real candidate, holds at
+        least k besides its excluded index, and lists them in ascending
+        order. Each distance is recomputed with the arithmetic of
+        ``distances_to``, and every row is ordered by (distance, index),
+        padding last.
+        """
+        n, p = self._points.shape
+        if exclude is not None:
+            cand[cand == exclude[:, None]] = n
+            cand.sort(axis=1)
+        # take() gathers rows several times faster than fancy indexing.
+        diff = self._points.take(cand, axis=0, mode="clip") - queries[:, None, :]
+        d = _minkowski(diff.reshape(-1, p), self._metric.order).reshape(cand.shape)
+        d[cand == n] = np.inf
+        if k == 1:
+            # the first minimum has the lowest index, even when all are inf
+            top = d.argmin(axis=1)[:, None]
+        else:
+            top = np.lexsort((cand, d), axis=1)[:, :k]
+        top += np.arange(0, d.size, d.shape[1])[:, None]
+        return d.take(top), cand.take(top)
 
     def _ensure_dmin(self):
         if self._dmin is not None:
             return
         if self.size < 2:
-            self._dmin = np.full(self.size, np.inf)
+            self._dmin = self._dmin_buffer = np.full(self.size, np.inf)
             return
-        self._dmin = self._knn(self._points, 1,
-                               exclude=np.arange(self.size))[0][:, 0]
+        self._dmin = self._dmin_buffer = self._knn(
+            self._points, 1, exclude=np.arange(self.size))[0][:, 0]
 
     def leave_one_out_smallest(self, k: int) -> np.ndarray:
         """(n, k) matrix: for each stored point, the k smallest distances to
@@ -253,3 +356,15 @@ class NeighborIndex:
         if not (1 <= k <= n - 1):
             raise UsageError(f"k must be in [1, {n - 1}], got {k}")
         return self._knn(self._points, k, exclude=np.arange(n))[0]
+
+
+def _append(buffer: np.ndarray, n: int, row) -> np.ndarray:
+    """Store ``row`` at position ``n`` of ``buffer``, whose first n rows
+    are filled; a full buffer is first copied into one of twice the
+    capacity. Returns the buffer that holds the row."""
+    if n == buffer.shape[0]:
+        grown = np.empty((2 * n,) + buffer.shape[1:])
+        grown[:n] = buffer
+        buffer = grown
+    buffer[n] = row
+    return buffer

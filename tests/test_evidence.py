@@ -1,6 +1,7 @@
 """Per-point ``score`` is a one-row view of each classifier's batch
 evidence: the two must agree bit for bit, including at distance ties, on
-the flat (no tree) path and with pending inserts in the index."""
+both the tree and the blocked-scan (no tree) path and with pending inserts
+in the index."""
 
 import numpy as np
 import pytest
@@ -18,14 +19,16 @@ from openevt.neighbors import NeighborIndex
 
 def _dataset(case):
     rng = np.random.default_rng(21)
-    if case == "p16_integer_ties":
+    if case in ("p4_integer_ties", "p16_integer_ties"):
         # Small integer grid: many equal distances at the kth neighbor, plus
         # duplicated rows (copied with their label, so evm margins stay > 0).
-        pts = rng.integers(0, 4, size=(400, 16)).astype(float)
-        labels = np.where(pts[:, 0] < 2, "a", "b")
+        # (a wider grid at p=4 keeps the nearest distances spread out)
+        p, top = (4, 8) if case == "p4_integer_ties" else (16, 4)
+        pts = rng.integers(0, top, size=(400, p)).astype(float)
+        labels = np.where(pts[:, 0] < top // 2, "a", "b")
         src = rng.choice(400, size=20, replace=False)
         pts[:20], labels[:20] = pts[src], labels[src]
-        queries = np.vstack([rng.integers(0, 4, size=(40, 16)).astype(float),
+        queries = np.vstack([rng.integers(0, top, size=(40, p)).astype(float),
                              pts[:10]])
         return LabeledDataset(pts, labels), queries
     p = {"p2_tree": 2, "p30_flat": 30}[case]
@@ -35,7 +38,10 @@ def _dataset(case):
     return LabeledDataset(pts, labels), queries
 
 
-CASES = ("p2_tree", "p16_integer_ties", "p30_flat")
+# The integer-tie case runs on the tree (p=4) and on the blocked scan (p=16).
+CASES = ("p2_tree", "p4_integer_ties", "p16_integer_ties", "p30_flat")
+ON_TREE = {"p2_tree": True, "p4_integer_ties": True, "p16_integer_ties": False,
+           "p30_flat": False}
 
 
 def _gevc_with_pending():
@@ -58,6 +64,7 @@ def _rows(evidence):
 def test_gpdc_score_is_row_of_evidence(case):
     data, queries = _dataset(case)
     model = gpdc.fit(data, k=10)
+    assert (model.index._tree is not None) == ON_TREE[case]
     rows = _rows(model.evidence(queries))
     assert {r["stage"] for r in rows} >= {gpdc.COINCIDENT_KNOWN}
     for x, row in zip(queries, rows):
@@ -82,7 +89,9 @@ def _check_gevc(model, queries):
 @pytest.mark.parametrize("case", CASES)
 def test_gevc_score_is_row_of_evidence(case):
     data, queries = _dataset(case)
-    _check_gevc(gevc.fit(data), queries)
+    model = gevc.fit(data)
+    assert (model.index._tree is not None) == ON_TREE[case]
+    _check_gevc(model, queries)
 
 
 def test_gevc_score_is_row_of_evidence_with_pending_inserts():

@@ -61,6 +61,13 @@ class TestFit:
     def test_gamma_default(self, model, blobs):
         assert model.gamma == 1.0 / blobs.n
 
+    def test_k1_needs_explicit_gamma(self, blobs):
+        # the default gamma = 1/n lies outside (0, k/n) when k = 1
+        with pytest.raises(UsageError, match=r"k=1 .*k >= 2.*gamma < 1/n"):
+            gpdc.fit(blobs, k=1)
+        m = gpdc.fit(blobs, k=1, gamma=0.5 / blobs.n)
+        assert (m.k, m.gamma) == (1, 0.5 / blobs.n)
+
 
 class TestScore:
     def test_training_point_is_coincident_known(self, model, blobs):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_dmin, brute_knn
+from openevt import neighbors
 from openevt.data import DistanceMetric, distances_to
 from openevt.errors import UsageError
 from openevt.neighbors import NeighborIndex
@@ -212,31 +213,41 @@ def test_leave_one_out_matches_manual():
 
 
 def _self_excluding_case(case):
-    """(index, all points) for the leave-one-out and nearest-other checks."""
+    """(index, all points) for the leave-one-out and nearest-other checks.
+    The grid and insert cases run on the tree (p = 4 and 2) and on the
+    blocked scan (p = 16)."""
     rng = np.random.default_rng(16)
     if case == "p2_float":
         pts = rng.normal(size=(300, 2))
-    elif case == "p16_grid_duplicates":
-        pts = rng.integers(0, 3, size=(300, 16)).astype(float)
+    elif case in ("p4_grid_duplicates", "p16_grid_duplicates"):
+        p = 4 if case == "p4_grid_duplicates" else 16
+        pts = rng.integers(0, 3, size=(300, p)).astype(float)
         # one point duplicated more than k+1 times (k=5 below)
         pts[rng.choice(300, size=11, replace=False)] = pts[7]
     elif case == "p30_flat":
         pts = rng.normal(size=(200, 30))
-    else:  # pending inserts, with duplicates across tree and buffer
-        base = rng.integers(0, 6, size=(200, 2)).astype(float)
+    else:  # inserts, with duplicates across the initial and inserted points
+        p = 2 if case == "pending_inserts" else 16
+        base = rng.integers(0, 6, size=(200, p)).astype(float)
         ix = NeighborIndex(base)
-        extra = rng.integers(0, 6, size=(40, 2)).astype(float)
+        extra = rng.integers(0, 6, size=(40, p)).astype(float)
         for x in extra:
             ix.insert(x)
-        assert ix._tree_size < ix.size
+        if case == "pending_inserts":
+            assert ix._tree_size < ix.size
         return ix, np.vstack([base, extra])
     return NeighborIndex(pts), pts
 
 
 @pytest.mark.parametrize(
-    "case", ["p2_float", "p16_grid_duplicates", "p30_flat", "pending_inserts"])
-def test_self_excluding_views_match_brute_force(case):
+    "case", ["p2_float", "p4_grid_duplicates", "p16_grid_duplicates",
+             "p30_flat", "pending_inserts", "p16_inserts"])
+def test_self_excluding_views_match_brute_force(case, monkeypatch):
     ix, pts = _self_excluding_case(case)
+    n, p = pts.shape
+    assert (ix._tree is not None) == (p < 16)
+    # blocks of 7 rows: the last block is partial
+    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", 7 * n * p)
     tree, tree_size = ix._tree, ix._tree_size
     k = 5
     loo = ix.leave_one_out_smallest(k)
@@ -252,3 +263,73 @@ def test_self_excluding_views_match_brute_force(case):
     np.testing.assert_array_equal(loo, expected)
     np.testing.assert_array_equal(dmin, brute_dmin(pts))
     np.testing.assert_array_equal(dmin, loo[:, 0])
+
+
+def _brute_rows(points, queries, k, order, exclude=None):
+    """``brute_knn`` for each query row; an excluded index is left out of
+    its row's scan."""
+    everything = np.arange(points.shape[0])
+    dist, idx = [], []
+    for i, q in enumerate(queries):
+        keep = everything if exclude is None else np.delete(everything, exclude[i])
+        d, j = brute_knn(points[keep], q, k, order)
+        dist.append(d)
+        idx.append(keep[j])
+    return np.array(dist), np.array(idx)
+
+
+def _scan_case(case):
+    """(points, queries, metric) above the dimension limit."""
+    rng = np.random.default_rng(31)
+    if case == "offset_1e8":
+        # ||q||^2 - 2 q.y + ||y||^2 cancels: scores are off by far more
+        # than the distances between neighbours
+        pts = rng.normal(size=(120, 30)) + 1e8
+        return pts, pts[:23] + rng.normal(size=(23, 30)), DistanceMetric()
+    if case == "grid_repeats":
+        pts = rng.integers(0, 3, size=(120, 12)).astype(float)
+        # repeated more than k+1 times for k = 1 and 9 below
+        pts[rng.choice(120, size=12, replace=False)] = pts[5]
+        queries = np.vstack([pts[5], rng.integers(0, 3, size=(22, 12))])
+        return pts, queries.astype(float), DistanceMetric()
+    pts = rng.normal(size=(120, 20))
+    order = {"manhattan": 1.0, "minkowski3": 3.0}[case]
+    return pts, rng.normal(size=(23, 20)), DistanceMetric(order)
+
+
+@pytest.mark.parametrize("case", ["offset_1e8", "grid_repeats", "manhattan",
+                                  "minkowski3"])
+def test_blocked_scan_matches_brute_force(case, monkeypatch):
+    pts, queries, metric = _scan_case(case)
+    (n, p), order = pts.shape, metric.order
+    ix = NeighborIndex(pts, metric)
+    assert ix._tree is None
+    # blocks of 7 rows, so 23 query rows and n = 120 end in a partial block
+    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", 7 * n * p)
+    for k in (1, 9, n - 1):
+        for rows in (queries, queries[:1]):
+            got = ix._knn(rows, k)
+            expected = _brute_rows(pts, rows, k, order)
+            np.testing.assert_array_equal(got[0], expected[0])
+            np.testing.assert_array_equal(got[1], expected[1])
+        got = ix._knn(pts, k, exclude=np.arange(n))
+        expected = _brute_rows(pts, pts, k, order, exclude=np.arange(n))
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
+
+
+@pytest.mark.parametrize("p", [2, 16])
+def test_overflowing_distances_tie_by_index(p):
+    # every distance between distinct points overflows to inf, so each
+    # point's nearest others are the lowest other indices
+    pts = np.zeros((5, p))
+    pts[:, 0] = [3e200, -1e200, 1e200, -3e200, 5e200]
+    ix = NeighborIndex(pts)
+    assert (ix._tree is not None) == (p == 2)
+    n = pts.shape[0]
+    for k in (1, 3):
+        got = ix._knn(pts, k, exclude=np.arange(n))
+        expected = _brute_rows(pts, pts, k, 2.0, exclude=np.arange(n))
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
+    assert ix.nearest_within_training(0) == (np.inf, 1)
