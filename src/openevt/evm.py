@@ -15,12 +15,12 @@ classes. No model-reduction step is applied: all n per-point fits are kept.
 """
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
                    Verdict, as_batch, only_row)
 from .errors import DataError, FitError, UsageError
 from .evt import default_tail_count, fit_weibull_rows
+from .serialize import payload_array
 
 _BLOCK_ROWS = 256
 
@@ -99,6 +99,8 @@ class EvmModel:
                 "score": psi, "psi": psi}
 
     def _psi_rows(self, block: np.ndarray) -> np.ndarray:
+        from scipy.spatial.distance import cdist
+
         d = cdist(block, self._points, **_cdist_metric(self.metric))
         with np.errstate(over="ignore"):
             w = np.exp(-np.power(d / self.sigmas[None, :], self.alphas[None, :]))
@@ -118,10 +120,12 @@ class EvmModel:
     @classmethod
     def from_payload(cls, payload: dict, metric: DistanceMetric) -> "EvmModel":
         delta = payload.get("delta")
+        points = payload_array(payload, "points")
+        n = points.shape[0]
         return cls(
-            points=np.array(payload["points"], dtype=float),
-            sigmas=np.array(payload["sigmas"], dtype=float),
-            alphas=np.array(payload["alphas"], dtype=float),
+            points=points,
+            sigmas=payload_array(payload, "sigmas", n),
+            alphas=payload_array(payload, "alphas", n),
             k=int(payload["k"]),
             delta=None if delta is None else float(delta),
             metric=metric,
@@ -153,6 +157,8 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
             f"k={k} exceeds the smallest cross-class sample ({max_cross}); "
             "every point needs k margin distances to other classes"
         )
+
+    from scipy.spatial.distance import cdist
 
     ids = data.label_ids
     pts = data.points

@@ -21,10 +21,11 @@ import numpy as np
 
 from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
                    Verdict, as_batch, only_row)
-from .errors import FitError, UsageError
+from .errors import DataError, FitError, UsageError
 from .evt import (ReversedWeibull, reversed_weibull_cdf, reversed_weibull_fit,
                   reversed_weibull_fit_free_endpoint)
 from .neighbors import NeighborIndex
+from .serialize import payload_array
 
 # Deferred-refit trigger: fraction of nearest-distance entries that may
 # change before the fitted distribution is considered stale.
@@ -164,10 +165,15 @@ class GevcModel:
 
     @classmethod
     def from_payload(cls, payload: dict, metric: DistanceMetric) -> "GevcModel":
+        points = payload_array(payload, "points")
+        n = points.shape[0]
         labels = payload.get("labels")
-        index = NeighborIndex(np.array(payload["points"], dtype=float), metric,
-                              labels=labels,
-                              dmin=np.array(payload["dmin"], dtype=float))
+        if labels is not None and len(labels) != n:
+            raise DataError(f"payload field 'labels' has {len(labels)} entries, "
+                            f"expected {n} to match the points")
+        # A nearest distance may overflow to inf but is never NaN or negative.
+        dmin = payload_array(payload, "dmin", n, valid=lambda d: d >= 0)
+        index = NeighborIndex(points, metric, labels=labels, dmin=dmin)
         fitted = ReversedWeibull(sigma=float(payload["sigma"]),
                                  alpha=float(payload["weibull_alpha"]),
                                  endpoint=float(payload["endpoint"]))

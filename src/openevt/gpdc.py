@@ -30,6 +30,7 @@ from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
 from .errors import FitError, UsageError
 from .evt import default_tail_count
 from .neighbors import NeighborIndex
+from .serialize import payload_array
 
 REJECTED_SHAPE = "rejected_shape"
 REJECTED_RADIUS = "rejected_radius"
@@ -229,13 +230,16 @@ class GpdcModel:
 
     @classmethod
     def from_payload(cls, payload: dict, metric: DistanceMetric) -> "GpdcModel":
-        index = NeighborIndex(np.array(payload["points"], dtype=float), metric)
+        points = payload_array(payload, "points")
+        n = points.shape[0]
+        index = NeighborIndex(points, metric)
+        # NaN statistics mark coincident training points.
         cal = CalibrationProfile(
             shape_threshold=float(payload["shape_threshold"]),
             radius_threshold=float(payload["radius_threshold"]),
             alpha=float(payload["alpha"]),
-            pxi_stats=np.array(payload["pxi_stats"], dtype=float),
-            radius_stats=np.array(payload["radius_stats"], dtype=float),
+            pxi_stats=payload_array(payload, "pxi_stats", n, valid=None),
+            radius_stats=payload_array(payload, "radius_stats", n, valid=None),
         )
         return cls(index, int(payload["k"]), float(payload["gamma"]), cal)
 

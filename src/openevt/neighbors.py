@@ -5,8 +5,9 @@ in two steps. First a candidate source proposes, for each row, a set of
 stored points sure to hold its k nearest:
 
 - up to ``TREE_DIMENSION_LIMIT`` (p = 9, the crossover measured below) a
-  kd-tree (scipy's cKDTree) proposes the row's closed ball at its kth
-  tree distance, plus the pending inserts that the tree does not hold yet;
+  kd-tree (scipy's cKDTree, imported on the first tree build, so the scan
+  path never loads scipy) proposes the row's closed ball at its kth tree
+  distance, plus the pending inserts that the tree does not hold yet;
 - above it, the block is scored against every stored point with the GEMM
   form of the squared Euclidean distance, ||q||^2 - 2 q.y + ||y||^2, and
   every point scored within a slack of 4 (p + 4) eps (||q||^2 + max
@@ -44,7 +45,6 @@ concurrent readers may undercount.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .data import EUCLIDEAN, DistanceMetric, _minkowski, distances_to
 from .errors import UsageError
@@ -201,6 +201,8 @@ class NeighborIndex:
             raise UsageError(f"k must be in [1, {self.size}], got {k}")
 
     def _rebuild(self):
+        from scipy.spatial import cKDTree
+
         self._tree = cKDTree(self._points)
         self._tree_size = self.size
 

@@ -21,6 +21,29 @@ class ModelFile:
     standardizer: Standardizer | None
 
 
+def payload_array(payload: dict, field: str, rows: int | None = None,
+                  valid=np.isfinite) -> np.ndarray:
+    """``payload[field]`` as a float array: the (n, p) point matrix when
+    ``rows`` is None, otherwise a vector of ``rows`` entries. Every entry must
+    pass ``valid`` (None skips the value check). Raises DataError naming the
+    field."""
+    try:
+        arr = np.array(payload[field], dtype=float)
+    except (TypeError, ValueError):
+        raise DataError(f"payload field {field!r} is not a numeric array") from None
+    if rows is None:
+        if arr.ndim != 2 or arr.shape[0] < 1:
+            raise DataError(f"payload field {field!r} has shape {arr.shape}, "
+                            "expected a non-empty (n, p) matrix")
+    elif arr.shape != (rows,):
+        raise DataError(f"payload field {field!r} has shape {arr.shape}, "
+                        f"expected ({rows},) to match the points")
+    if valid is not None and not valid(arr).all():
+        raise DataError(f"payload field {field!r} holds invalid values "
+                        "(non-finite or out of range)")
+    return arr
+
+
 def _registry():
     from .evm import EvmModel
     from .gevc import GevcModel
@@ -42,9 +65,9 @@ def save_model(model, path, standardizer: Standardizer | None = None) -> None:
             "mean": standardizer.mean.tolist(),
             "scale": standardizer.scale.tolist(),
         }
+    text = json.dumps(doc) + "\n"
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path) -> ModelFile:
@@ -64,7 +87,12 @@ def load_model(path) -> ModelFile:
     if kind not in registry:
         raise DataError(f"{path}: unknown model kind {kind!r}")
     metric = DistanceMetric.parse(doc["metric"])
-    model = registry[kind].from_payload(doc["payload"], metric)
+    try:
+        model = registry[kind].from_payload(doc["payload"], metric)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    except KeyError as exc:
+        raise DataError(f"{path}: payload field {exc} is missing") from None
     standardizer = None
     if doc.get("standardize") is not None:
         standardizer = Standardizer(
