@@ -10,12 +10,10 @@ included for comparison, along with an evaluation harness and a CLI.
 """
 
 from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
-                   Standardizer, Verdict, distance, load_dataset_csv,
-                   negate_distances)
+                   Standardizer, Verdict, load_dataset_csv)
 from .errors import DataError, FitError, OpenEvtError, UsageError
-from .evt import (GpdTail, ReversedWeibull, ShapeEstimate, default_tail_count,
-                  gpd_quantile, gpd_tail_survival, hill_curve, hill_shape,
-                  reversed_weibull_cdf, reversed_weibull_fit,
+from .evt import (ReversedWeibull, ShapeEstimate, default_tail_count,
+                  hill_shape, reversed_weibull_cdf, reversed_weibull_fit,
                   reversed_weibull_fit_free_endpoint)
 from .neighbors import NeighborIndex
 from .serialize import load_model, save_model
@@ -27,7 +25,6 @@ __all__ = [
     "DistanceMetric",
     "EUCLIDEAN",
     "FitError",
-    "GpdTail",
     "KNOWN",
     "LabeledDataset",
     "NeighborIndex",
@@ -39,14 +36,9 @@ __all__ = [
     "UsageError",
     "Verdict",
     "default_tail_count",
-    "distance",
-    "gpd_quantile",
-    "gpd_tail_survival",
-    "hill_curve",
     "hill_shape",
     "load_dataset_csv",
     "load_model",
-    "negate_distances",
     "reversed_weibull_cdf",
     "reversed_weibull_fit",
     "reversed_weibull_fit_free_endpoint",

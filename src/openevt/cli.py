@@ -19,20 +19,15 @@ from .data import (UNKNOWN, DistanceMetric, Standardizer, load_dataset_csv,
                    load_points_csv)
 from .errors import OpenEvtError, UsageError
 from .gpdc import tail_stats
-from .harness import (DEFAULT_ALPHA_GRID, DEFAULT_DELTA_GRID,
-                      THYROID_TAIL_FRACTIONS, default_toy_config, fit_method,
-                      gpdc_tail_fraction_sweep, load_letter, load_thyroid,
-                      run_binary_novelty, run_oletter, run_toy_protocol,
-                      synthetic_openset_surrogate, thyroid_split)
-from .serialize import load_model, save_model
+from .serialize import fit_model, load_model, model_kinds, save_model
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            args = _apply_config_file(parser, args, argv)
+            args = _apply_config_file(parser, commands, args, argv)
         return args.func(args)
     except OpenEvtError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -43,7 +38,8 @@ def main(argv=None) -> int:
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="openevt",
         description="Open-set classification with extreme value statistics.",
@@ -57,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", parents=[common],
                            help="fit a model on a training CSV")
-    p_fit.add_argument("--method", required=True, choices=["gpdc", "gevc", "evm"])
+    p_fit.add_argument("--method", required=True, choices=list(model_kinds()))
     p_fit.add_argument("--train", required=True, help="training CSV path")
     p_fit.add_argument("--out", required=True, help="model file to write")
     p_fit.add_argument("--k", type=int, default=None,
@@ -130,11 +126,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--known-classes", default="3",
                          help="thyroid: class codes mapped to known")
     p_bench.set_defaults(func=cmd_benchmark)
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(parser, args, argv):
-    """Reparse with file values as defaults so command-line flags win."""
+def _apply_config_file(parser, commands, args, argv):
+    """Reparse with the file's values as the command's first flags, so that
+    argparse checks each value against the flag's type and choices and a
+    flag given on the command line wins. Keys of other commands are ignored;
+    switches take true or false."""
     path = args.config
     if not os.path.exists(path):
         raise UsageError(f"file not found: {path}")
@@ -148,31 +147,26 @@ def _apply_config_file(parser, args, argv):
                 raise UsageError(f"{path}: line {lineno}: expected key=value")
             key, value = line.split("=", 1)
             overrides[key.strip().replace("-", "_")] = value.strip()
-    subparsers = parser._subparsers._group_actions[0].choices
-    known = {a.dest for a in parser._actions}
-    for action in subparsers.values():
-        known |= {a.dest for a in action._actions}
-    bad = set(overrides) - known
+    flags = {name: {a.dest: a for a in sub._actions if a.option_strings}
+             for name, sub in commands.items()}
+    bad = set(overrides) - set().union(*flags.values())
     if bad:
         raise UsageError(f"{path}: unknown config keys: {', '.join(sorted(bad))}")
-    coerced = {}
+    tokens = []
     for key, value in overrides.items():
-        if value.lower() in ("true", "false"):
-            coerced[key] = value.lower() == "true"
+        action = flags[args.command].get(key)
+        if action is None:
+            continue
+        option = action.option_strings[0]
+        if action.nargs != 0:
+            tokens.append(f"{option}={value}")
+        elif value.lower() in ("true", "false"):
+            tokens += [option] if value.lower() == "true" else []
         else:
-            coerced[key] = value
-    # Subcommands parse into a fresh namespace, so the defaults must be
-    # planted on the active subparser, not the root.
-    subparsers[args.command].set_defaults(**coerced)
-    reparsed = parser.parse_args(argv)
-    # argparse keeps string defaults as-is; coerce the numeric ones.
-    for key in ("seed", "k", "reps", "jobs", "test_known"):
-        if isinstance(getattr(reparsed, key, None), str):
-            setattr(reparsed, key, int(getattr(reparsed, key)))
-    for key in ("alpha", "gamma", "delta", "tail_fraction"):
-        if isinstance(getattr(reparsed, key, None), str):
-            setattr(reparsed, key, float(getattr(reparsed, key)))
-    return reparsed
+            raise UsageError(f"{path}: {key} takes true or false, got {value!r}")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +199,7 @@ def _config_comments(args, keys) -> list:
     return out
 
 
-def _require_file(path, what="file"):
+def _require_file(path):
     if path is None or not os.path.exists(path):
         raise UsageError(f"file not found: {path}")
 
@@ -243,9 +237,9 @@ def cmd_fit(args) -> int:
         if k is not None:
             raise UsageError("pass either --k or --tail-fraction, not both")
         k = max(1, int(np.ceil(args.tail_fraction * data.n)))
-    model = fit_method(args.method, data, k=k, alpha=args.alpha,
-                       gamma=args.gamma, delta=args.delta, metric=metric,
-                       free_endpoint=args.free_endpoint)
+    model = fit_model(args.method, data, k=k, alpha=args.alpha,
+                      gamma=args.gamma, delta=args.delta, metric=metric,
+                      free_endpoint=args.free_endpoint)
     save_model(model, args.out, standardizer=standardizer)
 
     summary = {
@@ -256,18 +250,8 @@ def cmd_fit(args) -> int:
         "metric": metric.name,
         "standardize": args.standardize,
         "out": args.out,
+        **model.summary(),
     }
-    if args.method == "gpdc":
-        summary.update(k=model.k, alpha=model.alpha, gamma=model.gamma,
-                       shape_threshold=model.shape_threshold,
-                       radius_threshold=model.radius_threshold)
-    elif args.method == "gevc":
-        summary.update(alpha=model.alpha, sigma=model.fitted.sigma,
-                       weibull_alpha=model.fitted.alpha,
-                       endpoint=model.fitted.endpoint,
-                       excluded_zeros=model.excluded_zeros)
-    else:
-        summary.update(k=model.k, delta=model.delta)
     for key, value in summary.items():
         print(f"{key}={_fmt(value)}")
     return 0
@@ -334,18 +318,17 @@ def _write_hill_plot(args, model, points, comments):
 
 
 def cmd_benchmark(args) -> int:
-    if args.protocol == "toy":
-        return _benchmark_toy(args)
-    if args.protocol == "oletter":
-        return _benchmark_oletter(args)
-    if args.protocol == "thyroid":
-        return _benchmark_thyroid(args)
-    raise UsageError(f"unknown protocol {args.protocol!r}")
+    # The protocols are imported here only: fit and score do not need them.
+    from . import harness
+
+    run = {"toy": _benchmark_toy, "oletter": _benchmark_oletter,
+           "thyroid": _benchmark_thyroid}[args.protocol]
+    return run(args, harness)
 
 
-def _benchmark_toy(args) -> int:
-    cfg = default_toy_config(args.seed)
-    result = run_toy_protocol(cfg, k=args.k, alpha=args.alpha)
+def _benchmark_toy(args, harness) -> int:
+    cfg = harness.default_toy_config(args.seed)
+    result = harness.run_toy_protocol(cfg, k=args.k, alpha=args.alpha)
     comments = _config_comments(args, ["protocol", "seed", "k", "alpha"])
     rows = [(m, "auc", result.aucs[m]) for m in sorted(result.aucs)]
     if args.out:
@@ -363,21 +346,21 @@ def _benchmark_toy(args) -> int:
     return 0
 
 
-def _benchmark_oletter(args) -> int:
+def _benchmark_oletter(args, harness) -> int:
     reps = 20 if args.full else args.reps
     if args.data is not None:
         _require_file(args.data)
-        data = load_letter(args.data)
+        data = harness.load_letter(args.data)
         train_count = 15000 if data.n >= 20000 else None
     else:
-        data, train_count = synthetic_openset_surrogate(seed=args.seed)
+        data, train_count = harness.synthetic_openset_surrogate(seed=args.seed)
     alphas = (_float_list(args.alphas, "--alphas")
-              if args.alphas else DEFAULT_ALPHA_GRID)
+              if args.alphas else harness.DEFAULT_ALPHA_GRID)
     deltas = (_float_list(args.deltas, "--deltas")
-              if args.deltas else DEFAULT_DELTA_GRID)
-    steps = run_oletter(data, reps=reps, seed=args.seed,
-                        train_count=train_count, alphas=alphas, deltas=deltas,
-                        jobs=args.jobs)
+              if args.deltas else harness.DEFAULT_DELTA_GRID)
+    steps = harness.run_oletter(data, reps=reps, seed=args.seed,
+                                train_count=train_count, alphas=alphas,
+                                deltas=deltas, jobs=args.jobs)
     comments = _config_comments(args, ["protocol", "seed", "reps", "jobs"])
     comments.append(f"data={args.data or 'synthetic-surrogate'}")
     rows = []
@@ -405,20 +388,20 @@ def _benchmark_oletter(args) -> int:
     return 0
 
 
-def _benchmark_thyroid(args) -> int:
+def _benchmark_thyroid(args, harness) -> int:
     _require_file(args.data)
-    points, is_unknown = load_thyroid(
+    points, is_unknown = harness.load_thyroid(
         args.data,
         unknown_classes=tuple(args.unknown_classes.split(",")),
         known_classes=tuple(args.known_classes.split(",")),
     )
-    train, test = thyroid_split(points, is_unknown, seed=args.seed,
-                                test_known=args.test_known)
+    train, test = harness.thyroid_split(points, is_unknown, seed=args.seed,
+                                        test_known=args.test_known)
     fractions = (_float_list(args.gpdc_tail_fractions, "--gpdc-tail-fractions")
-                 if args.gpdc_tail_fractions else THYROID_TAIL_FRACTIONS)
-    curves = run_binary_novelty(train, test, alpha=args.alpha)
-    sweep = gpdc_tail_fraction_sweep(train, test, fractions=fractions,
-                                     alpha=args.alpha)
+                 if args.gpdc_tail_fractions else harness.THYROID_TAIL_FRACTIONS)
+    curves = harness.run_binary_novelty(train, test, alpha=args.alpha)
+    sweep = harness.gpdc_tail_fraction_sweep(train, test, fractions=fractions,
+                                             alpha=args.alpha)
     comments = _config_comments(args, ["protocol", "seed", "data", "alpha",
                                        "test_known"])
     rows = []

@@ -1,4 +1,5 @@
-"""Dataset model, distance semantics, and shared result types.
+"""Dataset model, distance semantics, shared result types and the input
+file reader.
 
 A :class:`LabeledDataset` is an immutable (points, labels) pair; classifiers
 treat the label set as opaque strings and collapse it when they need a single
@@ -7,9 +8,8 @@ Minkowski norms are supported everywhere.
 """
 
 import csv
-import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -68,15 +68,6 @@ class DistanceMetric:
 EUCLIDEAN = DistanceMetric.euclidean()
 
 
-def distance(a, b, metric: DistanceMetric = EUCLIDEAN) -> float:
-    """Metric distance between two points of equal dimension."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise UsageError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(_minkowski(a[None, :] - b[None, :], metric.order)[0])
-
-
 def distances_to(q, points: np.ndarray, metric: DistanceMetric = EUCLIDEAN) -> np.ndarray:
     """Vector of distances from query ``q`` to every row of ``points``."""
     q = np.asarray(q, dtype=float)
@@ -94,15 +85,6 @@ def _minkowski(diff: np.ndarray, order: float) -> np.ndarray:
     if order == 1.0:
         return np.abs(diff).sum(axis=1)
     return np.power(np.power(np.abs(diff), order).sum(axis=1), 1.0 / order)
-
-
-def negate_distances(d: Iterable[float], sort: bool = False) -> np.ndarray:
-    """Elementwise negation; with ``sort=True`` the result is ascending,
-    i.e. the order statistics R_(1) <= ... <= R_(n) of the negated values."""
-    r = -np.asarray(list(d) if not isinstance(d, np.ndarray) else d, dtype=float)
-    if sort:
-        r = np.sort(r)
-    return r
 
 
 @dataclass(frozen=True)
@@ -215,6 +197,76 @@ class LabeledDataset:
         return f"LabeledDataset(n={self.n}, p={self.p}, classes={self.n_classes})"
 
 
+def read_table(path, delimiter: str | None = ",", header: bool | None = None,
+               label_column: str = "none", width: int | None = None) -> tuple:
+    """The one reader behind every input file: (points, labels), an (m, p)
+    float array of the feature cells ((0, 0) when the file has no data rows)
+    and the m label cells (None when ``label_column`` is "none").
+
+    Blank rows are skipped; ``delimiter=None`` splits a line on commas if it
+    has one, otherwise on whitespace. ``header=None`` takes the first row for
+    a header when one of its feature cells is not a number. Every data row
+    must have ``width`` fields (default: those of the first data row).
+    Diagnostics name the file line and the feature column.
+    """
+    layout = {"none": (slice(None), None), "first": (slice(1, None), 0),
+              "last": (slice(None, -1), -1)}.get(label_column)
+    if layout is None:
+        raise UsageError(
+            f"label_column must be 'none', 'first' or 'last', got {label_column!r}"
+        )
+    feats, label = layout
+    with open(path, newline="") as fh:
+        rows = [(line, cells) for line, cells in _split_lines(fh, delimiter)
+                if any(cells)]
+    if header is None and rows:
+        header = _floats(rows[0][1][feats]) is None
+    if header:
+        rows = rows[1:]
+    labels = None if label is None else [cells[label] for _, cells in rows]
+    if not rows:
+        return np.empty((0, 0)), labels
+    width = width or len(rows[0][1])
+    for line, cells in rows:
+        if len(cells) != width:
+            raise DataError(
+                f"{path}: row {line} has {len(cells)} fields, expected {width}")
+    points = _floats([cells[feats] for _, cells in rows])
+    if points is None:
+        line, c, cell = next((line, c, cell) for line, cells in rows
+                             for c, cell in enumerate(cells[feats], start=1)
+                             if _floats(cell) is None)
+        raise DataError(
+            f"{path}: row {line}, column {c}: non-numeric value {cell!r}")
+    if not np.isfinite(points).all():
+        r, c = np.argwhere(~np.isfinite(points))[0]
+        line, cells = rows[r]
+        raise DataError(f"{path}: row {line}, column {c + 1}: "
+                        f"non-finite value {cells[feats][c]!r}")
+    return points, labels
+
+
+def _split_lines(fh, delimiter):
+    """(file line number, stripped cells) for each line of ``fh``."""
+    if delimiter is None:
+        for line, text in enumerate(fh, start=1):
+            cells = text.split(",") if "," in text else text.split()
+            yield line, [c.strip() for c in cells]
+        return
+    reader = csv.reader(fh, delimiter=delimiter)
+    for cells in reader:
+        yield reader.line_num, [c.strip() for c in cells]
+
+
+def _floats(cells):
+    """A cell, or a (nested) list of cells, parsed as floats the way
+    ``float()`` parses each; None if any cell is not a number."""
+    try:
+        return np.array(cells).astype(float)
+    except ValueError:
+        return None
+
+
 def load_dataset_csv(
     path,
     label_column: str = "last",
@@ -224,62 +276,14 @@ def load_dataset_csv(
     """Read one observation per row from a delimited text file.
 
     ``label_column`` selects the first or last field as the class label; all
-    other fields must parse as finite numbers.  ``header=None`` auto-detects a
-    header row by attempting to parse the first row's feature fields.
-    Non-numeric feature values are rejected with row/column diagnostics.
+    other fields must parse as finite numbers. See :func:`read_table` for
+    blank rows, header detection and diagnostics.
     """
     if label_column not in ("first", "last"):
         raise UsageError(f"label_column must be 'first' or 'last', got {label_column!r}")
-    rows = []
-    with open(path, newline="") as fh:
-        for raw in csv.reader(fh, delimiter=delimiter):
-            cells = [c.strip() for c in raw]
-            if not cells or all(c == "" for c in cells):
-                continue
-            rows.append(cells)
-    if not rows:
+    points, labels = read_table(path, delimiter, header, label_column)
+    if not labels:
         raise DataError(f"{path}: file contains no data rows")
-
-    def split_row(cells):
-        if label_column == "first":
-            return cells[0], cells[1:]
-        return cells[-1], cells[:-1]
-
-    start = 0
-    if header is None:
-        _, feats = split_row(rows[0])
-        header = any(not _is_number(c) for c in feats)
-    if header:
-        start = 1
-    if len(rows) - start < 1:
-        raise DataError(f"{path}: no data rows after header")
-
-    width = len(rows[start])
-    points, labels = [], []
-    for r in range(start, len(rows)):
-        cells = rows[r]
-        if len(cells) != width:
-            raise DataError(
-                f"{path}: row {r + 1} has {len(cells)} fields, expected {width}"
-            )
-        label, feats = split_row(cells)
-        vec = []
-        for c, cell in enumerate(feats):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {r + 1}, feature column {c + 1}: "
-                    f"non-numeric value {cell!r}"
-                ) from None
-            if not math.isfinite(v):
-                raise DataError(
-                    f"{path}: row {r + 1}, feature column {c + 1}: "
-                    f"non-finite value {cell!r}"
-                )
-            vec.append(v)
-        points.append(vec)
-        labels.append(label)
     try:
         return LabeledDataset(points, labels)
     except UsageError as exc:
@@ -295,62 +299,7 @@ def load_points_csv(
     """Read unlabeled feature rows; ``label_column`` may name a column
     ("first"/"last") to skip. Returns an (m, p) array, (0, 0) for a file
     with no data rows."""
-    if label_column not in ("none", "first", "last"):
-        raise UsageError(
-            f"label_column must be 'none', 'first' or 'last', got {label_column!r}"
-        )
-    rows = []
-    with open(path, newline="") as fh:
-        for raw in csv.reader(fh, delimiter=delimiter):
-            cells = [c.strip() for c in raw]
-            if not cells or all(c == "" for c in cells):
-                continue
-            if label_column == "first":
-                cells = cells[1:]
-            elif label_column == "last":
-                cells = cells[:-1]
-            rows.append(cells)
-    if not rows:
-        return np.empty((0, 0))
-    start = 0
-    if header is None:
-        header = any(not _is_number(c) for c in rows[0])
-    if header:
-        start = 1
-    if len(rows) - start < 1:
-        return np.empty((0, 0))
-    width = len(rows[start])
-    out = []
-    for r in range(start, len(rows)):
-        cells = rows[r]
-        if len(cells) != width:
-            raise DataError(
-                f"{path}: row {r + 1} has {len(cells)} fields, expected {width}"
-            )
-        vec = []
-        for c, cell in enumerate(cells):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {r + 1}, column {c + 1}: "
-                    f"non-numeric value {cell!r}"
-                ) from None
-            if not math.isfinite(v):
-                raise DataError(
-                    f"{path}: row {r + 1}, column {c + 1}: non-finite value"
-                )
-            vec.append(v)
-        out.append(vec)
-    return np.array(out, dtype=float)
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
+    return read_table(path, delimiter, header, label_column)[0]
 
 
 @dataclass(frozen=True)

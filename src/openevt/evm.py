@@ -37,6 +37,7 @@ class EvmModel:
     """Fitted extreme value machine; see :func:`fit`."""
 
     KIND = "evm"
+    THRESHOLD = "delta"  # the decision parameter that :meth:`flags` sweeps
 
     def __init__(self, points: np.ndarray, sigmas: np.ndarray,
                  alphas: np.ndarray, k: int, delta: float | None,
@@ -77,6 +78,16 @@ class EvmModel:
     def unknownness(self, points) -> np.ndarray:
         """1 - psi, oriented like the other classifiers' ranking scores."""
         return 1.0 - self.membership_batch(points)
+
+    def flags(self, points, grid) -> dict:
+        """Unknown-decision masks for an (m, p) array at each delta of
+        ``grid``."""
+        psi = self.membership_batch(points)
+        return {d: psi < d for d in grid}
+
+    def summary(self) -> dict:
+        """The fitted parameters, in the order the fit report prints them."""
+        return {"k": self.k, "delta": self.delta}
 
     def score(self, x0) -> tuple:
         """Classify one point; returns (Verdict, psi), the single row of

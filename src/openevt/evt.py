@@ -1,5 +1,5 @@
-"""Extreme value primitives: tail shape MLE, power-law tail and quantile,
-and reversed-Weibull fitting.
+"""Extreme value primitives: the tail shape MLE and reversed-Weibull
+fitting.
 
 All the estimators here work on negated distances R = -D, which are bounded
 above by zero. The shape estimator averages log-ratios of the k upper order
@@ -8,7 +8,8 @@ statistics to the threshold order statistic R_(n-k):
     xi_hat = (1/k) * sum_{i=1..k} log(R_(n+1-i) / u),    u = R_(n-k),
 
 which is nonpositive by construction. The implied tail approximation above
-the threshold and its quantile are
+the threshold and its quantile (``gpdc.tail_stats`` computes -q_gamma, the
+ball radius) are
 
     P(-D > x) ~= (k/n) * (x/u)^(-1/xi_hat),     x in (u, 0),
     q_gamma    = u * (n*gamma/k)^(-xi_hat),     0 < gamma < k/n.
@@ -57,17 +58,6 @@ class ShapeEstimate:
 
 
 @dataclass(frozen=True)
-class GpdTail:
-    """Fitted tail above threshold u: everything the survival and quantile
-    formulas need (xi_hat, u, k, n)."""
-
-    xi_hat: float
-    u: float
-    k: int
-    n: int
-
-
-@dataclass(frozen=True)
 class ReversedWeibull:
     """Reversed Weibull with fixed upper endpoint (default 0): scale sigma,
     shape alpha, both positive."""
@@ -101,38 +91,6 @@ def hill_shape(R, k: int) -> ShapeEstimate:
     exceedances = np.array(exceedances)
     exceedances.setflags(write=False)
     return ShapeEstimate(xi_hat=xi, k=int(k), u=u, n=n, exceedances=exceedances)
-
-
-def hill_curve(R, ks) -> list:
-    """(k, xi_hat) pairs for a sweep of exceedance counts; diagnostic aid."""
-    return [(int(k), hill_shape(R, int(k)).xi_hat) for k in ks]
-
-
-def gpd_tail_survival(tail: GpdTail, x: float) -> float:
-    """Estimated P(-D > x) for x in (u, 0), clamped to [0, 1]."""
-    if x <= tail.u:
-        raise UsageError(f"x must exceed the threshold u={tail.u}, got {x}")
-    if x >= 0:
-        raise UsageError(f"x must be negative, got {x}")
-    ratio = x / tail.u
-    if tail.xi_hat == 0.0:
-        p = 0.0
-    else:
-        p = (tail.k / tail.n) * ratio ** (-1.0 / tail.xi_hat)
-    return float(min(1.0, max(0.0, p)))
-
-
-def gpd_quantile(tail: GpdTail, gamma: float) -> float:
-    """The (1 - gamma)-quantile of -D: q = u * (n*gamma/k)^(-xi_hat).
-
-    Requires 0 < gamma < k/n; -q is the radius of a ball around the query
-    holding roughly gamma of the training mass.
-    """
-    if not (0.0 < gamma < tail.k / tail.n):
-        raise UsageError(
-            f"gamma must be in (0, k/n) = (0, {tail.k / tail.n:g}), got {gamma}"
-        )
-    return float(tail.u * (tail.n * gamma / tail.k) ** (-tail.xi_hat))
 
 
 def reversed_weibull_cdf(w: ReversedWeibull, z):

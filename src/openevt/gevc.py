@@ -53,6 +53,7 @@ class GevcModel:
     ``update`` requires exclusive access."""
 
     KIND = "gevc"
+    THRESHOLD = "alpha"  # the decision parameter that :meth:`flags` sweeps
 
     def __init__(self, index: NeighborIndex, alpha: float,
                  fitted: ReversedWeibull, excluded_zeros: int,
@@ -127,6 +128,19 @@ class GevcModel:
     def unknownness(self, points) -> np.ndarray:
         """Batch 1 - W(-d0min) for an (m, p) array of query points."""
         return self.evidence(points)["score"]
+
+    def flags(self, points, grid) -> dict:
+        """Unknown-decision masks for an (m, p) array at each alpha of
+        ``grid``."""
+        w = self.evidence(points)["cdf"]
+        return {a: w < a for a in grid}
+
+    def summary(self) -> dict:
+        """The fitted parameters, in the order the fit report prints them."""
+        fitted = self.fitted
+        return {"alpha": self.alpha, "sigma": fitted.sigma,
+                "weibull_alpha": fitted.alpha, "endpoint": fitted.endpoint,
+                "excluded_zeros": self.excluded_zeros}
 
     def update(self, new_points) -> "GevcModel":
         """Insert (point, label) pairs, revising affected nearest distances.

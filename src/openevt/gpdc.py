@@ -100,6 +100,7 @@ class GpdcModel:
     """Immutable fitted GPD classifier; see :func:`fit`."""
 
     KIND = "gpdc"
+    THRESHOLD = "alpha"  # the decision parameter that :meth:`flags` sweeps
 
     def __init__(self, index: NeighborIndex, k: int, gamma: float,
                  calibration: CalibrationProfile):
@@ -204,6 +205,18 @@ class GpdcModel:
             s, t = _quantile_thresholds(self.calibration.pxi_stats,
                                         self.calibration.radius_stats, alpha)
         return ~coincident & ((pxi >= s) | (radius > t))
+
+    def flags(self, points, grid) -> dict:
+        """Unknown-decision masks for an (m, p) array at each alpha of
+        ``grid``, from one pass of distance work."""
+        stats = self.decision_stats(points)
+        return {a: self.decide(*stats, alpha=a) for a in grid}
+
+    def summary(self) -> dict:
+        """The fitted parameters, in the order the fit report prints them."""
+        return {"k": self.k, "alpha": self.alpha, "gamma": self.gamma,
+                "shape_threshold": self.shape_threshold,
+                "radius_threshold": self.radius_threshold}
 
     # -- internals --------------------------------------------------------
 

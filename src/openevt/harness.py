@@ -25,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import evm as evm_mod
-from . import gevc as gevc_mod
 from . import gpdc as gpdc_mod
-from .data import EUCLIDEAN, DistanceMetric, LabeledDataset, load_dataset_csv
+from .data import (EUCLIDEAN, DistanceMetric, LabeledDataset, load_dataset_csv,
+                   read_table)
 from .errors import DataError, UsageError
+from .serialize import fit_model, model_kinds
 
 DEFAULT_ALPHA_GRID = (0.01, 0.05, 0.1, 0.2)
 DEFAULT_DELTA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -192,76 +192,11 @@ def roc_auc(scores) -> RocCurve:
     return RocCurve(points=tuple(points), auc=num / (2 * n_pos * n_neg))
 
 
-def _as_unknown_flag(label) -> bool:
-    if isinstance(label, (bool, np.bool_)):
-        return bool(label)
-    if label in ("unknown", "Unknown"):
-        return True
-    if label in ("known", "Known"):
-        return False
-    raise UsageError(f"cannot interpret label {label!r}")
-
-
-def f_measure(decisions) -> float:
-    """Harmonic mean of precision and recall for unknown-detection
-    (unknown = positive class); 0 when undefined. Accepts boolean flags or
-    known/unknown labels, as (predicted, true) pairs."""
-    pairs = [( _as_unknown_flag(p), _as_unknown_flag(t)) for p, t in decisions]
-    if not pairs:
-        raise UsageError("need at least one decision")
-    tp = sum(1 for p, t in pairs if p and t)
-    fp = sum(1 for p, t in pairs if p and not t)
-    fn = sum(1 for p, t in pairs if not p and t)
-    return _f_from_counts(tp, fp, fn)
-
-
-def _f_from_counts(tp: int, fp: int, fn: int) -> float:
-    """F-measure 2tp / (2tp + fp + fn), the harmonic mean of precision and
-    recall; 0 when there is no true positive."""
+def f_measure(tp: int, fp: int, fn: int) -> float:
+    """F-measure 2tp / (2tp + fp + fn) for unknown-detection (unknown =
+    positive class), the harmonic mean of precision and recall; 0 when there
+    is no true positive."""
     return 0.0 if tp == 0 else 2 * tp / (2 * tp + fp + fn)
-
-
-# ---------------------------------------------------------------------------
-# method drivers (shared by the protocols and the CLI)
-
-
-def fit_method(name: str, train: LabeledDataset, k: int | None = None,
-               alpha: float = 0.05, gamma: float | None = None,
-               delta: float | None = None,
-               metric: DistanceMetric = EUCLIDEAN,
-               free_endpoint: bool = False):
-    if name == "gpdc":
-        return gpdc_mod.fit(train, k=k, gamma=gamma, alpha=alpha, metric=metric)
-    if name == "gevc":
-        return gevc_mod.fit(train, alpha=alpha, metric=metric,
-                            free_endpoint=free_endpoint)
-    if name == "evm":
-        return evm_mod.fit(train, k=k, delta=delta, metric=metric)
-    raise UsageError(f"unknown method {name!r} (expected gpdc, gevc or evm)")
-
-
-def _flags_over_grid(name: str, model, points: np.ndarray, grid):
-    """Unknown-decision masks for each threshold in the grid.
-
-    The grid carries alpha levels for gpdc/gevc and psi thresholds (delta)
-    for the margin baseline.
-    """
-    out = {}
-    if name == "gpdc":
-        coincident, pxi, radius = model.decision_stats(points)
-        for a in grid:
-            out[a] = model.decide(coincident, pxi, radius, alpha=a)
-    elif name == "gevc":
-        w = model.evidence(points)["cdf"]
-        for a in grid:
-            out[a] = w < a
-    elif name == "evm":
-        psi = model.membership_batch(points)
-        for d in grid:
-            out[d] = psi < d
-    else:
-        raise UsageError(f"unknown method {name!r}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -278,17 +213,17 @@ class ToyResult:
 
 def run_toy_protocol(cfg: ToyConfig | None = None, seed: int = 0, k: int = 20,
                      alpha: float = 0.05,
-                     methods=("evm", "gpdc", "gevc")) -> ToyResult:
+                     methods=tuple(model_kinds())) -> ToyResult:
     if cfg is None:
         cfg = default_toy_config(seed)
     train, test = generate_toy(cfg)
     curves, aucs = {}, {}
-    gpdc_model = gpdc_mod.fit(train, k=k, alpha=alpha)
+    models = {name: fit_model(name, train, k=k, alpha=alpha)
+              for name in methods}
+    gpdc_model = models.get("gpdc") or gpdc_mod.fit(train, k=k, alpha=alpha)
     _, pxi, _ = gpdc_model.decision_stats(test.points)
     xi = pxi / train.p
-    for name in methods:
-        model = gpdc_model if name == "gpdc" else fit_method(name, train, k=k,
-                                                             alpha=alpha)
+    for name, model in models.items():
         unknownness = model.unknownness(test.points)
         curve = roc_auc(zip(unknownness, test.is_unknown))
         curves[name] = curve
@@ -368,6 +303,7 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
     test_points = data.points[train_count:]
     test_labels = data.labels[train_count:]
     names = np.array(data.class_names, dtype=object)
+    grids = {"alpha": alphas, "delta": deltas}
 
     def one_rep(rep: int) -> list:
         rng = rng_from(seed, "oletter", rep)
@@ -389,9 +325,8 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
         # Per-method threshold flags for every pooled point, computed once.
         flags = {}
         for name, kwargs in methods.items():
-            grid = deltas if name == "evm" else alphas
-            model = fit_method(name, train, metric=metric, **kwargs)
-            flags[name] = _flags_over_grid(name, model, all_points, grid)
+            model = fit_model(name, train, metric=metric, **kwargs)
+            flags[name] = model.flags(all_points, grids[model.THRESHOLD])
 
         steps = []
         n_known_test = pool_counts[0]
@@ -408,8 +343,7 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
                         continue
                     fp = int(flag[:n_known_test].sum())
                     tp = int(flag[n_known_test:stop].sum())
-                    curve.append((thr, _f_from_counts(tp, fp,
-                                                      n_unknown_test - tp)))
+                    curve.append((thr, f_measure(tp, fp, n_unknown_test - tp)))
                 f_per_method[name] = tuple(curve)
             steps.append(OpennessStep(rep=rep, known_classes=tuple(known),
                                       n_unknown_classes=m,
@@ -429,17 +363,19 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
 
 
 def run_binary_novelty(train: LabeledDataset, test: EvalSet,
-                       methods=("gpdc", "gevc", "evm"), k: int | None = None,
+                       methods=tuple(model_kinds()), k: int | None = None,
                        alpha: float = 0.05,
                        metric: DistanceMetric = EUCLIDEAN) -> dict:
-    """ROC per method on a known-only training set; the margin baseline is
-    reported as None when the training data has a single class."""
+    """ROC per method on a known-only training set; a method whose fit
+    rejects the training data (the margin baseline needs two classes) is
+    reported as None."""
     curves = {}
     for name in methods:
-        if name == "evm" and train.n_classes < 2:
+        try:
+            model = fit_model(name, train, k=k, alpha=alpha, metric=metric)
+        except DataError:
             curves[name] = None
             continue
-        model = fit_method(name, train, k=k, alpha=alpha, metric=metric)
         unknownness = model.unknownness(test.points)
         curves[name] = roc_auc(zip(unknownness, test.is_unknown))
     return curves
@@ -474,39 +410,19 @@ def load_letter(path) -> LabeledDataset:
 
 def load_thyroid(path, unknown_classes=("1", "2"), known_classes=("3",)) -> tuple:
     """Clinical screening format: whitespace- or comma-separated numeric
-    rows, 21 features plus a trailing class column. Returns (points,
-    is_unknown) with the class mapping applied."""
-    unknown_set = {str(c) for c in unknown_classes}
-    known_set = {str(c) for c in known_classes}
-    points, flags = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",") if "," in line else line.split()
-            if len(cells) != 22:
-                raise DataError(
-                    f"{path}: line {lineno}: expected 22 fields, got {len(cells)}"
-                )
-            label = cells[-1].strip().rstrip(".")
-            if label in unknown_set:
-                flags.append(True)
-            elif label in known_set:
-                flags.append(False)
-            else:
-                raise DataError(
-                    f"{path}: line {lineno}: unmapped class {label!r}"
-                )
-            try:
-                points.append([float(c) for c in cells[:-1]])
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}: non-numeric feature"
-                ) from None
-    if not points:
+    rows, 21 features plus a trailing class column (a trailing "." is
+    dropped). Returns (points, is_unknown) with the class mapping applied."""
+    points, labels = read_table(path, delimiter=None, header=False,
+                                label_column="last", width=22)
+    if not labels:
         raise DataError(f"{path}: no data rows")
-    return np.array(points, dtype=float), np.array(flags, dtype=bool)
+    unknown = {str(c): False for c in known_classes}
+    unknown.update({str(c): True for c in unknown_classes})
+    classes = [label.rstrip(".") for label in labels]
+    unmapped = [c for c in classes if c not in unknown]
+    if unmapped:
+        raise DataError(f"{path}: unmapped class {unmapped[0]!r}")
+    return points, np.array([unknown[c] for c in classes], dtype=bool)
 
 
 def thyroid_split(points: np.ndarray, is_unknown: np.ndarray, seed: int = 0,

@@ -1,14 +1,17 @@
-"""Model persistence: one self-describing JSON container for all three
-classifier kinds, with a versioned header and an optional stored feature
-standardizer applied by the CLI at scoring time."""
+"""The model kinds and their persistence: the one mapping from kind to
+model class, fitting by kind, and one self-describing JSON container for
+all three classifier kinds, with a versioned header and an optional stored
+feature standardizer applied by the CLI at scoring time."""
 
+import inspect
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DistanceMetric, Standardizer
-from .errors import DataError
+from .errors import DataError, UsageError
 
 FORMAT_NAME = "openevt-model"
 FORMAT_VERSION = 1
@@ -44,12 +47,26 @@ def payload_array(payload: dict, field: str, rows: int | None = None,
     return arr
 
 
-def _registry():
+def model_kinds() -> dict:
+    """Model kind -> model class; the one place that lists the kinds."""
     from .evm import EvmModel
     from .gevc import GevcModel
     from .gpdc import GpdcModel
 
     return {cls.KIND: cls for cls in (GpdcModel, GevcModel, EvmModel)}
+
+
+def fit_model(kind: str, data, **options):
+    """Fit a model of ``kind`` on ``data``, passing the options that the
+    kind's ``fit`` takes and dropping the rest, so that one set of options
+    serves every kind. ``fit`` is looked up on the model's module at each
+    call, so a wrapper installed on it sees every fit."""
+    kinds = model_kinds()
+    if kind not in kinds:
+        raise UsageError(f"unknown method {kind!r} (expected {', '.join(kinds)})")
+    fit = sys.modules[kinds[kind].__module__].fit
+    accepted = inspect.signature(fit).parameters
+    return fit(data, **{k: v for k, v in options.items() if k in accepted})
 
 
 def save_model(model, path, standardizer: Standardizer | None = None) -> None:
@@ -83,12 +100,12 @@ def load_model(path) -> ModelFile:
             f"{path}: unsupported container version {doc.get('version')!r}"
         )
     kind = doc.get("kind")
-    registry = _registry()
-    if kind not in registry:
+    kinds = model_kinds()
+    if kind not in kinds:
         raise DataError(f"{path}: unknown model kind {kind!r}")
     metric = DistanceMetric.parse(doc["metric"])
     try:
-        model = registry[kind].from_payload(doc["payload"], metric)
+        model = kinds[kind].from_payload(doc["payload"], metric)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     except KeyError as exc:

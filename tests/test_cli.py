@@ -276,3 +276,35 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text("not_a_real_option=1\n")
     rc = main(["benchmark", "--config", str(cfg), "--protocol", "toy"])
     assert rc == 2
+
+
+def test_config_file_switch_takes_true_or_false(toy_files, tmp_path, capsys):
+    _, train_csv, _, _, _ = toy_files
+    cfg = tmp_path / "run.cfg"
+    fit = ["fit", "--config", str(cfg), "--method", "gevc",
+           "--train", str(train_csv), "--out", str(tmp_path / "m.model")]
+    for value, shown in (("false", "false"), ("0", None), ("True", "true")):
+        cfg.write_text(f"standardize={value}\n")
+        rc = main(fit)
+        captured = capsys.readouterr()
+        if shown is None:
+            assert rc == 2
+            assert "standardize takes true or false" in captured.err
+        else:
+            assert rc == 0
+            assert f"standardize={shown}" in captured.out.splitlines()
+
+
+def test_config_file_values_checked_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("header=maybe\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["score", "--config", str(cfg), "--model", "m", "--test", "t",
+              "--out", "o"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'maybe'" in capsys.readouterr().err
+    cfg.write_text("k=twenty\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["benchmark", "--config", str(cfg), "--protocol", "toy"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'twenty'" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Cold-start contract: importing the package or its CLI loads no scipy
 module, nor do gpdc and gevc ``fit``/``score`` above the kd-tree dimension
-limit. The kd-tree and evm paths import what they use on first call.
+limit. The kd-tree and evm paths import what they use on first call. The
+CLI loads the protocols (``openevt.harness`` and its thread pool) only for
+``benchmark``.
 
 Each check runs in a fresh interpreter: this test process has scipy loaded
 already."""
@@ -22,6 +24,9 @@ import sys
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def protocol_modules():
+    return sorted({"openevt.harness", "concurrent.futures"} & set(sys.modules))
 """
 
 
@@ -41,6 +46,7 @@ def test_imports_load_no_scipy(tmp_path):
         assert not scipy_modules(), scipy_modules()
         import openevt.cli
         assert not scipy_modules(), scipy_modules()
+        assert not protocol_modules(), protocol_modules()
     """, tmp_path)
 
 
@@ -63,6 +69,7 @@ def test_cli_fit_and_score_above_tree_limit_load_no_scipy(method, tmp_path):
         assert cli.main(["score", "--model", "m.model", "--test", "test.csv",
                          "--out", "scores.csv"]) == 0
         assert not scipy_modules(), scipy_modules()
+        assert not protocol_modules(), protocol_modules()
     """, tmp_path)
 
 

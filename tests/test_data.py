@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from openevt.data import (DistanceMetric, LabeledDataset, Standardizer,
-                          Verdict, distance, load_dataset_csv,
-                          load_points_csv, negate_distances)
+                          Verdict, distances_to, load_dataset_csv,
+                          load_points_csv)
 from openevt.errors import DataError, UsageError
+
+
+def distance(a, b, metric=DistanceMetric.euclidean()):
+    """One distance through the package's distance arithmetic."""
+    return float(distances_to(np.asarray(a, dtype=float),
+                              np.asarray([b], dtype=float), metric)[0])
 
 
 def test_distance_345_triangle():
@@ -47,25 +53,6 @@ def test_metric_parse():
         DistanceMetric.parse("cosine")
     with pytest.raises(UsageError):
         DistanceMetric.minkowski(0.5)
-
-
-def test_negate_distances():
-    out = negate_distances([1.0, 0.5, 2.0])
-    assert out.tolist() == [-1.0, -0.5, -2.0]
-    assert negate_distances([]).tolist() == []
-
-
-def test_negate_distances_order_statistics():
-    out = negate_distances([1.0, 0.5, 2.0], sort=True)
-    assert out.tolist() == [-2.0, -1.0, -0.5]
-
-
-def test_order_statistics_are_permutation():
-    rng = np.random.default_rng(3)
-    d = rng.uniform(0, 10, size=40)
-    r = negate_distances(d, sort=True)
-    assert sorted(np.round(-r, 12)) == sorted(np.round(d, 12))
-    assert r[-1] == -d.min()  # R_(n) is the maximum
 
 
 def test_verdict_flags():
@@ -129,6 +116,31 @@ class TestCsv:
         f.write_text("1.0,2.0,a\n3.0,oops,b\n")
         with pytest.raises(DataError, match=r"row 2.*column 2.*'oops'"):
             load_dataset_csv(f)
+
+    def test_diagnostics_name_the_file_line(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("1,2,a\n\n\n3,oops,b\n")
+        with pytest.raises(DataError, match=r"row 4, column 2: .*'oops'"):
+            load_dataset_csv(f)
+        f.write_text("x,y\n\n1,2\n\n3,4,5\n")
+        with pytest.raises(DataError, match="row 5 has 3 fields, expected 2"):
+            load_points_csv(f)
+        f.write_text("\n1,2,a\n3,-inf,b\n")
+        with pytest.raises(DataError, match=r"row 3, column 2: non-finite"):
+            load_dataset_csv(f)
+
+    def test_parses_like_float(self, tmp_path):
+        # The whole-file parse gives the bits float() gives each cell.
+        rng = np.random.default_rng(7)
+        scale = 10.0 ** rng.integers(-300, 300, 62)
+        values = (rng.standard_normal(62) * scale).tolist()
+        cells = ["1_000", ".5", "-0", "1e-320", *map(repr, values),
+                 *("%.6g" % v for v in values)]
+        rows = [cells[i:i + 8] for i in range(0, len(cells), 8)]
+        f = tmp_path / "d.csv"
+        f.write_text("".join(",".join(row) + "\n" for row in rows))
+        expected = np.array([[float(c) for c in row] for row in rows])
+        assert load_points_csv(f).tobytes() == expected.tobytes()
 
     def test_non_finite_rejected(self, tmp_path):
         f = tmp_path / "d.csv"

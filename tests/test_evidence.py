@@ -15,6 +15,7 @@ from openevt.errors import FitError
 from openevt.evt import hill_shape
 from openevt.gpdc import tail_stats
 from openevt.neighbors import NeighborIndex
+from openevt.serialize import fit_model
 
 
 def _dataset(case):
@@ -111,6 +112,19 @@ def test_evm_score_is_row_of_evidence(case):
         assert (verdict.label, verdict.score, psi) == (
             row["verdict"], row["score"], row["psi"])
         assert psi == model.membership(x)
+
+
+@pytest.mark.parametrize("kind", ["gpdc", "gevc", "evm"])
+@pytest.mark.parametrize("case", ["p2_tree", "p16_integer_ties"])
+def test_flags_at_own_threshold_equal_verdicts(kind, case):
+    data, queries = _dataset(case)
+    queries = np.vstack([queries, queries[:20] + 3.0])  # some far outside
+    model = fit_model(kind, data, k=10, delta=0.5)
+    own = getattr(model, model.THRESHOLD)
+    flags = model.flags(queries, [own])[own]
+    unknown = model.evidence(queries)["verdict"] == "unknown"
+    assert flags.dtype == bool and unknown.any() and not unknown.all()
+    np.testing.assert_array_equal(flags, unknown)
 
 
 def test_evidence_counters_follow_the_complexity_contract():

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from openevt import gpdc
+from openevt.data import LabeledDataset
 from openevt.errors import FitError, UsageError
-from openevt.evt import (GpdTail, ReversedWeibull, default_tail_count,
-                         fit_weibull_rows, gpd_quantile, gpd_tail_survival,
-                         hill_curve, hill_shape, reversed_weibull_cdf,
+from openevt.evt import (ReversedWeibull, default_tail_count,
+                         fit_weibull_rows, hill_shape, reversed_weibull_cdf,
                          reversed_weibull_fit,
                          reversed_weibull_fit_free_endpoint)
+from openevt.gpdc import tail_stats
 
 
 def oracle_shape(R, k):
@@ -80,58 +82,77 @@ class TestHillShape:
         assert -0.65 <= est.xi_hat <= -0.35
 
     def test_hill_curve(self):
+        # The hill plot's k sweep: tail_stats on the first k+1 distances of
+        # one row is hill_shape's estimate at each k.
         rng = np.random.default_rng(2)
-        R = -rng.uniform(0.5, 3.0, size=100)
-        curve = hill_curve(R, [5, 10, 20])
-        assert [k for k, _ in curve] == [5, 10, 20]
-        for k, xi in curve:
-            assert xi == hill_shape(R, k).xi_hat
+        d = np.sort(rng.uniform(0.5, 3.0, size=100))
+        for k in (5, 10, 20):
+            _, pxi, _ = tail_stats(d[None, :k + 1], k, 1, 0.001, 100)
+            assert pxi[0] == pytest.approx(hill_shape(-d, k).xi_hat, abs=1e-12)
+
+
+def tail_row(xi: float, u: float, k: int) -> np.ndarray:
+    """An ascending (1, k+1) distance row whose Hill estimate is ``xi`` and
+    whose threshold distance is -u: k equal exceedances at -u * e^xi."""
+    return np.array([[-u * math.exp(xi)] * k + [-u]])
+
+
+def radius(xi: float, u: float, k: int, n: int, gamma: float) -> float:
+    """The ball radius -q_gamma that gpdc.tail_stats computes (p = 1)."""
+    return float(tail_stats(tail_row(xi, u, k), k, 1, gamma, n)[2][0])
+
+
+def survival(xi: float, u: float, k: int, n: int, x: float) -> float:
+    """Closed-form P(-D > x) = (k/n) (x/u)^(-1/xi) of the GPD tail."""
+    return (k / n) * (x / u) ** (-1.0 / xi)
 
 
 class TestGpdTail:
+    """The GPD tail's closed forms, checked on the radius -q_gamma that
+    ``gpdc.tail_stats`` computes."""
+
     def test_survival_formula(self):
-        tail = GpdTail(xi_hat=-0.5, u=-1.0, k=100, n=1000)
-        assert gpd_tail_survival(tail, -0.25) == pytest.approx(0.00625)
+        # P(-D > -0.25) = 0.00625 for xi=-0.5, u=-1, k=100, n=1000, so the
+        # radius at gamma = 0.00625 is 0.25.
+        assert radius(-0.5, -1.0, 100, 1000, 0.00625) == pytest.approx(0.25)
 
     def test_continuity_at_threshold(self):
-        tail = GpdTail(xi_hat=-0.4, u=-2.0, k=50, n=500)
-        x = -2.0 * (1 - 1e-12)
-        assert gpd_tail_survival(tail, x) == pytest.approx(50 / 500, rel=1e-9)
+        # gamma -> k/n puts the quantile at the threshold u.
+        r = radius(-0.4, -2.0, 50, 500, (50 / 500) * (1 - 1e-12))
+        assert r == pytest.approx(2.0, rel=1e-9)
 
     def test_monotone_nonincreasing(self):
-        tail = GpdTail(xi_hat=-0.7, u=-3.0, k=40, n=400)
-        xs = np.linspace(-2.999, -1e-6, 500)
-        vals = [gpd_tail_survival(tail, x) for x in xs]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-    def test_survival_domain_errors(self):
-        tail = GpdTail(xi_hat=-0.5, u=-1.0, k=10, n=100)
-        with pytest.raises(UsageError):
-            gpd_tail_survival(tail, -1.5)
-        with pytest.raises(UsageError):
-            gpd_tail_survival(tail, 0.1)
+        # More tail mass (larger gamma) never shrinks the ball.
+        gammas = np.linspace(1e-6, 40 / 400 * (1 - 1e-9), 500)
+        radii = [radius(-0.7, -3.0, 40, 400, g) for g in gammas]
+        assert all(a <= b for a, b in zip(radii, radii[1:]))
 
     def test_quantile_formula(self):
-        tail = GpdTail(xi_hat=-0.5, u=-0.5, k=100, n=1000)
-        assert gpd_quantile(tail, 1 / 1000) == pytest.approx(-0.05)
+        assert radius(-0.5, -0.5, 100, 1000, 1 / 1000) == pytest.approx(0.05)
 
     def test_quantile_collapses_to_threshold_as_xi_vanishes(self):
         for xi in (-1e-3, -1e-6, 0.0):
-            tail = GpdTail(xi_hat=xi, u=-0.8, k=100, n=1000)
-            assert gpd_quantile(tail, 1 / 1000) == pytest.approx(-0.8, rel=1e-2)
+            assert radius(xi, -0.8, 100, 1000, 1 / 1000) == pytest.approx(
+                0.8, rel=1e-2)
 
     def test_quantile_survival_round_trip(self):
-        tail = GpdTail(xi_hat=-0.35, u=-1.2, k=60, n=900)
-        gamma = 0.01
-        q = gpd_quantile(tail, gamma)
-        assert gpd_tail_survival(tail, q) == pytest.approx(gamma, rel=1e-12)
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            xi, u = -rng.uniform(0.05, 1.5), -rng.uniform(0.1, 5.0)
+            k, n = int(rng.integers(2, 100)), int(rng.integers(200, 5000))
+            gamma = rng.uniform(0.01, 0.99) * k / n
+            _, xi_hat, r = tail_stats(tail_row(xi, u, k), k, 1, gamma, n)
+            assert survival(xi_hat[0], u, k, n, -r[0]) == pytest.approx(
+                gamma, rel=1e-12)
 
     def test_quantile_domain_error(self):
-        tail = GpdTail(xi_hat=-0.5, u=-1.0, k=10, n=100)
+        # gamma must lie in (0, k/n); the fit refuses anything else.
+        data = LabeledDataset(np.random.default_rng(0).normal(size=(100, 2)),
+                              ["a"] * 100)
         with pytest.raises(UsageError):
-            gpd_quantile(tail, 0.2)  # gamma >= k/n
+            gpdc.fit(data, k=10, gamma=0.2)  # gamma >= k/n
         with pytest.raises(UsageError):
-            gpd_quantile(tail, 0.0)
+            gpdc.fit(data, k=10, gamma=0.0)
 
 
 class TestReversedWeibullCdf:

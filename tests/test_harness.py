@@ -122,22 +122,13 @@ class TestRocAuc:
 
 class TestFMeasure:
     def test_all_correct(self):
-        assert f_measure([(True, True), (False, False), (True, True)]) == 1.0
+        assert f_measure(tp=2, fp=0, fn=0) == 1.0
 
     def test_no_positives_predicted(self):
-        assert f_measure([(False, True), (False, False)]) == 0.0
+        assert f_measure(tp=0, fp=0, fn=1) == 0.0
 
     def test_hand_counts(self):
-        dec = [(True, True)] * 3 + [(True, False)] + [(False, True)]
-        assert f_measure(dec) == pytest.approx(0.75)
-
-    def test_label_strings_accepted(self):
-        dec = [("unknown", "unknown"), ("known", "known")]
-        assert f_measure(dec) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(UsageError):
-            f_measure([])
+        assert f_measure(tp=3, fp=1, fn=1) == pytest.approx(0.75)
 
 
 class TestToyProtocol:
