@@ -18,6 +18,7 @@ from . import __version__
 from .data import (UNKNOWN, DistanceMetric, Standardizer, load_dataset_csv,
                    load_points_csv)
 from .errors import OpenEvtError, UsageError
+from .evm import check_delta
 from .gpdc import tail_stats
 from .serialize import fit_model, load_model, model_kinds, save_model
 
@@ -135,8 +136,7 @@ def _apply_config_file(parser, commands, args, argv):
     flag given on the command line wins. Keys of other commands are ignored;
     switches take true or false."""
     path = args.config
-    if not os.path.exists(path):
-        raise UsageError(f"file not found: {path}")
+    _require_file(path)
     overrides = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -269,6 +269,7 @@ def cmd_score(args) -> int:
     if args.delta is not None:
         if loaded.kind != "evm":
             raise UsageError("--delta only applies to evm models")
+        check_delta(args.delta)
         model.delta = args.delta
     points = load_points_csv(args.test, delimiter=args.delimiter,
                              header=_header_flag(args.header),

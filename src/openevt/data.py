@@ -179,9 +179,6 @@ class LabeledDataset:
     def n_classes(self) -> int:
         return len(self._class_names)
 
-    def class_count(self, name: str) -> int:
-        return int(np.sum(self._labels == name))
-
     def subset(self, mask) -> "LabeledDataset":
         mask = np.asarray(mask)
         return LabeledDataset(self._points[mask], self._labels[mask])

@@ -12,25 +12,26 @@ delta has no principled selection rule; it stays an explicit knob with no
 default, and evaluation protocols rank by psi instead. The classifier
 needs at least two training classes, since margins are defined across
 classes. No model-reduction step is applied: all n per-point fits are kept.
+
+Both hot paths use the exact kNN kernel's arithmetic: a class's margins
+are a kNN query against an index over every other class, and psi comes
+from exactly pruned GEMM scores (see :meth:`EvmModel.membership_batch`).
 """
 
 import numpy as np
 
 from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
-                   Verdict, as_batch, only_row)
+                   Verdict, _minkowski, as_batch, only_row)
 from .errors import DataError, FitError, UsageError
 from .evt import default_tail_count, fit_weibull_rows
+from .neighbors import _EPS, NeighborIndex, block_scores, row_blocks
 from .serialize import payload_array
 
-_BLOCK_ROWS = 256
 
-
-def _cdist_metric(metric: DistanceMetric):
-    if metric.order == 2.0:
-        return {"metric": "euclidean"}
-    if metric.order == 1.0:
-        return {"metric": "cityblock"}
-    return {"metric": "minkowski", "p": metric.order}
+def check_delta(delta, error=UsageError):
+    """Refuse a probability threshold outside (0, 1]; None means unset."""
+    if delta is not None and not (0.0 < delta <= 1.0):
+        raise error(f"delta must be in (0, 1], got {delta}")
 
 
 class EvmModel:
@@ -66,13 +67,50 @@ class EvmModel:
         return float(self.membership_batch(as_batch(x0, self.p))[0])
 
     def membership_batch(self, points) -> np.ndarray:
+        """psi for each row of an (m, p) array: bitwise the max over every
+        training point of exp(-power(d / sigma, alpha)), d from ``distances_to``.
+
+        W_i decreases in t_i = alpha_i (log d_i - log sigma_i), computed from
+        the kernel's block scores with one log each. It is off by at most
+        S + 6 eps |t| + 10 eps max|alpha log sigma| (log to 4 ulp), where
+        S = max(scale) e / (s_min - e) for the score error e (the slack),
+        and the exact W is within (max(alpha) (p + 4) + 4) eps of t. A point
+        whose t exceeds the row's smallest by more than twice both bounds
+        cannot hold the max, so only the rest are recomputed; a row with
+        s_min <= e keeps every point. The constants carry extra margin.
+        """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.p:
             raise UsageError("points must be an (m, p) matrix matching the model")
+        (n, p), order = self._points.shape, self.metric.order
+        norms = (np.einsum("ij,ij->i", self._points, self._points)
+                 if order == 2.0 else None)
+        # t = scale log(score) - offset; the Euclidean score is d^2.
+        scale = self.alphas / 2.0 if order == 2.0 else self.alphas
+        offset = self.alphas * np.log(self.sigmas)
+        fixed = _EPS * (24.0 * np.abs(offset).max()
+                        + 2.0 * (self.alphas.max() * (p + 4) + 4.0))
         out = np.empty(points.shape[0])
-        for start in range(0, points.shape[0], _BLOCK_ROWS):
-            block = points[start:start + _BLOCK_ROWS]
-            out[start:start + _BLOCK_ROWS] = self._psi_rows(block)
+        for block in row_blocks(points.shape[0], n, p):
+            rows = points[block]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                score, slack = block_scores(rows, self._points, norms, order)
+                s_min = score.min(axis=1)
+                t = np.log(score, out=score)
+                t *= scale
+                t -= offset
+                t_min = t.min(axis=1)
+                c = (t_min + 8.0 * _EPS * np.abs(t_min) + fixed
+                     + 2.0 * scale.max() * slack / (s_min - slack))
+                limit = np.where(s_min > slack, c + 32.0 * _EPS * np.abs(c),
+                                 np.inf)
+                row, col = np.nonzero(~(t > limit[:, None]))
+                d = _minkowski(self._points.take(col, axis=0)
+                               - rows.take(row, axis=0), order)
+                w = np.exp(-np.power(d / self.sigmas[col], self.alphas[col]))
+            # every row keeps its smallest t, so each row has a candidate
+            out[block] = np.maximum.reduceat(
+                w, np.flatnonzero(np.diff(row, prepend=-1)))
         return out
 
     def unknownness(self, points) -> np.ndarray:
@@ -109,14 +147,6 @@ class EvmModel:
         return {"verdict": np.where(psi >= self.delta, KNOWN, UNKNOWN),
                 "score": psi, "psi": psi}
 
-    def _psi_rows(self, block: np.ndarray) -> np.ndarray:
-        from scipy.spatial.distance import cdist
-
-        d = cdist(block, self._points, **_cdist_metric(self.metric))
-        with np.errstate(over="ignore"):
-            w = np.exp(-np.power(d / self.sigmas[None, :], self.alphas[None, :]))
-        return w.max(axis=1)
-
     # -- serialization ----------------------------------------------------
 
     def to_payload(self) -> dict:
@@ -131,22 +161,19 @@ class EvmModel:
     @classmethod
     def from_payload(cls, payload: dict, metric: DistanceMetric) -> "EvmModel":
         delta = payload.get("delta")
+        delta = None if delta is None else float(delta)
+        check_delta(delta, lambda msg: DataError(f"payload field 'delta': {msg}"))
         points = payload_array(payload, "points")
         n = points.shape[0]
-        return cls(
-            points=points,
-            sigmas=payload_array(payload, "sigmas", n),
-            alphas=payload_array(payload, "alphas", n),
-            k=int(payload["k"]),
-            delta=None if delta is None else float(delta),
-            metric=metric,
-        )
+        return cls(points, payload_array(payload, "sigmas", n),
+                   payload_array(payload, "alphas", n), int(payload["k"]),
+                   delta, metric)
 
 
 def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
         metric: DistanceMetric = EUCLIDEAN) -> EvmModel:
     """Fit one endpoint-0 reversed Weibull per training point on its k
-    smallest cross-class margin half-distances.
+    smallest cross-class margin half-distances, ascending.
 
     Requires at least two classes and k no bigger than the smallest
     cross-class sample. Fit failures name the offending training point.
@@ -169,19 +196,15 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
             "every point needs k margin distances to other classes"
         )
 
-    from scipy.spatial.distance import cdist
-
-    ids = data.label_ids
-    pts = data.points
+    check_delta(delta)
+    ids, pts = data.label_ids, data.points
     margins = np.empty((n, k))
-    kw = _cdist_metric(metric)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        d = cdist(pts[start:stop], pts, **kw) / 2.0
-        d[ids[start:stop, None] == ids[None, :]] = np.inf
-        margins[start:stop] = np.partition(d, k - 1, axis=1)[:, :k]
+    for c in range(data.n_classes):
+        own = ids == c
+        others = NeighborIndex(pts[~own], metric)
+        margins[own] = others.batch_k_smallest(pts[own], k) / 2.0
 
-    zero_rows = np.flatnonzero((margins == 0).any(axis=1))
+    zero_rows = np.flatnonzero(margins[:, 0] == 0)
     if zero_rows.size:
         i = int(zero_rows[0])
         raise FitError(

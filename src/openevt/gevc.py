@@ -149,11 +149,7 @@ class GevcModel:
         changed fraction exceeds REFIT_FRACTION; an empty list is a no-op.
         Mutates and returns this model.
         """
-        new_points = list(new_points)
-        if not new_points:
-            return self
-        for item in new_points:
-            x, label = item
+        for x, label in new_points:
             changed = self._index.insert(x, label)
             # The new point's own entry counts as changed too.
             self._changed_since_fit += len(changed) + 1

@@ -21,7 +21,7 @@ two tests). The jackknife statistics are cached on the model, which makes
 recalibration at a new alpha free.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,11 +63,8 @@ class CalibrationProfile:
 
 def _quantile_thresholds(pxi_stats, radius_stats, alpha):
     level = 1.0 - alpha / 2.0
-    pxi = pxi_stats[np.isfinite(pxi_stats)]
-    rad = radius_stats[np.isfinite(radius_stats)]
-    s = float(np.quantile(pxi, level, method="higher"))
-    t = float(np.quantile(rad, level, method="higher"))
-    return s, t
+    return tuple(float(np.quantile(v[np.isfinite(v)], level, method="higher"))
+                 for v in (pxi_stats, radius_stats))
 
 
 def tail_stats(d: np.ndarray, k: int, p: int, gamma: float, n_ref: int):
@@ -142,28 +139,12 @@ class GpdcModel:
         row of :meth:`evidence` on ``x0``.
 
         The verdict's score field is the continuous unknownness rank (see
-        :meth:`continuous_score`), usable for thresholds-free ROC analysis.
+        :meth:`unknownness`), usable for thresholds-free ROC analysis.
         """
         row = only_row(self.evidence(as_batch(x0, self.p)))
         ev = GpdcEvidence(xi_hat=row["xi_hat"], p_xi=row["p_xi"],
                           radius=row["radius"], stage=row["stage"])
         return Verdict(row["verdict"], row["score"], ev), ev
-
-    def continuous_score(self, x0) -> float:
-        """Unknownness in [0, 1]: the worse of the two statistics' empirical
-        ranks within the jackknife sample. 0 for coincident points, near 1
-        for points whose statistics exceed everything seen in calibration."""
-        return float(self.unknownness(as_batch(x0, self.p))[0])
-
-    def recalibrated(self, alpha: float) -> "GpdcModel":
-        """New model with thresholds recomputed at a different type-I level,
-        reusing the cached jackknife statistics (no distance work)."""
-        _check_alpha(alpha)
-        s, t = _quantile_thresholds(self.calibration.pxi_stats,
-                                    self.calibration.radius_stats, alpha)
-        cal = replace(self.calibration, shape_threshold=s, radius_threshold=t,
-                      alpha=alpha)
-        return GpdcModel(self._index, self.k, self.gamma, cal)
 
     def decision_stats(self, points) -> tuple:
         """Batch statistics for an (m, p) array: (coincident, p_xi, radius)."""
@@ -193,7 +174,10 @@ class GpdcModel:
         }
 
     def unknownness(self, points) -> np.ndarray:
-        """Batch continuous scores for an (m, p) array of query points."""
+        """Unknownness in [0, 1] for an (m, p) array: the worse of the two
+        statistics' empirical ranks within the jackknife sample. 0 for
+        coincident points, near 1 for points whose statistics exceed
+        everything seen in calibration."""
         return self._ranks(*self.decision_stats(points))
 
     def decide(self, coincident, pxi, radius, alpha: float | None = None):

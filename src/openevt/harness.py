@@ -22,6 +22,7 @@ repetitions own independent streams keyed by (seed, rep).
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -174,21 +175,14 @@ def roc_auc(scores) -> RocCurve:
     points = [(0.0, 0.0)]
     tp = fp = 0
     num = 0  # twice the area, in integer count units
-    i = 0
-    while i < len(items):
-        j = i
-        g_tp = g_fp = 0
-        while j < len(items) and items[j][0] == items[i][0]:
-            if items[j][1]:
-                g_tp += 1
-            else:
-                g_fp += 1
-            j += 1
+    for _, group in groupby(items, key=lambda t: t[0]):
+        flags = [u for _, u in group]
+        g_tp = sum(flags)
+        g_fp = len(flags) - g_tp
         num += g_fp * (tp + (tp + g_tp))
         tp += g_tp
         fp += g_fp
         points.append((fp / n_neg, tp / n_pos))
-        i = j
     return RocCurve(points=tuple(points), auc=num / (2 * n_pos * n_neg))
 
 
@@ -262,12 +256,8 @@ def synthetic_openset_surrogate(n_classes: int = 8, train_per_class: int = 60,
         labels += [f"class{j:02d}"] * per_class
     data = LabeledDataset(np.vstack(rows), labels)
     # Reorder so all training rows come first, preserving class order.
-    idx_train, idx_test = [], []
-    for j in range(n_classes):
-        base = j * per_class
-        idx_train.extend(range(base, base + train_per_class))
-        idx_test.extend(range(base + train_per_class, base + per_class))
-    order = np.array(idx_train + idx_test)
+    is_train = np.tile(np.arange(per_class) < train_per_class, n_classes)
+    order = np.concatenate([np.flatnonzero(is_train), np.flatnonzero(~is_train)])
     return (LabeledDataset(data.points[order], data.labels[order]),
             n_classes * train_per_class)
 
@@ -439,8 +429,7 @@ def thyroid_split(points: np.ndarray, is_unknown: np.ndarray, seed: int = 0,
         raise UsageError("no unknown rows after class mapping")
     rng = rng_from(seed, "thyroid-split")
     sampled = rng.choice(known_idx, size=test_known, replace=False)
-    sampled_set = set(sampled.tolist())
-    train_idx = np.array([i for i in known_idx if i not in sampled_set])
+    train_idx = np.setdiff1d(known_idx, sampled)
     train = LabeledDataset(points[train_idx], ["known"] * train_idx.size)
     test_idx = np.concatenate([sampled, unknown_idx])
     test = EvalSet(points=points[test_idx],

@@ -220,10 +220,7 @@ class NeighborIndex:
             norms = np.einsum("ij,ij->i", self._points, self._points)
         dist = np.empty((m, k))
         idx = np.empty((m, k), dtype=np.intp)
-        # No row has more than n candidates of p differences each.
-        step = max(1, BLOCK_ELEMENTS // (n * p))
-        for lo in range(0, m, step):
-            block = slice(lo, lo + step)
+        for block in row_blocks(m, n, p):
             rows = queries[block]
             skip = None if exclude is None else exclude[block]
             if self._tree is not None:
@@ -276,33 +273,16 @@ class NeighborIndex:
     def _scan_candidates(self, queries, k, exclude, norms) -> np.ndarray:
         """Candidate matrix from scoring every stored point.
 
-        With ``norms`` (the stored points' squared norms; Euclidean only)
-        a score is ||q||^2 - 2 q.y + ||y||^2. In any summation order it
-        lies within (p + 2) eps M of the exact squared distance, with
-        M = ||q||^2 + max ||y||^2, and so does the square whose root
-        ``distances_to`` returns. A point y that belongs in a row's k
-        nearest ranks no later than some point z among the row's k best
-        scored, so y's score exceeds the kth score by at most twice both
-        errors plus the root's and the threshold's own rounding, about
-        (4p + 13) eps M: within the slack 4 (p + 4) eps M. Without
-        ``norms`` the scores are the recomputed distances and the slack
-        is 0. An undefined (NaN) score or threshold makes the point a
-        candidate.
+        With ``norms`` the score is the GEMM form of :func:`block_scores`.
+        A point y that belongs in a row's k nearest ranks no later than
+        some point z among the row's k best scored, so y's score exceeds
+        the kth score by at most twice both errors plus the root's and the
+        threshold's own rounding, about (4p + 13) eps M: within the slack.
+        An undefined (NaN) score or threshold makes the point a candidate.
         """
-        (m, p), n = queries.shape, self.size
-        if norms is not None:
-            q_norms = np.einsum("ij,ij->i", queries, queries)
-            with np.errstate(over="ignore", invalid="ignore"):
-                score = queries @ self._points.T
-                score *= -2.0
-                score += q_norms[:, None]
-                score += norms
-            slack = 4.0 * (p + 4) * _EPS * (q_norms + norms.max())
-        else:
-            diff = self._points[None, :, :] - queries[:, None, :]
-            score = _minkowski(diff.reshape(-1, p),
-                               self._metric.order).reshape(m, n)
-            slack = 0.0
+        m, n = queries.shape[0], self.size
+        score, slack = block_scores(queries, self._points, norms,
+                                    self._metric.order)
         if exclude is not None:
             score[np.arange(m), exclude] = np.inf
         if k == 1:
@@ -358,6 +338,35 @@ class NeighborIndex:
         if not (1 <= k <= n - 1):
             raise UsageError(f"k must be in [1, {n - 1}], got {k}")
         return self._knn(self._points, k, exclude=np.arange(n))[0]
+
+
+def row_blocks(m: int, n: int, p: int) -> list:
+    """Slices of m query rows into blocks within ``BLOCK_ELEMENTS``: no row
+    has more than n candidates of p differences each."""
+    step = max(1, BLOCK_ELEMENTS // (n * p))
+    return [slice(lo, lo + step) for lo in range(0, m, step)]
+
+
+def block_scores(queries, points, norms, order: float) -> tuple:
+    """(m, n) scores of query rows against ``points``, and each row's slack.
+
+    With ``norms`` (the points' squared norms; Euclidean only) a score is
+    ||q||^2 - 2 q.y + ||y||^2. In any summation order it lies within
+    (p + 2) eps M of the exact squared distance, M = ||q||^2 + max ||y||^2,
+    and so does the square ``distances_to`` takes the root of; the slack is
+    4 (p + 4) eps M. Otherwise the scores are ``distances_to``'s, slack 0.
+    """
+    (m, p), n = queries.shape, points.shape[0]
+    if norms is None:
+        diff = points[None, :, :] - queries[:, None, :]
+        return _minkowski(diff.reshape(-1, p), order).reshape(m, n), 0.0
+    q_norms = np.einsum("ij,ij->i", queries, queries)
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = queries @ points.T
+        score *= -2.0
+        score += q_norms[:, None]
+        score += norms
+    return score, 4.0 * (p + 4) * _EPS * (q_norms + norms.max())
 
 
 def _append(buffer: np.ndarray, n: int, row) -> np.ndarray:

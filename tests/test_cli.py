@@ -174,6 +174,22 @@ def test_score_evm_requires_delta(toy_files, capsys):
     assert len(lines) == 801
 
 
+@pytest.mark.parametrize("delta", ["nan", "0", "-1", "2", "inf"])
+def test_evm_delta_outside_unit_interval_is_usage_error(toy_files, capsys, delta):
+    tmp, train_csv, test_csv, _, _ = toy_files
+    model = tmp / f"evm_delta_{delta}.model"
+    rc = main(["fit", "--method", "evm", "--train", str(train_csv), "--k", "20",
+               "--delta", delta, "--out", str(model)])
+    assert rc == 2 and not model.exists()
+    assert "delta must be in (0, 1]" in capsys.readouterr().err
+    assert main(["fit", "--method", "evm", "--train", str(train_csv),
+                 "--k", "20", "--out", str(model)]) == 0
+    rc = main(["score", "--model", str(model), "--test", str(test_csv),
+               "--delta", delta, "--out", str(tmp / "e3.csv")])
+    assert rc == 2
+    assert "delta must be in (0, 1]" in capsys.readouterr().err
+
+
 def test_score_standardized_model(toy_files):
     tmp, train_csv, test_csv, _, _ = toy_files
     model = tmp / "std.model"

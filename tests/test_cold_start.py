@@ -1,8 +1,8 @@
 """Cold-start contract: importing the package or its CLI loads no scipy
-module, nor do gpdc and gevc ``fit``/``score`` above the kd-tree dimension
-limit. The kd-tree and evm paths import what they use on first call. The
-CLI loads the protocols (``openevt.harness`` and its thread pool) only for
-``benchmark``.
+module, nor do gpdc, gevc and evm ``fit``/``score`` above the kd-tree
+dimension limit. The kd-tree imports scipy on its first build, so evm loads
+it below the limit through its margin indexes. The CLI loads the protocols
+(``openevt.harness`` and its thread pool) only for ``benchmark``.
 
 Each check runs in a fresh interpreter: this test process has scipy loaded
 already."""
@@ -50,8 +50,9 @@ def test_imports_load_no_scipy(tmp_path):
     """, tmp_path)
 
 
-@pytest.mark.parametrize("method", ["gpdc", "gevc"])
+@pytest.mark.parametrize("method", ["gpdc", "gevc", "evm"])
 def test_cli_fit_and_score_above_tree_limit_load_no_scipy(method, tmp_path):
+    extra = ["--delta", "0.5"] if method == "evm" else []
     run_fresh(f"""
         import numpy as np
         from openevt import cli, neighbors
@@ -65,7 +66,7 @@ def test_cli_fit_and_score_above_tree_limit_load_no_scipy(method, tmp_path):
         np.savetxt("test.csv", rng.integers(0, 20, size=(40, p)), fmt="%d",
                    delimiter=",")
         assert cli.main(["fit", "--method", "{method}", "--train", "train.csv",
-                         "--out", "m.model"]) == 0
+                         "--out", "m.model", *{extra!r}]) == 0
         assert cli.main(["score", "--model", "m.model", "--test", "test.csv",
                          "--out", "scores.csv"]) == 0
         assert not scipy_modules(), scipy_modules()
@@ -85,15 +86,15 @@ def test_tree_path_imports_cKDTree_on_first_build(tmp_path):
     """, tmp_path)
 
 
-def test_evm_imports_cdist_on_use(tmp_path):
+def test_evm_tree_path_imports_scipy_spatial(tmp_path):
     run_fresh("""
         import numpy as np
         from openevt import evm
         from openevt.data import LabeledDataset
 
         rng = np.random.default_rng(0)
-        points = np.vstack([rng.normal(size=(30, 16)),
-                            rng.normal(size=(30, 16)) + 3.0])
+        points = np.vstack([rng.normal(size=(30, 2)),
+                            rng.normal(size=(30, 2)) + 3.0])
         model = evm.fit(LabeledDataset(points, ["a"] * 30 + ["b"] * 30), k=5)
         psi = model.membership_batch(points[:4])
         assert psi.shape == (4,) and np.all((psi > 0) & (psi <= 1))

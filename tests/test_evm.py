@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import gaussian_blobs, pair_count_auc
-from openevt import evm, gevc, gpdc
-from openevt.data import LabeledDataset
+from openevt import evm, gevc, gpdc, neighbors
+from openevt.data import DistanceMetric, LabeledDataset, _minkowski
 from openevt.errors import DataError, FitError, UsageError
 from openevt.harness import default_toy_config, generate_toy
 from openevt.serialize import load_model, save_model
@@ -40,6 +42,11 @@ class TestFit:
         data = LabeledDataset(pts, ["a"] * 5 + ["b"] * 6)
         with pytest.raises(FitError, match="training point 0"):
             evm.fit(data, k=2)
+
+    @pytest.mark.parametrize("delta", [float("nan"), 0.0, -1.0, 1.5, float("inf")])
+    def test_delta_outside_unit_interval_refused(self, separated, delta):
+        with pytest.raises(UsageError, match="delta"):
+            evm.fit(separated, k=15, delta=delta)
 
     def test_toy_scale_fits_all_converge(self):
         train, _ = generate_toy(default_toy_config(0))
@@ -133,3 +140,95 @@ def test_serialization_round_trip(model, tmp_path):
     pts = rng.normal(size=(20, 2)) * 3
     np.testing.assert_array_equal(loaded.membership_batch(pts),
                                   model.membership_batch(pts))
+
+
+# -- the exact-kernel paths against brute-force references ---------------------
+
+
+def exact_psi(model, queries):
+    """Unpruned psi: every training point's W at its ``_minkowski``
+    distance, the same expression the model recomputes candidates with."""
+    out = np.empty(queries.shape[0])
+    for i, x in enumerate(queries):
+        d = _minkowski(model.points - x, model.metric.order)
+        with np.errstate(over="ignore"):
+            out[i] = np.exp(-np.power(d / model.sigmas, model.alphas)).max()
+    return out
+
+
+def brute_margins(data, k, order):
+    """Each point's k smallest cross-class half-distances, sorted."""
+    pts, ids = data.points, data.label_ids
+    return np.array([np.sort(_minkowski(pts[ids != ids[i]] - x, order))[:k] / 2.0
+                     for i, x in enumerate(pts)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from([2, 16, 30]),
+    order=st.sampled_from([2.0, 1.0, 3.0]),
+    offset=st.sampled_from([0.0, 1e4, 1e8]),
+    duplicates=st.booleans(),
+    n_per=st.integers(min_value=6, max_value=25),
+    k=st.integers(min_value=3, max_value=6),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_exact_paths_match_brute_force(p, order, offset, duplicates, n_per, k,
+                                       seed):
+    rng = np.random.default_rng(seed)
+    means = rng.normal(scale=3.0, size=(3, p))
+    pts = np.vstack([m + rng.normal(size=(n_per, p)) for m in means])
+    if duplicates:
+        # one repeat per class: fewer than k copies keep every margin
+        # sample's spread positive
+        pts[1::n_per] = pts[::n_per]
+    pts += offset
+    data = LabeledDataset(pts, np.repeat(["a", "b", "c"], n_per))
+    metric = DistanceMetric(order)
+    seen, solve = [], evm.fit_weibull_rows
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of 7 membership rows (and of 7 n / (n - class size) rows
+        # in the margin queries, whose indexes hold fewer points)
+        mp.setattr(neighbors, "BLOCK_ELEMENTS", 7 * data.n * p)
+        mp.setattr(evm, "fit_weibull_rows",
+                   lambda w: (seen.append(w), solve(w))[1])
+        model = evm.fit(data, k=k, metric=metric)
+        np.testing.assert_array_equal(seen[0], brute_margins(data, k, order))
+        far = means[:2] + offset + 1e150
+        near = pts[rng.choice(data.n, 12)] + rng.normal(size=(12, p))
+        queries = np.vstack([pts[:5], near, far])
+        psi = model.membership_batch(queries)
+        assert model.membership_batch(np.empty((0, p))).shape == (0,)
+    np.testing.assert_array_equal(psi, exact_psi(model, queries))
+    assert np.all(psi[:5] == 1.0)  # a training point: d = 0
+    assert np.all(psi[-2:] == 0.0)  # every W underflows
+
+
+def test_zero_margin_names_first_coinciding_point():
+    # point 4 (class "b") duplicates point 1 (class "a"): both get a zero
+    # margin, from different class queries, and the lower index is named
+    pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 3.0], [5.0, 5.0],
+                    [1.0, 1.0], [6.0, 5.0], [5.0, 7.0], [7.0, 7.0]])
+    data = LabeledDataset(pts, ["a"] * 3 + ["b"] * 5)
+    with pytest.raises(FitError, match="training point 1") as info:
+        evm.fit(data, k=2)
+    assert info.value.diagnostics == {"point": 1}
+
+
+@pytest.mark.parametrize("p", [16, 30])
+def test_near_ties_survive_gemm_rounding(p):
+    # Each query has two training points whose distances differ by about
+    # 1e-9 relative, far below the GEMM score's rounding at a 1e4 offset,
+    # so the scores alone misorder them in many rows: only the slack keeps
+    # the true nearest (and so the larger W) a candidate.
+    rng = np.random.default_rng(p)
+    queries = rng.normal(size=(40, p)) + 1e4
+    v = rng.normal(size=(40, p)) * 0.2
+    twin = 1.0 + rng.uniform(-1e-9, 1e-9, size=(40, 1))
+    pts = np.vstack([queries + v, queries - v * twin,
+                     rng.normal(size=(20, p)) + 1e4])
+    n = pts.shape[0]
+    model = evm.EvmModel(pts, np.ones(n), np.full(n, 2.0), k=3, delta=None,
+                         metric=DistanceMetric())
+    np.testing.assert_array_equal(model.membership_batch(queries),
+                                  exact_psi(model, queries))

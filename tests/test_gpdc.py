@@ -131,41 +131,68 @@ class TestScore:
 
 
 class TestContinuousScore:
+    """The continuous score of one point is ``unknownness`` on a one-row
+    batch."""
+
+    @staticmethod
+    def one(model, x0):
+        return float(model.unknownness(np.asarray(x0, dtype=float)[None, :])[0])
+
     def test_coincident_scores_zero(self, model, blobs):
-        assert model.continuous_score(blobs.points[3]) == 0.0
+        assert self.one(model, blobs.points[3]) == 0.0
 
     def test_far_point_scores_near_one(self, model):
-        assert model.continuous_score(np.array([500.0, 500.0])) > 0.99
+        assert self.one(model, [500.0, 500.0]) > 0.99
 
     def test_monotone_along_ray(self, blobs):
         m = gpdc.fit(blobs, k=20, alpha=0.05)
         radii = np.arange(2.0, 13.0, 1.0)
-        scores = [m.continuous_score(np.array([0.0, r])) for r in radii]
+        scores = [self.one(m, [0.0, r]) for r in radii]
         assert all(b >= a for a, b in zip(scores, scores[1:]))
 
     def test_matches_batch_unknownness(self, model):
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(40, 2)) * 4
         batch = model.unknownness(pts)
-        single = np.array([model.continuous_score(x) for x in pts])
+        single = np.array([self.one(model, x) for x in pts])
         np.testing.assert_array_equal(batch, single)
+        # the per-row score of a verdict is the same number
+        assert model.score(pts[0])[0].score == batch[0]
 
 
 class TestRecalibration:
-    def test_thresholds_move_with_alpha(self, model):
-        strict = model.recalibrated(0.5)
+    """Thresholds at another alpha are the quantiles of the stored
+    leave-one-out statistics, which do not depend on alpha."""
+
+    @staticmethod
+    def quantiles(model, alpha):
+        level = 1.0 - alpha / 2.0
+        cal = model.calibration
+        return tuple(float(np.quantile(v[np.isfinite(v)], level, method="higher"))
+                     for v in (cal.pxi_stats, cal.radius_stats))
+
+    def test_thresholds_move_with_alpha(self, model, blobs):
+        strict = gpdc.fit(blobs, k=20, alpha=0.5)
         assert strict.shape_threshold <= model.shape_threshold
         assert strict.radius_threshold <= model.radius_threshold
         assert strict.alpha == 0.5
+        assert (strict.shape_threshold, strict.radius_threshold) == \
+            self.quantiles(model, 0.5)
 
-    def test_stats_are_reused(self, model):
-        re = model.recalibrated(0.1)
-        assert re.calibration.pxi_stats is model.calibration.pxi_stats
+    def test_stats_are_reused(self, model, blobs):
+        other = gpdc.fit(blobs, k=20, alpha=0.1)
+        np.testing.assert_array_equal(other.calibration.pxi_stats,
+                                      model.calibration.pxi_stats)
+        np.testing.assert_array_equal(other.calibration.radius_stats,
+                                      model.calibration.radius_stats)
+        # decide() at a given alpha uses the same stored-statistic quantiles
+        stats = model.decision_stats(np.random.default_rng(8).normal(size=(60, 2)) * 4)
+        np.testing.assert_array_equal(model.decide(*stats, alpha=0.1),
+                                      other.decide(*stats))
 
     def test_same_alpha_same_thresholds(self, model):
-        re = model.recalibrated(model.alpha)
-        assert re.shape_threshold == model.shape_threshold
-        assert re.radius_threshold == model.radius_threshold
+        assert (model.shape_threshold, model.radius_threshold) == \
+            self.quantiles(model, model.alpha)
 
 
 def test_type_one_error_quick(blobs, model):

@@ -159,6 +159,9 @@ TAMPERED = [
     ("evm", "points", lambda v: [[float("inf")] + v[0][1:]] + v[1:]),
     ("evm", "sigmas", lambda v: v + v[:1]),
     ("evm", "alphas", lambda v: v[1:]),
+    ("evm", "delta", lambda v: 1.5),
+    ("evm", "delta", lambda v: float("nan")),
+    ("evm", "delta", lambda v: -1.0),
 ]
 
 
