@@ -20,7 +20,8 @@ from .data import (UNKNOWN, DistanceMetric, Standardizer, load_dataset_csv,
 from .errors import OpenEvtError, UsageError
 from .evm import check_delta
 from .gpdc import tail_stats
-from .serialize import fit_model, load_model, model_kinds, save_model
+from .serialize import (fit_model, fit_parameters, load_model, model_kinds,
+                        save_model)
 
 
 def main(argv=None) -> int:
@@ -61,8 +62,8 @@ def _build_parser() -> tuple:
                        help="exceedance count (default: 0.25%% tail rule)")
     p_fit.add_argument("--tail-fraction", type=float, default=None,
                        help="set k as a fraction of n instead of --k")
-    p_fit.add_argument("--alpha", type=float, default=0.05,
-                       help="target type-I error for gpdc/gevc")
+    p_fit.add_argument("--alpha", type=float, default=None,
+                       help="target type-I error for gpdc/gevc (default 0.05)")
     p_fit.add_argument("--gamma", type=float, default=None,
                        help="tail quantile level for gpdc (default 1/n)")
     p_fit.add_argument("--delta", type=float, default=None,
@@ -224,6 +225,19 @@ def _float_list(text: str, flag: str) -> tuple:
 
 def cmd_fit(args) -> int:
     _require_file(args.train)
+    # The fit options given as flags or config values; each must be a
+    # parameter of the kind's fit (--tail-fraction sets k).
+    options = {"k": args.k, "tail_fraction": args.tail_fraction,
+               "alpha": args.alpha, "gamma": args.gamma, "delta": args.delta,
+               "free_endpoint": args.free_endpoint or None}
+    options = {name: value for name, value in options.items() if value is not None}
+    _, accepted = fit_parameters(args.method)
+    for name in options:
+        if ("k" if name == "tail_fraction" else name) not in accepted:
+            raise UsageError(f"--{name.replace('_', '-')} does not apply to "
+                             f"{args.method} models")
+    if "k" in options and "tail_fraction" in options:
+        raise UsageError("pass either --k or --tail-fraction, not both")
     metric = DistanceMetric.parse(args.metric)
     data = load_dataset_csv(args.train, label_column=args.label_column,
                             delimiter=args.delimiter,
@@ -232,14 +246,9 @@ def cmd_fit(args) -> int:
     if args.standardize:
         standardizer = Standardizer.fit(data.points)
         data = type(data)(standardizer.apply(data.points), data.labels)
-    k = args.k
-    if args.tail_fraction is not None:
-        if k is not None:
-            raise UsageError("pass either --k or --tail-fraction, not both")
-        k = max(1, int(np.ceil(args.tail_fraction * data.n)))
-    model = fit_model(args.method, data, k=k, alpha=args.alpha,
-                      gamma=args.gamma, delta=args.delta, metric=metric,
-                      free_endpoint=args.free_endpoint)
+    if "tail_fraction" in options:
+        options["k"] = max(1, int(np.ceil(options.pop("tail_fraction") * data.n)))
+    model = fit_model(args.method, data, metric=metric, **options)
     save_model(model, args.out, standardizer=standardizer)
 
     summary = {

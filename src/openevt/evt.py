@@ -19,7 +19,9 @@ The reversed Weibull with a fixed upper endpoint b has CDF
     W(z) = exp{ -((b - z)/sigma)^alpha }   for z < b,   1 otherwise,
 
 and is fitted by profile maximum likelihood: sigma has a closed form given
-alpha, and alpha is found by a safeguarded Newton iteration.
+alpha, and alpha is found by a safeguarded Newton iteration. A free endpoint
+is profiled by the same solver over candidates b > max z; a sample whose
+likelihood has no interior maximum (shape <= 1) fails loudly with FitError.
 """
 
 import math
@@ -38,6 +40,10 @@ WEIBULL_TOL = 1e-10
 # Transformed samples below this are floored before taking logs, so that
 # duplicate-point artifacts cannot inject -inf into the likelihood.
 WEIBULL_FLOOR = 1e-300
+# Free-endpoint candidates: max z + spread * 10^u, u on a grid over decades.
+ENDPOINT_DECADES = (-8.0, 3.0)
+ENDPOINT_GRID = 33
+ENDPOINT_ROUNDS = 3
 
 
 def default_tail_count(n: int) -> int:
@@ -137,27 +143,40 @@ def reversed_weibull_fit(z, endpoint: float = 0.0,
 
 
 def reversed_weibull_fit_free_endpoint(z) -> ReversedWeibull:
-    """Three-parameter variant: the upper endpoint is estimated as well."""
-    from scipy.stats import weibull_max
-
+    """Three-parameter variant: the endpoint b > max z is profiled out, each
+    round's candidates fitted in one :func:`fit_weibull_rows` call. FitError
+    where there is no MLE: no candidate fits (zero spread), the highest wins
+    (no finite endpoint), or the lowest (shape <= 1, the likelihood unbounded
+    as b nears max z; Smith, Biometrika 1985)."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or z.shape[0] < 3:
         raise UsageError("need a 1-d sample of at least 3 values")
-    if z.max() == z.min():
-        raise FitError("free-endpoint Weibull fit failed: zero spread",
-                       diagnostics={"n": int(z.shape[0])})
-    try:
-        shape, loc, scale = weibull_max.fit(z)
-    except Exception as exc:  # scipy raises a mix of types on bad samples
-        raise FitError(f"free-endpoint Weibull fit failed: {exc}",
-                       diagnostics={"n": int(z.shape[0])}) from exc
-    if not (np.isfinite(shape) and np.isfinite(loc) and np.isfinite(scale)
-            and shape > 0 and scale > 0):
-        raise FitError("free-endpoint Weibull fit returned invalid parameters",
-                       diagnostics={"shape": float(shape), "loc": float(loc),
-                                    "scale": float(scale)})
-    return ReversedWeibull(sigma=float(scale), alpha=float(shape),
-                           endpoint=float(loc))
+    n, top, (lo, hi) = z.shape[0], z.max(), ENDPOINT_DECADES
+    u, h = np.linspace(lo, hi, ENDPOINT_GRID), (hi - lo) / (ENDPOINT_GRID - 1)
+    # Candidates that round onto max z, overflow or fail to converge drop out.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for round_ in range(ENDPOINT_ROUNDS + 1):
+            b = top + (top - z.min()) * 10.0 ** u
+            keep = (b > top) & np.isfinite(b - z.min())
+            u, b = u[keep], b[keep]
+            w = b[:, None] - z
+            sigma, alpha, ok, _ = fit_weibull_rows(w)
+            if not ok.any():
+                raise FitError("free-endpoint Weibull fit failed: no candidate "
+                               "endpoint above max z fits",
+                               diagnostics={"n": n, "candidates": int(b.size)})
+            loglik = n * (np.log(alpha) - alpha * np.log(sigma) - 1.0) \
+                + (alpha - 1.0) * np.log(w).sum(axis=1)
+            i = int(np.argmax(np.where(ok, loglik, -np.inf)))
+            if round_ == 0 and i in (0, b.size - 1):
+                reason = ("the likelihood grows as the endpoint nears max z"
+                          if i == 0 else "no finite endpoint")
+                raise FitError(f"free-endpoint Weibull fit failed: {reason}",
+                               diagnostics={"n": n, "shape": float(alpha[i]),
+                                            "endpoint_above_max": float(b[i] - top)})
+            u, h = u[i] + np.linspace(-h, h, ENDPOINT_GRID), h * 2 / (ENDPOINT_GRID - 1)
+    return ReversedWeibull(sigma=float(sigma[i]), alpha=float(alpha[i]),
+                           endpoint=float(b[i]))
 
 
 def fit_weibull_rows(w: np.ndarray, max_iter: int = WEIBULL_MAX_ITER,

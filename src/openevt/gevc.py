@@ -3,10 +3,12 @@
 Training computes every point's distance to its closest other training
 point and fits a reversed Weibull with upper endpoint 0 to the negated
 values (zero distances from duplicated points are excluded from the fit
-sample). A query is rejected as unknown at level alpha when the fitted CDF
-evaluated at its negated nearest distance falls below alpha, i.e. when the
-query sits farther from the training set than all but a vanishing share of
-the training points sit from each other.
+sample). With ``free_endpoint`` the same solver also profiles the endpoint,
+and a sample with no interior likelihood maximum raises FitError. A query
+is rejected as unknown at level alpha when the fitted CDF evaluated at its
+negated nearest distance falls below alpha, i.e. when the query sits
+farther from the training set than all but a vanishing share of the
+training points sit from each other.
 
 The model updates in place: inserting points revises only the affected
 nearest distances, and the Weibull refit is deferred until the next score
@@ -41,11 +43,9 @@ def _fit_dmin_sample(dmin: np.ndarray, free_endpoint: bool) -> tuple:
             f"(got {positive.shape[0]}, {excluded} duplicates excluded)",
             diagnostics={"n": int(dmin.shape[0]), "excluded": excluded},
         )
-    if free_endpoint:
-        fitted = reversed_weibull_fit_free_endpoint(-positive)
-    else:
-        fitted = reversed_weibull_fit(-positive, endpoint=0.0)
-    return fitted, excluded
+    fit_sample = (reversed_weibull_fit_free_endpoint if free_endpoint
+                  else reversed_weibull_fit)
+    return fit_sample(-positive), excluded
 
 
 class GevcModel:

@@ -56,16 +56,22 @@ def model_kinds() -> dict:
     return {cls.KIND: cls for cls in (GpdcModel, GevcModel, EvmModel)}
 
 
-def fit_model(kind: str, data, **options):
-    """Fit a model of ``kind`` on ``data``, passing the options that the
-    kind's ``fit`` takes and dropping the rest, so that one set of options
-    serves every kind. ``fit`` is looked up on the model's module at each
-    call, so a wrapper installed on it sees every fit."""
+def fit_parameters(kind: str) -> tuple:
+    """The ``fit`` of ``kind`` and the names of its parameters. ``fit`` is
+    looked up on the model's module at each call, so a wrapper installed on
+    it sees every fit."""
     kinds = model_kinds()
     if kind not in kinds:
         raise UsageError(f"unknown method {kind!r} (expected {', '.join(kinds)})")
     fit = sys.modules[kinds[kind].__module__].fit
-    accepted = inspect.signature(fit).parameters
+    return fit, inspect.signature(fit).parameters
+
+
+def fit_model(kind: str, data, **options):
+    """Fit a model of ``kind`` on ``data``, passing the options that the
+    kind's ``fit`` takes and dropping the rest, so that one set of options
+    serves every kind."""
+    fit, accepted = fit_parameters(kind)
     return fit(data, **{k: v for k, v in options.items() if k in accepted})
 
 

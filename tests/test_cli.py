@@ -65,6 +65,50 @@ def test_fit_degenerate_is_fit_error(tmp_path, capsys):
     assert rc == 4
 
 
+@pytest.mark.parametrize("method,flag", [
+    ("gpdc", "--delta"), ("gpdc", "--free-endpoint"),
+    ("gevc", "--k"), ("gevc", "--tail-fraction"), ("gevc", "--gamma"),
+    ("gevc", "--delta"),
+    ("evm", "--alpha"), ("evm", "--gamma"), ("evm", "--free-endpoint"),
+])
+def test_fit_refuses_flags_the_kind_does_not_take(toy_files, tmp_path, capsys,
+                                                   method, flag):
+    _, train_csv, _, _, _ = toy_files
+    value = {"--k": ["20"], "--tail-fraction": ["0.01"], "--alpha": ["0.05"],
+             "--gamma": ["0.001"], "--delta": ["0.5"], "--free-endpoint": []}[flag]
+    out = tmp_path / "m.model"
+    rc = main(["fit", "--method", method, "--train", str(train_csv),
+               "--out", str(out), flag, *value])
+    assert rc == 2
+    assert f"{flag} does not apply to {method} models" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_refuses_config_values_the_kind_does_not_take(toy_files, tmp_path,
+                                                          capsys):
+    _, train_csv, _, _, _ = toy_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta=0.5\n")
+    rc = main(["fit", "--config", str(cfg), "--method", "gpdc",
+               "--train", str(train_csv), "--out", str(tmp_path / "m.model")])
+    assert rc == 2
+    assert "--delta does not apply to gpdc models" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method,flag,shown", [
+    ("gpdc", ["--gamma", "0.001"], "gamma=0.001"),
+    ("gevc", ["--free-endpoint", "--alpha", "0.1"], "alpha=0.1"),
+    ("evm", ["--delta", "0.5", "--tail-fraction", "0.05"], "k=30"),
+])
+def test_fit_accepts_flags_the_kind_takes(toy_files, tmp_path, capsys, method,
+                                          flag, shown):
+    _, train_csv, _, _, _ = toy_files
+    rc = main(["fit", "--method", method, "--train", str(train_csv),
+               "--out", str(tmp_path / "m.model"), *flag])
+    assert rc == 0
+    assert shown in capsys.readouterr().out.splitlines()
+
+
 @pytest.fixture(scope="module")
 def gpdc_model(toy_files):
     tmp, train_csv, _, _, _ = toy_files

@@ -1,8 +1,9 @@
-"""Cold-start contract: importing the package or its CLI loads no scipy
-module, nor do gpdc, gevc and evm ``fit``/``score`` above the kd-tree
-dimension limit. The kd-tree imports scipy on its first build, so evm loads
-it below the limit through its margin indexes. The CLI loads the protocols
-(``openevt.harness`` and its thread pool) only for ``benchmark``.
+"""Cold-start contract: scipy is imported only by the kd-tree (p <= 9).
+Importing the package or its CLI loads no scipy module, nor do gpdc, gevc
+(with a fixed or a free endpoint) and evm ``fit``/``score`` above the
+kd-tree dimension limit. The kd-tree imports scipy on its first build, so
+evm loads it below the limit through its margin indexes. The CLI loads the
+protocols (``openevt.harness`` and its thread pool) only for ``benchmark``.
 
 Each check runs in a fresh interpreter: this test process has scipy loaded
 already."""
@@ -50,9 +51,12 @@ def test_imports_load_no_scipy(tmp_path):
     """, tmp_path)
 
 
-@pytest.mark.parametrize("method", ["gpdc", "gevc", "evm"])
-def test_cli_fit_and_score_above_tree_limit_load_no_scipy(method, tmp_path):
-    extra = ["--delta", "0.5"] if method == "evm" else []
+@pytest.mark.parametrize("method,extra", [
+    ("gpdc", []), ("gevc", []), ("gevc", ["--free-endpoint"]),
+    ("evm", ["--delta", "0.5"]),
+], ids=["gpdc", "gevc", "gevc-free-endpoint", "evm"])
+def test_cli_fit_and_score_above_tree_limit_load_no_scipy(method, extra,
+                                                          tmp_path):
     run_fresh(f"""
         import numpy as np
         from openevt import cli, neighbors

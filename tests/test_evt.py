@@ -246,6 +246,87 @@ def test_free_endpoint_variant():
         reversed_weibull_fit_free_endpoint(np.full(10, -1.0))
 
 
+def weibull_loglik(z, fit):
+    """Reversed-Weibull log-likelihood of z, computed independently."""
+    t = (fit.endpoint - z) / fit.sigma
+    return float(np.sum(np.log(fit.alpha / fit.sigma) + (fit.alpha - 1) * np.log(t)
+                        - t ** fit.alpha))
+
+
+def regular_sample(seed):
+    """Seeded reversed-Weibull sample with shape in (1.1, 6), where the
+    three-parameter MLE is regular."""
+    rng = np.random.default_rng(seed)
+    shape, n = rng.uniform(1.1, 6.0), int(rng.integers(20, 2000))
+    scale, loc = 10.0 ** rng.uniform(-2, 2), rng.uniform(-50, 50)
+    return loc - scale * rng.weibull(shape, size=n)
+
+
+def assert_finite(fit):
+    assert all(math.isfinite(v) for v in (fit.sigma, fit.alpha, fit.endpoint))
+
+
+class TestFreeEndpoint:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_likelihood_matches_or_beats_scipy(self, seed):
+        from scipy.stats import weibull_max
+
+        z = regular_sample(seed)
+        shape, loc, scale = weibull_max.fit(z)
+        try:
+            fit = reversed_weibull_fit_free_endpoint(z)
+        except FitError as exc:
+            # A small sample can look Gumbel: the likelihood then rises with
+            # the endpoint, and scipy's endpoint runs off as well.
+            assert "no finite endpoint" in str(exc)
+            assert loc - z.max() > 1e3 * (z.max() - z.min())
+            return
+        assert_finite(fit)
+        assert fit.endpoint > z.max() and fit.sigma > 0 and fit.alpha > 0
+        oracle = weibull_loglik(z, ReversedWeibull(scale, shape, loc))
+        assert weibull_loglik(z, fit) >= oracle - 1e-9 * abs(oracle)
+
+    @pytest.mark.parametrize("name,z", [
+        ("shape 0.8", -np.random.default_rng(1).weibull(0.8, size=2000)),
+        ("two-valued", np.array([-1.0] * 10 + [-2.0] * 10)),
+        ("3-point", np.array([-1.0, -2.0, -3.5])),
+        ("near-degenerate", np.array([-1.0] * 99 + [-1.0 - 1e-12])),
+    ])
+    def test_nonregular_samples_fail_at_the_lower_edge(self, name, z):
+        with pytest.raises(FitError, match="nears max z") as exc:
+            reversed_weibull_fit_free_endpoint(z)
+        diag = exc.value.diagnostics
+        assert diag["n"] == z.shape[0]
+        assert 0 < diag["shape"] < 1
+        # the lowest candidate, or the first float above max z
+        ulp = np.nextafter(z.max(), np.inf) - z.max()
+        assert 0 < diag["endpoint_above_max"] <= max(1e-7 * (z.max() - z.min()), ulp)
+
+    def test_no_finite_endpoint(self):
+        z = np.random.default_rng(3).exponential(size=500)
+        with pytest.raises(FitError, match="no finite endpoint") as exc:
+            reversed_weibull_fit_free_endpoint(z)
+        assert exc.value.diagnostics["n"] == 500
+
+    @pytest.mark.parametrize("z", [np.full(10, -1.0), np.array([1.0, np.nan, 2.0]),
+                                   np.array([1.0, np.inf, 2.0]),
+                                   np.array([-1e308, 1e308, 0.0])])
+    def test_no_representable_candidate(self, z):
+        with pytest.raises(FitError, match="no candidate endpoint") as exc:
+            reversed_weibull_fit_free_endpoint(z)
+        assert exc.value.diagnostics == {"n": z.shape[0], "candidates": 0}
+
+    def test_location_offset_shifts_the_fit(self):
+        rng = np.random.default_rng(12)
+        z = 3.0 - 2.0 * rng.weibull(1.8, size=2000)
+        fit = reversed_weibull_fit_free_endpoint(z)
+        shifted = reversed_weibull_fit_free_endpoint(z + 1e8)
+        assert_finite(shifted)
+        assert shifted.sigma == pytest.approx(fit.sigma, rel=1e-6)
+        assert shifted.alpha == pytest.approx(fit.alpha, rel=1e-6)
+        assert shifted.endpoint - 1e8 == pytest.approx(fit.endpoint, rel=1e-6)
+
+
 def test_default_tail_count_rule():
     assert default_tail_count(100) == 10
     assert default_tail_count(4000) == 10

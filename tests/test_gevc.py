@@ -210,7 +210,8 @@ def test_type_one_error_band():
 def test_free_endpoint_flag():
     data = gaussian_blobs(12, [(0.0, 0.0)], n_per=600)
     m = gevc.fit(data, free_endpoint=True)
-    assert m.fitted.endpoint >= 0.0 or m.fitted.endpoint < 0.0  # finite fit
+    assert np.isfinite(m.fitted.endpoint)
+    assert m.fitted.endpoint > np.max(-m.dmin[m.dmin > 0])
     assert np.isfinite(m.fitted.sigma) and m.fitted.sigma > 0
     verdict, _ = m.score(np.array([40.0, 40.0]))
     assert verdict.is_unknown
