@@ -15,10 +15,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .data import (UNKNOWN, DistanceMetric, Standardizer, load_dataset_csv,
-                   load_points_csv)
+from .data import (UNKNOWN, DistanceMetric, Standardizer, check_level,
+                   load_dataset_csv, load_points_csv)
 from .errors import OpenEvtError, UsageError
-from .evm import check_delta
+from .evt import tail_count
 from .gpdc import tail_stats
 from .serialize import (fit_model, fit_parameters, load_model, model_kinds,
                         save_model)
@@ -106,9 +106,7 @@ def _build_parser() -> tuple:
                          help="toy protocol exceedance count")
     p_bench.add_argument("--alpha", type=float, default=0.05)
     p_bench.add_argument("--reps", type=int, default=5,
-                         help="oletter repetitions")
-    p_bench.add_argument("--full", action="store_true",
-                         help="oletter: run the full 20-repetition protocol")
+                         help="oletter repetitions (the full protocol has 20)")
     p_bench.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                          help="worker pool size for protocol repetitions")
     p_bench.add_argument("--alphas", default=None,
@@ -247,7 +245,7 @@ def cmd_fit(args) -> int:
         standardizer = Standardizer.fit(data.points)
         data = type(data)(standardizer.apply(data.points), data.labels)
     if "tail_fraction" in options:
-        options["k"] = max(1, int(np.ceil(options.pop("tail_fraction") * data.n)))
+        options["k"] = tail_count(options.pop("tail_fraction"), data.n)
     model = fit_model(args.method, data, metric=metric, **options)
     save_model(model, args.out, standardizer=standardizer)
 
@@ -278,7 +276,7 @@ def cmd_score(args) -> int:
     if args.delta is not None:
         if loaded.kind != "evm":
             raise UsageError("--delta only applies to evm models")
-        check_delta(args.delta)
+        check_level(args.delta, "delta")
         model.delta = args.delta
     points = load_points_csv(args.test, delimiter=args.delimiter,
                              header=_header_flag(args.header),
@@ -336,28 +334,33 @@ def cmd_benchmark(args) -> int:
     return run(args, harness)
 
 
+def _report_curves(args, comments, curves):
+    """Print each method's AUC ("unsupported" without a curve) and write one
+    ``<roc-out>.<method>.csv`` per curve."""
+    for method in sorted(curves):
+        curve = curves[method]
+        print(f"auc.{method}={'unsupported' if curve is None else _fmt(curve.auc)}")
+        if args.roc_out and curve is not None:
+            _write_csv(f"{args.roc_out}.{method}.csv", comments,
+                       ("fpr", "tpr"), curve.points)
+
+
 def _benchmark_toy(args, harness) -> int:
     cfg = harness.default_toy_config(args.seed)
     result = harness.run_toy_protocol(cfg, k=args.k, alpha=args.alpha)
     comments = _config_comments(args, ["protocol", "seed", "k", "alpha"])
-    rows = [(m, "auc", result.aucs[m]) for m in sorted(result.aucs)]
     if args.out:
-        _write_csv(args.out, comments, ("method", "metric", "value"), rows)
-    for method, _, value in rows:
-        print(f"auc.{method}={_fmt(value)}")
+        _write_csv(args.out, comments, ("method", "metric", "value"),
+                   [(m, "auc", result.curves[m].auc) for m in sorted(result.curves)])
+    _report_curves(args, comments, result.curves)
     if args.emit_xi:
         xi_rows = [(i, result.xi_hat[i], bool(result.test.is_known[i]))
                    for i in range(result.test.points.shape[0])]
         _write_csv(args.emit_xi, comments, ("row", "xi_hat", "is_known"), xi_rows)
-    if args.roc_out:
-        for method, curve in result.curves.items():
-            _write_csv(f"{args.roc_out}.{method}.csv", comments,
-                       ("fpr", "tpr"), curve.points)
     return 0
 
 
 def _benchmark_oletter(args, harness) -> int:
-    reps = 20 if args.full else args.reps
     if args.data is not None:
         _require_file(args.data)
         data = harness.load_letter(args.data)
@@ -368,7 +371,7 @@ def _benchmark_oletter(args, harness) -> int:
               if args.alphas else harness.DEFAULT_ALPHA_GRID)
     deltas = (_float_list(args.deltas, "--deltas")
               if args.deltas else harness.DEFAULT_DELTA_GRID)
-    steps = harness.run_oletter(data, reps=reps, seed=args.seed,
+    steps = harness.run_oletter(data, reps=args.reps, seed=args.seed,
                                 train_count=train_count, alphas=alphas,
                                 deltas=deltas, jobs=args.jobs)
     comments = _config_comments(args, ["protocol", "seed", "reps", "jobs"])
@@ -424,20 +427,11 @@ def _benchmark_thyroid(args, harness) -> int:
     if args.out:
         _write_csv(args.out, comments,
                    ("method", "metric", "tail_fraction", "k", "value"), rows)
-    for method in sorted(curves):
-        curve = curves[method]
-        value = "unsupported" if curve is None else _fmt(curve.auc)
-        print(f"auc.{method}={value}")
+    _report_curves(args, comments, curves)
     best = max(sweep, key=lambda t: t[2])
     print(f"gpdc.best.tail_fraction={_fmt(best[0])}")
     print(f"gpdc.best.k={best[1]}")
     print(f"gpdc.best.auc={_fmt(best[2])}")
-    if args.roc_out:
-        for method, curve in curves.items():
-            if curve is None:
-                continue
-            _write_csv(f"{args.roc_out}.{method}.csv", comments,
-                       ("fpr", "tpr"), curve.points)
     return 0
 
 

@@ -84,7 +84,9 @@ def _minkowski(diff: np.ndarray, order: float) -> np.ndarray:
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
     if order == 1.0:
         return np.abs(diff).sum(axis=1)
-    return np.power(np.power(np.abs(diff), order).sum(axis=1), 1.0 / order)
+    # Overflow to inf is the correct distance; no warning is wanted for it.
+    with np.errstate(over="ignore"):
+        return np.power(np.power(np.abs(diff), order).sum(axis=1), 1.0 / order)
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,13 @@ class Verdict:
     @property
     def is_unknown(self) -> bool:
         return self.label == UNKNOWN
+
+
+def check_level(value, name: str):
+    """Refuse a decision level outside (0, 1]: the alpha of gpdc and gevc and
+    the delta of evm, for which None means unset."""
+    if value is not None and not (0.0 < value <= 1.0):
+        raise UsageError(f"{name} must be in (0, 1], got {value}")
 
 
 def as_batch(x0, p: int) -> np.ndarray:

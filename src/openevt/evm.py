@@ -21,17 +21,11 @@ from exactly pruned GEMM scores (see :meth:`EvmModel.membership_batch`).
 import numpy as np
 
 from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
-                   Verdict, _minkowski, as_batch, only_row)
+                   Verdict, _minkowski, as_batch, check_level, only_row)
 from .errors import DataError, FitError, UsageError
 from .evt import default_tail_count, fit_weibull_rows
 from .neighbors import _EPS, NeighborIndex, block_scores, row_blocks
-from .serialize import payload_array
-
-
-def check_delta(delta, error=UsageError):
-    """Refuse a probability threshold outside (0, 1]; None means unset."""
-    if delta is not None and not (0.0 < delta <= 1.0):
-        raise error(f"delta must be in (0, 1], got {delta}")
+from .serialize import payload_array, payload_level
 
 
 class EvmModel:
@@ -160,9 +154,8 @@ class EvmModel:
 
     @classmethod
     def from_payload(cls, payload: dict, metric: DistanceMetric) -> "EvmModel":
-        delta = payload.get("delta")
-        delta = None if delta is None else float(delta)
-        check_delta(delta, lambda msg: DataError(f"payload field 'delta': {msg}"))
+        delta = (None if payload.get("delta") is None
+                 else payload_level(payload, "delta"))
         points = payload_array(payload, "points")
         n = points.shape[0]
         return cls(points, payload_array(payload, "sigmas", n),
@@ -196,7 +189,7 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
             "every point needs k margin distances to other classes"
         )
 
-    check_delta(delta)
+    check_level(delta, "delta")
     ids, pts = data.label_ids, data.points
     margins = np.empty((n, k))
     for c in range(data.n_classes):

@@ -37,8 +37,9 @@ MIN_TAIL_COUNT = 10
 
 WEIBULL_MAX_ITER = 200
 WEIBULL_TOL = 1e-10
-# Transformed samples below this are floored before taking logs, so that
-# duplicate-point artifacts cannot inject -inf into the likelihood.
+# Samples normalized by their row maximum are floored at this before taking
+# logs, so that duplicate-point artifacts cannot inject -inf into the
+# likelihood.
 WEIBULL_FLOOR = 1e-300
 # Free-endpoint candidates: max z + spread * 10^u, u on a grid over decades.
 ENDPOINT_DECADES = (-8.0, 3.0)
@@ -46,9 +47,14 @@ ENDPOINT_GRID = 33
 ENDPOINT_ROUNDS = 3
 
 
+def tail_count(fraction: float, n: int) -> int:
+    """Exceedance count for a tail fraction of n points: ceil(fraction * n), >= 1."""
+    return max(1, int(math.ceil(fraction * n)))
+
+
 def default_tail_count(n: int) -> int:
     """Default k for a sample of size n: max(10, ceil(0.0025 * n))."""
-    return max(MIN_TAIL_COUNT, int(math.ceil(DEFAULT_TAIL_FRACTION * n)))
+    return max(MIN_TAIL_COUNT, tail_count(DEFAULT_TAIL_FRACTION, n))
 
 
 @dataclass(frozen=True)
@@ -111,9 +117,7 @@ def reversed_weibull_cdf(w: ReversedWeibull, z):
     return vals
 
 
-def reversed_weibull_fit(z, endpoint: float = 0.0,
-                         max_iter: int = WEIBULL_MAX_ITER,
-                         tol: float = WEIBULL_TOL) -> ReversedWeibull:
+def reversed_weibull_fit(z, endpoint: float = 0.0) -> ReversedWeibull:
     """Two-parameter MLE of (sigma, alpha) with the endpoint held fixed.
 
     The sample must lie strictly below the endpoint and contain at least 3
@@ -126,7 +130,7 @@ def reversed_weibull_fit(z, endpoint: float = 0.0,
     if np.any(z >= endpoint):
         raise UsageError(f"all values must lie strictly below the endpoint {endpoint}")
     w = endpoint - z
-    sigma, alpha, ok, iters = fit_weibull_rows(w[None, :], max_iter=max_iter, tol=tol)
+    sigma, alpha, ok, iters = fit_weibull_rows(w[None, :])
     if not ok[0]:
         raise FitError(
             "reversed Weibull fit failed (zero spread or no convergence)",
@@ -179,8 +183,7 @@ def reversed_weibull_fit_free_endpoint(z) -> ReversedWeibull:
                            endpoint=float(b[i]))
 
 
-def fit_weibull_rows(w: np.ndarray, max_iter: int = WEIBULL_MAX_ITER,
-                     tol: float = WEIBULL_TOL):
+def fit_weibull_rows(w: np.ndarray):
     """Profile-likelihood Weibull MLE applied to each row of ``w``.
 
     Every row is an independent positive sample. Returns (sigma, alpha,
@@ -203,11 +206,10 @@ def fit_weibull_rows(w: np.ndarray, max_iter: int = WEIBULL_MAX_ITER,
     if np.any(w <= 0):
         raise UsageError("all sample values must be positive")
     m, _ = w.shape
-    w = np.maximum(w, WEIBULL_FLOOR)
     # Scale invariance: normalize by the row maximum so w^alpha cannot
-    # overflow; sigma is rescaled at the end.
+    # overflow, then floor; sigma is rescaled at the end.
     wmax = w.max(axis=1, keepdims=True)
-    wn = w / wmax
+    wn = np.maximum(w / wmax, WEIBULL_FLOOR)
     logw = np.log(wn)
     mean_log = logw.mean(axis=1)
     sd_log = logw.std(axis=1)
@@ -220,7 +222,7 @@ def fit_weibull_rows(w: np.ndarray, max_iter: int = WEIBULL_MAX_ITER,
     iterations = np.zeros(m, dtype=int)
 
     active = ~degenerate
-    for it in range(max_iter):
+    for it in range(WEIBULL_MAX_ITER):
         if not active.any():
             break
         a = alpha[active]
@@ -239,7 +241,7 @@ def fit_weibull_rows(w: np.ndarray, max_iter: int = WEIBULL_MAX_ITER,
             step[bad] *= 0.5
             new = a - step
             bad = new <= 0
-        done = np.abs(new - a) < tol
+        done = np.abs(new - a) < WEIBULL_TOL
         idx = np.flatnonzero(active)
         alpha[idx] = new
         iterations[idx] += 1

@@ -22,12 +22,12 @@ import threading
 import numpy as np
 
 from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
-                   Verdict, as_batch, only_row)
+                   Verdict, as_batch, check_level, only_row)
 from .errors import DataError, FitError, UsageError
 from .evt import (ReversedWeibull, reversed_weibull_cdf, reversed_weibull_fit,
                   reversed_weibull_fit_free_endpoint)
 from .neighbors import NeighborIndex
-from .serialize import payload_array
+from .serialize import payload_array, payload_level
 
 # Deferred-refit trigger: fraction of nearest-distance entries that may
 # change before the fitted distribution is considered stale.
@@ -187,7 +187,7 @@ class GevcModel:
         fitted = ReversedWeibull(sigma=float(payload["sigma"]),
                                  alpha=float(payload["weibull_alpha"]),
                                  endpoint=float(payload["endpoint"]))
-        return cls(index, float(payload["alpha"]), fitted,
+        return cls(index, payload_level(payload, "alpha"), fitted,
                    int(payload["excluded_zeros"]),
                    free_endpoint=bool(payload.get("free_endpoint", False)))
 
@@ -200,8 +200,7 @@ def fit(data: LabeledDataset, alpha: float = 0.05,
     ``free_endpoint``). Labels are kept for bookkeeping but play no role."""
     if data.n < 3:
         raise UsageError(f"need at least 3 training points, got {data.n}")
-    if not (0.0 <= alpha < 1.0):
-        raise UsageError(f"alpha must be in [0, 1), got {alpha}")
+    check_level(alpha, "alpha")
     index = NeighborIndex(data.points, metric, labels=list(data.labels))
     fitted, excluded = _fit_dmin_sample(index.dmin_vector(), free_endpoint)
     return GevcModel(index, alpha, fitted, excluded, free_endpoint=free_endpoint)

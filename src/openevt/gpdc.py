@@ -26,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
-                   Verdict, as_batch, only_row)
+                   Verdict, as_batch, check_level, only_row)
 from .errors import FitError, UsageError
 from .evt import default_tail_count
 from .neighbors import NeighborIndex
-from .serialize import payload_array
+from .serialize import payload_array, payload_level
 
 REJECTED_SHAPE = "rejected_shape"
 REJECTED_RADIUS = "rejected_radius"
@@ -185,7 +185,7 @@ class GpdcModel:
         if alpha is None:
             s, t = self.shape_threshold, self.radius_threshold
         else:
-            _check_alpha(alpha)
+            check_level(alpha, "alpha")
             s, t = _quantile_thresholds(self.calibration.pxi_stats,
                                         self.calibration.radius_stats, alpha)
         return ~coincident & ((pxi >= s) | (radius > t))
@@ -234,16 +234,11 @@ class GpdcModel:
         cal = CalibrationProfile(
             shape_threshold=float(payload["shape_threshold"]),
             radius_threshold=float(payload["radius_threshold"]),
-            alpha=float(payload["alpha"]),
+            alpha=payload_level(payload, "alpha"),
             pxi_stats=payload_array(payload, "pxi_stats", n, valid=None),
             radius_stats=payload_array(payload, "radius_stats", n, valid=None),
         )
         return cls(index, int(payload["k"]), float(payload["gamma"]), cal)
-
-
-def _check_alpha(alpha):
-    if not (0.0 < alpha <= 1.0):
-        raise UsageError(f"alpha must be in (0, 1], got {alpha}")
 
 
 def fit(data: LabeledDataset, k: int | None = None, gamma: float | None = None,
@@ -261,7 +256,7 @@ def fit(data: LabeledDataset, k: int | None = None, gamma: float | None = None,
         raise UsageError(f"k must be >= 1, got {k}")
     if n < k + 2:
         raise UsageError(f"need n >= k + 2 (n={n}, k={k})")
-    _check_alpha(alpha)
+    check_level(alpha, "alpha")
     if gamma is None:
         if k < 2:
             raise UsageError(

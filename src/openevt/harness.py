@@ -26,10 +26,9 @@ from itertools import groupby
 
 import numpy as np
 
-from . import gpdc as gpdc_mod
-from .data import (EUCLIDEAN, DistanceMetric, LabeledDataset, load_dataset_csv,
-                   read_table)
+from .data import LabeledDataset, load_dataset_csv, read_table
 from .errors import DataError, UsageError
+from .evt import tail_count
 from .serialize import fit_model, model_kinds
 
 DEFAULT_ALPHA_GRID = (0.01, 0.05, 0.1, 0.2)
@@ -193,36 +192,41 @@ def f_measure(tp: int, fp: int, fn: int) -> float:
     return 0.0 if tp == 0 else 2 * tp / (2 * tp + fp + fn)
 
 
+def _fit_and_rank(train: LabeledDataset, test: EvalSet,
+                  kinds=tuple(model_kinds()), **options) -> tuple:
+    """Fit each kind on ``train`` with the options it takes and take the ROC
+    of ``test`` ranked by unknownness. Returns (models, curves) by kind; both
+    are None for a kind whose fit rejects the training data (the margin
+    baseline needs two classes)."""
+    models, curves = {}, {}
+    for name in kinds:
+        try:
+            models[name] = fit_model(name, train, **options)
+        except DataError:
+            models[name] = curves[name] = None
+            continue
+        unknownness = models[name].unknownness(test.points)
+        curves[name] = roc_auc(zip(unknownness, test.is_unknown))
+    return models, curves
+
+
 # ---------------------------------------------------------------------------
 # toy protocol
 
 
 @dataclass(frozen=True)
 class ToyResult:
-    aucs: dict
     curves: dict
     test: EvalSet
     xi_hat: np.ndarray  # tail-shape estimate per test point (NaN if coincident)
 
 
-def run_toy_protocol(cfg: ToyConfig | None = None, seed: int = 0, k: int = 20,
-                     alpha: float = 0.05,
-                     methods=tuple(model_kinds())) -> ToyResult:
-    if cfg is None:
-        cfg = default_toy_config(seed)
+def run_toy_protocol(cfg: ToyConfig, k: int = 20,
+                     alpha: float = 0.05) -> ToyResult:
     train, test = generate_toy(cfg)
-    curves, aucs = {}, {}
-    models = {name: fit_model(name, train, k=k, alpha=alpha)
-              for name in methods}
-    gpdc_model = models.get("gpdc") or gpdc_mod.fit(train, k=k, alpha=alpha)
-    _, pxi, _ = gpdc_model.decision_stats(test.points)
-    xi = pxi / train.p
-    for name, model in models.items():
-        unknownness = model.unknownness(test.points)
-        curve = roc_auc(zip(unknownness, test.is_unknown))
-        curves[name] = curve
-        aucs[name] = curve.auc
-    return ToyResult(aucs=aucs, curves=curves, test=test, xi_hat=xi)
+    models, curves = _fit_and_rank(train, test, k=k, alpha=alpha)
+    _, pxi, _ = models["gpdc"].decision_stats(test.points)
+    return ToyResult(curves=curves, test=test, xi_hat=pxi / train.p)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +248,12 @@ class OpennessStep:
 
 def synthetic_openset_surrogate(n_classes: int = 8, train_per_class: int = 60,
                                 test_per_class: int = 40, p: int = 4,
-                                spread: float = 5.0, seed: int = 0) -> tuple:
+                                seed: int = 0) -> tuple:
     """Gaussian stand-in with the openness protocol's structure. Returns
     (data, train_count): the first train_count rows are the training split."""
     rng = rng_from(seed, "surrogate")
     rows, labels = [], []
-    means = rng.normal(scale=spread, size=(n_classes, p))
+    means = rng.normal(scale=5.0, size=(n_classes, p))
     per_class = train_per_class + test_per_class
     for j in range(n_classes):
         rows.append(rng.standard_normal((per_class, p)) + means[j])
@@ -263,16 +267,14 @@ def synthetic_openset_surrogate(n_classes: int = 8, train_per_class: int = 60,
 
 
 def run_oletter(data: LabeledDataset, methods: dict | None = None,
-                reps: int = 5, seed: int = 0, n_known: int | None = None,
-                train_count: int | None = None,
+                reps: int = 5, seed: int = 0, train_count: int | None = None,
                 alphas=DEFAULT_ALPHA_GRID, deltas=DEFAULT_DELTA_GRID,
-                metric: DistanceMetric = EUCLIDEAN, jobs: int = 1) -> list:
+                jobs: int = 1) -> list:
     """Openness sweep: per repetition, sample known classes, fit on their
     training rows, then include the remaining classes' test rows one class
     at a time, recording F-measure curves over the threshold grid."""
     j_classes = data.n_classes
-    if n_known is None:
-        n_known = 15 if j_classes >= 26 else max(2, round(j_classes * 15 / 26))
+    n_known = 15 if j_classes >= 26 else max(2, round(j_classes * 15 / 26))
     if n_known < 2 or n_known >= j_classes:
         raise UsageError(
             f"need 2 <= known classes < total classes ({j_classes}), got {n_known}"
@@ -315,7 +317,7 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
         # Per-method threshold flags for every pooled point, computed once.
         flags = {}
         for name, kwargs in methods.items():
-            model = fit_model(name, train, metric=metric, **kwargs)
+            model = fit_model(name, train, **kwargs)
             flags[name] = model.flags(all_points, grids[model.THRESHOLD])
 
         steps = []
@@ -353,34 +355,21 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
 
 
 def run_binary_novelty(train: LabeledDataset, test: EvalSet,
-                       methods=tuple(model_kinds()), k: int | None = None,
-                       alpha: float = 0.05,
-                       metric: DistanceMetric = EUCLIDEAN) -> dict:
+                       alpha: float = 0.05) -> dict:
     """ROC per method on a known-only training set; a method whose fit
     rejects the training data (the margin baseline needs two classes) is
     reported as None."""
-    curves = {}
-    for name in methods:
-        try:
-            model = fit_model(name, train, k=k, alpha=alpha, metric=metric)
-        except DataError:
-            curves[name] = None
-            continue
-        unknownness = model.unknownness(test.points)
-        curves[name] = roc_auc(zip(unknownness, test.is_unknown))
-    return curves
+    return _fit_and_rank(train, test, alpha=alpha)[1]
 
 
 def gpdc_tail_fraction_sweep(train: LabeledDataset, test: EvalSet,
                              fractions=THYROID_TAIL_FRACTIONS,
-                             alpha: float = 0.05,
-                             metric: DistanceMetric = EUCLIDEAN) -> list:
+                             alpha: float = 0.05) -> list:
     """(fraction, k, auc) for the GPD classifier across tail sizes."""
     out = []
     for frac in fractions:
-        k = max(1, int(np.ceil(frac * train.n)))
-        model = gpdc_mod.fit(train, k=k, alpha=alpha, metric=metric)
-        curve = roc_auc(zip(model.unknownness(test.points), test.is_unknown))
+        k = tail_count(frac, train.n)
+        curve = _fit_and_rank(train, test, ("gpdc",), k=k, alpha=alpha)[1]["gpdc"]
         out.append((float(frac), k, curve.auc))
     return out
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DistanceMetric, Standardizer
+from .data import DistanceMetric, Standardizer, check_level
 from .errors import DataError, UsageError
 
 FORMAT_NAME = "openevt-model"
@@ -45,6 +45,17 @@ def payload_array(payload: dict, field: str, rows: int | None = None,
         raise DataError(f"payload field {field!r} holds invalid values "
                         "(non-finite or out of range)")
     return arr
+
+
+def payload_level(payload: dict, field: str) -> float:
+    """``payload[field]`` as a decision level in (0, 1]; raises DataError
+    naming the field."""
+    try:
+        value = float(payload[field])
+        check_level(value, field)
+    except (TypeError, ValueError, UsageError) as exc:
+        raise DataError(f"payload field {field!r}: {exc}") from None
+    return value
 
 
 def model_kinds() -> dict:

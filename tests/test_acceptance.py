@@ -137,9 +137,10 @@ def test_criterion_05_toy_experiment_ordering():
     wins = 0
     for seed in range(20):
         res = run_toy_protocol(default_toy_config(seed), k=20, alpha=0.05)
+        auc = {name: curve.auc for name, curve in res.curves.items()}
         for name in aucs:
-            aucs[name].append(res.aucs[name])
-        wins += res.aucs["evm"] < min(res.aucs["gpdc"], res.aucs["gevc"])
+            aucs[name].append(auc[name])
+        wins += auc["evm"] < min(auc["gpdc"], auc["gevc"])
     elapsed = time.perf_counter() - t0
     means = {name: float(np.mean(v)) for name, v in aucs.items()}
     ok = (means["gpdc"] >= 0.97 and means["gevc"] >= 0.97

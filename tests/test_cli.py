@@ -247,18 +247,36 @@ def test_score_standardized_model(toy_files):
     assert rc == 0
 
 
+def check_roc_files(prefix, aucs):
+    """One ``<prefix>.<method>.csv`` per method with a printed AUC, running
+    from (0, 0) to (1, 1) with the printed AUC as its trapezoid area."""
+    written = sorted(f.name for f in prefix.parent.glob(prefix.name + ".*.csv"))
+    assert written == sorted(f"{prefix.name}.{m}.csv" for m in aucs)
+    for method, auc in aucs.items():
+        lines = [l for l in (prefix.parent / f"{prefix.name}.{method}.csv")
+                 .read_text().splitlines() if not l.startswith("#")]
+        assert lines[0] == "fpr,tpr"
+        assert lines[1] == "0.0,0.0" and lines[-1] == "1.0,1.0"
+        fpr, tpr = np.array([l.split(",") for l in lines[1:]], dtype=float).T
+        area = float(((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2).sum())
+        assert area == pytest.approx(auc, rel=0, abs=1e-12)
+
+
 class TestBenchmark:
     def test_toy_protocol(self, tmp_path, capsys):
         out = tmp_path / "metrics.csv"
         xi = tmp_path / "xi.csv"
         rc = main(["benchmark", "--protocol", "toy", "--seed", "7",
-                   "--out", str(out), "--emit-xi", str(xi)])
+                   "--out", str(out), "--emit-xi", str(xi),
+                   "--roc-out", str(tmp_path / "roc")])
         assert rc == 0
         stdout = capsys.readouterr().out
         values = dict(l.split("=", 1) for l in stdout.splitlines())
         assert float(values["auc.gpdc"]) > 0.97
         assert float(values["auc.gevc"]) > 0.97
         assert {"auc.evm", "auc.gpdc", "auc.gevc"} <= set(values)
+        check_roc_files(tmp_path / "roc", {m: float(values[f"auc.{m}"])
+                                           for m in ("evm", "gpdc", "gevc")})
         xi_lines = [l for l in xi.read_text().splitlines()
                     if not l.startswith("#")]
         assert xi_lines[0] == "row,xi_hat,is_known"
@@ -304,13 +322,17 @@ class TestBenchmark:
         out = tmp_path / "thy.csv"
         rc = main(["benchmark", "--protocol", "thyroid", "--data", str(f),
                    "--test-known", "100", "--out", str(out),
-                   "--gpdc-tail-fractions", "0.01,0.05"])
+                   "--gpdc-tail-fractions", "0.01,0.05",
+                   "--roc-out", str(tmp_path / "roc")])
         assert rc == 0
         values = dict(l.split("=", 1)
                       for l in capsys.readouterr().out.splitlines())
         assert values["auc.evm"] == "unsupported"
         assert float(values["auc.gpdc"]) > 0.8
         assert float(values["auc.gevc"]) > 0.8
+        # no curve file for the unsupported evm
+        check_roc_files(tmp_path / "roc", {m: float(values[f"auc.{m}"])
+                                           for m in ("gpdc", "gevc")})
 
 
 def test_config_file_merging(tmp_path, capsys):

@@ -228,6 +228,16 @@ class TestReversedWeibullFit:
             assert single.sigma == pytest.approx(sigma[i], rel=1e-9)
             assert single.alpha == pytest.approx(alpha[i], rel=1e-9)
 
+    def test_scale_equivariant_down_to_the_floor(self):
+        # The floor applies after normalising by the sample maximum, so a
+        # sample scaled to 1e-305 fits the same shape.
+        w = np.random.default_rng(0).weibull(2.0, 2000)
+        scales = (1.0, 1e-290, 1e-300, 1e-305)
+        fits = [reversed_weibull_fit(-c * w) for c in scales]
+        for c, fit in zip(scales, fits):
+            assert fit.alpha == pytest.approx(fits[0].alpha, rel=1e-12)
+            assert fit.sigma / c == pytest.approx(fits[0].sigma, rel=1e-12)
+
     def test_large_alpha_sample(self):
         # Tight samples (tiny coefficient of variation) still converge.
         rng = np.random.default_rng(11)

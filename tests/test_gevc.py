@@ -52,8 +52,11 @@ class TestFit:
             gevc.fit(LabeledDataset([[0.0], [1.0]], ["a", "a"]))
 
     def test_alpha_validation(self, blob):
-        with pytest.raises(UsageError):
-            gevc.fit(blob, alpha=1.0)
+        # one rule for every decision level: (0, 1]
+        for alpha in (0.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(UsageError, match=r"alpha must be in \(0, 1\]"):
+                gevc.fit(blob, alpha=alpha)
+        assert gevc.fit(blob, alpha=1.0).alpha == 1.0
 
 
 class TestScore:
@@ -69,11 +72,12 @@ class TestScore:
         assert verdict.is_unknown
         assert verdict.evidence["cdf"] < 1e-6
 
-    def test_alpha_zero_never_rejects(self, blob):
-        m = gevc.fit(blob, alpha=0.0)
-        for x in (np.array([0.0, 0.0]), np.array([1e4, 1e4])):
+    def test_alpha_one_rejects_all_but_coincident(self, blob):
+        m = gevc.fit(blob, alpha=1.0)
+        assert m.score(blob.points[0])[0].label == "known"  # W(0) = 1
+        for x in (blob.points[0] + 1e-3, np.array([1e4, 1e4])):
             verdict, _ = m.score(x)
-            assert verdict.label == "known"
+            assert verdict.label == "unknown"
 
     def test_score_monotone_in_d0min(self, model):
         rng = np.random.default_rng(4)

@@ -190,6 +190,13 @@ class TestRecalibration:
         np.testing.assert_array_equal(model.decide(*stats, alpha=0.1),
                                       other.decide(*stats))
 
+    def test_decide_refuses_alpha_outside_unit_interval(self, model):
+        stats = model.decision_stats(np.zeros((1, 2)))
+        for alpha in (0.0, 1.5, float("nan")):
+            with pytest.raises(UsageError, match=r"alpha must be in \(0, 1\]"):
+                model.decide(*stats, alpha=alpha)
+        assert model.decide(*stats, alpha=1.0).shape == (1,)
+
     def test_same_alpha_same_thresholds(self, model):
         assert (model.shape_threshold, model.radius_threshold) == \
             self.quantiles(model, model.alpha)

@@ -133,10 +133,11 @@ class TestFMeasure:
 
 class TestToyProtocol:
     def test_aucs_and_xi(self):
-        res = run_toy_protocol(seed=0)
-        assert set(res.aucs) == {"evm", "gpdc", "gevc"}
-        assert res.aucs["gpdc"] > 0.97 and res.aucs["gevc"] > 0.97
-        assert res.aucs["evm"] < min(res.aucs["gpdc"], res.aucs["gevc"])
+        res = run_toy_protocol(default_toy_config(0))
+        aucs = {name: curve.auc for name, curve in res.curves.items()}
+        assert set(aucs) == {"evm", "gpdc", "gevc"}
+        assert aucs["gpdc"] > 0.97 and aucs["gevc"] > 0.97
+        assert aucs["evm"] < min(aucs["gpdc"], aucs["gevc"])
         # shape estimates separate: known near -1/2, unknown near 0
         known_xi = np.nanmean(res.xi_hat[res.test.is_known])
         unknown_xi = np.nanmean(res.xi_hat[res.test.is_unknown])
@@ -144,9 +145,9 @@ class TestToyProtocol:
         assert unknown_xi > -0.2
 
     def test_deterministic(self):
-        a = run_toy_protocol(seed=3)
-        b = run_toy_protocol(seed=3)
-        assert a.aucs == b.aucs
+        a = run_toy_protocol(default_toy_config(3))
+        b = run_toy_protocol(default_toy_config(3))
+        assert a.curves == b.curves
 
 
 class TestOletter:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -333,3 +335,16 @@ def test_overflowing_distances_tie_by_index(p):
         np.testing.assert_array_equal(got[0], expected[0])
         np.testing.assert_array_equal(got[1], expected[1])
     assert ix.nearest_within_training(0) == (np.inf, 1)
+
+
+@pytest.mark.parametrize("p", [2, 16])
+def test_minkowski_overflow_is_silent(p):
+    # q = 3 distances of 1e150 overflow to inf, which is the right answer;
+    # neither the tree nor the scan path may warn about it
+    pts = np.random.default_rng(0).normal(size=(40, p))
+    ix = NeighborIndex(pts, DistanceMetric(3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = ix.batch_k_smallest(np.full((2, p), 1e150), 3)
+        far = distances_to(np.full(p, 1e150), pts, DistanceMetric(3.0))
+    assert np.isinf(d).all() and np.isinf(far).all()

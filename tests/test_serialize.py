@@ -162,6 +162,11 @@ TAMPERED = [
     ("evm", "delta", lambda v: 1.5),
     ("evm", "delta", lambda v: float("nan")),
     ("evm", "delta", lambda v: -1.0),
+    ("gpdc", "alpha", lambda v: 0.0),
+    ("gpdc", "alpha", lambda v: None),
+    ("gevc", "alpha", lambda v: 0.0),
+    ("gevc", "alpha", lambda v: "high"),
+    ("evm", "delta", lambda v: 1.0 + 1e-9),
 ]
 
 
