@@ -346,8 +346,7 @@ def _report_curves(args, comments, curves):
 
 
 def _benchmark_toy(args, harness) -> int:
-    cfg = harness.default_toy_config(args.seed)
-    result = harness.run_toy_protocol(cfg, k=args.k, alpha=args.alpha)
+    result = harness.run_toy_protocol(args.seed, k=args.k, alpha=args.alpha)
     comments = _config_comments(args, ["protocol", "seed", "k", "alpha"])
     if args.out:
         _write_csv(args.out, comments, ("method", "metric", "value"),
@@ -389,14 +388,9 @@ def _benchmark_oletter(args, harness) -> int:
     # Stdout summary: mean best-threshold F at the widest openness step.
     last = max(s.n_unknown_classes for s in steps)
     for method in sorted(steps[0].f_measures):
-        vals = []
-        for step in steps:
-            if step.n_unknown_classes == last:
-                fs = [f for _, f in step.f_measures[method] if f is not None]
-                if fs:
-                    vals.append(max(fs))
-        if vals:
-            print(f"f.best.{method}={_fmt(float(np.mean(vals)))}")
+        best = [max(f for _, f in s.f_measures[method]) for s in steps
+                if s.n_unknown_classes == last]
+        print(f"f.best.{method}={_fmt(float(np.mean(best)))}")
     print(f"steps={len(steps)}")
     return 0
 
@@ -412,7 +406,7 @@ def _benchmark_thyroid(args, harness) -> int:
                                         test_known=args.test_known)
     fractions = (_float_list(args.gpdc_tail_fractions, "--gpdc-tail-fractions")
                  if args.gpdc_tail_fractions else harness.THYROID_TAIL_FRACTIONS)
-    curves = harness.run_binary_novelty(train, test, alpha=args.alpha)
+    curves = harness.fit_and_rank(train, test, alpha=args.alpha)[1]
     sweep = harness.gpdc_tail_fraction_sweep(train, test, fractions=fractions,
                                              alpha=args.alpha)
     comments = _config_comments(args, ["protocol", "seed", "data", "alpha",

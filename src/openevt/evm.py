@@ -25,7 +25,7 @@ from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
 from .errors import DataError, FitError, UsageError
 from .evt import default_tail_count, fit_weibull_rows
 from .neighbors import _EPS, NeighborIndex, block_scores, row_blocks
-from .serialize import payload_array, payload_level
+from .serialize import payload_array, payload_level, payload_number
 
 
 class EvmModel:
@@ -159,7 +159,8 @@ class EvmModel:
         points = payload_array(payload, "points")
         n = points.shape[0]
         return cls(points, payload_array(payload, "sigmas", n),
-                   payload_array(payload, "alphas", n), int(payload["k"]),
+                   payload_array(payload, "alphas", n),
+                   payload_number(payload, "k", 1, n - 1, integer=True),
                    delta, metric)
 
 

@@ -27,7 +27,7 @@ from .errors import DataError, FitError, UsageError
 from .evt import (ReversedWeibull, reversed_weibull_cdf, reversed_weibull_fit,
                   reversed_weibull_fit_free_endpoint)
 from .neighbors import NeighborIndex
-from .serialize import payload_array, payload_level
+from .serialize import payload_array, payload_level, payload_number
 
 # Deferred-refit trigger: fraction of nearest-distance entries that may
 # change before the fitted distribution is considered stale.
@@ -184,11 +184,11 @@ class GevcModel:
         # A nearest distance may overflow to inf but is never NaN or negative.
         dmin = payload_array(payload, "dmin", n, valid=lambda d: d >= 0)
         index = NeighborIndex(points, metric, labels=labels, dmin=dmin)
-        fitted = ReversedWeibull(sigma=float(payload["sigma"]),
-                                 alpha=float(payload["weibull_alpha"]),
-                                 endpoint=float(payload["endpoint"]))
+        fitted = ReversedWeibull(sigma=payload_number(payload, "sigma", 0.0),
+                                 alpha=payload_number(payload, "weibull_alpha", 0.0),
+                                 endpoint=payload_number(payload, "endpoint"))
         return cls(index, payload_level(payload, "alpha"), fitted,
-                   int(payload["excluded_zeros"]),
+                   payload_number(payload, "excluded_zeros", 0, n, integer=True),
                    free_endpoint=bool(payload.get("free_endpoint", False)))
 
 

@@ -27,10 +27,10 @@ import numpy as np
 
 from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
                    Verdict, as_batch, check_level, only_row)
-from .errors import FitError, UsageError
+from .errors import DataError, FitError, UsageError
 from .evt import default_tail_count
 from .neighbors import NeighborIndex
-from .serialize import payload_array, payload_level
+from .serialize import payload_array, payload_level, payload_number
 
 REJECTED_SHAPE = "rejected_shape"
 REJECTED_RADIUS = "rejected_radius"
@@ -47,18 +47,6 @@ class GpdcEvidence:
     p_xi: float | None
     radius: float | None
     stage: str
-
-
-@dataclass(frozen=True)
-class CalibrationProfile:
-    """Jackknife calibration: thresholds plus the per-point statistics that
-    produced them (NaN marks training points coincident with another)."""
-
-    shape_threshold: float
-    radius_threshold: float
-    alpha: float
-    pxi_stats: np.ndarray
-    radius_stats: np.ndarray
 
 
 def _quantile_thresholds(pxi_stats, radius_stats, alpha):
@@ -100,31 +88,24 @@ class GpdcModel:
     THRESHOLD = "alpha"  # the decision parameter that :meth:`flags` sweeps
 
     def __init__(self, index: NeighborIndex, k: int, gamma: float,
-                 calibration: CalibrationProfile):
+                 alpha: float, pxi_stats: np.ndarray, radius_stats: np.ndarray):
+        """``pxi_stats`` and ``radius_stats`` are the jackknife statistics
+        (NaN marks training points coincident with another); the decision
+        thresholds are their quantiles at ``alpha``."""
         self._index = index
         self.p = index.dimension
         self.n = index.size
         self.k = k
         self.gamma = gamma
-        self.calibration = calibration
-        self._pxi_sorted = np.sort(
-            calibration.pxi_stats[np.isfinite(calibration.pxi_stats)])
-        self._radius_sorted = np.sort(
-            calibration.radius_stats[np.isfinite(calibration.radius_stats)])
+        self.alpha = alpha
+        self.pxi_stats = pxi_stats
+        self.radius_stats = radius_stats
+        self.shape_threshold, self.radius_threshold = _quantile_thresholds(
+            pxi_stats, radius_stats, alpha)
+        self._pxi_sorted = np.sort(pxi_stats[np.isfinite(pxi_stats)])
+        self._radius_sorted = np.sort(radius_stats[np.isfinite(radius_stats)])
 
     # -- public surface -------------------------------------------------
-
-    @property
-    def alpha(self) -> float:
-        return self.calibration.alpha
-
-    @property
-    def shape_threshold(self) -> float:
-        return self.calibration.shape_threshold
-
-    @property
-    def radius_threshold(self) -> float:
-        return self.calibration.radius_threshold
 
     @property
     def metric(self) -> DistanceMetric:
@@ -186,8 +167,7 @@ class GpdcModel:
             s, t = self.shape_threshold, self.radius_threshold
         else:
             check_level(alpha, "alpha")
-            s, t = _quantile_thresholds(self.calibration.pxi_stats,
-                                        self.calibration.radius_stats, alpha)
+            s, t = _quantile_thresholds(self.pxi_stats, self.radius_stats, alpha)
         return ~coincident & ((pxi >= s) | (radius > t))
 
     def flags(self, points, grid) -> dict:
@@ -221,24 +201,30 @@ class GpdcModel:
             "alpha": self.alpha,
             "shape_threshold": self.shape_threshold,
             "radius_threshold": self.radius_threshold,
-            "pxi_stats": self.calibration.pxi_stats.tolist(),
-            "radius_stats": self.calibration.radius_stats.tolist(),
+            "pxi_stats": self.pxi_stats.tolist(),
+            "radius_stats": self.radius_stats.tolist(),
         }
 
     @classmethod
     def from_payload(cls, payload: dict, metric: DistanceMetric) -> "GpdcModel":
         points = payload_array(payload, "points")
         n = points.shape[0]
-        index = NeighborIndex(points, metric)
+        k = payload_number(payload, "k", 1, n - 2, integer=True)
+        gamma = payload_number(payload, "gamma", 0.0, k / n)
         # NaN statistics mark coincident training points.
-        cal = CalibrationProfile(
-            shape_threshold=float(payload["shape_threshold"]),
-            radius_threshold=float(payload["radius_threshold"]),
-            alpha=payload_level(payload, "alpha"),
-            pxi_stats=payload_array(payload, "pxi_stats", n, valid=None),
-            radius_stats=payload_array(payload, "radius_stats", n, valid=None),
-        )
-        return cls(index, int(payload["k"]), float(payload["gamma"]), cal)
+        stats = {field: payload_array(payload, field, n, valid=None)
+                 for field in ("pxi_stats", "radius_stats")}
+        for field, values in stats.items():
+            if np.isfinite(values).sum() < 3:
+                raise DataError(f"payload field {field!r} has fewer than 3 "
+                                "finite entries")
+        model = cls(NeighborIndex(points, metric), k, gamma,
+                    payload_level(payload, "alpha"), *stats.values())
+        for field in ("shape_threshold", "radius_threshold"):
+            if payload_number(payload, field) != getattr(model, field):
+                raise DataError(f"payload field {field!r} is not the quantile "
+                                "of the stored statistics at the stored alpha")
+        return model
 
 
 def fit(data: LabeledDataset, k: int | None = None, gamma: float | None = None,
@@ -276,7 +262,4 @@ def fit(data: LabeledDataset, k: int | None = None, gamma: float | None = None,
             "with positive leave-one-out distances",
             diagnostics={"n": n, "coincident": int(coincident.sum())},
         )
-    s, t = _quantile_thresholds(pxi, radius, alpha)
-    cal = CalibrationProfile(shape_threshold=s, radius_threshold=t,
-                             alpha=alpha, pxi_stats=pxi, radius_stats=radius)
-    return GpdcModel(index, k, gamma, cal)
+    return GpdcModel(index, k, gamma, alpha, pxi, radius)

@@ -2,11 +2,12 @@
 
 Three protocols are provided at desk scale:
 
-* ``toy``: three known Gaussian classes (two near each other, one isolated)
-  plus an unknown class that is well separated from everything but closest
-  to the isolated known class. This is the geometry on which margin-based
-  scoring hands the unknown cluster an unjustified premium while the
-  distance-tail classifiers are unaffected.
+* ``toy``: one fixed two-dimensional problem, drawn per seed. Three known
+  Gaussian classes (two near each other, one isolated) and an unknown
+  class that is well separated from everything but closest to the
+  isolated known class. This is the geometry on which margin-based scoring
+  hands the unknown cluster an unjustified premium while the distance-tail
+  classifiers are unaffected.
 * ``oletter``: sample a set of known classes, fit on their training rows,
   then sweep openness by adding the held-out classes' test rows one class
   at a time; F-measure (unknown = positive class) is reported over a grid
@@ -51,65 +52,15 @@ def rng_from(seed: int, *keys) -> np.random.Generator:
 # synthetic data
 
 
-@dataclass(frozen=True)
-class GaussianBlob:
-    """One class: a Gaussian with per-split sample counts."""
-
-    label: str
-    mean: tuple
-    cov: tuple
-    train_count: int = 0
-    test_count: int = 0
-
-    def chol(self) -> np.ndarray:
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        try:
-            return np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise UsageError(
-                f"class {self.label!r}: covariance is not positive definite"
-            ) from None
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        mean = np.asarray(self.mean, dtype=float)
-        return rng.standard_normal((count, mean.shape[0])) @ self.chol().T + mean
-
-
-@dataclass(frozen=True)
-class ToyConfig:
-    known: tuple
-    unknown: GaussianBlob
-    seed: int = 0
-
-    def validate(self):
-        if not self.known:
-            raise UsageError("need at least one known class")
-        for blob in self.known:
-            if blob.train_count < 1 or blob.test_count < 1:
-                raise UsageError(f"class {blob.label!r}: counts must be >= 1")
-            blob.chol()
-        if self.unknown.test_count < 1:
-            raise UsageError("unknown class needs test_count >= 1")
-        self.unknown.chol()
-
-
-def default_toy_config(seed: int = 0) -> ToyConfig:
-    """Reconstruction of the misleading-geometry toy problem: two known
-    classes near each other, a third isolated far away, and the unknown
-    cluster separated from all training data but nearest to the isolated
-    class. 600 training and 800 test points. The exact Gaussian parameters
-    are this package's choice; only the geometry is meaningful."""
-    eye = ((1.0, 0.0), (0.0, 1.0))
-    wide = ((2.25, 0.0), (0.0, 2.25))
-    return ToyConfig(
-        known=(
-            GaussianBlob("c0", (0.0, 0.0), eye, 200, 200),
-            GaussianBlob("c1", (5.0, 0.0), eye, 200, 200),
-            GaussianBlob("c2", (0.0, -14.0), eye, 200, 200),
-        ),
-        unknown=GaussianBlob("unknown", (7.0, -14.0), wide, 0, 200),
-        seed=seed,
-    )
+# The toy problem: label, mean and standard deviation of each known class,
+# the unknown class's mean and standard deviation, and the points per class
+# and split. Two known classes sit next to each other, the third is
+# isolated, and the unknown cluster lies nearest the isolated class. The
+# exact parameters are this package's choice; only the geometry counts.
+TOY_KNOWN = (("c0", (0.0, 0.0), 1.0), ("c1", (5.0, 0.0), 1.0),
+             ("c2", (0.0, -14.0), 1.0))
+TOY_UNKNOWN = ((7.0, -14.0), 1.5)
+TOY_COUNT = 200
 
 
 @dataclass(frozen=True)
@@ -124,24 +75,21 @@ class EvalSet:
         return ~self.is_known
 
 
-def generate_toy(cfg: ToyConfig) -> tuple:
-    """Deterministic (train, test) draw for a toy configuration."""
-    cfg.validate()
-    train_pts, train_labels, test_pts, known_flags = [], [], [], []
-    for j, blob in enumerate(cfg.known):
-        rng = rng_from(cfg.seed, "toy-train", j)
-        train_pts.append(blob.sample(rng, blob.train_count))
-        train_labels += [blob.label] * blob.train_count
-        rng = rng_from(cfg.seed, "toy-test", j)
-        test_pts.append(blob.sample(rng, blob.test_count))
-        known_flags += [True] * blob.test_count
-    rng = rng_from(cfg.seed, "toy-unknown")
-    test_pts.append(cfg.unknown.sample(rng, cfg.unknown.test_count))
-    known_flags += [False] * cfg.unknown.test_count
-    train = LabeledDataset(np.vstack(train_pts), train_labels)
-    test = EvalSet(points=np.vstack(test_pts),
-                   is_known=np.array(known_flags, dtype=bool))
-    return train, test
+def generate_toy(seed: int = 0) -> tuple:
+    """Deterministic (train, test) draw of the toy problem: 600 training
+    points and 800 test points, the last 200 of them unknown."""
+    def draw(rng, mean, sd):
+        return rng.standard_normal((TOY_COUNT, len(mean))) * sd + mean
+
+    train, test = [], []
+    for j, (_, mean, sd) in enumerate(TOY_KNOWN):
+        train.append(draw(rng_from(seed, "toy-train", j), mean, sd))
+        test.append(draw(rng_from(seed, "toy-test", j), mean, sd))
+    test.append(draw(rng_from(seed, "toy-unknown"), *TOY_UNKNOWN))
+    labels = [label for label, _, _ in TOY_KNOWN for _ in range(TOY_COUNT)]
+    is_known = np.arange(len(test) * TOY_COUNT) < len(train) * TOY_COUNT
+    return (LabeledDataset(np.vstack(train), labels),
+            EvalSet(points=np.vstack(test), is_known=is_known))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +140,8 @@ def f_measure(tp: int, fp: int, fn: int) -> float:
     return 0.0 if tp == 0 else 2 * tp / (2 * tp + fp + fn)
 
 
-def _fit_and_rank(train: LabeledDataset, test: EvalSet,
-                  kinds=tuple(model_kinds()), **options) -> tuple:
+def fit_and_rank(train: LabeledDataset, test: EvalSet,
+                 kinds=tuple(model_kinds()), **options) -> tuple:
     """Fit each kind on ``train`` with the options it takes and take the ROC
     of ``test`` ranked by unknownness. Returns (models, curves) by kind; both
     are None for a kind whose fit rejects the training data (the margin
@@ -221,10 +169,10 @@ class ToyResult:
     xi_hat: np.ndarray  # tail-shape estimate per test point (NaN if coincident)
 
 
-def run_toy_protocol(cfg: ToyConfig, k: int = 20,
+def run_toy_protocol(seed: int = 0, k: int = 20,
                      alpha: float = 0.05) -> ToyResult:
-    train, test = generate_toy(cfg)
-    models, curves = _fit_and_rank(train, test, k=k, alpha=alpha)
+    train, test = generate_toy(seed)
+    models, curves = fit_and_rank(train, test, k=k, alpha=alpha)
     _, pxi, _ = models["gpdc"].decision_stats(test.points)
     return ToyResult(curves=curves, test=test, xi_hat=pxi / train.p)
 
@@ -273,6 +221,8 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
     """Openness sweep: per repetition, sample known classes, fit on their
     training rows, then include the remaining classes' test rows one class
     at a time, recording F-measure curves over the threshold grid."""
+    if min(reps, jobs) < 1:
+        raise UsageError(f"reps and jobs must be >= 1, got reps={reps}, jobs={jobs}")
     j_classes = data.n_classes
     n_known = 15 if j_classes >= 26 else max(2, round(j_classes * 15 / 26))
     if n_known < 2 or n_known >= j_classes:
@@ -295,6 +245,11 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
     test_points = data.points[train_count:]
     test_labels = data.labels[train_count:]
     names = np.array(data.class_names, dtype=object)
+    # With test rows of every class, each step past the closed set adds
+    # unknown rows, so its F-measure is defined.
+    missing = sorted(set(data.class_names) - set(test_labels))
+    if missing:
+        raise DataError(f"the test split holds no rows of class {missing[0]!r}")
     grids = {"alpha": alphas, "delta": deltas}
 
     def one_rep(rep: int) -> list:
@@ -342,24 +297,13 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
                                       f_measures=f_per_method))
         return steps
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            all_steps = list(pool.map(one_rep, range(reps)))
-    else:
-        all_steps = [one_rep(r) for r in range(reps)]
-    return [step for rep_steps in all_steps for step in rep_steps]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return [step for steps in pool.map(one_rep, range(reps))
+                for step in steps]
 
 
 # ---------------------------------------------------------------------------
 # binary novelty protocol
-
-
-def run_binary_novelty(train: LabeledDataset, test: EvalSet,
-                       alpha: float = 0.05) -> dict:
-    """ROC per method on a known-only training set; a method whose fit
-    rejects the training data (the margin baseline needs two classes) is
-    reported as None."""
-    return _fit_and_rank(train, test, alpha=alpha)[1]
 
 
 def gpdc_tail_fraction_sweep(train: LabeledDataset, test: EvalSet,
@@ -369,7 +313,7 @@ def gpdc_tail_fraction_sweep(train: LabeledDataset, test: EvalSet,
     out = []
     for frac in fractions:
         k = tail_count(frac, train.n)
-        curve = _fit_and_rank(train, test, ("gpdc",), k=k, alpha=alpha)[1]["gpdc"]
+        curve = fit_and_rank(train, test, ("gpdc",), k=k, alpha=alpha)[1]["gpdc"]
         out.append((float(frac), k, curve.auc))
     return out
 

@@ -58,6 +58,25 @@ def payload_level(payload: dict, field: str) -> float:
     return value
 
 
+def payload_number(payload: dict, field: str, low=-np.inf, high=np.inf,
+                   integer: bool = False):
+    """``payload[field]`` as a float in the open interval (low, high), or
+    with ``integer`` as an int in the closed interval [low, high]; raises
+    DataError naming the field."""
+    try:
+        value = float(payload[field])
+    except (TypeError, ValueError):
+        value = np.nan
+    if integer and value.is_integer() and low <= value <= high:
+        return int(value)
+    if not integer and low < value < high:
+        return value
+    expected = (f"an integer in [{low}, {high}]" if integer
+                else f"a number in ({low:g}, {high:g})")
+    raise DataError(f"payload field {field!r}: expected {expected}, "
+                    f"got {payload[field]!r}")
+
+
 def model_kinds() -> dict:
     """Model kind -> model class; the one place that lists the kinds."""
     from .evm import EvmModel

@@ -17,10 +17,9 @@ from helpers import pair_count_auc
 from openevt import gevc, gpdc
 from openevt.data import LabeledDataset
 from openevt.evt import fit_weibull_rows, hill_shape
-from openevt.harness import (THYROID_TAIL_FRACTIONS, default_toy_config,
-                             generate_toy, gpdc_tail_fraction_sweep,
-                             load_thyroid, rng_from, roc_auc, run_toy_protocol,
-                             thyroid_split)
+from openevt.harness import (THYROID_TAIL_FRACTIONS, generate_toy,
+                             gpdc_tail_fraction_sweep, load_thyroid, rng_from,
+                             roc_auc, run_toy_protocol, thyroid_split)
 
 
 def report(num: int, description: str, ok: bool, detail: str = ""):
@@ -136,7 +135,7 @@ def test_criterion_05_toy_experiment_ordering():
     aucs = {"evm": [], "gpdc": [], "gevc": []}
     wins = 0
     for seed in range(20):
-        res = run_toy_protocol(default_toy_config(seed), k=20, alpha=0.05)
+        res = run_toy_protocol(seed, k=20, alpha=0.05)
         auc = {name: curve.auc for name, curve in res.curves.items()}
         for name in aucs:
             aucs[name].append(auc[name])
@@ -248,7 +247,7 @@ def test_criterion_10_roc_pair_counting_oracle():
 def test_criterion_11_complexity_contracts():
     """Scoring cost through the index: k+1 distances per GPD query, one
     nearest-neighbor lookup per GEV query."""
-    train, test = generate_toy(default_toy_config(0))
+    train, test = generate_toy(0)
     gpdc_model = gpdc.fit(train, k=20, alpha=0.05)
     gevc_model = gevc.fit(train, alpha=0.05)
     queries = test.points[:25]

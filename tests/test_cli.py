@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from openevt.cli import main
-from openevt.harness import default_toy_config, generate_toy
+from openevt.harness import generate_toy
 from openevt.serialize import load_model
 
 
@@ -18,7 +18,7 @@ def write_csv(path, points, labels=None):
 @pytest.fixture(scope="module")
 def toy_files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("toy")
-    train, test = generate_toy(default_toy_config(3))
+    train, test = generate_toy(3)
     train_csv = tmp / "train.csv"
     write_csv(train_csv, train.points, train.labels)
     test_csv = tmp / "test.csv"
@@ -155,7 +155,7 @@ class TestScore:
         assert stdout["unknown"] == "0"
         # fresh draws from the same distribution stay near alpha
         fresh_csv = tmp / "fresh.csv"
-        _, fresh = generate_toy(default_toy_config(301))
+        _, fresh = generate_toy(301)
         write_csv(fresh_csv, fresh.points[fresh.is_known])
         rc = main(["score", "--model", str(gpdc_model),
                    "--test", str(fresh_csv), "--out", str(tmp / "f.csv")])
@@ -299,6 +299,13 @@ class TestBenchmark:
                  if not l.startswith("#")]
         assert lines[0] == "rep,unknown_classes,method,threshold,f_measure"
         assert len(lines) > 10
+
+    @pytest.mark.parametrize("flag", ["--reps", "--jobs"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_oletter_refuses_non_positive_counts(self, flag, value, capsys):
+        rc = main(["benchmark", "--protocol", "oletter", flag, value])
+        assert rc == 2
+        assert f"{flag[2:]}={value}" in capsys.readouterr().err
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(SystemExit):

@@ -180,13 +180,12 @@ def test_calibration_equals_scoring_against_the_others(n, p, k, seed, grid,
         gevc_model = gevc.fit(data, metric=metric)
     except FitError:
         assume(False)
-    cal = gpdc_model.calibration
     for i in rng.choice(n, size=4, replace=False):
         others = NeighborIndex(np.delete(pts, i, axis=0), metric)
         d = others.batch_k_smallest(pts[i][None, :], k + 1)
         _, pxi, radius = tail_stats(d, k, p, gpdc_model.gamma, n - 1)
-        np.testing.assert_array_equal(pxi[0], cal.pxi_stats[i])
-        np.testing.assert_array_equal(radius[0], cal.radius_stats[i])
+        np.testing.assert_array_equal(pxi[0], gpdc_model.pxi_stats[i])
+        np.testing.assert_array_equal(radius[0], gpdc_model.radius_stats[i])
         assert others.batch_k_smallest(pts[i][None, :], 1)[0, 0] == \
             gevc_model.dmin[i]
 

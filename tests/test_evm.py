@@ -7,7 +7,7 @@ from helpers import gaussian_blobs, pair_count_auc
 from openevt import evm, gevc, gpdc, neighbors
 from openevt.data import DistanceMetric, LabeledDataset, _minkowski
 from openevt.errors import DataError, FitError, UsageError
-from openevt.harness import default_toy_config, generate_toy
+from openevt.harness import generate_toy
 from openevt.serialize import load_model, save_model
 
 
@@ -49,7 +49,7 @@ class TestFit:
             evm.fit(separated, k=15, delta=delta)
 
     def test_toy_scale_fits_all_converge(self):
-        train, _ = generate_toy(default_toy_config(0))
+        train, _ = generate_toy(0)
         m = evm.fit(train, k=20)
         assert m.n == 600
         assert np.all(np.isfinite(m.sigmas)) and np.all(np.isfinite(m.alphas))
@@ -97,7 +97,7 @@ class TestScore:
 
 @pytest.fixture(scope="module")
 def toy():
-    return generate_toy(default_toy_config(1))
+    return generate_toy(1)
 
 
 class TestMisleadingGeometry:

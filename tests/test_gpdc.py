@@ -22,17 +22,15 @@ def model(blobs):
 
 class TestFit:
     def test_self_flag_fraction_bounded(self, model, blobs):
-        cal = model.calibration
-        finite = np.isfinite(cal.pxi_stats)
-        flagged = finite & ((cal.pxi_stats >= model.shape_threshold)
-                            | (cal.radius_stats > model.radius_threshold))
+        finite = np.isfinite(model.pxi_stats)
+        flagged = finite & ((model.pxi_stats >= model.shape_threshold)
+                            | (model.radius_stats > model.radius_threshold))
         assert flagged.mean() <= 0.05 + 1.0 / blobs.n
 
     def test_alpha_one_flags_most_points(self, blobs):
         m = gpdc.fit(blobs, k=20, alpha=1.0)
-        cal = m.calibration
-        flagged = (cal.pxi_stats >= m.shape_threshold) \
-            | (cal.radius_stats > m.radius_threshold)
+        flagged = (m.pxi_stats >= m.shape_threshold) \
+            | (m.radius_stats > m.radius_threshold)
         assert flagged.mean() > 0.5
 
     def test_refit_deterministic(self, blobs):
@@ -167,9 +165,8 @@ class TestRecalibration:
     @staticmethod
     def quantiles(model, alpha):
         level = 1.0 - alpha / 2.0
-        cal = model.calibration
         return tuple(float(np.quantile(v[np.isfinite(v)], level, method="higher"))
-                     for v in (cal.pxi_stats, cal.radius_stats))
+                     for v in (model.pxi_stats, model.radius_stats))
 
     def test_thresholds_move_with_alpha(self, model, blobs):
         strict = gpdc.fit(blobs, k=20, alpha=0.5)
@@ -181,10 +178,8 @@ class TestRecalibration:
 
     def test_stats_are_reused(self, model, blobs):
         other = gpdc.fit(blobs, k=20, alpha=0.1)
-        np.testing.assert_array_equal(other.calibration.pxi_stats,
-                                      model.calibration.pxi_stats)
-        np.testing.assert_array_equal(other.calibration.radius_stats,
-                                      model.calibration.radius_stats)
+        np.testing.assert_array_equal(other.pxi_stats, model.pxi_stats)
+        np.testing.assert_array_equal(other.radius_stats, model.radius_stats)
         # decide() at a given alpha uses the same stored-statistic quantiles
         stats = model.decision_stats(np.random.default_rng(8).normal(size=(60, 2)) * 4)
         np.testing.assert_array_equal(model.decide(*stats, alpha=0.1),

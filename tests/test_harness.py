@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 from helpers import pair_count_auc
 from openevt.data import LabeledDataset
 from openevt.errors import DataError, UsageError
-from openevt.harness import (GaussianBlob, EvalSet, ToyConfig,
-                             default_toy_config, f_measure, generate_toy,
+from openevt.harness import (TOY_KNOWN, TOY_UNKNOWN, EvalSet, f_measure,
+                             fit_and_rank, generate_toy,
                              gpdc_tail_fraction_sweep, load_letter,
-                             load_thyroid, rng_from, roc_auc,
-                             run_binary_novelty, run_oletter,
+                             load_thyroid, rng_from, roc_auc, run_oletter,
                              run_toy_protocol, synthetic_openset_surrogate,
                              thyroid_split)
 
@@ -25,13 +24,13 @@ def test_rng_substreams_deterministic_and_distinct():
 
 class TestToyGeneration:
     def test_deterministic_under_seed(self):
-        t1, s1 = generate_toy(default_toy_config(5))
-        t2, s2 = generate_toy(default_toy_config(5))
+        t1, s1 = generate_toy(5)
+        t2, s2 = generate_toy(5)
         np.testing.assert_array_equal(t1.points, t2.points)
         np.testing.assert_array_equal(s1.points, s2.points)
 
     def test_counts_and_composition(self):
-        train, test = generate_toy(default_toy_config(0))
+        train, test = generate_toy(0)
         assert train.n == 600 and train.n_classes == 3
         assert test.points.shape == (800, 2)
         assert int(test.is_unknown.sum()) == 200
@@ -39,11 +38,10 @@ class TestToyGeneration:
     def test_unknown_nearest_to_isolated_class(self):
         # the defining geometry: the unknown cluster is separated from all
         # training data but closest to the isolated known class
-        cfg = default_toy_config(0)
-        train, test = generate_toy(cfg)
-        u_mean = np.asarray(cfg.unknown.mean)
-        class_dists = {b.label: np.linalg.norm(u_mean - np.asarray(b.mean))
-                       for b in cfg.known}
+        train, test = generate_toy(0)
+        u_mean = np.asarray(TOY_UNKNOWN[0])
+        class_dists = {label: np.linalg.norm(u_mean - np.asarray(mean))
+                       for label, mean, _ in TOY_KNOWN}
         assert min(class_dists, key=class_dists.get) == "c2"
         # separation: unknown points are far from training relative to the
         # training set's own nearest-neighbor spacing
@@ -51,22 +49,6 @@ class TestToyGeneration:
         ix = NeighborIndex(train.points)
         d0 = ix.batch_k_smallest(test.points[test.is_unknown], 1)[:, 0]
         assert np.median(d0) > 5 * np.median(ix.dmin_vector())
-
-    def test_zero_variance_rejected(self):
-        bad = ToyConfig(
-            known=(GaussianBlob("a", (0.0,), ((0.0,),), 10, 10),),
-            unknown=GaussianBlob("u", (5.0,), ((1.0,),), 0, 10),
-        )
-        with pytest.raises(UsageError):
-            generate_toy(bad)
-
-    def test_counts_validated(self):
-        bad = ToyConfig(
-            known=(GaussianBlob("a", (0.0,), ((1.0,),), 0, 10),),
-            unknown=GaussianBlob("u", (5.0,), ((1.0,),), 0, 10),
-        )
-        with pytest.raises(UsageError):
-            generate_toy(bad)
 
 
 class TestRocAuc:
@@ -133,7 +115,7 @@ class TestFMeasure:
 
 class TestToyProtocol:
     def test_aucs_and_xi(self):
-        res = run_toy_protocol(default_toy_config(0))
+        res = run_toy_protocol(0)
         aucs = {name: curve.auc for name, curve in res.curves.items()}
         assert set(aucs) == {"evm", "gpdc", "gevc"}
         assert aucs["gpdc"] > 0.97 and aucs["gevc"] > 0.97
@@ -145,8 +127,8 @@ class TestToyProtocol:
         assert unknown_xi > -0.2
 
     def test_deterministic(self):
-        a = run_toy_protocol(default_toy_config(3))
-        b = run_toy_protocol(default_toy_config(3))
+        a = run_toy_protocol(3)
+        b = run_toy_protocol(3)
         assert a.curves == b.curves
 
 
@@ -195,6 +177,14 @@ class TestOletter:
         step = steps[0]
         assert len(step.known_classes) == 15
 
+    def test_class_without_test_rows_rejected(self):
+        data, train_count = synthetic_openset_surrogate(seed=7)
+        last = data.labels[-1]
+        keep = (np.arange(data.n) < train_count) | (data.labels != last)
+        with pytest.raises(DataError, match=last):
+            run_oletter(data.subset(keep), reps=1, seed=7,
+                        train_count=train_count)
+
     def test_insufficient_classes(self):
         data, train_count = synthetic_openset_surrogate(n_classes=2, seed=6)
         with pytest.raises(UsageError):
@@ -215,7 +205,7 @@ class TestBinaryNovelty:
 
     def test_evm_unsupported_single_class(self, problem):
         train, test = problem
-        curves = run_binary_novelty(train, test)
+        curves = fit_and_rank(train, test)[1]
         assert curves["evm"] is None
         assert curves["gpdc"].auc > 0.9
         assert curves["gevc"].auc > 0.9

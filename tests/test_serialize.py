@@ -88,7 +88,7 @@ def _gpdc_tree():
     model = gpdc.fit(_with_duplicates(gaussian_blobs(2, [(0.0, 0.0)], n_per=150)),
                      k=8)
     assert model._index._tree is not None
-    assert np.isnan(model.calibration.pxi_stats).any()
+    assert np.isnan(model.pxi_stats).any()
     return model
 
 
@@ -167,6 +167,28 @@ TAMPERED = [
     ("gevc", "alpha", lambda v: 0.0),
     ("gevc", "alpha", lambda v: "high"),
     ("evm", "delta", lambda v: 1.0 + 1e-9),
+    # scalar fields: type and range (the saved docs hold n = 80 points)
+    ("gevc", "sigma", lambda v: "x"),
+    ("gevc", "sigma", lambda v: -1.0),
+    ("gevc", "weibull_alpha", lambda v: 0.0),
+    ("gevc", "endpoint", lambda v: float("inf")),
+    ("gevc", "excluded_zeros", lambda v: -1),
+    ("gevc", "excluded_zeros", lambda v: 81),
+    ("gevc", "excluded_zeros", lambda v: 0.5),
+    ("gpdc", "k", lambda v: 0),
+    ("gpdc", "k", lambda v: 1000),
+    ("gpdc", "k", lambda v: 79),
+    ("gpdc", "gamma", lambda v: "x"),
+    ("gpdc", "gamma", lambda v: 0.0),
+    ("gpdc", "gamma", lambda v: 5 / 80),
+    ("evm", "k", lambda v: 0),
+    ("evm", "k", lambda v: 80),
+    # gpdc thresholds are the quantiles of the stored statistics
+    ("gpdc", "shape_threshold", lambda v: v + 1e-9),
+    ("gpdc", "radius_threshold", lambda v: v * 2.0),
+    ("gpdc", "radius_threshold", lambda v: None),
+    ("gpdc", "pxi_stats", lambda v: [float("nan")] * (len(v) - 2) + v[-2:]),
+    ("gpdc", "radius_stats", lambda v: [None] * len(v)),
 ]
 
 
