@@ -108,13 +108,11 @@ def hill_shape(R, k: int) -> ShapeEstimate:
 def reversed_weibull_cdf(w: ReversedWeibull, z):
     """W(z): exp{-((endpoint - z)/sigma)^alpha} below the endpoint, else 1."""
     z_arr = np.asarray(z, dtype=float)
-    scaled = (w.endpoint - z_arr) / w.sigma
+    # Clipping at 0 makes W exactly 1 from the endpoint on: 0^alpha = 0.
+    scaled = np.maximum((w.endpoint - z_arr) / w.sigma, 0.0)
     with np.errstate(over="ignore"):
-        vals = np.where(z_arr >= w.endpoint, 1.0,
-                        np.exp(-np.power(np.maximum(scaled, 0.0), w.alpha)))
-    if np.isscalar(z) or z_arr.ndim == 0:
-        return float(vals)
-    return vals
+        vals = np.exp(-np.power(scaled, w.alpha))
+    return float(vals) if z_arr.ndim == 0 else vals
 
 
 def reversed_weibull_fit(z, endpoint: float = 0.0) -> ReversedWeibull:

@@ -10,11 +10,12 @@ negated nearest distance falls below alpha, i.e. when the query sits
 farther from the training set than all but a vanishing share of the
 training points sit from each other.
 
-The model updates in place: inserting points revises only the affected
-nearest distances, and the Weibull refit is deferred until the next score
-once more than ``REFIT_FRACTION`` of the entries have changed. The deferred
-refit is lock-protected so concurrent scorers see either the old or the new
-fit, never a partial one.
+The model updates in place: inserting a point revises only the nearest
+distances it improves, which the index recomputes for the candidates of one
+kd-tree ball query at p <= 9, and the Weibull refit is deferred until the
+next score once more than ``REFIT_FRACTION`` of the entries have changed. The
+deferred refit is lock-protected so concurrent scorers see either the old
+or the new fit, never a partial one.
 """
 
 import threading
@@ -32,6 +33,7 @@ from .serialize import payload_array, payload_level, payload_number
 # Deferred-refit trigger: fraction of nearest-distance entries that may
 # change before the fitted distribution is considered stale.
 REFIT_FRACTION = 0.01
+_VERDICTS = np.array([KNOWN, UNKNOWN])  # indexed by the unknown decision
 
 
 def _fit_dmin_sample(dmin: np.ndarray, free_endpoint: bool) -> tuple:
@@ -112,8 +114,7 @@ class GevcModel:
         grows with unknownness.
         """
         row = only_row(self.evidence(as_batch(x0, self.p)))
-        verdict = Verdict(row["verdict"], row["score"],
-                          {"d0min": row["d0min"], "cdf": row["cdf"]})
+        verdict = Verdict(row.pop("verdict"), row.pop("score"), row)
         return verdict, row["d0min"]
 
     def evidence(self, points) -> dict:
@@ -122,7 +123,7 @@ class GevcModel:
         fitted = self.fitted
         d0 = self._index.batch_k_smallest(points, 1)[:, 0]
         w = reversed_weibull_cdf(fitted, -d0)
-        return {"verdict": np.where(w < self.alpha, UNKNOWN, KNOWN),
+        return {"verdict": _VERDICTS.take(w < self.alpha),
                 "score": 1.0 - w, "d0min": d0, "cdf": w}
 
     def unknownness(self, points) -> np.ndarray:

@@ -26,13 +26,16 @@ deterministic whichever source proposed the candidates, however BLAS
 summed the scores, and at coordinate offsets where the GEMM form cancels:
 the scores only decide which distances are recomputed.
 
-The leave-one-out distances and the nearest-other-point vector are that
-query over the stored points with each point excluded from its own row, so
-calibration and external queries share one arithmetic. The index keeps the
-nearest-other-point vector because insertions must report exactly which of
-its entries improved. Inserted points are appended to a buffer whose
-capacity doubles; the tree is rebuilt once the pending inserts pass an
-amortization threshold.
+The leave-one-out distances and the nearest-other-point vector dmin are
+that query over the stored points with each point excluded from its own
+row, so calibration and external queries share one arithmetic. An insert
+of x reports exactly which dmin entries improve, its reverse nearest
+neighbours y, d(x, y) < dmin(y) (Korn & Muthukrishnan, SIGMOD 2000). The
+scan path proposes every point. The tree proposes its closed ball around x
+at a reach r (the REBUILD_MIN-th largest tree dmin after a rebuild; stored
+dmin only fall), widened by a relative 4 (p + 4) eps against its rounding,
+the tree points whose dmin exceeded r, and the pending points, which the
+rebuild rule below keeps few as every query recomputes them.
 
 Concurrency: no query folds pending inserts into the tree; only ``insert``
 rebuilds it, and ``insert`` requires exclusive access. The first
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EUCLIDEAN, DistanceMetric, _minkowski, distances_to
+from .data import EUCLIDEAN, DistanceMetric, _minkowski
 from .errors import UsageError
 
 # The kd-tree proposes candidates up to this dimension and the blocked scan
@@ -62,10 +65,10 @@ TREE_DIMENSION_LIMIT = 9
 # when every point is a candidate), which also bounds its score matrix.
 BLOCK_ELEMENTS = 1 << 21
 
-# Rebuild the tree when the pending buffer exceeds
-# max(REBUILD_MIN, REBUILD_FRACTION * tree size).
+# Rebuild the tree when the pending buffer exceeds max(REBUILD_MIN,
+# REBUILD_FRACTION * tree size); 1/32 is from the table in CHANGES.md.
 REBUILD_MIN = 64
-REBUILD_FRACTION = 0.25
+REBUILD_FRACTION = 1 / 32
 
 _EPS = np.finfo(float).eps
 
@@ -169,21 +172,37 @@ class NeighborIndex:
         distance strictly improved, in ascending index order."""
         x = self._check_point(x)
         self._ensure_dmin()
-        d = distances_to(x, self._points, self._metric)
-        changed = np.flatnonzero(d < self._dmin)
-        self._dmin[changed] = d[changed]
-        n = self.size
+        n, size = self.size, self._tree_size
+        if self._tree is None:
+            cand, reach = np.arange(n), np.inf
+        else:
+            if self._far is None:  # first insert since the tree was built
+                self._reach = np.sort(self._dmin[:size])[-min(REBUILD_MIN, size)]
+                self._far = np.flatnonzero(self._dmin[:size] > self._reach).tolist()
+            reach = self._reach
+            ball = self._tree.query_ball_point(
+                x, reach * (1.0 + 4.0 * (self.dimension + 4) * _EPS),
+                p=self._metric.order, return_sorted=False)
+            ball.extend(self._far)
+            ball.extend(range(size, n))
+            cand = np.fromiter(ball, np.intp, len(ball))
+        d = _minkowski(self._points.take(cand, axis=0) - x, self._metric.order)
+        improved = d < self._dmin.take(cand)
+        changed = cand[improved]
+        self._dmin[changed] = d[improved]
+        nearest = d.min(initial=np.inf)
+        if not nearest <= reach:  # every point within reach is a candidate
+            nearest = self._knn(x[None, :], 1)[0][0, 0]
         self._point_buffer = _append(self._point_buffer, n, x)
-        self._dmin_buffer = _append(self._dmin_buffer, n, d.min())
+        self._dmin_buffer = _append(self._dmin_buffer, n, nearest)
         self._points = self._point_buffer[:n + 1]
         self._dmin = self._dmin_buffer[:n + 1]
         if self._labels is not None:
             self._labels.append(label)
-        if self._tree is not None:
-            pending = self.size - self._tree_size
-            if pending > max(REBUILD_MIN, REBUILD_FRACTION * self._tree_size):
-                self._rebuild()
-        return [int(i) for i in changed]
+        pending = n + 1 - size
+        if self._tree is not None and pending > max(REBUILD_MIN, REBUILD_FRACTION * size):
+            self._rebuild()
+        return sorted(set(changed.tolist()))  # far points in the ball repeat
 
     # -- internals ----------------------------------------------------------
 
@@ -205,6 +224,7 @@ class NeighborIndex:
 
         self._tree = cKDTree(self._points)
         self._tree_size = self.size
+        self._far = None
 
     def _knn(self, queries: np.ndarray, k: int, exclude=None) -> tuple:
         """Exact (m, k) distances and indices of each query row's k nearest
@@ -218,20 +238,23 @@ class NeighborIndex:
         norms = None
         if self._tree is None and self._metric.order == 2.0:
             norms = np.einsum("ij,ij->i", self._points, self._points)
-        dist = np.empty((m, k))
-        idx = np.empty((m, k), dtype=np.intp)
+        if m == 0:
+            return np.empty((0, k)), np.empty((0, k), np.intp)
+        parts = []
         for block in row_blocks(m, n, p):
             rows = queries[block]
             skip = None if exclude is None else exclude[block]
             if self._tree is not None:
-                cand = self._tree_candidates(rows, k, skip)
+                cand, padded = self._tree_candidates(rows, k, skip)
             else:
-                cand = self._scan_candidates(rows, k, skip, norms)
-            dist[block], idx[block] = self._select(rows, cand, k, skip)
-        return dist, idx
+                cand, padded = self._scan_candidates(rows, k, skip, norms), True
+            parts.append(self._select(rows, cand, k, skip, padded))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(col) for col in zip(*parts))
 
-    def _tree_candidates(self, queries, k, exclude) -> np.ndarray:
-        """Candidate matrix from the tree and the pending inserts.
+    def _tree_candidates(self, queries, k, exclude) -> tuple:
+        """(candidate matrix, whether padded) from the tree and pending inserts.
 
         A row's candidates are every tree point within the closed ball at
         its kth tree distance (the (k+1)th when a point is excluded). The
@@ -245,7 +268,8 @@ class NeighborIndex:
         need = min(k + (exclude is not None), size)
         probe = min(need + 1, size)
         d_tree, cand = self._tree.query(queries, k=probe, p=order)
-        d_tree, cand = d_tree.reshape(m, probe), cand.reshape(m, probe)
+        if probe == 1:  # the tree returns one column as a vector
+            d_tree, cand = d_tree.reshape(m, 1), cand.reshape(m, 1)
         # nextafter guards against last-ulp disagreement between the tree's
         # distances and distances_to.
         radius = np.nextafter(d_tree[:, need - 1], np.inf)
@@ -253,6 +277,7 @@ class NeighborIndex:
         # index size, so a probe at inf counts as tied too.
         last = d_tree[:, -1]
         tied = ((last <= radius) | (last == np.inf)).nonzero()[0]
+        padded = tied.size > 0
         while tied.size:
             probe = min(2 * probe, size)
             cand = np.pad(cand, ((0, 0), (0, probe - cand.shape[1])),
@@ -265,10 +290,10 @@ class NeighborIndex:
             last = d_tree[:, -1]
             tied = tied[(last <= radius[tied]) | (last == np.inf)]
         cand.sort(axis=1)
-        if size == self.size:
-            return cand
-        pending = np.arange(size, self.size)
-        return np.concatenate([cand, pending[None].repeat(m, axis=0)], axis=1)
+        if size < self.size:
+            pending = np.arange(size, self.size)[None].repeat(m, axis=0)
+            cand = np.concatenate([cand, pending], axis=1)
+        return cand, padded
 
     def _scan_candidates(self, queries, k, exclude, norms) -> np.ndarray:
         """Candidate matrix from scoring every stored point.
@@ -296,13 +321,13 @@ class NeighborIndex:
         cand[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = cols
         return cand
 
-    def _select(self, queries, cand, k, exclude) -> tuple:
+    def _select(self, queries, cand, k, exclude, padded) -> tuple:
         """Each row's k nearest candidates, as (m, k) distances and indices.
 
-        ``cand`` is an (m, c) matrix of stored indices, padded with the
-        index ``size``; every row starts with a real candidate, holds at
-        least k besides its excluded index, and lists them in ascending
-        order. Each distance is recomputed with the arithmetic of
+        ``cand`` is an (m, c) matrix of stored indices, if ``padded`` padded
+        with the index ``size``; every row starts with a real candidate,
+        holds at least k besides its excluded index, and lists them in
+        ascending order. Each distance is recomputed with the arithmetic of
         ``distances_to``, and every row is ordered by (distance, index),
         padding last.
         """
@@ -313,23 +338,20 @@ class NeighborIndex:
         # take() gathers rows several times faster than fancy indexing.
         diff = self._points.take(cand, axis=0, mode="clip") - queries[:, None, :]
         d = _minkowski(diff.reshape(-1, p), self._metric.order).reshape(cand.shape)
-        d[cand == n] = np.inf
+        if padded or exclude is not None:
+            d[cand == n] = np.inf
         if k == 1:
             # the first minimum has the lowest index, even when all are inf
-            top = d.argmin(axis=1)[:, None]
+            top = d.argmin(axis=1, keepdims=True)
         else:
             top = np.lexsort((cand, d), axis=1)[:, :k]
         top += np.arange(0, d.size, d.shape[1])[:, None]
         return d.take(top), cand.take(top)
 
     def _ensure_dmin(self):
-        if self._dmin is not None:
-            return
-        if self.size < 2:
-            self._dmin = self._dmin_buffer = np.full(self.size, np.inf)
-            return
-        self._dmin = self._dmin_buffer = self._knn(
-            self._points, 1, exclude=np.arange(self.size))[0][:, 0]
+        if self._dmin is None:
+            self._dmin = self._dmin_buffer = self._knn(
+                self._points, 1, exclude=np.arange(self.size))[0][:, 0]
 
     def leave_one_out_smallest(self, k: int) -> np.ndarray:
         """(n, k) matrix: for each stored point, the k smallest distances to

@@ -140,16 +140,15 @@ def load_model(path) -> ModelFile:
     if kind not in kinds:
         raise DataError(f"{path}: unknown model kind {kind!r}")
     metric = DistanceMetric.parse(doc["metric"])
+    block = doc.get("standardize")
     try:
         model = kinds[kind].from_payload(doc["payload"], metric)
+        standardizer = None if block is None else Standardizer(
+            mean=payload_array(block, "mean", model.p),
+            scale=payload_array(block, "scale", model.p,
+                                valid=lambda s: np.isfinite(s) & (s > 0)))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     except KeyError as exc:
         raise DataError(f"{path}: payload field {exc} is missing") from None
-    standardizer = None
-    if doc.get("standardize") is not None:
-        standardizer = Standardizer(
-            mean=np.array(doc["standardize"]["mean"], dtype=float),
-            scale=np.array(doc["standardize"]["scale"], dtype=float),
-        )
     return ModelFile(kind=kind, model=model, standardizer=standardizer)

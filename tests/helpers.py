@@ -18,12 +18,12 @@ def brute_knn(points: np.ndarray, q: np.ndarray, k: int, order: float = 2.0):
     return d[idx], idx
 
 
-def brute_dmin(points: np.ndarray) -> np.ndarray:
+def brute_dmin(points: np.ndarray, metric: DistanceMetric = DistanceMetric()) -> np.ndarray:
     """O(n^2) scan oracle for each point's nearest-other distance."""
     n = points.shape[0]
     out = np.empty(n)
     for i in range(n):
-        d = distances_to(points[i], points)
+        d = distances_to(points[i], points, metric)
         d[i] = np.inf
         out[i] = d.min()
     return out

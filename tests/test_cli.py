@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,21 @@ def test_score_standardized_model(toy_files):
     rc = main(["score", "--model", str(model), "--test", str(test_csv),
                "--out", str(tmp / "std_scores.csv")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("field,value", [("mean", "x"), ("scale", 0.0)])
+def test_score_refuses_tampered_standardizer(toy_files, field, value, capsys):
+    tmp, train_csv, test_csv, _, _ = toy_files
+    model = tmp / "tampered_std.model"
+    assert main(["fit", "--method", "gevc", "--train", str(train_csv),
+                 "--standardize", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    doc["standardize"][field][0] = value
+    model.write_text(json.dumps(doc))
+    rc = main(["score", "--model", str(model), "--test", str(test_csv),
+               "--out", str(tmp / "tampered_std.csv")])
+    assert rc == 3
+    assert repr(field) in capsys.readouterr().err
 
 
 def check_roc_files(prefix, aucs):

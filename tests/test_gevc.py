@@ -94,6 +94,19 @@ class TestScore:
         assert after[0] - before[0] == 1
         assert after[1] - before[1] == 1
 
+    def test_one_nearest_neighbor_query_after_updates(self, blob):
+        # also with pending inserts and a deferred refit due, which reads
+        # the kept nearest distances without a query
+        model = gevc.fit(blob, alpha=0.05)
+        rng = np.random.default_rng(3)
+        model.update([(x, "c0") for x in rng.normal(size=(40, 2))])
+        assert model._stale and model.index.size > model.index._tree_size
+        before = model.index.counters.snapshot()
+        model.score(np.array([0.5, 0.5]))
+        after = model.index.counters.snapshot()
+        assert after[0] - before[0] == 1
+        assert after[1] - before[1] == 1
+
     def test_dimension_mismatch(self, model):
         with pytest.raises(UsageError):
             model.score(np.array([0.0, 0.0, 0.0]))

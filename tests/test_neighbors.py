@@ -132,18 +132,20 @@ class TestInsert:
         assert ix.dmin_vector()[3] == 0.0
 
     def test_sequential_inserts_match_batch(self):
-        rng = np.random.default_rng(9)
-        base = rng.normal(size=(150, 3))
-        extra = rng.normal(size=(100, 3))
-        ix = NeighborIndex(base)
-        ix.dmin_vector()  # materialize before inserting
-        for x in extra:
-            changed = ix.insert(x)
-            d_new = np.sqrt(((ix.points[:-1] - x) ** 2).sum(axis=1))
-            # change-set is exactly the strictly-improved entries
-            assert set(changed) <= set(range(ix.size - 1))
-        allpts = np.vstack([base, extra])
-        np.testing.assert_array_equal(ix.dmin_vector(), brute_dmin(allpts))
+        # 100 inserts into 150 points: on the tree (p = 2) the pending buffer
+        # passes REBUILD_MIN, so the stream crosses a rebuild; a far outlier
+        # before it is then one of the tree points listed beside the ball.
+        for p in (2, 12):
+            rng = np.random.default_rng(9)
+            base = rng.normal(size=(150, p))
+            extra = rng.normal(size=(100, p))
+            extra[10] = base[3]  # a duplicate of a stored point
+            extra[20] = extra[5]  # and of an inserted one
+            extra[30] = 1e3
+            ix = NeighborIndex(base)
+            assert (ix._tree is not None) == (p == 2)
+            _assert_inserts_exact(ix, base, extra)
+            assert (ix._tree_size > 150) == (p == 2)
 
     def test_queries_stay_exact_with_pending_buffer(self):
         rng = np.random.default_rng(10)
@@ -169,6 +171,90 @@ class TestInsert:
         changed = ix.insert(x)
         d = np.sqrt(((base - x) ** 2).sum(axis=1))
         assert changed == np.flatnonzero(d < before).tolist()
+
+
+def _assert_inserts_exact(ix, base, extra):
+    """Insert ``extra`` one by one: each change set is exactly the stored
+    points whose nearest distance the new point strictly improves, and the
+    final nearest distances are those of a batch fit."""
+    stored = base
+    for x in extra:
+        before = ix.dmin_vector()
+        changed = ix.insert(x)
+        improved = np.flatnonzero(distances_to(x, stored, ix.metric) < before)
+        assert changed == improved.tolist()
+        stored = np.vstack([stored, x])
+    np.testing.assert_array_equal(ix.dmin_vector(), brute_dmin(stored, ix.metric))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=40),
+    p=st.sampled_from([1, 2, 3, 12]),
+    inserts=st.integers(min_value=1, max_value=80),
+    seed=st.integers(min_value=0, max_value=10_000),
+    grid=st.booleans(),
+)
+def test_property_inserts_match_brute_force(n, p, inserts, seed, grid):
+    # integer grids make duplicates and tied nearest distances
+    rng = np.random.default_rng(seed)
+    draw = ((lambda m: rng.integers(0, 3, size=(m, p)).astype(float)) if grid
+            else (lambda m: rng.normal(size=(m, p))))
+    base = draw(n)
+    _assert_inserts_exact(NeighborIndex(base), base, draw(inserts))
+
+
+@pytest.mark.parametrize("order", [1.0, 3.0])
+def test_minkowski_inserts_match_brute_force(order):
+    # the ball's slack covers the tree's rounding in every Minkowski order
+    rng = np.random.default_rng(23)
+    base, extra = rng.normal(size=(120, 3)), rng.normal(size=(90, 3))
+    _assert_inserts_exact(NeighborIndex(base, DistanceMetric(order)), base, extra)
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_one_row_k_nearest_with_many_pending(grid, monkeypatch):
+    # 500 pending inserts are candidates of every row; on the integer grid
+    # many rows tie at the kth distance, and the lowest indices must win
+    monkeypatch.setattr(neighbors, "REBUILD_MIN", 10**6)
+    rng = np.random.default_rng(17)
+    draw = ((lambda m: rng.integers(0, 6, size=(m, 2)).astype(float)) if grid
+            else (lambda m: rng.normal(size=(m, 2))))
+    base, extra = draw(2000), draw(500)
+    ix = NeighborIndex(base)
+    for x in extra:
+        ix.insert(x)
+    assert ix.size - ix._tree_size == 500
+    stored = np.vstack([base, extra])
+    for q in draw(20):
+        for k in (2, 5, 40):
+            dist, idx = ix._knn(q[None, :], k)
+            d_exp, i_exp = brute_knn(stored, q, k)
+            np.testing.assert_array_equal(dist[0], d_exp)
+            np.testing.assert_array_equal(idx[0], i_exp)
+            np.testing.assert_array_equal(ix.batch_k_smallest(q[None, :], k)[0],
+                                          d_exp)
+
+
+def test_insert_cost_sublinear_smoke():
+    # smoke benchmark, not a hard contract: on the tree path an insert
+    # searches the ball of the points it can improve, so its time on
+    # uniform data should grow clearly slower than the 16x size ratio
+    import time
+
+    rng = np.random.default_rng(19)
+    times = {}
+    for n in (2000, 32000):
+        ix = NeighborIndex(rng.uniform(size=(n, 2)))
+        inserts = rng.uniform(size=(300, 2))
+        ix.insert(inserts[0])  # warm up; materializes the nearest distances
+        t0 = time.perf_counter()
+        for x in inserts[1:]:
+            ix.insert(x)
+        times[n] = time.perf_counter() - t0
+    ratio = times[32000] / times[2000]
+    print(f"per-insert time ratio at 16x points: {ratio:.2f}")
+    assert ratio < 16.0
 
 
 def test_query_cost_sublinear_smoke():

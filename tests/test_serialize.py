@@ -206,6 +206,34 @@ def test_tampered_payload_names_field_and_path(saved_docs, tmp_path, kind,
     assert message.startswith(str(f)) and repr(field) in message
 
 
+# each field holds one finite entry per feature, and the scale is positive
+STANDARDIZE_TAMPERED = [
+    ("mean", lambda v: ["x"] + v[1:]),
+    ("scale", lambda v: [0.0] + v[1:]),
+    ("mean", lambda v: v[:-1]),
+]
+
+
+@pytest.mark.parametrize("field,tamper", STANDARDIZE_TAMPERED,
+                         ids=[f"{f}-{i}" for i, (f, _) in
+                              enumerate(STANDARDIZE_TAMPERED)])
+def test_tampered_standardizer_names_field_and_path(saved_docs, tmp_path,
+                                                    field, tamper):
+    doc = json.loads(json.dumps(saved_docs["gevc"]))
+    block = {"mean": [0.5, -0.5], "scale": [2.0, 3.0]}
+    f = tmp_path / "standardized.model"
+    f.write_text(json.dumps(dict(doc, standardize=block)))
+    loaded = load_model(f).standardizer
+    assert loaded.mean.tolist() == block["mean"]
+    assert loaded.scale.tolist() == block["scale"]
+    block[field] = tamper(block[field])
+    f.write_text(json.dumps(dict(doc, standardize=block)))
+    with pytest.raises(DataError) as info:
+        load_model(f)
+    message = str(info.value)
+    assert message.startswith(str(f)) and repr(field) in message
+
+
 def test_missing_payload_field_names_path(saved_docs, tmp_path):
     doc = json.loads(json.dumps(saved_docs["gevc"]))
     del doc["payload"]["dmin"]
