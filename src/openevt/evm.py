@@ -21,9 +21,9 @@ from exactly pruned GEMM scores (see :meth:`EvmModel.membership_batch`).
 import numpy as np
 
 from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
-                   Verdict, _minkowski, as_batch, check_level, only_row)
+                   _minkowski, check_level)
 from .errors import DataError, FitError, UsageError
-from .evt import default_tail_count, fit_weibull_rows
+from .evt import default_tail_count, fit_weibull_rows, refuse_overflow
 from .neighbors import _EPS, NeighborIndex, block_scores, row_blocks
 from .serialize import payload_array, payload_level, payload_number
 
@@ -55,10 +55,6 @@ class EvmModel:
     @property
     def points(self) -> np.ndarray:
         return self._points
-
-    def membership(self, x0) -> float:
-        """psi(x0): the best per-point margin CDF value, in (0, 1]."""
-        return float(self.membership_batch(as_batch(x0, self.p))[0])
 
     def membership_batch(self, points) -> np.ndarray:
         """psi for each row of an (m, p) array: bitwise the max over every
@@ -120,12 +116,6 @@ class EvmModel:
     def summary(self) -> dict:
         """The fitted parameters, in the order the fit report prints them."""
         return {"k": self.k, "delta": self.delta}
-
-    def score(self, x0) -> tuple:
-        """Classify one point; returns (Verdict, psi), the single row of
-        :meth:`evidence` on ``x0``."""
-        row = only_row(self.evidence(as_batch(x0, self.p)))
-        return Verdict(row["verdict"], row["score"], {"psi": row["psi"]}), row["psi"]
 
     def evidence(self, points) -> dict:
         """Batch evidence for an (m, p) array, one array per output column:
@@ -206,6 +196,7 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
             "a point of another class",
             diagnostics={"point": i},
         )
+    refuse_overflow(margins, "margin")
     sigmas, alphas, ok, iters = fit_weibull_rows(margins)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])

@@ -105,6 +105,19 @@ def hill_shape(R, k: int) -> ShapeEstimate:
     return ShapeEstimate(xi_hat=xi, k=int(k), u=u, n=n, exceedances=exceedances)
 
 
+def refuse_overflow(d: np.ndarray, what: str):
+    """Raise FitError naming the first training point whose row of ``d``
+    (an entry, or a row of entries, per training point) holds a distance
+    that overflowed to inf: no Weibull fits such a sample."""
+    rows = np.flatnonzero(np.isinf(d.reshape(d.shape[0], -1)).any(axis=1))
+    if rows.size:
+        i = int(rows[0])
+        raise FitError(
+            f"{what} distance overflows to inf at training point {i}: "
+            "rescale the features to a smaller magnitude",
+            diagnostics={"point": i})
+
+
 def reversed_weibull_cdf(w: ReversedWeibull, z):
     """W(z): exp{-((endpoint - z)/sigma)^alpha} below the endpoint, else 1."""
     z_arr = np.asarray(z, dtype=float)

@@ -25,8 +25,8 @@ import numpy as np
 from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
                    Verdict, as_batch, check_level, only_row)
 from .errors import DataError, FitError, UsageError
-from .evt import (ReversedWeibull, reversed_weibull_cdf, reversed_weibull_fit,
-                  reversed_weibull_fit_free_endpoint)
+from .evt import (ReversedWeibull, refuse_overflow, reversed_weibull_cdf,
+                  reversed_weibull_fit, reversed_weibull_fit_free_endpoint)
 from .neighbors import NeighborIndex
 from .serialize import payload_array, payload_level, payload_number
 
@@ -37,6 +37,7 @@ _VERDICTS = np.array([KNOWN, UNKNOWN])  # indexed by the unknown decision
 
 
 def _fit_dmin_sample(dmin: np.ndarray, free_endpoint: bool) -> tuple:
+    refuse_overflow(dmin, "nearest-neighbor")
     positive = dmin[dmin > 0]
     excluded = int(dmin.shape[0] - positive.shape[0])
     if positive.shape[0] < 3:
@@ -57,10 +58,11 @@ class GevcModel:
     KIND = "gevc"
     THRESHOLD = "alpha"  # the decision parameter that :meth:`flags` sweeps
 
-    def __init__(self, index: NeighborIndex, alpha: float,
+    def __init__(self, index: NeighborIndex, labels: list, alpha: float,
                  fitted: ReversedWeibull, excluded_zeros: int,
                  free_endpoint: bool = False):
         self._index = index
+        self._labels = labels
         self.alpha = alpha
         self.free_endpoint = free_endpoint
         self._fitted = fitted
@@ -151,7 +153,8 @@ class GevcModel:
         Mutates and returns this model.
         """
         for x, label in new_points:
-            changed = self._index.insert(x, label)
+            changed = self._index.insert(x)
+            self._labels.append(label)
             # The new point's own entry counts as changed too.
             self._changed_since_fit += len(changed) + 1
         if self._changed_since_fit > REFIT_FRACTION * self._index.size:
@@ -164,7 +167,7 @@ class GevcModel:
         fitted = self.fitted
         return {
             "points": self._index.points.tolist(),
-            "labels": [self._index.label(i) for i in range(self.n)],
+            "labels": self._labels,
             "alpha": self.alpha,
             "free_endpoint": self.free_endpoint,
             "dmin": self._index.dmin_vector().tolist(),
@@ -179,16 +182,18 @@ class GevcModel:
         points = payload_array(payload, "points")
         n = points.shape[0]
         labels = payload.get("labels")
-        if labels is not None and len(labels) != n:
+        if labels is None:
+            labels = [None] * n
+        if len(labels) != n:
             raise DataError(f"payload field 'labels' has {len(labels)} entries, "
                             f"expected {n} to match the points")
         # A nearest distance may overflow to inf but is never NaN or negative.
         dmin = payload_array(payload, "dmin", n, valid=lambda d: d >= 0)
-        index = NeighborIndex(points, metric, labels=labels, dmin=dmin)
+        index = NeighborIndex(points, metric, dmin=dmin)
         fitted = ReversedWeibull(sigma=payload_number(payload, "sigma", 0.0),
                                  alpha=payload_number(payload, "weibull_alpha", 0.0),
                                  endpoint=payload_number(payload, "endpoint"))
-        return cls(index, payload_level(payload, "alpha"), fitted,
+        return cls(index, labels, payload_level(payload, "alpha"), fitted,
                    payload_number(payload, "excluded_zeros", 0, n, integer=True),
                    free_endpoint=bool(payload.get("free_endpoint", False)))
 
@@ -198,10 +203,11 @@ def fit(data: LabeledDataset, alpha: float = 0.05,
         free_endpoint: bool = False) -> GevcModel:
     """Fit the classifier: nearest distances for every training point, then
     the reversed Weibull on their negations (endpoint fixed at 0 unless
-    ``free_endpoint``). Labels are kept for bookkeeping but play no role."""
+    ``free_endpoint``)."""
     if data.n < 3:
         raise UsageError(f"need at least 3 training points, got {data.n}")
     check_level(alpha, "alpha")
-    index = NeighborIndex(data.points, metric, labels=list(data.labels))
+    index = NeighborIndex(data.points, metric)
     fitted, excluded = _fit_dmin_sample(index.dmin_vector(), free_endpoint)
-    return GevcModel(index, alpha, fitted, excluded, free_endpoint=free_endpoint)
+    return GevcModel(index, list(data.labels), alpha, fitted, excluded,
+                     free_endpoint=free_endpoint)

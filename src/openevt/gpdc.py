@@ -21,12 +21,10 @@ two tests). The jackknife statistics are cached on the model, which makes
 recalibration at a new alpha free.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
-                   Verdict, as_batch, check_level, only_row)
+                   check_level)
 from .errors import DataError, FitError, UsageError
 from .evt import default_tail_count
 from .neighbors import NeighborIndex
@@ -36,17 +34,6 @@ REJECTED_SHAPE = "rejected_shape"
 REJECTED_RADIUS = "rejected_radius"
 ACCEPTED = "accepted"
 COINCIDENT_KNOWN = "coincident_known"
-
-
-@dataclass(frozen=True)
-class GpdcEvidence:
-    """Per-point detail: the shape statistic, the ball radius (absent when
-    the shape test already rejected), and which stage decided."""
-
-    xi_hat: float | None
-    p_xi: float | None
-    radius: float | None
-    stage: str
 
 
 def _quantile_thresholds(pxi_stats, radius_stats, alpha):
@@ -115,18 +102,6 @@ class GpdcModel:
     def index(self) -> NeighborIndex:
         return self._index
 
-    def score(self, x0) -> tuple:
-        """Classify one point; returns (Verdict, GpdcEvidence), the single
-        row of :meth:`evidence` on ``x0``.
-
-        The verdict's score field is the continuous unknownness rank (see
-        :meth:`unknownness`), usable for thresholds-free ROC analysis.
-        """
-        row = only_row(self.evidence(as_batch(x0, self.p)))
-        ev = GpdcEvidence(xi_hat=row["xi_hat"], p_xi=row["p_xi"],
-                          radius=row["radius"], stage=row["stage"])
-        return Verdict(row["verdict"], row["score"], ev), ev
-
     def decision_stats(self, points) -> tuple:
         """Batch statistics for an (m, p) array: (coincident, p_xi, radius)."""
         points = np.asarray(points, dtype=float)
@@ -168,7 +143,9 @@ class GpdcModel:
         else:
             check_level(alpha, "alpha")
             s, t = _quantile_thresholds(self.pxi_stats, self.radius_stats, alpha)
-        return ~coincident & ((pxi >= s) | (radius > t))
+        # Known only when both tests pass: a statistic left undefined by
+        # distances that overflow to inf passes neither.
+        return ~coincident & ~((pxi < s) & (radius <= t))
 
     def flags(self, points, grid) -> dict:
         """Unknown-decision masks for an (m, p) array at each alpha of

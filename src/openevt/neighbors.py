@@ -89,15 +89,13 @@ class QueryCounters:
 class NeighborIndex:
     """Exact nearest-neighbor structure over n points of dimension p."""
 
-    def __init__(self, points, metric: DistanceMetric = EUCLIDEAN, labels=None,
-                 dmin=None):
+    def __init__(self, points, metric: DistanceMetric = EUCLIDEAN, dmin=None):
         pts = np.array(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise UsageError("index needs a non-empty (n, p) point matrix")
         # _points and _dmin are views of the filled prefix of their buffers.
         self._points = self._point_buffer = pts
         self._metric = metric
-        self._labels = list(labels) if labels is not None else None
         self._tree = None
         self._tree_size = 0
         self._dmin = self._dmin_buffer = (
@@ -127,38 +125,16 @@ class NeighborIndex:
         view.setflags(write=False)
         return view
 
-    def label(self, i: int):
-        return None if self._labels is None else self._labels[i]
-
     # -- queries ------------------------------------------------------------
-
-    def k_smallest_distances(self, q, k: int) -> list:
-        """The k smallest distances from ``q`` to stored points, ascending.
-
-        Returns a list of ``(distance, index)`` pairs; ties are broken by
-        index. ``k`` must not exceed the current size.
-        """
-        q = self._check_point(q)
-        self._check_k(k)
-        dist, idx = self._knn(q[None, :], k)
-        return list(zip(dist[0].tolist(), idx[0].tolist()))
 
     def batch_k_smallest(self, queries: np.ndarray, k: int) -> np.ndarray:
         """(m, k) matrix of the k smallest distances for each query row."""
         queries = np.asarray(queries, dtype=float)
         if queries.ndim != 2 or queries.shape[1] != self.dimension:
             raise UsageError("queries must be an (m, p) matrix matching the index")
-        self._check_k(k)
+        if not (1 <= k <= self.size):
+            raise UsageError(f"k must be in [1, {self.size}], got {k}")
         return self._knn(queries, k)[0]
-
-    def nearest_within_training(self, i: int) -> tuple:
-        """Closest other training point to stored point ``i``: (distance, index)."""
-        if self.size < 2:
-            raise UsageError("need at least 2 points for within-training neighbors")
-        if not (0 <= i < self.size):
-            raise UsageError(f"index {i} out of range [0, {self.size})")
-        dist, idx = self._knn(self._points[i][None, :], 1, exclude=[i])
-        return (float(dist[0, 0]), int(idx[0, 0]))
 
     def dmin_vector(self) -> np.ndarray:
         """Per-point distance to the closest other stored point."""
@@ -167,10 +143,13 @@ class NeighborIndex:
 
     # -- mutation -----------------------------------------------------------
 
-    def insert(self, x, label=None) -> list:
+    def insert(self, x) -> list:
         """Add a point; returns the indices whose within-training nearest
         distance strictly improved, in ascending index order."""
-        x = self._check_point(x)
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dimension,):
+            raise UsageError(f"dimension mismatch: point has shape {x.shape}, "
+                             f"index dimension is {self.dimension}")
         self._ensure_dmin()
         n, size = self.size, self._tree_size
         if self._tree is None:
@@ -197,27 +176,12 @@ class NeighborIndex:
         self._dmin_buffer = _append(self._dmin_buffer, n, nearest)
         self._points = self._point_buffer[:n + 1]
         self._dmin = self._dmin_buffer[:n + 1]
-        if self._labels is not None:
-            self._labels.append(label)
         pending = n + 1 - size
         if self._tree is not None and pending > max(REBUILD_MIN, REBUILD_FRACTION * size):
             self._rebuild()
         return sorted(set(changed.tolist()))  # far points in the ball repeat
 
     # -- internals ----------------------------------------------------------
-
-    def _check_point(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if q.ndim != 1 or q.shape[0] != self.dimension:
-            raise UsageError(
-                f"dimension mismatch: query has shape {q.shape}, "
-                f"index dimension is {self.dimension}"
-            )
-        return q
-
-    def _check_k(self, k: int):
-        if not (1 <= k <= self.size):
-            raise UsageError(f"k must be in [1, {self.size}], got {k}")
 
     def _rebuild(self):
         from scipy.spatial import cKDTree

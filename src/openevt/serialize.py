@@ -25,24 +25,27 @@ class ModelFile:
 
 
 def payload_array(payload: dict, field: str, rows: int | None = None,
-                  valid=np.isfinite) -> np.ndarray:
+                  valid=np.isfinite, block: str = "payload") -> np.ndarray:
     """``payload[field]`` as a float array: the (n, p) point matrix when
     ``rows`` is None, otherwise a vector of ``rows`` entries. Every entry must
     pass ``valid`` (None skips the value check). Raises DataError naming the
-    field."""
+    field and the ``block`` of the model file that holds it."""
+    name = f"{block} field {field!r}"
     try:
         arr = np.array(payload[field], dtype=float)
+    except KeyError:
+        raise DataError(f"{name} is missing") from None
     except (TypeError, ValueError):
-        raise DataError(f"payload field {field!r} is not a numeric array") from None
+        raise DataError(f"{name} is not a numeric array") from None
     if rows is None:
         if arr.ndim != 2 or arr.shape[0] < 1:
-            raise DataError(f"payload field {field!r} has shape {arr.shape}, "
+            raise DataError(f"{name} has shape {arr.shape}, "
                             "expected a non-empty (n, p) matrix")
     elif arr.shape != (rows,):
-        raise DataError(f"payload field {field!r} has shape {arr.shape}, "
+        raise DataError(f"{name} has shape {arr.shape}, "
                         f"expected ({rows},) to match the points")
     if valid is not None and not valid(arr).all():
-        raise DataError(f"payload field {field!r} holds invalid values "
+        raise DataError(f"{name} holds invalid values "
                         "(non-finite or out of range)")
     return arr
 
@@ -144,8 +147,8 @@ def load_model(path) -> ModelFile:
     try:
         model = kinds[kind].from_payload(doc["payload"], metric)
         standardizer = None if block is None else Standardizer(
-            mean=payload_array(block, "mean", model.p),
-            scale=payload_array(block, "scale", model.p,
+            mean=payload_array(block, "mean", model.p, block="standardize"),
+            scale=payload_array(block, "scale", model.p, block="standardize",
                                 valid=lambda s: np.isfinite(s) & (s > 0)))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -254,14 +254,14 @@ def test_criterion_11_complexity_contracts():
 
     before = gpdc_model.index.counters.snapshot()
     for q in queries:
-        gpdc_model.score(q)
+        gpdc_model.evidence(q[None, :])
     after = gpdc_model.index.counters.snapshot()
     gpdc_ok = (after[0] - before[0] == len(queries)
                and after[1] - before[1] == len(queries) * (gpdc_model.k + 1))
 
     before = gevc_model.index.counters.snapshot()
     for q in queries:
-        gevc_model.score(q)
+        gevc_model.evidence(q[None, :])
     after = gevc_model.index.counters.snapshot()
     gevc_ok = (after[0] - before[0] == len(queries)
                and after[1] - before[1] == len(queries))

@@ -1,7 +1,7 @@
-"""Per-point ``score`` is a one-row view of each classifier's batch
-evidence: the two must agree bit for bit, including at distance ties, on
-both the tree and the blocked-scan (no tree) path and with pending inserts
-in the index."""
+"""Scoring one point is each classifier's batch evidence on a one-row
+array (and gevc's ``score`` is that row): one-row and batch rows must agree
+bit for bit, including at distance ties, on both the tree and the
+blocked-scan (no tree) path and with pending inserts in the index."""
 
 import numpy as np
 import pytest
@@ -61,24 +61,30 @@ def _rows(evidence):
             for i in range(m)]
 
 
+def _check_one_row_evidence(model, queries):
+    """Each query's one-row ``evidence`` equals its row of the batch; returns
+    the batch."""
+    evidence = model.evidence(queries)
+    for i, x in enumerate(queries):
+        row = model.evidence(x[None, :])
+        assert row.keys() == evidence.keys()
+        for name, values in evidence.items():
+            np.testing.assert_array_equal(row[name], values[i:i + 1])
+    return evidence
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_gpdc_score_is_row_of_evidence(case):
     data, queries = _dataset(case)
     model = gpdc.fit(data, k=10)
     assert (model.index._tree is not None) == ON_TREE[case]
-    rows = _rows(model.evidence(queries))
-    assert {r["stage"] for r in rows} >= {gpdc.COINCIDENT_KNOWN}
-    for x, row in zip(queries, rows):
-        verdict, ev = model.score(x)
-        assert (verdict.label, verdict.score) == (row["verdict"], row["score"])
-        assert (ev.xi_hat, ev.p_xi, ev.radius, ev.stage) == (
-            row["xi_hat"], row["p_xi"], row["radius"], row["stage"])
-    unknownness = model.unknownness(queries)
-    np.testing.assert_array_equal(unknownness, [r["score"] for r in rows])
+    evidence = _check_one_row_evidence(model, queries)
+    assert set(evidence["stage"]) >= {gpdc.COINCIDENT_KNOWN}
+    np.testing.assert_array_equal(model.unknownness(queries), evidence["score"])
 
 
 def _check_gevc(model, queries):
-    evidence = model.evidence(queries)
+    evidence = _check_one_row_evidence(model, queries)
     for x, row in zip(queries, _rows(evidence)):
         verdict, d0 = model.score(x)
         assert (verdict.label, verdict.score, d0) == (
@@ -106,12 +112,9 @@ def test_gevc_score_is_row_of_evidence_with_pending_inserts():
 def test_evm_score_is_row_of_evidence(case):
     data, queries = _dataset(case)
     model = evm.fit(data, k=10, delta=0.5)
-    evidence = model.evidence(queries)
-    for x, row in zip(queries, _rows(evidence)):
-        verdict, psi = model.score(x)
-        assert (verdict.label, verdict.score, psi) == (
-            row["verdict"], row["score"], row["psi"])
-        assert psi == model.membership(x)
+    evidence = _check_one_row_evidence(model, queries)
+    for x, psi in zip(queries, evidence["psi"]):
+        assert model.membership_batch(x[None, :])[0] == psi
 
 
 @pytest.mark.parametrize("kind", ["gpdc", "gevc", "evm"])
@@ -208,8 +211,8 @@ def test_batch_query_after_inserts_does_not_rebuild_tree():
         np.testing.assert_array_equal(row, brute_knn(allpts, q, 12)[0])
         # duplicates across the tree and the pending buffer: lower index wins
         for k in (1, 12):
-            single = ix.k_smallest_distances(q, k)
-            assert [s[1] for s in single] == brute_knn(allpts, q, k)[1].tolist()
+            single = ix._knn(q[None, :], k)[1][0]
+            np.testing.assert_array_equal(single, brute_knn(allpts, q, k)[1])
 
 
 @pytest.mark.parametrize("p", [2, 30])
@@ -221,10 +224,9 @@ def test_batch_rows_equal_single_queries(p, k):
     ix = NeighborIndex(pts)
     batch = ix.batch_k_smallest(queries, k)
     for q, row in zip(queries, batch):
-        single = ix.k_smallest_distances(q, k)
-        d_exp, i_exp = brute_knn(pts, q, k)
-        assert [s[1] for s in single] == i_exp.tolist()
-        np.testing.assert_array_equal(row, [s[0] for s in single])
+        dist, idx = ix._knn(q[None, :], k)
+        np.testing.assert_array_equal(idx[0], brute_knn(pts, q, k)[1])
+        np.testing.assert_array_equal(row, dist[0])
 
 
 def test_tail_stats_matches_scalar_hill_estimator():

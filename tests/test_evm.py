@@ -48,6 +48,15 @@ class TestFit:
         with pytest.raises(UsageError, match="delta"):
             evm.fit(separated, k=15, delta=delta)
 
+    def test_overflowing_margins_name_point(self):
+        # a point whose distances to the other class overflow to inf has no
+        # margin sample to fit
+        pts = np.random.default_rng(0).normal(size=(300, 2))
+        pts[17] = [1e160, 0.0]
+        data = LabeledDataset(pts, ["a"] * 150 + ["b"] * 150)
+        with pytest.raises(FitError, match="overflow.*training point 17"):
+            evm.fit(data, k=5)
+
     def test_toy_scale_fits_all_converge(self):
         train, _ = generate_toy(0)
         m = evm.fit(train, k=20)
@@ -58,14 +67,14 @@ class TestFit:
 class TestScore:
     def test_training_point_is_known_for_any_delta(self, separated):
         m = evm.fit(separated, k=15, delta=1.0)
-        verdict, psi = m.score(separated.points[0])
-        assert psi == 1.0
-        assert verdict.label == "known"
+        evidence = m.evidence(separated.points[:1])
+        assert evidence["psi"][0] == 1.0
+        assert evidence["verdict"][0] == "known"
 
     def test_far_point_unknown(self, model):
-        verdict, psi = model.score(np.array([1000.0, 1000.0]))
-        assert psi < 1e-12
-        assert verdict.is_unknown
+        evidence = model.evidence(np.array([[1000.0, 1000.0]]))
+        assert evidence["psi"][0] < 1e-12
+        assert evidence["verdict"][0] == "unknown"
 
     def test_psi_in_unit_interval(self, model):
         rng = np.random.default_rng(2)
@@ -78,7 +87,7 @@ class TestScore:
         # moving away from all training points at once: psi nonincreasing
         center = np.array([2.0, 0.0])
         direction = np.array([0.0, 1.0])
-        psis = [model.membership(center + r * direction)
+        psis = [model.membership_batch((center + r * direction)[None, :])[0]
                 for r in np.arange(2.0, 30.0, 2.0)]
         assert all(a >= b for a, b in zip(psis, psis[1:]))
 
@@ -86,13 +95,13 @@ class TestScore:
         m = evm.fit(separated, k=15)
         assert m.delta is None
         with pytest.raises(UsageError, match="delta"):
-            m.score(np.zeros(2))
+            m.evidence(np.zeros((1, 2)))
         # ranking still available without delta
-        assert 0.0 <= m.membership(np.zeros(2)) <= 1.0
+        assert 0.0 <= m.membership_batch(np.zeros((1, 2)))[0] <= 1.0
 
     def test_dimension_mismatch(self, model):
         with pytest.raises(UsageError):
-            m = model.membership(np.zeros(3))
+            model.membership_batch(np.zeros((1, 3)))
 
 
 @pytest.fixture(scope="module")

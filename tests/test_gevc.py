@@ -47,6 +47,13 @@ class TestFit:
         assert m.excluded_zeros == 4
         assert (m.dmin == 0).sum() == 4
 
+    def test_overflowing_distance_names_point(self):
+        # the far point's nearest-neighbor distance overflows to inf
+        pts = np.random.default_rng(0).normal(size=(300, 2))
+        pts[17] = [1e160, 0.0]
+        with pytest.raises(FitError, match="overflow.*training point 17"):
+            gevc.fit(LabeledDataset(pts, ["a"] * 300))
+
     def test_too_small(self):
         with pytest.raises(UsageError):
             gevc.fit(LabeledDataset([[0.0], [1.0]], ["a", "a"]))

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import gaussian_blobs
 from openevt import gpdc
+from openevt.cli import main
 from openevt.data import LabeledDataset
 from openevt.errors import FitError, UsageError
 from openevt.gpdc import (ACCEPTED, COINCIDENT_KNOWN, REJECTED_RADIUS,
@@ -67,32 +68,38 @@ class TestFit:
         assert (m.k, m.gamma) == (1, 0.5 / blobs.n)
 
 
+def one_row(model, x0) -> dict:
+    """The evidence of one point: ``evidence`` on a one-row array."""
+    evidence = model.evidence(np.asarray(x0, dtype=float)[None, :])
+    return {name: values[0] for name, values in evidence.items()}
+
+
 class TestScore:
     def test_training_point_is_coincident_known(self, model, blobs):
-        verdict, ev = model.score(blobs.points[0])
-        assert verdict.label == "known"
-        assert ev.stage == COINCIDENT_KNOWN
-        assert ev.radius is None
-        assert verdict.score == 0.0
+        row = one_row(model, blobs.points[0])
+        assert row["verdict"] == "known"
+        assert row["stage"] == COINCIDENT_KNOWN
+        assert row["radius"] is None
+        assert row["score"] == 0.0
 
     def test_far_point_rejected_at_shape_stage(self, model):
-        verdict, ev = model.score(np.array([500.0, 500.0]))
-        assert verdict.is_unknown
-        assert ev.stage == REJECTED_SHAPE
-        assert ev.radius is None
-        assert ev.p_xi >= model.shape_threshold
-        assert abs(ev.xi_hat) < 0.1
+        row = one_row(model, [500.0, 500.0])
+        assert row["verdict"] == "unknown"
+        assert row["stage"] == REJECTED_SHAPE
+        assert row["radius"] is None
+        assert row["p_xi"] >= model.shape_threshold
+        assert abs(row["xi_hat"]) < 0.1
 
     def test_interior_point_accepted(self, model):
-        verdict, ev = model.score(np.array([0.3, -0.2]))
-        assert verdict.label == "known"
-        assert ev.stage == ACCEPTED
-        assert -0.9 < ev.xi_hat < -0.2  # near -1/p = -0.5
-        assert ev.radius is not None
+        row = one_row(model, [0.3, -0.2])
+        assert row["verdict"] == "known"
+        assert row["stage"] == ACCEPTED
+        assert -0.9 < row["xi_hat"] < -0.2  # near -1/p = -0.5
+        assert row["radius"] is not None
 
     def test_dimension_mismatch(self, model):
         with pytest.raises(UsageError):
-            model.score(np.array([0.0, 0.0, 0.0]))
+            model.evidence(np.zeros((1, 3)))
 
     def test_decision_consistency(self, model):
         rng = np.random.default_rng(5)
@@ -100,29 +107,28 @@ class TestScore:
                          rng.normal(size=(50, 2)) * 8 + 20])
         s, t = model.shape_threshold, model.radius_threshold
         for x in pts:
-            verdict, ev = model.score(x)
-            if ev.stage == COINCIDENT_KNOWN:
+            row = one_row(model, x)
+            if row["stage"] == COINCIDENT_KNOWN:
                 continue
             coincident, pxi, radius = model.decision_stats(x[None, :])
             expected = (pxi[0] >= s) or (radius[0] > t)
-            assert verdict.is_unknown == expected
+            assert (row["verdict"] == "unknown") == expected
 
     def test_radius_stage_reachable(self, model):
         # A point in a moderate-density gap: shape can look fine while the
         # density ball is too large. Scan a segment between the blobs.
         found = False
         for frac in np.linspace(0.25, 0.75, 11):
-            x = np.array([10.0 * frac, 0.0])
-            verdict, ev = model.score(x)
-            if ev.stage == REJECTED_RADIUS:
+            row = one_row(model, [10.0 * frac, 0.0])
+            if row["stage"] == REJECTED_RADIUS:
                 found = True
-                assert verdict.is_unknown
-                assert ev.radius > model.radius_threshold
+                assert row["verdict"] == "unknown"
+                assert row["radius"] > model.radius_threshold
         assert found
 
     def test_score_issues_exactly_k_plus_1_distance_queries(self, model):
         before = model.index.counters.snapshot()
-        model.score(np.array([1.0, 1.0]))
+        one_row(model, [1.0, 1.0])
         after = model.index.counters.snapshot()
         assert after[1] - before[1] == model.k + 1
         assert after[0] - before[0] == 1
@@ -154,8 +160,8 @@ class TestContinuousScore:
         batch = model.unknownness(pts)
         single = np.array([self.one(model, x) for x in pts])
         np.testing.assert_array_equal(batch, single)
-        # the per-row score of a verdict is the same number
-        assert model.score(pts[0])[0].score == batch[0]
+        # the score column of the evidence is the same number
+        assert one_row(model, pts[0])["score"] == batch[0]
 
 
 class TestRecalibration:
@@ -214,10 +220,42 @@ def test_serialization_round_trip(model, tmp_path):
     loaded = back.model
     assert loaded.shape_threshold == model.shape_threshold
     assert loaded.radius_threshold == model.radius_threshold
-    rng = np.random.default_rng(8)
-    for x in rng.normal(size=(10, 2)) * 6:
-        v1, e1 = model.score(x)
-        v2, e2 = loaded.score(x)
-        assert v1.label == v2.label and v1.score == v2.score
-        assert e1.stage == e2.stage
+    queries = np.random.default_rng(8).normal(size=(10, 2)) * 6
+    e1, e2 = model.evidence(queries), loaded.evidence(queries)
+    for name in ("verdict", "score", "stage"):
+        np.testing.assert_array_equal(e1[name], e2[name])
 
+
+@pytest.mark.parametrize("p", [2, 16])
+def test_overflowing_distances_are_unknown(p, tmp_path):
+    # distances to these rows overflow to inf, so the tail shape is NaN
+    # (log inf/inf); a row whose statistics are undefined passes neither test
+    rng = np.random.default_rng(0)
+    m = gpdc.fit(LabeledDataset(rng.normal(size=(300, p)), ["a"] * 300), k=10)
+    assert (m.index._tree is not None) == (p == 2)
+    far = np.zeros((2, p))
+    far[0, 0], far[1] = 1e160, 1e300
+    evidence = m.evidence(far)
+    assert evidence["verdict"].tolist() == ["unknown"] * 2
+    assert evidence["stage"].tolist() == [REJECTED_RADIUS] * 2
+    assert m.flags(far, [m.alpha])[m.alpha].all()
+    model_file, points_csv, out = (tmp_path / "m.json", tmp_path / "far.csv",
+                                   tmp_path / "scores.csv")
+    save_model(m, model_file)
+    np.savetxt(points_csv, far, delimiter=",")
+    assert main(["score", "--model", str(model_file), "--test", str(points_csv),
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if not line.startswith("#")]
+    assert [(r[1], r[-1]) for r in rows[1:]] == [("unknown", REJECTED_RADIUS)] * 2
+
+
+def test_fits_a_training_set_whose_distances_overflow():
+    # the far point's leave-one-out statistics are NaN and drop out of the
+    # thresholds; gevc and evm refuse this set (see their tests)
+    rng = np.random.default_rng(0)
+    pts = rng.normal(size=(300, 2))
+    pts[17] = [1e160, 0.0]
+    m = gpdc.fit(LabeledDataset(pts, ["a"] * 300), k=10)
+    assert np.isnan(m.pxi_stats[17])
+    assert np.isfinite([m.shape_threshold, m.radius_threshold]).all()

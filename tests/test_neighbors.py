@@ -12,30 +12,43 @@ from openevt.errors import UsageError
 from openevt.neighbors import NeighborIndex
 
 
+def _row(ix, q, k, exclude=None):
+    """(distances, indices) of one query row through ``_knn``, the query
+    behind every neighbour view; ``exclude`` is a one-element list."""
+    dist, idx = ix._knn(np.asarray(q, dtype=float)[None, :], k, exclude)
+    return dist[0], idx[0]
+
+
+def _assert_brute(got, points, q, k, order=2.0):
+    d_exp, i_exp = brute_knn(points, q, k, order)
+    np.testing.assert_array_equal(got[1], i_exp)
+    np.testing.assert_array_equal(got[0], d_exp)
+
+
 def test_k_smallest_by_inspection():
     ix = NeighborIndex(np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]]))
-    got = ix.k_smallest_distances(np.array([0.1, 0.0]), 2)
-    assert got[0][1] == 0 and got[0][0] == pytest.approx(0.1)
-    assert got[1][1] == 1 and got[1][0] == pytest.approx(0.9)
+    dist, idx = _row(ix, [0.1, 0.0], 2)
+    assert idx.tolist() == [0, 1]
+    assert dist.tolist() == pytest.approx([0.1, 0.9])
 
 
 def test_query_at_training_point():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
     ix = NeighborIndex(pts)
-    got = ix.k_smallest_distances(pts[1], 1)
-    assert got == [(0.0, 1)]
+    dist, idx = _row(ix, pts[1], 1)
+    assert (dist.tolist(), idx.tolist()) == ([0.0], [1])
 
 
 def test_k_larger_than_n_rejected():
     ix = NeighborIndex(np.array([[0.0], [1.0]]))
     with pytest.raises(UsageError):
-        ix.k_smallest_distances(np.array([0.5]), 3)
+        ix.batch_k_smallest(np.array([[0.5]]), 3)
 
 
 def test_dimension_mismatch_rejected():
     ix = NeighborIndex(np.array([[0.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(UsageError):
-        ix.k_smallest_distances(np.array([0.0, 0.0, 0.0]), 1)
+        ix.batch_k_smallest(np.zeros((1, 3)), 1)
     with pytest.raises(UsageError):
         ix.insert(np.array([0.0]))
 
@@ -46,10 +59,7 @@ def test_random_matches_brute_force():
     ix = NeighborIndex(pts)
     for _ in range(20):
         q = rng.normal(size=3)
-        got = ix.k_smallest_distances(q, 15)
-        d_exp, i_exp = brute_knn(pts, q, 15)
-        assert [g[1] for g in got] == i_exp.tolist()
-        np.testing.assert_allclose([g[0] for g in got], d_exp, rtol=0, atol=0)
+        _assert_brute(_row(ix, q, 15), pts, q, 15)
 
 
 @settings(max_examples=40, deadline=None)
@@ -68,11 +78,7 @@ def test_property_exactness_vs_brute(n, p, k, seed, grid):
            else rng.normal(size=(n, p)))
     q = (rng.integers(0, 3, size=p).astype(float) if grid
          else rng.normal(size=p))
-    ix = NeighborIndex(pts)
-    got = ix.k_smallest_distances(q, k)
-    d_exp, i_exp = brute_knn(pts, q, k)
-    assert [g[1] for g in got] == i_exp.tolist()
-    np.testing.assert_array_equal([g[0] for g in got], d_exp)
+    _assert_brute(_row(NeighborIndex(pts), q, k), pts, q, k)
 
 
 def test_manhattan_and_minkowski_queries():
@@ -81,10 +87,7 @@ def test_manhattan_and_minkowski_queries():
     for metric in (DistanceMetric.manhattan(), DistanceMetric.minkowski(3.0)):
         ix = NeighborIndex(pts, metric)
         q = rng.normal(size=4)
-        got = ix.k_smallest_distances(q, 10)
-        d_exp, i_exp = brute_knn(pts, q, 10, order=metric.order)
-        assert [g[1] for g in got] == i_exp.tolist()
-        np.testing.assert_allclose([g[0] for g in got], d_exp, atol=0)
+        _assert_brute(_row(ix, q, 10), pts, q, 10, metric.order)
 
 
 def test_flat_fallback_above_dimension_limit():
@@ -93,20 +96,21 @@ def test_flat_fallback_above_dimension_limit():
     ix = NeighborIndex(pts)
     assert ix._tree is None
     q = rng.normal(size=25)
-    got = ix.k_smallest_distances(q, 7)
-    d_exp, i_exp = brute_knn(pts, q, 7)
-    assert [g[1] for g in got] == i_exp.tolist()
+    _assert_brute(_row(ix, q, 7), pts, q, 7)
 
 
 class TestNearestWithinTraining:
+    """One-row queries that exclude the row's own stored point."""
+
     def test_two_points(self):
         ix = NeighborIndex(np.array([[0.0, 0.0], [3.0, 4.0]]))
-        assert ix.nearest_within_training(0) == (5.0, 1)
+        dist, idx = _row(ix, ix.points[0], 1, exclude=[0])
+        assert (dist.tolist(), idx.tolist()) == ([5.0], [1])
 
     def test_duplicates(self):
         ix = NeighborIndex(np.array([[1.0, 1.0], [1.0, 1.0], [9.0, 9.0]]))
-        d, j = ix.nearest_within_training(0)
-        assert d == 0.0 and j == 1
+        dist, idx = _row(ix, ix.points[0], 1, exclude=[0])
+        assert (dist.tolist(), idx.tolist()) == ([0.0], [1])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -115,8 +119,8 @@ class TestNearestWithinTraining:
         dmin = ix.dmin_vector()
         np.testing.assert_array_equal(dmin, brute_dmin(pts))
         for i in (0, 123, 499):
-            d, j = ix.nearest_within_training(i)
-            assert d == dmin[i]
+            dist, _ = _row(ix, pts[i], 1, exclude=[i])
+            assert dist[0] == dmin[i]
 
 
 class TestInsert:
@@ -156,11 +160,8 @@ class TestInsert:
         for x in rng.normal(size=(30, 2)):
             ix.insert(x)
             pts.append(x[None, :])
-        allpts = np.vstack(pts)
         q = rng.normal(size=2)
-        got = ix.k_smallest_distances(q, 12)
-        d_exp, i_exp = brute_knn(allpts, q, 12)
-        assert [g[1] for g in got] == i_exp.tolist()
+        _assert_brute(_row(ix, q, 12), np.vstack(pts), q, 12)
 
     def test_insert_reports_exact_change_set(self):
         rng = np.random.default_rng(13)
@@ -268,10 +269,10 @@ def test_query_cost_sublinear_smoke():
         pts = rng.uniform(size=(n, 3))
         ix = NeighborIndex(pts)
         queries = rng.uniform(size=(300, 3))
-        ix.k_smallest_distances(queries[0], 10)  # warm up
+        ix.batch_k_smallest(queries[:1], 10)  # warm up
         t0 = time.perf_counter()
         for q in queries:
-            ix.k_smallest_distances(q, 10)
+            ix.batch_k_smallest(q[None, :], 10)
         times[n] = time.perf_counter() - t0
     ratio = times[32000] / times[2000]
     print(f"per-query time ratio at 16x points: {ratio:.2f}")
@@ -281,9 +282,9 @@ def test_query_cost_sublinear_smoke():
 def test_counters_track_queries_and_distances():
     ix = NeighborIndex(np.random.default_rng(1).normal(size=(30, 2)))
     q0, d0 = ix.counters.snapshot()
-    ix.k_smallest_distances(np.zeros(2), 5)
+    ix.batch_k_smallest(np.zeros((1, 2)), 5)
     assert ix.counters.snapshot() == (q0 + 1, d0 + 5)
-    ix.k_smallest_distances(np.zeros(2), 1)
+    ix.batch_k_smallest(np.zeros((1, 2)), 1)
     assert ix.counters.snapshot() == (q0 + 2, d0 + 6)
 
 
@@ -341,14 +342,13 @@ def test_self_excluding_views_match_brute_force(case, monkeypatch):
     loo = ix.leave_one_out_smallest(k)
     dmin = ix.dmin_vector()
     assert ix._tree is tree and ix._tree_size == tree_size
-    expected = np.empty((pts.shape[0], k))
+    expected = _brute_rows(pts, pts, k, 2.0, exclude=np.arange(n))
     for i, x in enumerate(pts):
-        d = distances_to(x, pts)
-        d[i] = np.inf
-        expected[i] = np.sort(d)[:k]
-        # the lowest index wins a tie for nearest
-        assert ix.nearest_within_training(i) == (d.min(), int(np.argmin(d)))
-    np.testing.assert_array_equal(loo, expected)
+        # one-row queries: the lowest index wins a tie
+        got = _row(ix, x, k, exclude=[i])
+        np.testing.assert_array_equal(got[0], expected[0][i])
+        np.testing.assert_array_equal(got[1], expected[1][i])
+    np.testing.assert_array_equal(loo, expected[0])
     np.testing.assert_array_equal(dmin, brute_dmin(pts))
     np.testing.assert_array_equal(dmin, loo[:, 0])
 
@@ -420,7 +420,8 @@ def test_overflowing_distances_tie_by_index(p):
         expected = _brute_rows(pts, pts, k, 2.0, exclude=np.arange(n))
         np.testing.assert_array_equal(got[0], expected[0])
         np.testing.assert_array_equal(got[1], expected[1])
-    assert ix.nearest_within_training(0) == (np.inf, 1)
+    dist, idx = _row(ix, pts[0], 1, exclude=[0])
+    assert (dist.tolist(), idx.tolist()) == ([np.inf], [1])
 
 
 @pytest.mark.parametrize("p", [2, 16])

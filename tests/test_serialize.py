@@ -68,6 +68,20 @@ def test_failed_encode_leaves_existing_file_intact(model_path, tmp_path,
     assert f.read_bytes() == model_path.read_bytes()
 
 
+def test_gevc_labels_kept_through_load_save_and_update(model_path, tmp_path):
+    f = tmp_path / "m.model"
+    save_model(load_model(model_path).model, f)
+    assert f.read_bytes() == model_path.read_bytes()
+    # a file without labels saves one null per point, then the updates' labels
+    doc = json.loads(model_path.read_text())
+    n = len(doc["payload"].pop("labels"))
+    f.write_text(json.dumps(doc))
+    model = load_model(f).model
+    model.update([(np.zeros(2), "new")])
+    save_model(model, f)
+    assert json.loads(f.read_text())["payload"]["labels"] == [None] * n + ["new"]
+
+
 # -- load(save(m)) round trip -------------------------------------------------
 
 def _with_duplicates(data: LabeledDataset) -> LabeledDataset:
@@ -231,7 +245,8 @@ def test_tampered_standardizer_names_field_and_path(saved_docs, tmp_path,
     with pytest.raises(DataError) as info:
         load_model(f)
     message = str(info.value)
-    assert message.startswith(str(f)) and repr(field) in message
+    assert message.startswith(str(f))
+    assert f"standardize field {field!r}" in message
 
 
 def test_missing_payload_field_names_path(saved_docs, tmp_path):
