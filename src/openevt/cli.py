@@ -121,10 +121,6 @@ def _build_parser() -> tuple:
                          help="comma list of tail fractions (thyroid sweep)")
     p_bench.add_argument("--test-known", type=int, default=250,
                          help="thyroid: known rows sampled into the test set")
-    p_bench.add_argument("--unknown-classes", default="1,2",
-                         help="thyroid: class codes mapped to unknown")
-    p_bench.add_argument("--known-classes", default="3",
-                         help="thyroid: class codes mapped to known")
     p_bench.set_defaults(func=cmd_benchmark)
     return parser, sub.choices
 
@@ -397,11 +393,7 @@ def _benchmark_oletter(args, harness) -> int:
 
 def _benchmark_thyroid(args, harness) -> int:
     _require_file(args.data)
-    points, is_unknown = harness.load_thyroid(
-        args.data,
-        unknown_classes=tuple(args.unknown_classes.split(",")),
-        known_classes=tuple(args.known_classes.split(",")),
-    )
+    points, is_unknown = harness.load_thyroid(args.data)
     train, test = harness.thyroid_split(points, is_unknown, seed=args.seed,
                                         test_known=args.test_known)
     fractions = (_float_list(args.gpdc_tail_fractions, "--gpdc-tail-fractions")

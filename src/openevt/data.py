@@ -111,20 +111,19 @@ def check_level(value, name: str):
         raise UsageError(f"{name} must be in (0, 1], got {value}")
 
 
-def as_batch(x0, p: int) -> np.ndarray:
-    """One query point as a (1, p) batch, so that per-point scoring runs the
-    batch path."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1 or x0.shape[0] != p:
-        raise UsageError(
-            f"dimension mismatch: query has shape {x0.shape}, model is p={p}"
-        )
-    return x0[None, :]
+def as_point(x, p: int, name: str = "point") -> np.ndarray:
+    """``x`` as a float vector, refused unless it holds p finite coordinates."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (p,) or not np.isfinite(x).all():
+        raise UsageError(f"{name} must be {p} finite coordinates, got {x}")
+    return x
 
 
-def only_row(columns: dict) -> dict:
-    """The one row of a dict of one-row evidence arrays, as Python scalars."""
-    return {name: values.item() for name, values in columns.items()}
+def check_finite(points: np.ndarray, row: str = "row"):
+    """Refuse an (m, p) array with a non-finite coordinate, naming it."""
+    if not np.isfinite(points).all():
+        r, c = np.argwhere(~np.isfinite(points))[0]
+        raise UsageError(f"non-finite coordinate at {row} {r}, column {c}")
 
 
 class LabeledDataset:
@@ -144,9 +143,7 @@ class LabeledDataset:
             raise UsageError("points must have dimension p >= 1")
         if n < 2:
             raise UsageError(f"need at least 2 points, got {n}")
-        if not np.all(np.isfinite(pts)):
-            bad = np.argwhere(~np.isfinite(pts))[0]
-            raise UsageError(f"non-finite coordinate at row {bad[0]}, column {bad[1]}")
+        check_finite(pts)
         labels = np.array([str(l) for l in labels], dtype=object)
         if labels.shape != (n,):
             raise UsageError(f"need exactly {n} labels, got {labels.shape}")
@@ -317,8 +314,12 @@ class Standardizer:
 
     @classmethod
     def fit(cls, points: np.ndarray) -> "Standardizer":
-        mean = points.mean(axis=0)
-        scale = points.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = points.mean(axis=0)
+            scale = points.std(axis=0)
+        if not np.isfinite(scale).all():
+            c = np.flatnonzero(~np.isfinite(scale))[0] + 1
+            raise DataError(f"feature column {c}: standard deviation overflows")
         scale = np.where(scale > 0, scale, 1.0)
         return cls(mean=mean, scale=scale)
 

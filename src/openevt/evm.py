@@ -21,7 +21,7 @@ from exactly pruned GEMM scores (see :meth:`EvmModel.membership_batch`).
 import numpy as np
 
 from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
-                   _minkowski, check_level)
+                   _minkowski, check_finite, check_level)
 from .errors import DataError, FitError, UsageError
 from .evt import default_tail_count, fit_weibull_rows, refuse_overflow
 from .neighbors import _EPS, NeighborIndex, block_scores, row_blocks
@@ -72,6 +72,7 @@ class EvmModel:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.p:
             raise UsageError("points must be an (m, p) matrix matching the model")
+        check_finite(points, "query row")
         (n, p), order = self._points.shape, self.metric.order
         norms = (np.einsum("ij,ij->i", self._points, self._points)
                  if order == 2.0 else None)

@@ -12,26 +12,23 @@ training points sit from each other.
 
 The model updates in place: inserting a point revises only the nearest
 distances it improves, which the index recomputes for the candidates of one
-kd-tree ball query at p <= 9, and the Weibull refit is deferred until the
-next score once more than ``REFIT_FRACTION`` of the entries have changed. The
-deferred refit is lock-protected so concurrent scorers see either the old
-or the new fit, never a partial one.
+kd-tree ball query at p <= 9, and ``update`` refits the Weibull before it
+returns once more than ``REFIT_FRACTION`` of them changed since the last
+fit. Reads never write model state; ``update`` needs exclusive access.
 """
-
-import threading
 
 import numpy as np
 
 from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
-                   Verdict, as_batch, check_level, only_row)
+                   Verdict, as_point, check_level)
 from .errors import DataError, FitError, UsageError
 from .evt import (ReversedWeibull, refuse_overflow, reversed_weibull_cdf,
                   reversed_weibull_fit, reversed_weibull_fit_free_endpoint)
 from .neighbors import NeighborIndex
 from .serialize import payload_array, payload_level, payload_number
 
-# Deferred-refit trigger: fraction of nearest-distance entries that may
-# change before the fitted distribution is considered stale.
+# Refit trigger: fraction of nearest-distance entries that may change
+# before ``update`` refits the distribution.
 REFIT_FRACTION = 0.01
 _VERDICTS = np.array([KNOWN, UNKNOWN])  # indexed by the unknown decision
 
@@ -52,8 +49,8 @@ def _fit_dmin_sample(dmin: np.ndarray, free_endpoint: bool) -> tuple:
 
 
 class GevcModel:
-    """Fitted GEV classifier; see :func:`fit`. Reads are concurrency-safe,
-    ``update`` requires exclusive access."""
+    """Fitted GEV classifier; see :func:`fit`. Reads never write model
+    state; ``update`` requires exclusive access."""
 
     KIND = "gevc"
     THRESHOLD = "alpha"  # the decision parameter that :meth:`flags` sweeps
@@ -65,11 +62,9 @@ class GevcModel:
         self._labels = labels
         self.alpha = alpha
         self.free_endpoint = free_endpoint
-        self._fitted = fitted
+        self.fitted = fitted
         self.excluded_zeros = excluded_zeros
         self._changed_since_fit = 0
-        self._stale = False
-        self._refit_lock = threading.Lock()
 
     @property
     def n(self) -> int:
@@ -92,21 +87,6 @@ class GevcModel:
         """Current nearest-other-training-point distances."""
         return self._index.dmin_vector()
 
-    @property
-    def fitted(self) -> ReversedWeibull:
-        """The reversed Weibull in force, refitting first if updates have
-        left the cached one stale."""
-        if self._stale:
-            with self._refit_lock:
-                if self._stale:
-                    fitted, excluded = _fit_dmin_sample(
-                        self._index.dmin_vector(), self.free_endpoint)
-                    self._fitted = fitted
-                    self.excluded_zeros = excluded
-                    self._changed_since_fit = 0
-                    self._stale = False
-        return self._fitted
-
     def score(self, x0) -> tuple:
         """Classify one point; returns (Verdict, d0min), the single row of
         :meth:`evidence` on ``x0``.
@@ -115,16 +95,18 @@ class GevcModel:
         nearest training point; the verdict score is 1 - W(-d0min), which
         grows with unknownness.
         """
-        row = only_row(self.evidence(as_batch(x0, self.p)))
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (self.p,):  # batch_k_smallest checks finiteness
+            raise UsageError(f"query has shape {x0.shape}, model is p={self.p}")
+        row = {k: v.item() for k, v in self.evidence(x0[None, :]).items()}
         verdict = Verdict(row.pop("verdict"), row.pop("score"), row)
         return verdict, row["d0min"]
 
     def evidence(self, points) -> dict:
         """Batch evidence for an (m, p) array, one array per output column:
         verdict, score = 1 - W(-d0min), d0min and cdf = W(-d0min)."""
-        fitted = self.fitted
         d0 = self._index.batch_k_smallest(points, 1)[:, 0]
-        w = reversed_weibull_cdf(fitted, -d0)
+        w = reversed_weibull_cdf(self.fitted, -d0)
         return {"verdict": _VERDICTS.take(w < self.alpha),
                 "score": 1.0 - w, "d0min": d0, "cdf": w}
 
@@ -146,34 +128,42 @@ class GevcModel:
                 "excluded_zeros": self.excluded_zeros}
 
     def update(self, new_points) -> "GevcModel":
-        """Insert (point, label) pairs, revising affected nearest distances.
-
-        The Weibull refit is deferred to the next score when the cumulative
-        changed fraction exceeds REFIT_FRACTION; an empty list is a no-op.
-        Mutates and returns this model.
-        """
-        for x, label in new_points:
-            changed = self._index.insert(x)
-            self._labels.append(label)
-            # The new point's own entry counts as changed too.
-            self._changed_since_fit += len(changed) + 1
-        if self._changed_since_fit > REFIT_FRACTION * self._index.size:
-            self._stale = True
+        """Insert (point, label) pairs, revising affected nearest distances,
+        and refit the Weibull once more than REFIT_FRACTION of them changed
+        since the last fit. Mutates and returns this model. A malformed pair
+        refuses the whole update; an overflowing point raises DataError after
+        the pairs before it (and their refit); a failed refit raises FitError
+        with the last fit in force, and the next update retries it."""
+        pairs = [(as_point(x, self.p, f"update pair {i}"), label)
+                 for i, (x, label) in enumerate(new_points)]
+        try:
+            for i, (x, label) in enumerate(pairs):
+                try:
+                    changed = self._index.insert(x)
+                except DataError as exc:
+                    raise DataError(f"update pair {i}: {exc}") from None
+                self._labels.append(label)
+                # The new point's own entry counts as changed too.
+                self._changed_since_fit += len(changed) + 1
+        finally:  # also after a refused pair, for the pairs before it
+            if self._changed_since_fit > REFIT_FRACTION * self._index.size:
+                self.fitted, self.excluded_zeros = _fit_dmin_sample(
+                    self._index.dmin_vector(), self.free_endpoint)
+                self._changed_since_fit = 0
         return self
 
     # -- serialization ----------------------------------------------------
 
     def to_payload(self) -> dict:
-        fitted = self.fitted
         return {
             "points": self._index.points.tolist(),
             "labels": self._labels,
             "alpha": self.alpha,
             "free_endpoint": self.free_endpoint,
             "dmin": self._index.dmin_vector().tolist(),
-            "sigma": fitted.sigma,
-            "weibull_alpha": fitted.alpha,
-            "endpoint": fitted.endpoint,
+            "sigma": self.fitted.sigma,
+            "weibull_alpha": self.fitted.alpha,
+            "endpoint": self.fitted.endpoint,
             "excluded_zeros": self.excluded_zeros,
         }
 

@@ -35,6 +35,8 @@ from .serialize import fit_model, model_kinds
 DEFAULT_ALPHA_GRID = (0.01, 0.05, 0.1, 0.2)
 DEFAULT_DELTA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 THYROID_TAIL_FRACTIONS = (0.0025, 0.01, 0.025, 0.05, 0.10)
+THYROID_UNKNOWN_CLASSES = ("1", "2")  # the paper's class mapping
+THYROID_KNOWN_CLASSES = ("3",)
 
 
 def rng_from(seed: int, *keys) -> np.random.Generator:
@@ -331,21 +333,20 @@ def load_letter(path) -> LabeledDataset:
     return data
 
 
-def load_thyroid(path, unknown_classes=("1", "2"), known_classes=("3",)) -> tuple:
+def load_thyroid(path) -> tuple:
     """Clinical screening format: whitespace- or comma-separated numeric
     rows, 21 features plus a trailing class column (a trailing "." is
-    dropped). Returns (points, is_unknown) with the class mapping applied."""
+    dropped). Returns (points, is_unknown) with the THYROID_*_CLASSES mapping."""
     points, labels = read_table(path, delimiter=None, header=False,
                                 label_column="last", width=22)
     if not labels:
         raise DataError(f"{path}: no data rows")
-    unknown = {str(c): False for c in known_classes}
-    unknown.update({str(c): True for c in unknown_classes})
+    mapped = THYROID_UNKNOWN_CLASSES + THYROID_KNOWN_CLASSES
     classes = [label.rstrip(".") for label in labels]
-    unmapped = [c for c in classes if c not in unknown]
+    unmapped = [c for c in classes if c not in mapped]
     if unmapped:
         raise DataError(f"{path}: unmapped class {unmapped[0]!r}")
-    return points, np.array([unknown[c] for c in classes], dtype=bool)
+    return points, np.array([c in THYROID_UNKNOWN_CLASSES for c in classes])
 
 
 def thyroid_split(points: np.ndarray, is_unknown: np.ndarray, seed: int = 0,

@@ -35,22 +35,22 @@ scan path proposes every point. The tree proposes its closed ball around x
 at a reach r (the REBUILD_MIN-th largest tree dmin after a rebuild; stored
 dmin only fall), widened by a relative 4 (p + 4) eps against its rounding,
 the tree points whose dmin exceeded r, and the pending points, which the
-rebuild rule below keeps few as every query recomputes them.
+rebuild rule below keeps few as every query recomputes them (every point
+if x lies beyond r of these or scipy refuses the ball as overflowing).
 
-Concurrency: no query folds pending inserts into the tree; only ``insert``
-rebuilds it, and ``insert`` requires exclusive access. The first
-``dmin_vector`` call still materializes the nearest-other-point vector
-lazily, a write from a read path: concurrent first calls each compute it
-and store equal arrays. ``QueryCounters`` increments are not atomic, so
-concurrent readers may undercount.
+Concurrency: reads never change the points, the tree or a computed dmin;
+``insert`` needs exclusive access. The first ``dmin_vector`` call computes
+dmin lazily (gevc at fit; concurrent first calls store equal arrays), and
+``QueryCounters`` increments are not atomic, so concurrent readers may
+undercount.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EUCLIDEAN, DistanceMetric, _minkowski
-from .errors import UsageError
+from .data import EUCLIDEAN, DistanceMetric, _minkowski, as_point, check_finite
+from .errors import DataError, UsageError
 
 # The kd-tree proposes candidates up to this dimension and the blocked scan
 # above it. Measured on a 2-core x86 VM (OpenBLAS, one thread) for
@@ -128,13 +128,20 @@ class NeighborIndex:
     # -- queries ------------------------------------------------------------
 
     def batch_k_smallest(self, queries: np.ndarray, k: int) -> np.ndarray:
-        """(m, k) matrix of the k smallest distances for each query row."""
+        """(m, k) matrix of the k smallest distances for each query row; a
+        non-finite row raises UsageError naming it."""
         queries = np.asarray(queries, dtype=float)
         if queries.ndim != 2 or queries.shape[1] != self.dimension:
             raise UsageError("queries must be an (m, p) matrix matching the index")
         if not (1 <= k <= self.size):
             raise UsageError(f"k must be in [1, {self.size}], got {k}")
-        return self._knn(queries, k)[0]
+        if self._tree is None:  # the kd-tree refuses non-finite rows itself
+            check_finite(queries, "query row")
+        try:
+            return self._knn(queries, k)[0]
+        except ValueError:  # the kd-tree refused a row: name it
+            check_finite(queries, "query row")
+            raise
 
     def dmin_vector(self) -> np.ndarray:
         """Per-point distance to the closest other stored point."""
@@ -145,11 +152,9 @@ class NeighborIndex:
 
     def insert(self, x) -> list:
         """Add a point; returns the indices whose within-training nearest
-        distance strictly improved, in ascending index order."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
-            raise UsageError(f"dimension mismatch: point has shape {x.shape}, "
-                             f"index dimension is {self.dimension}")
+        distance strictly improved, ascending. A point at an inf nearest
+        distance raises DataError and changes nothing."""
+        x = as_point(x, self.dimension)
         self._ensure_dmin()
         n, size = self.size, self._tree_size
         if self._tree is None:
@@ -159,19 +164,27 @@ class NeighborIndex:
                 self._reach = np.sort(self._dmin[:size])[-min(REBUILD_MIN, size)]
                 self._far = np.flatnonzero(self._dmin[:size] > self._reach).tolist()
             reach = self._reach
-            ball = self._tree.query_ball_point(
-                x, reach * (1.0 + 4.0 * (self.dimension + 4) * _EPS),
-                p=self._metric.order, return_sorted=False)
+            try:
+                ball = self._tree.query_ball_point(
+                    x, reach * (1.0 + 4.0 * (self.dimension + 4) * _EPS),
+                    p=self._metric.order, return_sorted=False)
+            except ValueError:  # scipy refuses a ball whose distances overflow
+                ball, reach = [], -np.inf
             ball.extend(self._far)
             ball.extend(range(size, n))
             cand = np.fromiter(ball, np.intp, len(ball))
         d = _minkowski(self._points.take(cand, axis=0) - x, self._metric.order)
+        nearest = d.min(initial=np.inf)
+        if not nearest <= reach:  # only the reach was searched
+            cand = np.arange(n)
+            d = _minkowski(self._points - x, self._metric.order)
+            nearest = d.min()
+        if nearest == np.inf:
+            raise DataError("the point's nearest distance overflows to inf: "
+                            "rescale the features to a smaller magnitude")
         improved = d < self._dmin.take(cand)
         changed = cand[improved]
         self._dmin[changed] = d[improved]
-        nearest = d.min(initial=np.inf)
-        if not nearest <= reach:  # every point within reach is a candidate
-            nearest = self._knn(x[None, :], 1)[0][0, 0]
         self._point_buffer = _append(self._point_buffer, n, x)
         self._dmin_buffer = _append(self._dmin_buffer, n, nearest)
         self._points = self._point_buffer[:n + 1]
@@ -195,8 +208,6 @@ class NeighborIndex:
         stored points, ascending with ties broken by index. ``exclude``
         names one stored index per row that is never a candidate."""
         m, (n, p) = queries.shape[0], self._points.shape
-        self.counters.queries += m
-        self.counters.distances += m * k
         if exclude is not None:
             exclude = np.asarray(exclude)
         norms = None
@@ -213,6 +224,8 @@ class NeighborIndex:
             else:
                 cand, padded = self._scan_candidates(rows, k, skip, norms), True
             parts.append(self._select(rows, cand, k, skip, padded))
+        self.counters.queries += m  # a refused query counts nothing
+        self.counters.distances += m * k
         if len(parts) == 1:
             return parts[0]
         return tuple(np.concatenate(col) for col in zip(*parts))
@@ -278,7 +291,8 @@ class NeighborIndex:
             kth = score.min(axis=1)
         else:
             kth = np.partition(score, k - 1, axis=1)[:, k - 1]
-        hit = ~(score > (kth + slack)[:, None])
+        with np.errstate(invalid="ignore"):  # inf - inf: NaN, so a candidate
+            hit = ~(score > (kth + slack)[:, None])
         counts = hit.sum(axis=1)
         rows, cols = np.divmod(np.flatnonzero(hit), n)
         cand = np.full((m, counts.max()), n)
@@ -352,7 +366,7 @@ def block_scores(queries, points, norms, order: float) -> tuple:
         score *= -2.0
         score += q_norms[:, None]
         score += norms
-    return score, 4.0 * (p + 4) * _EPS * (q_norms + norms.max())
+        return score, 4.0 * (p + 4) * _EPS * (q_norms + norms.max())
 
 
 def _append(buffer: np.ndarray, n: int, row) -> np.ndarray:

@@ -249,6 +249,19 @@ def test_score_standardized_model(toy_files):
     assert rc == 0
 
 
+def test_fit_standardize_overflow_is_data_error(tmp_path, capsys):
+    pts = np.random.default_rng(4).normal(size=(300, 2))
+    pts[17] = [1e160, 0.0]
+    f = tmp_path / "far.csv"
+    write_csv(f, pts, ["a"] * 300)
+    out = tmp_path / "far.model"
+    rc = main(["fit", "--method", "gevc", "--train", str(f), "--standardize",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3 and not out.exists()
+    assert "feature column 1" in err and "Warning" not in err
+
+
 @pytest.mark.parametrize("field,value", [("mean", "x"), ("scale", 0.0)])
 def test_score_refuses_tampered_standardizer(toy_files, field, value, capsys):
     tmp, train_csv, test_csv, _, _ = toy_files
@@ -327,6 +340,12 @@ class TestBenchmark:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(SystemExit):
             main(["benchmark", "--protocol", "mystery"])
+
+    @pytest.mark.parametrize("flag", ["--unknown-classes", "--known-classes"])
+    def test_thyroid_class_mapping_is_fixed(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "--protocol", "thyroid", flag, "1"])
+        assert exc.value.code == 2
 
     def test_thyroid_requires_data(self, capsys):
         rc = main(["benchmark", "--protocol", "thyroid"])

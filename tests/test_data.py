@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,25 @@ def test_standardizer():
     z = std.apply(x)
     assert np.allclose(z.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(z.std(axis=0), 1.0, atol=1e-12)
+
+
+def test_standardizer_overflow_names_feature_column():
+    x = np.random.default_rng(2).normal(size=(300, 3))
+    x[7, 1] = 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="feature column 2"):
+            Standardizer.fit(x)
+
+
+def test_standardizer_finite_statistics_unchanged():
+    # finite statistics are numpy's own mean and std, bit for bit
+    rng = np.random.default_rng(3)
+    for scale in (1.0, 1e-150, 1e150):
+        x = rng.normal(loc=2.0, size=(200, 4)) * scale
+        std = Standardizer.fit(x)
+        assert std.mean.tobytes() == x.mean(axis=0).tobytes()
+        assert std.scale.tobytes() == x.std(axis=0).tobytes()
 
 
 def test_standardizer_constant_feature():

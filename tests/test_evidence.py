@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import brute_knn
 from openevt import evm, gevc, gpdc
 from openevt.data import DistanceMetric, LabeledDataset
-from openevt.errors import FitError
+from openevt.errors import FitError, UsageError
 from openevt.evt import hill_shape
 from openevt.gpdc import tail_stats
 from openevt.neighbors import NeighborIndex
@@ -237,3 +237,24 @@ def test_tail_stats_matches_scalar_hill_estimator():
         for row, value in zip(d, pxi / 3):
             assert value == pytest.approx(hill_shape(-row[:k + 1], k).xi_hat,
                                           rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [2, 16])
+def test_non_finite_query_rows_refused(p):
+    # no classifier scores a NaN row: not with scipy's bare ValueError,
+    # and not as a known row with a NaN score
+    rng = np.random.default_rng(8)
+    pts = np.vstack([rng.normal(size=(60, p)), rng.normal(size=(60, p)) + 4.0])
+    data = LabeledDataset(pts, ["a"] * 60 + ["b"] * 60)
+    queries = rng.normal(size=(5, p))
+    queries[3, 1] = np.nan
+    models = [gpdc.fit(data, k=5), gevc.fit(data), evm.fit(data, k=5, delta=0.5)]
+    for model in models:
+        for read in (model.evidence, model.unknownness,
+                     lambda q: model.flags(q, [0.5])):
+            with pytest.raises(UsageError, match="query row 3, column 1"):
+                read(queries)
+    with pytest.raises(UsageError, match="query row 0, column 1"):
+        models[1].score(queries[3])
+    with pytest.raises(UsageError, match="query row 3, column 1"):
+        models[2].membership_batch(queries)

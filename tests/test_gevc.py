@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_dmin, gaussian_blobs
 from openevt import gevc
 from openevt.data import LabeledDataset
-from openevt.errors import FitError, UsageError
+from openevt.errors import DataError, FitError, UsageError
 from openevt.evt import reversed_weibull_cdf
 from openevt.serialize import load_model, save_model
 
@@ -102,12 +104,14 @@ class TestScore:
         assert after[1] - before[1] == 1
 
     def test_one_nearest_neighbor_query_after_updates(self, blob):
-        # also with pending inserts and a deferred refit due, which reads
-        # the kept nearest distances without a query
+        # also with pending inserts, right after update refit from the kept
+        # nearest distances
         model = gevc.fit(blob, alpha=0.05)
+        first = model.fitted
         rng = np.random.default_rng(3)
         model.update([(x, "c0") for x in rng.normal(size=(40, 2))])
-        assert model._stale and model.index.size > model.index._tree_size
+        assert model.fitted != first
+        assert model.index.size > model.index._tree_size
         before = model.index.counters.snapshot()
         model.score(np.array([0.5, 0.5]))
         after = model.index.counters.snapshot()
@@ -138,23 +142,37 @@ class TestUpdate:
         extra = rng.normal(size=(100, 3)) * 1.2
         m = gevc.fit(LabeledDataset(base, ["a"] * 300))
         m.update([(x, "a") for x in extra])
-        m.score(np.zeros(3))  # trigger the deferred refit
         batch = gevc.fit(LabeledDataset(np.vstack([base, extra]), ["a"] * 400))
         np.testing.assert_array_equal(m.dmin, batch.dmin)
-        assert m.fitted.sigma == pytest.approx(batch.fitted.sigma, rel=1e-6)
-        assert m.fitted.alpha == pytest.approx(batch.fitted.alpha, rel=1e-6)
+        assert m.fitted == batch.fitted
+        assert m.excluded_zeros == batch.excluded_zeros
 
-    def test_refit_deferred_until_score(self):
+    def test_refit_runs_inside_update(self, monkeypatch):
+        # the solver is called through the module global, so it can be counted
+        samples = []
+        solve = gevc.reversed_weibull_fit
+        monkeypatch.setattr(gevc, "reversed_weibull_fit",
+                            lambda s: samples.append(s.size) or solve(s))
+
+        def read_all(m):
+            m.score(np.zeros(2))
+            m.evidence(np.ones((3, 2)))
+            m.summary(), m.to_payload()
+
         rng = np.random.default_rng(6)
         base = rng.normal(size=(200, 2))
         m = gevc.fit(LabeledDataset(base, ["a"] * 200))
-        before = m._fitted
-        m.update([(rng.normal(size=2), "a") for _ in range(30)])
-        assert m._stale
-        assert m._fitted is before  # not refit yet
-        m.score(np.zeros(2))
-        assert not m._stale
-        assert m._fitted is not before
+        first = m.fitted
+        # a far point changes only its own entry: 1 of 201 is not due
+        m.update([(np.array([50.0, 50.0]), "a")])
+        read_all(m)
+        assert samples == [200] and m.fitted is first
+        m.update([(x, "a") for x in rng.normal(size=(30, 2))])
+        assert samples == [200, 231]
+        read_all(m)  # reads never refit
+        assert samples == [200, 231]
+        batch = gevc.fit(LabeledDataset(m.index.points, ["a"] * m.n))
+        assert m.fitted == batch.fitted and m.fitted != first
 
     def test_insert_into_dense_cluster_lowers_own_dmin(self):
         rng = np.random.default_rng(7)
@@ -168,40 +186,62 @@ class TestUpdate:
         rng = np.random.default_rng(8)
         base = rng.normal(size=(120, 2))
         m = gevc.fit(LabeledDataset(base, ["a"] * 120))
+        first = m.fitted
+        # the duplicate zeroes its own and base[1]'s entry: 2 of 121 entries
+        # changed, past REFIT_FRACTION, so update refits
+        assert 2 > gevc.REFIT_FRACTION * 121
         m.update([(base[1].copy(), "a")])
-        m._stale = True  # force refit on next access regardless of fraction
-        assert m.fitted is not None
+        assert m.fitted != first
         assert m.excluded_zeros == 2
         assert m.dmin[1] == 0.0
 
 
-def test_concurrent_scoring_during_lazy_refit():
-    # scorers racing into a stale model must all see a complete fit
+def test_concurrent_scoring_after_update_matches_serial():
+    # update refits before it returns, and 8 threads scoring the updated
+    # model, switching often, match a serial replay of the same updates
+    import sys
     import threading
 
     rng = np.random.default_rng(20)
     base = rng.normal(size=(400, 2))
-    m = gevc.fit(LabeledDataset(base, ["a"] * 400))
-    m.update([(x, "a") for x in rng.normal(size=(20, 2))])
-    assert m._stale
+    extra = rng.normal(size=(20, 2))
     queries = rng.normal(size=(50, 2)) * 2
+
+    def updated():
+        m = gevc.fit(LabeledDataset(base, ["a"] * 400))
+        first = m.fitted
+        m.update([(x, "a") for x in extra])
+        assert m.fitted != first
+        return m
+
+    replay = updated()
+    want = [replay.score(q) for q in queries]
+    m = updated()
+    fitted, dmin = m.fitted, m.dmin
     results = [None] * 8
     errors = []
 
     def worker(slot):
         try:
-            results[slot] = [m.score(q)[0].label for q in queries]
+            results[slot] = [m.score(q) for q in queries]
         except Exception as exc:  # surface failures to the main thread
             errors.append(exc)
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert all(r == results[0] for r in results)
-    assert not m._stale
+    assert all(r == want for r in results)
+    assert m.fitted is fitted
+    np.testing.assert_array_equal(m.dmin, dmin)
 
 
 def test_serialization_round_trip(model, tmp_path):
@@ -239,3 +279,112 @@ def test_free_endpoint_flag():
     assert np.isfinite(m.fitted.sigma) and m.fitted.sigma > 0
     verdict, _ = m.score(np.array([40.0, 40.0]))
     assert verdict.is_unknown
+
+
+def _model_state(m):
+    """Everything an update may change, in comparable form."""
+    return (m.n, m.fitted, m.excluded_zeros, m.index.points.tobytes(),
+            m.dmin.tobytes(), list(m.to_payload()["labels"]),
+            m.index.counters.snapshot())
+
+
+@pytest.mark.parametrize("p", [2, 16])
+def test_update_checks_every_pair_before_inserting(p, tmp_path):
+    # a malformed pair anywhere refuses the whole update with nothing changed
+    m = gevc.fit(gaussian_blobs(13, [np.zeros(p)], n_per=200))
+    before = _model_state(m)
+    nan, inf = np.full(p, 0.5), np.full(p, 0.5)
+    nan[-1], inf[0] = np.nan, -np.inf
+    ok = np.full(p, 0.25)
+    for bad in (nan, inf, np.zeros(p + 1), np.zeros((1, p)), 1.0):
+        with pytest.raises(UsageError, match="update pair 1 must be .* finite"):
+            m.update((x, label) for x, label in [(ok, "a"), (bad, "b")])
+        assert _model_state(m) == before
+    m.update([(ok, "a")])
+    save_model(m, tmp_path / "m.model")
+    assert load_model(tmp_path / "m.model").model.n == 201
+
+
+@pytest.mark.parametrize("p", [2, 16])
+def test_overflowing_update_is_refused_and_model_still_scores(p, tmp_path):
+    rng = np.random.default_rng(14)
+    m = gevc.fit(LabeledDataset(rng.normal(size=(300, p)), ["a"] * 300))
+    far = np.zeros(p)
+    far[0] = 1e160  # every distance from it overflows
+    before = _model_state(m)
+    with pytest.raises(DataError, match="update pair 0: .*overflows to inf"):
+        m.update([(far, "far")])
+    assert _model_state(m) == before
+    # the pairs before a refused one stay, and so does the refit they made due
+    near = rng.normal(size=(10, p))
+    with pytest.raises(DataError, match="update pair 10"):
+        m.update([(x, "a") for x in near] + [(far, "far")])
+    batch = gevc.fit(LabeledDataset(m.index.points, ["a"] * m.n))
+    assert m.n == 310 and m.fitted == batch.fitted != before[1]
+    assert m.score(near[0])[1] == 0.0
+    save_model(m, tmp_path / "m.model")
+    assert load_model(tmp_path / "m.model").model.fitted == m.fitted
+
+
+def test_failed_refit_keeps_last_fit_and_next_update_retries():
+    rng = np.random.default_rng(15)
+    base = rng.normal(size=(30, 2))
+    m = gevc.fit(LabeledDataset(base, ["a"] * 30))
+    first = m.fitted
+    # a duplicate of every point leaves no positive nearest distance
+    with pytest.raises(FitError, match="at least 3 strictly positive"):
+        m.update((x, "a") for x in base)
+    assert m.n == 60 and (m.dmin == 0).all()
+    assert m.fitted is first and m.excluded_zeros == 0
+    verdict, d0 = m.score(base[3] + 10.0)  # the last good fit still scores
+    assert verdict.is_unknown and d0 > 0
+    m.update([(x, "b") for x in rng.normal(size=(20, 2)) + 20.0])
+    batch = gevc.fit(LabeledDataset(m.index.points, ["a"] * 80))
+    assert m.fitted == batch.fitted
+    assert m.excluded_zeros == batch.excluded_zeros == 60
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.sampled_from([2, 12]),
+    n=st.integers(min_value=20, max_value=80),
+    seed=st.integers(min_value=0, max_value=10_000),
+    steps=st.lists(st.tuples(st.sampled_from(["ok", "nan", "shape", "overflow"]),
+                             st.integers(min_value=1, max_value=6),
+                             st.integers(min_value=0, max_value=6)),
+                   max_size=8),
+)
+def test_updates_with_refused_points_equal_batch_fit(p, n, seed, steps):
+    # p=2 inserts through the tree, p=12 through the scan
+    rng = np.random.default_rng(seed)
+    accepted = [rng.normal(size=(n, p))]
+    m = gevc.fit(LabeledDataset(accepted[0], ["a"] * n))
+    refused = {"nan": np.full(p, np.nan), "shape": np.zeros(p + 1),
+               "overflow": np.full(p, 1e160)}
+    for kind, size, at in steps:
+        batch = rng.normal(size=(size, p))
+        pairs = [(x, "a") for x in batch]
+        if kind == "ok":
+            m.update(pairs)
+            accepted.append(batch)
+            continue
+        at = min(at, size)
+        pairs.insert(at, (refused[kind], "a"))
+        with pytest.raises(DataError if kind == "overflow" else UsageError,
+                           match=f"update pair {at}"):
+            m.update(pairs)
+        if kind == "overflow":  # the pairs before it were inserted
+            accepted.append(batch[:at])
+    final = rng.normal(size=(3, p))
+    assert 3 > gevc.REFIT_FRACTION * (m.n + 3)  # so the last update refits
+    m.update([(x, "a") for x in final])
+    points = np.vstack(accepted + [final])
+    batch = gevc.fit(LabeledDataset(points, ["a"] * points.shape[0]))
+    assert m.index.points.tobytes() == points.tobytes()
+    assert m.dmin.tobytes() == batch.dmin.tobytes()
+    assert m.fitted == batch.fitted
+    assert m.excluded_zeros == batch.excluded_zeros
+    queries = np.vstack([rng.normal(size=(20, p)) * 2.0, points[:5]])
+    want, got = batch.evidence(queries), m.evidence(queries)
+    for key in want:
+        assert want[key].tobytes() == got[key].tobytes(), key

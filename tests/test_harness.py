@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from helpers import pair_count_auc
 from openevt.data import LabeledDataset
 from openevt.errors import DataError, UsageError
-from openevt.harness import (TOY_KNOWN, TOY_UNKNOWN, EvalSet, f_measure,
+from openevt.harness import (THYROID_KNOWN_CLASSES, THYROID_UNKNOWN_CLASSES,
+                             TOY_KNOWN, TOY_UNKNOWN, EvalSet, f_measure,
                              fit_and_rank, generate_toy,
                              gpdc_tail_fraction_sweep, load_letter,
                              load_thyroid, rng_from, roc_auc, run_oletter,
@@ -253,6 +254,8 @@ class TestLoaders:
         points, is_unknown = load_thyroid(f)
         assert points.shape == (30, 21)
         assert int(is_unknown.sum()) == 20  # classes 1 and 2
+        assert (THYROID_UNKNOWN_CLASSES, THYROID_KNOWN_CLASSES) == (("1", "2"),
+                                                                  ("3",))
 
     def test_thyroid_unmapped_class(self, tmp_path):
         f = tmp_path / "ann.data"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import brute_dmin, brute_knn
 from openevt import neighbors
 from openevt.data import DistanceMetric, distances_to
-from openevt.errors import UsageError
+from openevt.errors import DataError, UsageError
 from openevt.neighbors import NeighborIndex
 
 
@@ -435,3 +435,58 @@ def test_minkowski_overflow_is_silent(p):
         d = ix.batch_k_smallest(np.full((2, p), 1e150), 3)
         far = distances_to(np.full(p, 1e150), pts, DistanceMetric(3.0))
     assert np.isinf(d).all() and np.isinf(far).all()
+
+
+def _index_state(ix):
+    """Everything an insert may change, in comparable form."""
+    return (ix.size, ix.points.tobytes(), ix.dmin_vector().tobytes(), ix._tree,
+            ix._tree_size, ix.counters.snapshot())
+
+
+@pytest.mark.parametrize("x,accepted", [
+    ([1e160, 0.0], False),    # the tree's ball query overflows
+    ([0.0, 2e154], False),    # every squared distance overflows
+    ([-1e154, 0.0], True),    # nearest 1e154; the ball into the far set overflows
+    ([1e154, 1e154], True),   # nearest 1e154, to the far set
+    ([0.5, 0.5], True),
+])
+def test_overflowing_insert_refused_alike_by_tree_and_scan(x, accepted, monkeypatch):
+    # an insert whose nearest distance overflows raises and changes
+    # nothing; the tree path accepts and refuses what the scan path does
+    rng = np.random.default_rng(31)
+    base = np.vstack([rng.normal(size=(150, 2)),
+                      rng.normal(size=(150, 2)) + [1e154, 0.0]])
+    results = []
+    for limit in (neighbors.TREE_DIMENSION_LIMIT, 0):
+        monkeypatch.setattr(neighbors, "TREE_DIMENSION_LIMIT", limit)
+        ix = NeighborIndex(base)
+        assert (ix._tree is None) == (limit == 0)
+        before = _index_state(ix)
+        try:
+            results.append((ix.insert(x), ix.dmin_vector().tobytes()))
+        except DataError as exc:
+            assert "overflows to inf" in str(exc)
+            assert _index_state(ix) == before
+            results.append(None)
+    assert results[0] == results[1]
+    assert (results[0] is not None) == accepted
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, np.inf], [1.0, 2.0, 3.0]])
+def test_insert_refuses_malformed_point(bad):
+    ix = NeighborIndex(np.random.default_rng(2).normal(size=(50, 2)))
+    before = _index_state(ix)
+    with pytest.raises(UsageError, match="must be 2 finite coordinates"):
+        ix.insert(bad)
+    assert _index_state(ix) == before
+
+
+@pytest.mark.parametrize("p", [2, 16])
+def test_non_finite_query_row_named(p):
+    ix = NeighborIndex(np.random.default_rng(3).normal(size=(60, p)))
+    queries = np.zeros((4, p))
+    for value in (np.nan, np.inf, -np.inf):
+        queries[2, p - 1] = value
+        with pytest.raises(UsageError, match=f"query row 2, column {p - 1}"):
+            ix.batch_k_smallest(queries, 3)
+    assert ix.counters.snapshot() == (0, 0)  # a refused query counts nothing

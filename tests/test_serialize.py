@@ -108,10 +108,12 @@ def _gpdc_tree():
 
 def _gevc_updated():
     model = gevc.fit(gaussian_blobs(3, [(0.0, 0.0), (4.0, 0.0)], n_per=100))
+    first = model.fitted
     rng = np.random.default_rng(3)
     model.update((x, "new") for x in rng.normal(size=(12, 2)) * 3.0)
     index = model.index
-    assert index.size > index._tree_size and model._stale
+    # the inserts are pending in the tree, and update has refit
+    assert index.size > index._tree_size and model.fitted != first
     return model
 
 
@@ -130,7 +132,7 @@ def _bits(column: np.ndarray):
 @pytest.mark.parametrize("build", [_gpdc_blocked, _gpdc_tree, _gevc_updated,
                                    _evm_delta],
                          ids=["gpdc_p16_blocked", "gpdc_p2_tree",
-                              "gevc_pending_refit", "evm_delta"])
+                              "gevc_pending_inserts", "evm_delta"])
 def test_round_trip_evidence_bitwise(build, tmp_path):
     model = build()
     f = tmp_path / "m.model"
