@@ -274,6 +274,8 @@ def cmd_score(args) -> int:
             raise UsageError("--delta only applies to evm models")
         check_level(args.delta, "delta")
         model.delta = args.delta
+    if args.hill_plot_out and loaded.kind != "gpdc":
+        raise UsageError("--hill-plot-out only applies to gpdc models")
     points = load_points_csv(args.test, delimiter=args.delimiter,
                              header=_header_flag(args.header),
                              label_column=args.label_column)
@@ -295,8 +297,6 @@ def cmd_score(args) -> int:
     _write_csv(args.out, comments, ("row", *evidence),
                zip(range(m), *(values.tolist() for values in evidence.values())))
     if args.hill_plot_out:
-        if loaded.kind != "gpdc":
-            raise UsageError("--hill-plot-out only applies to gpdc models")
         _write_hill_plot(args, model, points, comments)
     print(f"rows={m}")
     if m:
@@ -307,7 +307,7 @@ def cmd_score(args) -> int:
 def _write_hill_plot(args, model, points, comments):
     """Per-row tail-shape estimates over a ladder of exceedance counts."""
     kmax = min(max(model.k * 4, 50), model.n - 1)
-    ladder = sorted({int(k) for k in np.geomspace(5, kmax, num=10)})
+    ladder = sorted({int(k) for k in np.geomspace(min(5, kmax), kmax, num=10)})
     d = model.index.batch_k_smallest(points, kmax + 1)
     xi = np.column_stack([
         tail_stats(d[:, :k + 1], k, model.p, model.gamma, model.n)[1] / model.p

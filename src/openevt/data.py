@@ -21,13 +21,14 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class DistanceMetric:
-    """A Minkowski-family metric identified by its order ``q`` (q >= 1)."""
+    """A Minkowski-family metric identified by its finite order ``q`` (q >= 1)."""
 
     order: float = 2.0
 
     def __post_init__(self):
-        if not (self.order >= 1.0):
-            raise UsageError(f"Minkowski order must be >= 1, got {self.order}")
+        if not (1.0 <= self.order < np.inf):
+            raise UsageError(f"Minkowski order must be finite and >= 1, "
+                             f"got {self.order}")
 
     @classmethod
     def euclidean(cls) -> "DistanceMetric":
@@ -44,7 +45,7 @@ class DistanceMetric:
     @classmethod
     def parse(cls, text: str) -> "DistanceMetric":
         """Parse ``"euclidean"``, ``"manhattan"`` or ``"minkowski:Q"``."""
-        name = text.strip().lower()
+        name = text.strip().lower() if isinstance(text, str) else ""
         if name == "euclidean":
             return cls.euclidean()
         if name == "manhattan":

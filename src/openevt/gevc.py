@@ -174,9 +174,13 @@ class GevcModel:
         labels = payload.get("labels")
         if labels is None:
             labels = [None] * n
-        if len(labels) != n:
-            raise DataError(f"payload field 'labels' has {len(labels)} entries, "
-                            f"expected {n} to match the points")
+        if not isinstance(labels, list) or len(labels) != n:
+            raise DataError(f"payload field 'labels' is not a list of {n} "
+                            "entries, one per point")
+        free_endpoint = payload.get("free_endpoint", False)
+        if not isinstance(free_endpoint, bool):
+            raise DataError("payload field 'free_endpoint': expected true or "
+                            f"false, got {free_endpoint!r}")
         # A nearest distance may overflow to inf but is never NaN or negative.
         dmin = payload_array(payload, "dmin", n, valid=lambda d: d >= 0)
         index = NeighborIndex(points, metric, dmin=dmin)
@@ -185,7 +189,7 @@ class GevcModel:
                                  endpoint=payload_number(payload, "endpoint"))
         return cls(index, labels, payload_level(payload, "alpha"), fitted,
                    payload_number(payload, "excluded_zeros", 0, n, integer=True),
-                   free_endpoint=bool(payload.get("free_endpoint", False)))
+                   free_endpoint=free_endpoint)
 
 
 def fit(data: LabeledDataset, alpha: float = 0.05,

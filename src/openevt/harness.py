@@ -23,7 +23,6 @@ repetitions own independent streams keyed by (seed, rep).
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -113,25 +112,25 @@ def roc_auc(scores) -> RocCurve:
     equals the tie-averaged pair-concordance statistic; the integration is
     done in integer counts and divided once, keeping it exact.
     """
-    items = [(float(s), bool(u)) for s, u in scores]
-    if not items:
+    pairs = list(scores)
+    if not pairs:
         raise UsageError("need at least one scored point")
-    n_pos = sum(1 for _, u in items if u)
-    n_neg = len(items) - n_pos
+    score = np.array([float(s) for s, _ in pairs])
+    is_pos = np.array([bool(u) for _, u in pairs])
+    n_pos = int(is_pos.sum())
+    n_neg = len(pairs) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UsageError("ROC needs both known and unknown points")
-    items.sort(key=lambda t: -t[0])
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    num = 0  # twice the area, in integer count units
-    for _, group in groupby(items, key=lambda t: t[0]):
-        flags = [u for _, u in group]
-        g_tp = sum(flags)
-        g_fp = len(flags) - g_tp
-        num += g_fp * (tp + (tp + g_tp))
-        tp += g_tp
-        fp += g_fp
-        points.append((fp / n_neg, tp / n_pos))
+    order = np.argsort(-score, kind="stable")
+    score, is_pos = score[order], is_pos[order]
+    # True and false positives down to each distinct score: one curve
+    # point per tie group.
+    ends = np.flatnonzero(np.append(score[1:] != score[:-1], True))
+    tp = np.cumsum(is_pos)[ends]
+    fp = ends + 1 - tp
+    # Twice the area, in integer count units.
+    num = int(np.diff(fp, prepend=0) @ (tp + np.append(0, tp[:-1])))
+    points = [(0.0, 0.0), *zip((fp / n_neg).tolist(), (tp / n_pos).tolist())]
     return RocCurve(points=tuple(points), auc=num / (2 * n_pos * n_neg))
 
 
@@ -245,59 +244,44 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
 
     train_rows = data.subset(np.arange(data.n) < train_count)
     test_points = data.points[train_count:]
-    test_labels = data.labels[train_count:]
+    test_ids = data.label_ids[train_count:]
     names = np.array(data.class_names, dtype=object)
     # With test rows of every class, each step past the closed set adds
     # unknown rows, so its F-measure is defined.
-    missing = sorted(set(data.class_names) - set(test_labels))
-    if missing:
+    missing = names[np.bincount(test_ids, minlength=j_classes) == 0]
+    if missing.size:
         raise DataError(f"the test split holds no rows of class {missing[0]!r}")
     grids = {"alpha": alphas, "delta": deltas}
 
     def one_rep(rep: int) -> list:
         rng = rng_from(seed, "oletter", rep)
-        known = names[rng.choice(j_classes, size=n_known, replace=False)]
-        rest = np.array([c for c in names if c not in set(known)], dtype=object)
-        unknown_order = rest[rng.permutation(rest.shape[0])]
-        train = train_rows.restrict_to_classes(known)
+        known = rng.choice(j_classes, size=n_known, replace=False)
+        unknown_order = rng.permutation(np.setdiff1d(np.arange(j_classes), known))
+        known_classes = tuple(names[known])
+        train = train_rows.restrict_to_classes(known_classes)
 
-        known_set = set(known)
-        test_known_mask = np.array([l in known_set for l in test_labels])
-        pool_points = [test_points[test_known_mask]]
-        pool_counts = [int(test_known_mask.sum())]
-        for c in unknown_order:
-            mask = test_labels == c
-            pool_points.append(test_points[mask])
-            pool_counts.append(int(mask.sum()))
-        all_points = np.vstack(pool_points)
-
-        # Per-method threshold flags for every pooled point, computed once.
-        flags = {}
+        # Pool rows by class rank (0 known, m for the m-th unknown class),
+        # file order within a class: step m's pool is its first stops[m] rows.
+        class_rank = np.zeros(j_classes, dtype=int)
+        class_rank[unknown_order] = np.arange(1, unknown_order.size + 1)
+        ranks = class_rank[test_ids]
+        pool_points = test_points[np.argsort(ranks, kind="stable")]
+        stops = np.cumsum(np.bincount(ranks))
+        n_unknown = (stops - stops[0]).tolist()
+        curves = {}  # method -> per threshold, its (threshold, F) at each step
         for name, kwargs in methods.items():
             model = fit_model(name, train, **kwargs)
-            flags[name] = model.flags(all_points, grids[model.THRESHOLD])
-
-        steps = []
-        n_known_test = pool_counts[0]
-        bounds = np.cumsum(pool_counts)
-        for m in range(len(unknown_order) + 1):
-            stop = bounds[m]
-            n_unknown_test = int(stop - n_known_test)
-            f_per_method = {}
-            for name in methods:
-                curve = []
-                for thr, flag in flags[name].items():
-                    if n_unknown_test == 0:
-                        curve.append((thr, None))
-                        continue
-                    fp = int(flag[:n_known_test].sum())
-                    tp = int(flag[n_known_test:stop].sum())
-                    curve.append((thr, f_measure(tp, fp, n_unknown_test - tp)))
-                f_per_method[name] = tuple(curve)
-            steps.append(OpennessStep(rep=rep, known_classes=tuple(known),
-                                      n_unknown_classes=m,
-                                      f_measures=f_per_method))
-        return steps
+            curves[name] = []
+            for thr, flag in model.flags(pool_points, grids[model.THRESHOLD]).items():
+                flagged = np.cumsum(flag)[stops - 1]
+                fp, tp = int(flagged[0]), (flagged - flagged[0]).tolist()
+                curves[name].append([(thr, None if n == 0 else f_measure(t, fp, n - t))
+                                     for t, n in zip(tp, n_unknown)])
+        return [OpennessStep(rep=rep, known_classes=known_classes,
+                             n_unknown_classes=m,
+                             f_measures={name: tuple(curve[m] for curve in per_threshold)
+                                         for name, per_threshold in curves.items()})
+                for m in range(len(n_unknown))]
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return [step for steps in pool.map(one_rep, range(reps))

@@ -142,7 +142,10 @@ def load_model(path) -> ModelFile:
     kinds = model_kinds()
     if kind not in kinds:
         raise DataError(f"{path}: unknown model kind {kind!r}")
-    metric = DistanceMetric.parse(doc["metric"])
+    try:
+        metric = DistanceMetric.parse(doc.get("metric"))
+    except UsageError as exc:
+        raise DataError(f"{path}: container field 'metric': {exc}") from None
     block = doc.get("standardize")
     try:
         model = kinds[kind].from_payload(doc["payload"], metric)

@@ -262,6 +262,48 @@ def test_fit_standardize_overflow_is_data_error(tmp_path, capsys):
     assert "feature column 1" in err and "Warning" not in err
 
 
+
+def test_hill_plot_refused_for_gevc_before_any_output(toy_files, tmp_path,
+                                                       capsys):
+    tmp, train_csv, test_csv, _, _ = toy_files
+    model = tmp / "gevc_hill.model"
+    assert main(["fit", "--method", "gevc", "--train", str(train_csv),
+                 "--out", str(model)]) == 0
+    out, hill = tmp_path / "scores.csv", tmp_path / "hill.csv"
+    rc = main(["score", "--model", str(model), "--test", str(test_csv),
+               "--out", str(out), "--hill-plot-out", str(hill)])
+    assert rc == 2
+    assert "--hill-plot-out only applies to gpdc" in capsys.readouterr().err
+    assert not out.exists() and not hill.exists()
+
+
+def test_hill_plot_ladder_within_kmax_of_small_model(tmp_path, capsys):
+    # n = 5 caps the ladder at kmax = 4, below the ladder's usual start of 5
+    rng = np.random.default_rng(8)
+    train, test = tmp_path / "five.csv", tmp_path / "fresh.csv"
+    write_csv(train, rng.normal(size=(5, 2)), ["a"] * 5)
+    write_csv(test, rng.normal(size=(3, 2)))
+    model, hill = tmp_path / "five.model", tmp_path / "hill.csv"
+    assert main(["fit", "--method", "gpdc", "--train", str(train), "--k", "2",
+                 "--out", str(model)]) == 0
+    rc = main(["score", "--model", str(model), "--test", str(test),
+               "--out", str(tmp_path / "s.csv"), "--hill-plot-out", str(hill)])
+    assert rc == 0
+    rows = [l.split(",") for l in hill.read_text().splitlines()
+            if not l.startswith("#")][1:]
+    assert [(r[0], r[1]) for r in rows] == [("0", "4"), ("1", "4"), ("2", "4")]
+    assert all(np.isfinite(float(r[2])) for r in rows)
+
+
+@pytest.mark.parametrize("metric", ["minkowski:inf", "minkowski:nan"])
+def test_fit_refuses_bad_minkowski_order(toy_files, tmp_path, capsys, metric):
+    _, train_csv, _, _, _ = toy_files
+    out = tmp_path / "m.model"
+    rc = main(["fit", "--method", "gevc", "--train", str(train_csv),
+               "--metric", metric, "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert "Minkowski order" in capsys.readouterr().err
+
 @pytest.mark.parametrize("field,value", [("mean", "x"), ("scale", 0.0)])
 def test_score_refuses_tampered_standardizer(toy_files, field, value, capsys):
     tmp, train_csv, test_csv, _, _ = toy_files

@@ -55,6 +55,10 @@ def test_metric_parse():
         DistanceMetric.parse("cosine")
     with pytest.raises(UsageError):
         DistanceMetric.minkowski(0.5)
+    # an infinite order put every distance at 1.0, a point's own included
+    for text in ("minkowski:inf", "Minkowski:Infinity", "minkowski:nan"):
+        with pytest.raises(UsageError, match="Minkowski order must be finite"):
+            DistanceMetric.parse(text)
 
 
 def test_verdict_flags():

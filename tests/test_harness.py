@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pair_count_auc
+from helpers import oletter_rep_oracle, pair_count_auc
 from openevt.data import LabeledDataset
 from openevt.errors import DataError, UsageError
-from openevt.harness import (THYROID_KNOWN_CLASSES, THYROID_UNKNOWN_CLASSES,
+from openevt.harness import (DEFAULT_ALPHA_GRID, DEFAULT_DELTA_GRID,
+                             THYROID_KNOWN_CLASSES, THYROID_UNKNOWN_CLASSES,
                              TOY_KNOWN, TOY_UNKNOWN, EvalSet, f_measure,
                              fit_and_rank, generate_toy,
                              gpdc_tail_fraction_sweep, load_letter,
@@ -91,12 +92,15 @@ class TestRocAuc:
     @given(
         n=st.integers(min_value=2, max_value=200),
         seed=st.integers(min_value=0, max_value=10_000),
-        ties=st.booleans(),
+        kind=st.sampled_from(["distinct", "ties", "signed_zeros"]),
     )
-    def test_matches_pair_counting_exactly(self, n, seed, ties):
+    def test_matches_pair_counting_exactly(self, n, seed, kind):
         rng = np.random.default_rng(seed)
-        scores = (rng.integers(0, 4, size=n).astype(float) if ties
-                  else rng.normal(size=n))
+        scores = {"distinct": lambda: rng.normal(size=n),
+                  "ties": lambda: rng.integers(0, 4, size=n).astype(float),
+                  # -0.0 and 0.0 are one tie group
+                  "signed_zeros": lambda: rng.choice([-0.0, 0.0, 1.0], size=n),
+                  }[kind]()
         flags = rng.integers(0, 2, size=n).astype(bool)
         flags[0] = True
         flags[-1] = False
@@ -167,6 +171,28 @@ class TestOletter:
         serial = run_oletter(data, reps=2, seed=4, jobs=1, train_count=train_count)
         parallel = run_oletter(data, reps=2, seed=4, jobs=2, train_count=train_count)
         assert [s.f_measures for s in serial] == [s.f_measures for s in parallel]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_steps_match_slice_sum_oracle(self, jobs):
+        data, train_count = synthetic_openset_surrogate(seed=8)
+        steps = run_oletter(data, reps=2, seed=8, train_count=train_count,
+                            jobs=jobs)
+        # the default method table below 26 classes
+        methods = {"gpdc": {"k": None}, "gevc": {}, "evm": {"k": None}}
+        grids = {"alpha": DEFAULT_ALPHA_GRID, "delta": DEFAULT_DELTA_GRID}
+        want = [(rep, *step) for rep in range(2) for step in
+                oletter_rep_oracle(data, train_count, 8, rep, methods, grids)]
+        got = [(s.rep, s.known_classes, s.n_unknown_classes, s.f_measures)
+               for s in steps]
+        assert got == want
+        assert [list(s.f_measures) for s in steps] == [list(methods)] * len(steps)
+        # Python scalars only, so that a step's repr is stable
+        for s in steps:
+            assert type(s.n_unknown_classes) is int
+            assert all(type(c) is str for c in s.known_classes)
+            for curve in s.f_measures.values():
+                assert all(type(t) is float and (f is None or type(f) is float)
+                           for t, f in curve)
 
     def test_paper_scale_defaults(self):
         # 26-class surrogate: default ks switch to the full-protocol values

@@ -205,6 +205,12 @@ TAMPERED = [
     ("gpdc", "radius_threshold", lambda v: None),
     ("gpdc", "pxi_stats", lambda v: [float("nan")] * (len(v) - 2) + v[-2:]),
     ("gpdc", "radius_stats", lambda v: [None] * len(v)),
+    # gevc labels: a list of one entry per point; free_endpoint: a JSON bool
+    ("gevc", "labels", lambda v: 5),
+    ("gevc", "labels", lambda v: "c" * len(v)),
+    ("gevc", "free_endpoint", lambda v: "no"),
+    ("gevc", "free_endpoint", lambda v: 1),
+    ("gevc", "free_endpoint", lambda v: None),
 ]
 
 
@@ -259,3 +265,25 @@ def test_missing_payload_field_names_path(saved_docs, tmp_path):
     with pytest.raises(DataError) as info:
         load_model(f)
     assert str(info.value) == f"{f}: payload field 'dmin' is missing"
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("metric", [MISSING, None, 5, ["euclidean"], "cosine",
+                                    "minkowski:x", "minkowski:0.5",
+                                    "minkowski:inf", "minkowski:nan"],
+                         ids=["missing", "null", "number", "list", "unknown",
+                              "not_a_number", "below_one", "infinite", "nan"])
+def test_bad_container_metric_names_field_and_path(saved_docs, tmp_path, metric):
+    doc = json.loads(json.dumps(saved_docs["gevc"]))
+    if metric is MISSING:
+        del doc["metric"]
+    else:
+        doc["metric"] = metric
+    f = tmp_path / "metric.model"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(DataError) as info:
+        load_model(f)
+    assert info.value.exit_code == 3
+    assert str(info.value).startswith(f"{f}: container field 'metric'")
