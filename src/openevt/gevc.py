@@ -102,22 +102,25 @@ class GevcModel:
         verdict = Verdict(row.pop("verdict"), row.pop("score"), row)
         return verdict, row["d0min"]
 
-    def evidence(self, points) -> dict:
+    def evidence(self, points, distances=None) -> dict:
         """Batch evidence for an (m, p) array, one array per output column:
-        verdict, score = 1 - W(-d0min), d0min and cdf = W(-d0min)."""
-        d0 = self._index.batch_k_smallest(points, 1)[:, 0]
+        verdict, score = 1 - W(-d0min), d0min and cdf = W(-d0min); d0min is
+        column 0 of ``distances``, ascending rows, if given."""
+        if distances is None:
+            distances = self._index.batch_k_smallest(points, 1)
+        d0 = distances[:, 0]
         w = reversed_weibull_cdf(self.fitted, -d0)
         return {"verdict": _VERDICTS.take(w < self.alpha),
                 "score": 1.0 - w, "d0min": d0, "cdf": w}
 
-    def unknownness(self, points) -> np.ndarray:
+    def unknownness(self, points, distances=None) -> np.ndarray:
         """Batch 1 - W(-d0min) for an (m, p) array of query points."""
-        return self.evidence(points)["score"]
+        return self.evidence(points, distances)["score"]
 
-    def flags(self, points, grid) -> dict:
+    def flags(self, points, grid, distances=None) -> dict:
         """Unknown-decision masks for an (m, p) array at each alpha of
         ``grid``."""
-        w = self.evidence(points)["cdf"]
+        w = self.evidence(points, distances)["cdf"]
         return {a: w < a for a in grid}
 
     def summary(self) -> dict:
@@ -198,10 +201,18 @@ def fit(data: LabeledDataset, alpha: float = 0.05,
     """Fit the classifier: nearest distances for every training point, then
     the reversed Weibull on their negations (endpoint fixed at 0 unless
     ``free_endpoint``)."""
+    return fit_from(lambda metric: None, data, alpha, metric, free_endpoint)
+
+
+def fit_from(nearest, data, alpha=0.05, metric=EUCLIDEAN,
+             free_endpoint=False) -> GevcModel:
+    """:func:`fit` with the nearest distances ``nearest(metric)``, asked for
+    after the checks and copied into the model's own index (None: computed
+    there)."""
     if data.n < 3:
         raise UsageError(f"need at least 3 training points, got {data.n}")
     check_level(alpha, "alpha")
-    index = NeighborIndex(data.points, metric)
+    index = NeighborIndex(data.points, metric, dmin=nearest(metric))
     fitted, excluded = _fit_dmin_sample(index.dmin_vector(), free_endpoint)
     return GevcModel(index, list(data.labels), alpha, fitted, excluded,
                      free_endpoint=free_endpoint)

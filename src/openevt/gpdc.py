@@ -43,7 +43,7 @@ def _quantile_thresholds(pxi_stats, radius_stats, alpha):
 
 
 def tail_stats(d: np.ndarray, k: int, p: int, gamma: float, n_ref: int):
-    """Shape and radius statistics from (m, k+1) ascending distance rows:
+    """Shape and radius statistics from (m, k+1 or more) ascending distance rows:
     the vectorized Hill estimator (``evt.hill_shape`` is its scalar
     reference), scaled by p, and the ball radius it implies.
 
@@ -102,11 +102,12 @@ class GpdcModel:
     def index(self) -> NeighborIndex:
         return self._index
 
-    def decision_stats(self, points) -> tuple:
-        """Batch statistics for an (m, p) array: (coincident, p_xi, radius)."""
-        points = np.asarray(points, dtype=float)
-        d = self._index.batch_k_smallest(points, self.k + 1)
-        return tail_stats(d, self.k, self.p, self.gamma, self.n)
+    def decision_stats(self, points, distances=None) -> tuple:
+        """Batch statistics for an (m, p) array: (coincident, p_xi, radius),
+        from ``distances``, its k+1 or more smallest ascending, if given."""
+        if distances is None:
+            distances = self._index.batch_k_smallest(points, self.k + 1)
+        return tail_stats(distances, self.k, self.p, self.gamma, self.n)
 
     def evidence(self, points) -> dict:
         """Batch evidence for an (m, p) array, one array per output column:
@@ -129,12 +130,12 @@ class GpdcModel:
                                                 ACCEPTED))),
         }
 
-    def unknownness(self, points) -> np.ndarray:
+    def unknownness(self, points, distances=None) -> np.ndarray:
         """Unknownness in [0, 1] for an (m, p) array: the worse of the two
         statistics' empirical ranks within the jackknife sample. 0 for
         coincident points, near 1 for points whose statistics exceed
         everything seen in calibration."""
-        return self._ranks(*self.decision_stats(points))
+        return self._ranks(*self.decision_stats(points, distances))
 
     def decide(self, coincident, pxi, radius, alpha: float | None = None):
         """Vectorized decision rule at the model's (or a given) alpha."""
@@ -147,10 +148,10 @@ class GpdcModel:
         # distances that overflow to inf passes neither.
         return ~coincident & ~((pxi < s) & (radius <= t))
 
-    def flags(self, points, grid) -> dict:
+    def flags(self, points, grid, distances=None) -> dict:
         """Unknown-decision masks for an (m, p) array at each alpha of
         ``grid``, from one pass of distance work."""
-        stats = self.decision_stats(points)
+        stats = self.decision_stats(points, distances)
         return {a: self.decide(*stats, alpha=a) for a in grid}
 
     def summary(self) -> dict:
@@ -212,6 +213,17 @@ def fit(data: LabeledDataset, k: int | None = None, gamma: float | None = None,
     All classes are collapsed; labels are ignored. ``k`` defaults to the
     0.25% tail rule, ``gamma`` to 1/n.
     """
+    def leave_one_out(metric, width):
+        index = NeighborIndex(data.points, metric)
+        return index, index.leave_one_out_smallest(width)
+    return fit_from(leave_one_out, data, k, gamma, alpha, metric)
+
+
+def fit_from(neighbours, data, k=None, gamma=None, alpha=0.05,
+             metric=EUCLIDEAN) -> GpdcModel:
+    """:func:`fit` on ``neighbours(metric, k + 1)``, asked for after the
+    checks: an index over the points of ``data`` and its leave-one-out
+    matrix of k + 1 or more columns."""
     n, p = data.n, data.p
     if k is None:
         k = default_tail_count(n)
@@ -229,9 +241,8 @@ def fit(data: LabeledDataset, k: int | None = None, gamma: float | None = None,
     if not (0.0 < gamma < k / n):
         raise UsageError(f"gamma must be in (0, k/n) = (0, {k / n:g}), got {gamma}")
 
-    index = NeighborIndex(data.points, metric)
     # Leave-one-out pass: each training point scored against the other n-1.
-    d = index.leave_one_out_smallest(k + 1)
+    index, d = neighbours(metric, k + 1)
     coincident, pxi, radius = tail_stats(d, k, p, gamma, n - 1)
     if np.isfinite(pxi).sum() < 3:
         raise FitError(

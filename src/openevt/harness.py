@@ -16,6 +16,12 @@ Three protocols are provided at desk scale:
 * ``thyroid``: binary novelty detection with a single known class; ROC/AUC
   per method, with a tail-fraction sweep for the GPD classifier.
 
+The protocols fit every kind through ``fit_methods``: gpdc and gevc share
+one neighbour pass per training set, a leave-one-out pass and a pool query
+at the widest width they need. A k-column kNN result is bitwise the prefix
+of a wider one, so gpdc takes its k+1 columns and gevc column 0, copied into
+an index of its own for its updates. evm runs its own queries.
+
 All randomness flows from one seed through named substreams, and protocol
 repetitions own independent streams keyed by (seed, rep).
 """
@@ -23,13 +29,16 @@ repetitions own independent streams keyed by (seed, rep).
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import gevc, gpdc
 from .data import LabeledDataset, load_dataset_csv, read_table
 from .errors import DataError, UsageError
-from .evt import tail_count
-from .serialize import fit_model, model_kinds
+from .evt import default_tail_count, tail_count
+from .neighbors import NeighborIndex
+from .serialize import fit_parameters, model_kinds
 
 DEFAULT_ALPHA_GRID = (0.01, 0.05, 0.1, 0.2)
 DEFAULT_DELTA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -141,6 +150,52 @@ def f_measure(tp: int, fp: int, fn: int) -> float:
     return 0.0 if tp == 0 else 2 * tp / (2 * tp + fp + fn)
 
 
+def fit_methods(train: LabeledDataset, methods, pool: np.ndarray,
+                optional: bool = False):
+    """Fit each (kind, options) of ``methods`` on ``train`` in order, with the
+    options its fit takes, and yield (model, keyword arguments of its
+    scoring calls on ``pool``); with ``optional``, (None, None) where the fit
+    rejects the data. Each fit runs once the previous pair is taken, and the
+    shared pass (module docstring) is dropped after its last fit, so a
+    caller that scores each model in turn holds what the fits alone held."""
+    methods = list(methods)
+    ks = [opts.get("k") or default_tail_count(train.n)
+          for kind, opts in methods if kind == "gpdc"]
+    width = min(max([0, *ks]) + 1, train.n - 1)
+    passes, pooled = {}, {}  # by metric: (index, leave-one-out matrix); pool matrix
+
+    def leave_one_out(metric):
+        if metric not in passes:
+            index = NeighborIndex(train.points, metric)
+            passes[metric] = index, index.leave_one_out_smallest(width)
+        return passes[metric]
+
+    shared = {"gpdc": partial(gpdc.fit_from, lambda metric, _: leave_one_out(metric)),
+              "gevc": partial(gevc.fit_from, lambda metric: leave_one_out(metric)[1][:, 0])}
+    last = max([i for i, (kind, _) in enumerate(methods) if kind in shared], default=-1)
+    for i, (kind, options) in enumerate(methods):
+        fit, accepted = fit_parameters(kind)
+        try:
+            model = shared.get(kind, fit)(
+                train, **{k: v for k, v in options.items() if k in accepted})
+        except DataError:
+            if not optional:
+                raise
+            yield None, None
+            continue
+        scoring = {}
+        if kind in shared:
+            if model.metric not in pooled:
+                pooled[model.metric] = passes[model.metric][0].batch_k_smallest(pool, width)
+            # the columns the model reads, copied where that is fewer than all
+            reads = model.k + 1 if kind == "gpdc" else 1
+            scoring = {"distances": np.ascontiguousarray(pooled[model.metric][:, :reads])}
+        if i == last:  # no later fit or score reads the pass
+            passes.clear()
+            pooled.clear()
+        yield model, scoring
+
+
 def fit_and_rank(train: LabeledDataset, test: EvalSet,
                  kinds=tuple(model_kinds()), **options) -> tuple:
     """Fit each kind on ``train`` with the options it takes and take the ROC
@@ -148,14 +203,12 @@ def fit_and_rank(train: LabeledDataset, test: EvalSet,
     are None for a kind whose fit rejects the training data (the margin
     baseline needs two classes)."""
     models, curves = {}, {}
-    for name in kinds:
-        try:
-            models[name] = fit_model(name, train, **options)
-        except DataError:
-            models[name] = curves[name] = None
-            continue
-        unknownness = models[name].unknownness(test.points)
-        curves[name] = roc_auc(zip(unknownness, test.is_unknown))
+    fitted = fit_methods(train, [(kind, options) for kind in kinds],
+                         test.points, optional=True)
+    for kind, (model, scoring) in zip(kinds, fitted):
+        models[kind] = model
+        curves[kind] = model and roc_auc(
+            zip(model.unknownness(test.points, **scoring), test.is_unknown))
     return models, curves
 
 
@@ -269,10 +322,11 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
         stops = np.cumsum(np.bincount(ranks))
         n_unknown = (stops - stops[0]).tolist()
         curves = {}  # method -> per threshold, its (threshold, F) at each step
-        for name, kwargs in methods.items():
-            model = fit_model(name, train, **kwargs)
+        fitted = fit_methods(train, methods.items(), pool_points)
+        for name, (model, scoring) in zip(methods, fitted):
             curves[name] = []
-            for thr, flag in model.flags(pool_points, grids[model.THRESHOLD]).items():
+            for thr, flag in model.flags(pool_points, grids[model.THRESHOLD],
+                                         **scoring).items():
                 flagged = np.cumsum(flag)[stops - 1]
                 fp, tp = int(flagged[0]), (flagged - flagged[0]).tolist()
                 curves[name].append([(thr, None if n == 0 else f_measure(t, fp, n - t))
@@ -295,13 +349,15 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
 def gpdc_tail_fraction_sweep(train: LabeledDataset, test: EvalSet,
                              fractions=THYROID_TAIL_FRACTIONS,
                              alpha: float = 0.05) -> list:
-    """(fraction, k, auc) for the GPD classifier across tail sizes."""
-    out = []
-    for frac in fractions:
-        k = tail_count(frac, train.n)
-        curve = fit_and_rank(train, test, ("gpdc",), k=k, alpha=alpha)[1]["gpdc"]
-        out.append((float(frac), k, curve.auc))
-    return out
+    """(fraction, k, auc) for the GPD classifier across tail sizes, from
+    one :func:`fit_methods` call. k is at least 2, the smallest k for which
+    the default gamma = 1/n is valid."""
+    ks = [max(2, tail_count(frac, train.n)) for frac in fractions]
+    fitted = fit_methods(train, [("gpdc", {"k": k, "alpha": alpha}) for k in ks],
+                         test.points)
+    return [(float(frac), k, roc_auc(zip(model.unknownness(test.points, **scoring),
+                                         test.is_unknown)).auc)
+            for frac, k, (model, scoring) in zip(fractions, ks, fitted)]
 
 
 # ---------------------------------------------------------------------------

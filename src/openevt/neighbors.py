@@ -77,7 +77,9 @@ _EPS = np.finfo(float).eps
 class QueryCounters:
     """Instrumentation: kNN query rows issued and the neighbor distances
     they returned (k per row). Every view counts, fits included: a gpdc
-    fit adds (n, n(k+1)) and a gevc fit (n, n)."""
+    fit adds (n, n(k+1)) and a gevc fit (n, n). A pass shared by several
+    fits (``harness.fit_methods``) counts (n, nK) once, K its width, on the
+    index that ran it."""
 
     queries: int = 0
     distances: int = 0

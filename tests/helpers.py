@@ -3,6 +3,9 @@
 import numpy as np
 
 from openevt.data import DistanceMetric, LabeledDataset, distances_to
+from openevt.evt import (fit_weibull_rows, reversed_weibull_cdf,
+                         reversed_weibull_fit)
+from openevt.gpdc import tail_stats
 from openevt.harness import rng_from
 from openevt.serialize import fit_model
 
@@ -18,6 +21,70 @@ def brute_knn(points: np.ndarray, q: np.ndarray, k: int, order: float = 2.0):
                      DistanceMetric(order))
     idx = np.lexsort((np.arange(points.shape[0]), d))[:k]
     return d[idx], idx
+
+
+def sorted_distances(points: np.ndarray, queries=None, order: float = 2.0):
+    """Whole-matrix oracle extending :func:`brute_knn`: the distances from
+    each query row to every point, each row sorted by (distance, index).
+    Without ``queries``, from each point to every other one (n - 1 columns,
+    the leave-one-out matrix)."""
+    points = np.asarray(points, float)
+    n = points.shape[0]
+    rows = []
+    for i, q in enumerate(points if queries is None else np.asarray(queries, float)):
+        d, idx = distances_to(q, points, DistanceMetric(order)), np.arange(n)
+        if queries is None:
+            d, idx = np.delete(d, i), np.delete(idx, i)
+        rows.append(d[np.lexsort((idx, d))])
+    return np.array(rows)
+
+
+def reference_model(kind: str, train: LabeledDataset, pool: np.ndarray,
+                    grid, k: int, alpha: float = 0.05) -> tuple:
+    """One kind fitted and applied from full sorted distance matrices, no
+    index: (fitted fields, {threshold: unknown flags on ``pool``}). gpdc
+    and gevc take their defaults (gamma = 1/n, endpoint 0); evm takes k
+    margins. Only the neighbour search is replaced: the statistics and the
+    Weibull solver are the package's own."""
+    n, p = train.points.shape
+    loo = sorted_distances(train.points)
+    pooled = sorted_distances(train.points, pool)
+    if kind == "gpdc":
+        gamma = 1.0 / n
+        _, pxi, radius = tail_stats(loo[:, :k + 1], k, p, gamma, n - 1)
+        coincident, q_pxi, q_radius = tail_stats(pooled[:, :k + 1], k, p, gamma, n)
+
+        def thresholds(a):
+            return [float(np.quantile(v[np.isfinite(v)], 1.0 - a / 2.0,
+                                      method="higher")) for v in (pxi, radius)]
+
+        flags = {}
+        for a in grid:
+            s, t = thresholds(a)
+            flags[a] = ~coincident & ~((q_pxi < s) & (q_radius <= t))
+        s, t = thresholds(alpha)
+        return ({"pxi_stats": pxi, "radius_stats": radius,
+                 "shape_threshold": s, "radius_threshold": t}, flags)
+    if kind == "gevc":
+        dmin = loo[:, 0]
+        fitted = reversed_weibull_fit(-dmin[dmin > 0])
+        w = reversed_weibull_cdf(fitted, -pooled[:, 0])
+        return ({"dmin": dmin, "fitted": fitted,
+                 "excluded_zeros": int((dmin == 0).sum())},
+                {a: w < a for a in grid})
+    pts, labels = train.points, train.labels
+    margins = np.array([np.sort(distances_to(x, pts[labels != label]))[:k] / 2.0
+                        for x, label in zip(pts, labels)])
+    sigmas, alphas, _, _ = fit_weibull_rows(margins)
+    d = np.array([distances_to(q, pts) for q in pool])
+    psi = np.exp(-np.power(d / sigmas, alphas)).max(axis=1)
+    return {"sigmas": sigmas, "alphas": alphas}, {delta: psi < delta for delta in grid}
+
+
+def index_state(ix):
+    """Everything an insert may change, in comparable form."""
+    return (ix.size, ix.points.tobytes(), ix.dmin_vector().tobytes(), ix._tree,
+            ix._tree_size, ix.counters.snapshot())
 
 
 def brute_dmin(points: np.ndarray, metric: DistanceMetric = DistanceMetric()) -> np.ndarray:

@@ -420,6 +420,28 @@ class TestBenchmark:
                                            for m in ("gpdc", "gevc")})
 
 
+    def test_thyroid_default_sweep_on_few_known_rows(self, tmp_path, capsys):
+        # 400 known rows leave 150 to train: the 0.25% fraction rounds up to
+        # k = 1, which the sweep raises to 2, the smallest k the default
+        # gamma = 1/n allows
+        rng = np.random.default_rng(6)
+        f = tmp_path / "ann.data"
+        lines = [" ".join(f"{v:.5f}" for v in rng.uniform(size=21)) + " 3"
+                 for _ in range(400)]
+        lines += [" ".join(f"{v:.5f}" for v in rng.uniform(size=21) + 0.9) + " 2"
+                  for _ in range(40)]
+        f.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "thy.csv"
+        rc = main(["benchmark", "--protocol", "thyroid", "--data", str(f),
+                   "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if l.startswith("gpdc,auc_vs_k,")]
+        assert [(r[2], r[3]) for r in rows] == [
+            ("0.0025", "2"), ("0.01", "2"), ("0.025", "4"), ("0.05", "8"),
+            ("0.1", "15")]
+
+
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("protocol=toy\nseed=11\nk=20\n")

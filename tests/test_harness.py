@@ -3,17 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oletter_rep_oracle, pair_count_auc
+from helpers import (index_state, oletter_rep_oracle, pair_count_auc,
+                     reference_model)
 from openevt.data import LabeledDataset
-from openevt.errors import DataError, UsageError
+from openevt.errors import DataError, FitError, UsageError
 from openevt.harness import (DEFAULT_ALPHA_GRID, DEFAULT_DELTA_GRID,
                              THYROID_KNOWN_CLASSES, THYROID_UNKNOWN_CLASSES,
                              TOY_KNOWN, TOY_UNKNOWN, EvalSet, f_measure,
-                             fit_and_rank, generate_toy,
+                             fit_and_rank, fit_methods, generate_toy,
                              gpdc_tail_fraction_sweep, load_letter,
                              load_thyroid, rng_from, roc_auc, run_oletter,
                              run_toy_protocol, synthetic_openset_surrogate,
                              thyroid_split)
+from openevt.serialize import fit_model, model_kinds
 
 
 def test_rng_substreams_deterministic_and_distinct():
@@ -246,6 +248,152 @@ class TestBinaryNovelty:
             assert k >= 1 and 0.0 <= auc <= 1.0
         aucs = [a for _, _, a in sweep]
         assert max(aucs) - min(aucs) < 0.05  # flat in the tail size
+
+
+class TestSharedNeighbourPass:
+    """fit_methods fits gpdc and gevc from one leave-one-out pass and one
+    pool query at the widest width they need. Every kind must equal a fit
+    from full sorted distance matrices bit for bit, alone or shared."""
+
+    METHODS = [("gpdc", {"k": 6, "alpha": 0.05}), ("gevc", {"alpha": 0.05}),
+               ("evm", {"k": 8})]
+    GRIDS = {"alpha": DEFAULT_ALPHA_GRID, "delta": DEFAULT_DELTA_GRID}
+
+    @staticmethod
+    def case(p):
+        """Three classes and a pool: p=2 runs on the kd-tree, p=16 on
+        integers with distance ties and one row repeated 9 times (beyond
+        gpdc's k+1 = 7), p=30 on the blocked scan. A label follows from the
+        coordinates, so repeated rows share it and evm margins stay > 0."""
+        rng = np.random.default_rng(p)
+        if p == 16:
+            pts = rng.integers(0, 4, size=(240, p)).astype(float)
+            pts[:9] = pts[9]
+            pool = np.vstack([rng.integers(0, 4, size=(40, p)), pts[:12]])
+        else:
+            pts = rng.normal(size=(240, p)) + np.repeat(
+                rng.normal(scale=3.0, size=(3, p)), 80, axis=0)
+            pool = np.vstack([rng.normal(size=(40, p)) * 3.0, pts[:12]])
+        labels = np.where(pts[:, 0] < np.median(pts[:, 0]), "a",
+                          np.where(pts[:, 1] < np.median(pts[:, 1]), "b", "c"))
+        return LabeledDataset(pts, labels), pool.astype(float)
+
+    @pytest.mark.parametrize("p", [2, 16, 30])
+    def test_every_kind_equals_whole_model_reference(self, p):
+        train, pool = self.case(p)
+        shared = list(fit_methods(train, self.METHODS, pool))
+        for (kind, options), (model, scoring) in zip(self.METHODS, shared):
+            grid = self.GRIDS[model.THRESHOLD]
+            fields, flags = reference_model(kind, train, pool, grid,
+                                            options.get("k"))
+            alone = fit_model(kind, train, **options)
+            for fitted, got in ((alone, alone.flags(pool, grid)),
+                                (model, model.flags(pool, grid, **scoring))):
+                for name, want in fields.items():
+                    value = getattr(fitted, name)
+                    if isinstance(want, np.ndarray):
+                        assert value.tobytes() == want.tobytes(), (kind, name)
+                    else:
+                        assert value == want, (kind, name)
+                assert list(got) == list(flags)
+                for threshold, want in flags.items():
+                    assert got[threshold].tobytes() == want.tobytes(), kind
+
+    def test_shared_pass_counts_once(self):
+        train, pool = self.case(30)
+        (g, _), (v, _), _ = fit_methods(train, self.METHODS, pool)
+        rows = train.n + pool.shape[0]  # the leave-one-out pass, then the pool
+        assert g.index.counters.snapshot() == (rows, rows * (g.k + 1))
+        assert v.index.counters.snapshot() == (0, 0)
+
+    @pytest.mark.parametrize("p", [2, 30])
+    def test_gevc_update_leaves_gpdc_alone(self, p):
+        train, pool = self.case(p)
+        (g, g_scoring), (v, _), _ = fit_methods(train, self.METHODS, pool)
+        assert g.index is not v.index
+
+        def gpdc_state():
+            flags = [g.flags(pool, DEFAULT_ALPHA_GRID, **scoring)
+                     for scoring in (g_scoring, {})]
+            return (g.index.points.tobytes(), g.pxi_stats.tobytes(),
+                    g.radius_stats.tobytes(),
+                    [f.tobytes() for by_alpha in flags for f in by_alpha.values()])
+
+        before = gpdc_state()
+        # enough inserts for a tree rebuild and a Weibull refit
+        rng = np.random.default_rng(p)
+        v.update([(x, "a") for x in rng.normal(size=(80, p)) * 2.0])
+        assert v.n == train.n + 80
+        assert gpdc_state() == before
+
+    @pytest.mark.parametrize("p", [2, 16, 30])
+    def test_flags_leave_every_index_unchanged(self, p):
+        train, pool = self.case(p)
+        fitted = list(fit_methods(train, self.METHODS, pool))
+        indexes = [model.index for model, _ in fitted if model.KIND != "evm"]
+        before = [index_state(ix) for ix in indexes]
+        for _ in range(2):
+            for model, scoring in fitted:
+                model.flags(pool, self.GRIDS[model.THRESHOLD], **scoring)
+        assert [index_state(ix) for ix in indexes] == before
+
+    def test_sweep_rows_equal_separate_fits(self, problem):
+        train, test = problem
+        sweep = gpdc_tail_fraction_sweep(train, test,
+                                         fractions=(0.0005, 0.01, 0.05))
+        assert [k for _, k, _ in sweep] == [2, 12, 60]
+        for _, k, auc in sweep:
+            model = fit_model("gpdc", train, k=k, alpha=0.05)
+            assert auc == roc_auc(zip(model.unknownness(test.points),
+                                      test.is_unknown)).auc
+
+    @settings(max_examples=60, deadline=None)
+    @given(coincident=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           n_per=st.integers(3, 25), k=st.integers(2, 6),
+           integer=st.booleans())
+    def test_adversarial_fits_match_standalone(self, coincident, seed, n_per,
+                                               k, integer):
+        # p = 1 draws, or a p = 3 set whose first class is one point
+        # repeated: each kind fits as it does alone, with finite thresholds,
+        # or the first refusal in kind order surfaces unchanged
+        rng = np.random.default_rng(seed)
+        p = 3 if coincident else 1
+        pts = rng.normal(scale=3.0, size=(3 * n_per, p))
+        if integer:
+            pts = np.round(pts)
+        if coincident:
+            pts[:n_per] = pts[0]
+        train = LabeledDataset(pts, np.repeat(["a", "b", "c"], n_per))
+        test = EvalSet(points=rng.normal(scale=3.0, size=(20, p)),
+                       is_known=np.arange(20) < 10)
+        options = {"k": k, "alpha": 0.05}
+        want, error = {}, None
+        for kind in model_kinds():
+            try:
+                want[kind] = fit_model(kind, train, **options)
+            except DataError:
+                want[kind] = None
+            except (FitError, UsageError) as exc:
+                error = exc
+                break
+        if error is not None:
+            with pytest.raises(type(error)) as info:
+                fit_and_rank(train, test, **options)
+            assert str(info.value) == str(error)
+            assert (getattr(info.value, "diagnostics", None)
+                    == getattr(error, "diagnostics", None))
+            return
+        models, curves = fit_and_rank(train, test, **options)
+        assert list(models) == list(want)
+        for kind, model in models.items():
+            finite = {"gpdc": lambda m: [m.shape_threshold, m.radius_threshold],
+                      "gevc": lambda m: [m.fitted.sigma, m.fitted.alpha],
+                      "evm": lambda m: np.concatenate([m.sigmas, m.alphas])}[kind]
+            assert np.isfinite(finite(model)).all(), kind
+            assert model.summary() == want[kind].summary()
+            alone = roc_auc(zip(want[kind].unknownness(test.points),
+                                test.is_unknown))
+            assert curves[kind] == alone
 
 
 class TestLoaders:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_dmin, brute_knn
+from helpers import brute_dmin, brute_knn, index_state
 from openevt import neighbors
 from openevt.data import DistanceMetric, distances_to
 from openevt.errors import DataError, UsageError
@@ -437,12 +437,6 @@ def test_minkowski_overflow_is_silent(p):
     assert np.isinf(d).all() and np.isinf(far).all()
 
 
-def _index_state(ix):
-    """Everything an insert may change, in comparable form."""
-    return (ix.size, ix.points.tobytes(), ix.dmin_vector().tobytes(), ix._tree,
-            ix._tree_size, ix.counters.snapshot())
-
-
 @pytest.mark.parametrize("x,accepted", [
     ([1e160, 0.0], False),    # the tree's ball query overflows
     ([0.0, 2e154], False),    # every squared distance overflows
@@ -461,12 +455,12 @@ def test_overflowing_insert_refused_alike_by_tree_and_scan(x, accepted, monkeypa
         monkeypatch.setattr(neighbors, "TREE_DIMENSION_LIMIT", limit)
         ix = NeighborIndex(base)
         assert (ix._tree is None) == (limit == 0)
-        before = _index_state(ix)
+        before = index_state(ix)
         try:
             results.append((ix.insert(x), ix.dmin_vector().tobytes()))
         except DataError as exc:
             assert "overflows to inf" in str(exc)
-            assert _index_state(ix) == before
+            assert index_state(ix) == before
             results.append(None)
     assert results[0] == results[1]
     assert (results[0] is not None) == accepted
@@ -475,10 +469,10 @@ def test_overflowing_insert_refused_alike_by_tree_and_scan(x, accepted, monkeypa
 @pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, np.inf], [1.0, 2.0, 3.0]])
 def test_insert_refuses_malformed_point(bad):
     ix = NeighborIndex(np.random.default_rng(2).normal(size=(50, 2)))
-    before = _index_state(ix)
+    before = index_state(ix)
     with pytest.raises(UsageError, match="must be 2 finite coordinates"):
         ix.insert(bad)
-    assert _index_state(ix) == before
+    assert index_state(ix) == before
 
 
 @pytest.mark.parametrize("p", [2, 16])
