@@ -398,9 +398,8 @@ def _benchmark_thyroid(args, harness) -> int:
                                         test_known=args.test_known)
     fractions = (_float_list(args.gpdc_tail_fractions, "--gpdc-tail-fractions")
                  if args.gpdc_tail_fractions else harness.THYROID_TAIL_FRACTIONS)
-    curves = harness.fit_and_rank(train, test, alpha=args.alpha)[1]
-    sweep = harness.gpdc_tail_fraction_sweep(train, test, fractions=fractions,
-                                             alpha=args.alpha)
+    curves, sweep = harness.run_thyroid_protocol(train, test, fractions,
+                                                 args.alpha)
     comments = _config_comments(args, ["protocol", "seed", "data", "alpha",
                                        "test_known"])
     rows = []

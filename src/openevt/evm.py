@@ -13,9 +13,11 @@ default, and evaluation protocols rank by psi instead. The classifier
 needs at least two training classes, since margins are defined across
 classes. No model-reduction step is applied: all n per-point fits are kept.
 
-Both hot paths use the exact kNN kernel's arithmetic: a class's margins
-are a kNN query against an index over every other class, and psi comes
-from exactly pruned GEMM scores (see :meth:`EvmModel.membership_batch`).
+Both hot paths use the exact kNN kernel's arithmetic on block scores that
+a visitor reads, so the protocols' shared neighbour pass serves them too:
+margins mask same-class points (up to the kd-tree's dimension limit, a
+class queries an index over every other class), and psi comes from
+exactly pruned scores (see :meth:`EvmModel.membership_batch`).
 """
 
 import numpy as np
@@ -24,7 +26,8 @@ from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
                    _minkowski, check_finite, check_level)
 from .errors import DataError, FitError, UsageError
 from .evt import default_tail_count, fit_weibull_rows, refuse_overflow
-from .neighbors import _EPS, NeighborIndex, block_scores, row_blocks
+from .neighbors import (_EPS, TREE_DIMENSION_LIMIT, NeighborIndex, scan,
+                        scan_candidates)
 from .serialize import payload_array, payload_level, payload_number
 
 
@@ -73,19 +76,22 @@ class EvmModel:
         if points.ndim != 2 or points.shape[1] != self.p:
             raise UsageError("points must be an (m, p) matrix matching the model")
         check_finite(points, "query row")
-        (n, p), order = self._points.shape, self.metric.order
-        norms = (np.einsum("ij,ij->i", self._points, self._points)
-                 if order == 2.0 else None)
+        out = np.empty(points.shape[0])
+        scan(points, self._points, self.metric.order, self.psi_visitor(out))
+        return out
+
+    def psi_visitor(self, out: np.ndarray):
+        """Scan visitor storing the psi of each block's rows in ``out``, from
+        their scores against the training points (overwritten)."""
+        order = self.metric.order
         # t = scale log(score) - offset; the Euclidean score is d^2.
         scale = self.alphas / 2.0 if order == 2.0 else self.alphas
         offset = self.alphas * np.log(self.sigmas)
         fixed = _EPS * (24.0 * np.abs(offset).max()
-                        + 2.0 * (self.alphas.max() * (p + 4) + 4.0))
-        out = np.empty(points.shape[0])
-        for block in row_blocks(points.shape[0], n, p):
-            rows = points[block]
+                        + 2.0 * (self.alphas.max() * (self.p + 4) + 4.0))
+
+        def visit(block, rows, score, slack):
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                score, slack = block_scores(rows, self._points, norms, order)
                 s_min = score.min(axis=1)
                 t = np.log(score, out=score)
                 t *= scale
@@ -102,16 +108,17 @@ class EvmModel:
             # every row keeps its smallest t, so each row has a candidate
             out[block] = np.maximum.reduceat(
                 w, np.flatnonzero(np.diff(row, prepend=-1)))
-        return out
+        return visit
 
-    def unknownness(self, points) -> np.ndarray:
-        """1 - psi, oriented like the other classifiers' ranking scores."""
-        return 1.0 - self.membership_batch(points)
+    def unknownness(self, points, psi=None) -> np.ndarray:
+        """1 - psi (``psi`` if given), oriented like the other classifiers."""
+        return 1.0 - (self.membership_batch(points) if psi is None else psi)
 
-    def flags(self, points, grid) -> dict:
+    def flags(self, points, grid, psi=None) -> dict:
         """Unknown-decision masks for an (m, p) array at each delta of
-        ``grid``."""
-        psi = self.membership_batch(points)
+        ``grid``; psi of the rows is ``psi`` if given."""
+        if psi is None:
+            psi = self.membership_batch(points)
         return {d: psi < d for d in grid}
 
     def summary(self) -> dict:
@@ -163,6 +170,18 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
     Requires at least two classes and k no bigger than the smallest
     cross-class sample. Fit failures name the offending training point.
     """
+    def margins(metric, k):
+        out, index = np.empty((data.n, k)), NeighborIndex(data.points, metric)
+        scan(index.points, index.points, metric.order,
+             margin_visitor(index, data.label_ids, out))
+        return out
+    return fit_from(margins, data, k, delta, metric)
+
+
+def fit_from(margins, data, k=None, delta=None, metric=EUCLIDEAN) -> EvmModel:
+    """:func:`fit` on ``margins(metric, k)``, asked for after the checks
+    above ``TREE_DIMENSION_LIMIT``: each point's k or more smallest
+    half-distances to points of other classes, ascending."""
     if data.n_classes < 2:
         raise DataError(
             "the extreme value machine needs at least two training classes: "
@@ -183,11 +202,14 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
 
     check_level(delta, "delta")
     ids, pts = data.label_ids, data.points
-    margins = np.empty((n, k))
-    for c in range(data.n_classes):
-        own = ids == c
-        others = NeighborIndex(pts[~own], metric)
-        margins[own] = others.batch_k_smallest(pts[own], k) / 2.0
+    if data.p > TREE_DIMENSION_LIMIT:
+        margins = margins(metric, k)[:, :k]
+    else:
+        margins = np.empty((n, k))
+        for c in range(data.n_classes):
+            own = ids == c
+            others = NeighborIndex(pts[~own], metric)
+            margins[own] = others.batch_k_smallest(pts[own], k) / 2.0
 
     zero_rows = np.flatnonzero(margins[:, 0] == 0)
     if zero_rows.size:
@@ -208,3 +230,12 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
         )
     return EvmModel(points=np.array(pts), sigmas=sigmas, alphas=alphas,
                     k=k, delta=delta, metric=metric)
+
+
+def margin_visitor(index: NeighborIndex, ids: np.ndarray, out: np.ndarray):
+    """Scan visitor of ``index``'s own points, labelled ``ids``, storing in
+    ``out`` each row's smallest half-distances to other classes' points."""
+    def visit(block, rows, score, slack):
+        cand = scan_candidates(score, slack, out.shape[1], ids[block, None] == ids)
+        out[block] = index._select(rows, cand, out.shape[1])[0] / 2.0
+    return visit

@@ -16,11 +16,13 @@ Three protocols are provided at desk scale:
 * ``thyroid``: binary novelty detection with a single known class; ROC/AUC
   per method, with a tail-fraction sweep for the GPD classifier.
 
-The protocols fit every kind through ``fit_methods``: gpdc and gevc share
-one neighbour pass per training set, a leave-one-out pass and a pool query
-at the widest width they need. A k-column kNN result is bitwise the prefix
-of a wider one, so gpdc takes its k+1 columns and gevc column 0, copied into
-an index of its own for its updates. evm runs its own queries.
+The protocols fit every kind through ``fit_methods``: all share one
+neighbour pass per training set, a leave-one-out pass and a pool query at
+the widest width gpdc needs. A k-column kNN result is bitwise the prefix of
+a wider one, so gpdc takes its k+1 columns and gevc column 0, copied into an
+index of its own for its updates. Above the kd-tree's dimension limit evm's
+margins are a second selection from the leave-one-out scores, at its widest
+k, and its psi comes from the pool query's scores.
 
 All randomness flows from one seed through named substreams, and protocol
 repetitions own independent streams keyed by (seed, rep).
@@ -33,11 +35,11 @@ from functools import partial
 
 import numpy as np
 
-from . import gevc, gpdc
+from . import evm, gevc, gpdc
 from .data import LabeledDataset, load_dataset_csv, read_table
 from .errors import DataError, UsageError
 from .evt import default_tail_count, tail_count
-from .neighbors import NeighborIndex
+from .neighbors import TREE_DIMENSION_LIMIT, NeighborIndex
 from .serialize import fit_parameters, model_kinds
 
 DEFAULT_ALPHA_GRID = (0.01, 0.05, 0.1, 0.2)
@@ -151,49 +153,73 @@ def f_measure(tp: int, fp: int, fn: int) -> float:
 
 
 def fit_methods(train: LabeledDataset, methods, pool: np.ndarray,
-                optional: bool = False):
+                optional: bool = False) -> list:
     """Fit each (kind, options) of ``methods`` on ``train`` in order, with the
-    options its fit takes, and yield (model, keyword arguments of its
-    scoring calls on ``pool``); with ``optional``, (None, None) where the fit
-    rejects the data. Each fit runs once the previous pair is taken, and the
-    shared pass (module docstring) is dropped after its last fit, so a
-    caller that scores each model in turn holds what the fits alone held."""
-    methods = list(methods)
-    ks = [opts.get("k") or default_tail_count(train.n)
-          for kind, opts in methods if kind == "gpdc"]
-    width = min(max([0, *ks]) + 1, train.n - 1)
-    passes, pooled = {}, {}  # by metric: (index, leave-one-out matrix); pool matrix
+    options its fit takes, and return (model, keyword arguments of its
+    scoring calls on ``pool``) per method; with ``optional``, (None, None)
+    where the fit rejects the data. Every fit runs before the pool pass, so
+    errors come as from the fits alone."""
+    methods, n = list(methods), train.n
+    ks = {kind: max([0, *(opts.get("k") or default_tail_count(n)
+                          for kd, opts in methods if kd == kind)])
+          for kind in ("gpdc", "evm")}  # the widest k, defaults included
+    width = min(ks["gpdc"] + 1, n - 1)
+    scans = train.p > TREE_DIMENSION_LIMIT  # evm reads the scores there only
+    margin_width = min(ks["evm"], n - np.bincount(train.label_ids).max()) if scans else 0
+    passes = {}  # by metric: (index, leave-one-out matrix, evm margin matrix)
 
     def leave_one_out(metric):
         if metric not in passes:
-            index = NeighborIndex(train.points, metric)
-            passes[metric] = index, index.leave_one_out_smallest(width)
+            index, margins = NeighborIndex(train.points, metric), np.empty((n, margin_width))
+            visit = (evm.margin_visitor(index, train.label_ids, margins)
+                     if margin_width else None)
+            passes[metric] = index, index.leave_one_out_smallest(width, visit), margins
         return passes[metric]
 
-    shared = {"gpdc": partial(gpdc.fit_from, lambda metric, _: leave_one_out(metric)),
-              "gevc": partial(gevc.fit_from, lambda metric: leave_one_out(metric)[1][:, 0])}
-    last = max([i for i, (kind, _) in enumerate(methods) if kind in shared], default=-1)
+    shared = {"gpdc": partial(gpdc.fit_from, lambda metric, _: leave_one_out(metric)[:2]),
+              "gevc": partial(gevc.fit_from, lambda metric: leave_one_out(metric)[1][:, 0]),
+              "evm": partial(evm.fit_from, lambda metric, _: leave_one_out(metric)[2])}
+    last = max([i for i, (kind, _) in enumerate(methods) if kind != "evm"], default=-1)
+    models = []
     for i, (kind, options) in enumerate(methods):
-        fit, accepted = fit_parameters(kind)
+        accepted = fit_parameters(kind)[1]
         try:
-            model = shared.get(kind, fit)(
-                train, **{k: v for k, v in options.items() if k in accepted})
+            models.append(shared[kind](
+                train, **{k: v for k, v in options.items() if k in accepted}))
         except DataError:
             if not optional:
                 raise
-            yield None, None
-            continue
-        scoring = {}
-        if kind in shared:
-            if model.metric not in pooled:
-                pooled[model.metric] = passes[model.metric][0].batch_k_smallest(pool, width)
-            # the columns the model reads, copied where that is fewer than all
-            reads = model.k + 1 if kind == "gpdc" else 1
-            scoring = {"distances": np.ascontiguousarray(pooled[model.metric][:, :reads])}
-        if i == last:  # no later fit or score reads the pass
-            passes.clear()
-            pooled.clear()
-        yield model, scoring
+            models.append(None)
+        if i == last:  # later fits read the margins only
+            passes.update({metric: (index, None, margins)
+                           for metric, (index, _, margins) in passes.items()})
+    pooled, psi = {}, {}  # by metric: pool matrix; by position: an evm's psi
+    for metric in list(passes):
+        index = passes.pop(metric)[0]  # the fits are done with its matrices
+        # the metric's first evm reads the pool's scores, any other its own
+        i = next((i for i, model in enumerate(models) if scans and model is not None
+                  and model.KIND == "evm" and model.metric == metric), None)
+        visit = None if i is None else models[i].psi_visitor(
+            psi.setdefault(i, np.empty(pool.shape[0])))
+        pooled[metric] = index.batch_k_smallest(pool, width, visit)
+
+    def scoring(i, model):
+        if model is None or model.KIND == "evm":
+            return model and ({"psi": psi[i]} if i in psi else {})
+        # the columns the model reads, copied where that is fewer than all
+        reads = model.k + 1 if model.KIND == "gpdc" else 1
+        return {"distances": np.ascontiguousarray(pooled[model.metric][:, :reads])}
+    return [(model, scoring(i, model)) for i, model in enumerate(models)]
+
+
+def rank_methods(train: LabeledDataset, test: EvalSet, methods) -> list:
+    """(model, scoring keyword arguments, ROC of ``test`` ranked by its
+    unknownness) per (kind, options) of ``methods`` from one
+    :func:`fit_methods` call; all None where the fit rejects the data."""
+    return [(model, scoring, model and roc_auc(
+                zip(model.unknownness(test.points, **scoring), test.is_unknown)))
+            for model, scoring in fit_methods(train, methods, test.points,
+                                              optional=True)]
 
 
 def fit_and_rank(train: LabeledDataset, test: EvalSet,
@@ -202,14 +228,9 @@ def fit_and_rank(train: LabeledDataset, test: EvalSet,
     of ``test`` ranked by unknownness. Returns (models, curves) by kind; both
     are None for a kind whose fit rejects the training data (the margin
     baseline needs two classes)."""
-    models, curves = {}, {}
-    fitted = fit_methods(train, [(kind, options) for kind in kinds],
-                         test.points, optional=True)
-    for kind, (model, scoring) in zip(kinds, fitted):
-        models[kind] = model
-        curves[kind] = model and roc_auc(
-            zip(model.unknownness(test.points, **scoring), test.is_unknown))
-    return models, curves
+    ranked = rank_methods(train, test, [(kind, options) for kind in kinds])
+    return ({kind: model for kind, (model, _, _) in zip(kinds, ranked)},
+            {kind: curve for kind, (_, _, curve) in zip(kinds, ranked)})
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +247,13 @@ class ToyResult:
 def run_toy_protocol(seed: int = 0, k: int = 20,
                      alpha: float = 0.05) -> ToyResult:
     train, test = generate_toy(seed)
-    models, curves = fit_and_rank(train, test, k=k, alpha=alpha)
-    _, pxi, _ = models["gpdc"].decision_stats(test.points)
-    return ToyResult(curves=curves, test=test, xi_hat=pxi / train.p)
+    kinds = tuple(model_kinds())
+    ranked = rank_methods(train, test, [(kind, {"k": k, "alpha": alpha})
+                                        for kind in kinds])
+    model, scoring, _ = ranked[kinds.index("gpdc")]  # xi from the pool query
+    _, pxi, _ = model.decision_stats(test.points, **scoring)
+    return ToyResult(curves={kind: curve for kind, (_, _, curve) in zip(kinds, ranked)},
+                     test=test, xi_hat=pxi / train.p)
 
 
 # ---------------------------------------------------------------------------
@@ -346,18 +371,25 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
 # binary novelty protocol
 
 
+def run_thyroid_protocol(train: LabeledDataset, test: EvalSet,
+                         fractions=THYROID_TAIL_FRACTIONS, alpha: float = 0.05,
+                         kinds=tuple(model_kinds())) -> tuple:
+    """(curves of ``kinds`` at their default k, by kind; the GPD classifier's
+    (fraction, k, auc) across tail sizes) from one :func:`fit_methods` call.
+    A swept k is at least 2, the smallest k the default gamma = 1/n allows."""
+    ks = [max(2, tail_count(frac, train.n)) for frac in fractions]
+    ranked = rank_methods(train, test, [(kind, {"alpha": alpha}) for kind in kinds]
+                          + [("gpdc", {"k": k, "alpha": alpha}) for k in ks])
+    return ({kind: curve for kind, (_, _, curve) in zip(kinds, ranked)},
+            [(float(frac), k, curve.auc) for frac, k, (_, _, curve)
+             in zip(fractions, ks, ranked[len(kinds):])])
+
+
 def gpdc_tail_fraction_sweep(train: LabeledDataset, test: EvalSet,
                              fractions=THYROID_TAIL_FRACTIONS,
                              alpha: float = 0.05) -> list:
-    """(fraction, k, auc) for the GPD classifier across tail sizes, from
-    one :func:`fit_methods` call. k is at least 2, the smallest k for which
-    the default gamma = 1/n is valid."""
-    ks = [max(2, tail_count(frac, train.n)) for frac in fractions]
-    fitted = fit_methods(train, [("gpdc", {"k": k, "alpha": alpha}) for k in ks],
-                         test.points)
-    return [(float(frac), k, roc_auc(zip(model.unknownness(test.points, **scoring),
-                                         test.is_unknown)).auc)
-            for frac, k, (model, scoring) in zip(fractions, ks, fitted)]
+    """The tail-fraction sweep of :func:`run_thyroid_protocol` alone."""
+    return run_thyroid_protocol(train, test, fractions, alpha, kinds=())[1]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ arithmetic of :func:`~openevt.data.distances_to` and keeps each row's
 first k in (distance, index) order. Results are therefore exact and
 deterministic whichever source proposed the candidates, however BLAS
 summed the scores, and at coordinate offsets where the GEMM form cancels:
-the scores only decide which distances are recomputed.
+the scores only decide which distances are recomputed. A scan's block
+scores can also go to a ``visit`` callback, for a second selection.
 
 The leave-one-out distances and the nearest-other-point vector dmin are
 that query over the stored points with each point excluded from its own
@@ -79,7 +80,8 @@ class QueryCounters:
     they returned (k per row). Every view counts, fits included: a gpdc
     fit adds (n, n(k+1)) and a gevc fit (n, n). A pass shared by several
     fits (``harness.fit_methods``) counts (n, nK) once, K its width, on the
-    index that ran it."""
+    index that ran it, and its pool query (m, mK): evm's margins and psi,
+    which a ``visit`` takes from that pass's scores, add nothing."""
 
     queries: int = 0
     distances: int = 0
@@ -129,9 +131,9 @@ class NeighborIndex:
 
     # -- queries ------------------------------------------------------------
 
-    def batch_k_smallest(self, queries: np.ndarray, k: int) -> np.ndarray:
+    def batch_k_smallest(self, queries: np.ndarray, k: int, visit=None) -> np.ndarray:
         """(m, k) matrix of the k smallest distances for each query row; a
-        non-finite row raises UsageError naming it."""
+        non-finite row raises UsageError naming it. See ``_knn`` for visit."""
         queries = np.asarray(queries, dtype=float)
         if queries.ndim != 2 or queries.shape[1] != self.dimension:
             raise UsageError("queries must be an (m, p) matrix matching the index")
@@ -140,7 +142,7 @@ class NeighborIndex:
         if self._tree is None:  # the kd-tree refuses non-finite rows itself
             check_finite(queries, "query row")
         try:
-            return self._knn(queries, k)[0]
+            return self._knn(queries, k, visit=visit)[0]
         except ValueError:  # the kd-tree refused a row: name it
             check_finite(queries, "query row")
             raise
@@ -205,10 +207,11 @@ class NeighborIndex:
         self._tree_size = self.size
         self._far = None
 
-    def _knn(self, queries: np.ndarray, k: int, exclude=None) -> tuple:
+    def _knn(self, queries: np.ndarray, k: int, exclude=None, visit=None) -> tuple:
         """Exact (m, k) distances and indices of each query row's k nearest
         stored points, ascending with ties broken by index. ``exclude``
-        names one stored index per row that is never a candidate."""
+        names one stored index per row that is never a candidate (scored
+        inf). On the scan path ``visit`` then takes each block as in :func:`scan`."""
         m, (n, p) = queries.shape[0], self._points.shape
         if exclude is not None:
             exclude = np.asarray(exclude)
@@ -224,7 +227,13 @@ class NeighborIndex:
             if self._tree is not None:
                 cand, padded = self._tree_candidates(rows, k, skip)
             else:
-                cand, padded = self._scan_candidates(rows, k, skip, norms), True
+                score, slack = block_scores(rows, self._points, norms,
+                                            self._metric.order)
+                if skip is not None:
+                    score[np.arange(rows.shape[0]), skip] = np.inf
+                cand, padded = scan_candidates(score, slack, k), True
+                if visit is not None:
+                    visit(block, rows, score, slack)
             parts.append(self._select(rows, cand, k, skip, padded))
         self.counters.queries += m  # a refused query counts nothing
         self.counters.distances += m * k
@@ -274,34 +283,7 @@ class NeighborIndex:
             cand = np.concatenate([cand, pending], axis=1)
         return cand, padded
 
-    def _scan_candidates(self, queries, k, exclude, norms) -> np.ndarray:
-        """Candidate matrix from scoring every stored point.
-
-        With ``norms`` the score is the GEMM form of :func:`block_scores`.
-        A point y that belongs in a row's k nearest ranks no later than
-        some point z among the row's k best scored, so y's score exceeds
-        the kth score by at most twice both errors plus the root's and the
-        threshold's own rounding, about (4p + 13) eps M: within the slack.
-        An undefined (NaN) score or threshold makes the point a candidate.
-        """
-        m, n = queries.shape[0], self.size
-        score, slack = block_scores(queries, self._points, norms,
-                                    self._metric.order)
-        if exclude is not None:
-            score[np.arange(m), exclude] = np.inf
-        if k == 1:
-            kth = score.min(axis=1)
-        else:
-            kth = np.partition(score, k - 1, axis=1)[:, k - 1]
-        with np.errstate(invalid="ignore"):  # inf - inf: NaN, so a candidate
-            hit = ~(score > (kth + slack)[:, None])
-        counts = hit.sum(axis=1)
-        rows, cols = np.divmod(np.flatnonzero(hit), n)
-        cand = np.full((m, counts.max()), n)
-        cand[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = cols
-        return cand
-
-    def _select(self, queries, cand, k, exclude, padded) -> tuple:
+    def _select(self, queries, cand, k, exclude=None, padded=True) -> tuple:
         """Each row's k nearest candidates, as (m, k) distances and indices.
 
         ``cand`` is an (m, c) matrix of stored indices, if ``padded`` padded
@@ -333,13 +315,14 @@ class NeighborIndex:
             self._dmin = self._dmin_buffer = self._knn(
                 self._points, 1, exclude=np.arange(self.size))[0][:, 0]
 
-    def leave_one_out_smallest(self, k: int) -> np.ndarray:
+    def leave_one_out_smallest(self, k: int, visit=None) -> np.ndarray:
         """(n, k) matrix: for each stored point, the k smallest distances to
-        the other stored points, ascending. Used for jackknife calibration."""
+        the other stored points, ascending. Used for jackknife calibration
+        (and, through ``visit``, evm's margins; see ``_knn``)."""
         n = self.size
         if not (1 <= k <= n - 1):
             raise UsageError(f"k must be in [1, {n - 1}], got {k}")
-        return self._knn(self._points, k, exclude=np.arange(n))[0]
+        return self._knn(self._points, k, np.arange(n), visit)[0]
 
 
 def row_blocks(m: int, n: int, p: int) -> list:
@@ -347,6 +330,45 @@ def row_blocks(m: int, n: int, p: int) -> list:
     has more than n candidates of p differences each."""
     step = max(1, BLOCK_ELEMENTS // (n * p))
     return [slice(lo, lo + step) for lo in range(0, m, step)]
+
+
+def scan(queries, points, order: float, visit):
+    """``visit(block, rows, score, slack)`` for each block of query rows with
+    its :func:`block_scores` against ``points``, which it may overwrite."""
+    (m, p), n = queries.shape, points.shape[0]
+    norms = np.einsum("ij,ij->i", points, points) if order == 2.0 else None
+    for block in row_blocks(m, n, p):
+        rows = queries[block]
+        visit(block, rows, *block_scores(rows, points, norms, order))
+
+
+def scan_candidates(score, slack, k: int, masked=None) -> np.ndarray:
+    """Candidate matrix of a block's :func:`block_scores`, padded with the
+    index n. A ``masked`` point (an (m, n) mask that leaves k per row) is
+    never a candidate; its score is overwritten with inf.
+
+    With the GEMM form, a point y that belongs in a row's k nearest ranks
+    no later than some point z among the row's k best scored, so y's score
+    exceeds the kth score by at most twice both errors plus the root's and
+    the threshold's own rounding, about (4p + 13) eps M: within the slack.
+    An undefined (NaN) score or threshold makes the point a candidate.
+    """
+    m, n = score.shape
+    if masked is not None:
+        score[masked] = np.inf
+    if k == 1:
+        kth = score.min(axis=1)
+    else:
+        kth = np.partition(score, k - 1, axis=1)[:, k - 1]
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, so a candidate
+        hit = ~(score > (kth + slack)[:, None])
+    if masked is not None:
+        hit &= ~masked
+    counts = hit.sum(axis=1)
+    rows, cols = np.divmod(np.flatnonzero(hit), n)
+    cand = np.full((m, counts.max()), n)
+    cand[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = cols
+    return cand
 
 
 def block_scores(queries, points, norms, order: float) -> tuple:

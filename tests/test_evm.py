@@ -224,6 +224,33 @@ def test_zero_margin_names_first_coinciding_point():
     assert info.value.diagnostics == {"point": 1}
 
 
+@pytest.mark.parametrize("fill", ["inf", "nan", "same-class-finite"])
+def test_masked_margins_never_admit_same_class(fill):
+    # Scores that decide nothing (inf or NaN everywhere, or finite only
+    # for same-class points) make every point a candidate, yet a same-class
+    # point, here a duplicate at distance 0, never enters a margin row.
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(30, 12))
+    pts[1::10] = pts[::10]
+    data = LabeledDataset(pts, np.repeat(["a", "b", "c"], 10))
+    same = data.label_ids[:, None] == data.label_ids
+    score = {"inf": np.full((30, 30), np.inf), "nan": np.full((30, 30), np.nan),
+             "same-class-finite": np.where(same, 0.0, np.inf)}[fill]
+    out = np.empty((30, 5))
+    visit = evm.margin_visitor(neighbors.NeighborIndex(pts), data.label_ids, out)
+    visit(slice(0, 30), pts, score, 0.0)
+    np.testing.assert_array_equal(out, brute_margins(data, 5, 2.0))
+
+
+def test_overflowing_margins_name_point_on_the_scan():
+    # p = 30: the GEMM scores of the far point overflow (inf - inf = NaN)
+    pts = np.random.default_rng(0).normal(size=(300, 30))
+    pts[17, 0] = 1e160
+    data = LabeledDataset(pts, ["a"] * 150 + ["b"] * 150)
+    with pytest.raises(FitError, match="overflow.*training point 17"):
+        evm.fit(data, k=5)
+
+
 @pytest.mark.parametrize("p", [16, 30])
 def test_near_ties_survive_gemm_rounding(p):
     # Each query has two training points whose distances differ by about

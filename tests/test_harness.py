@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 from helpers import (index_state, oletter_rep_oracle, pair_count_auc,
                      reference_model)
+from openevt import evm, harness
+from openevt.cli import main
 from openevt.data import LabeledDataset
 from openevt.errors import DataError, FitError, UsageError
+from openevt.evt import tail_count
 from openevt.harness import (DEFAULT_ALPHA_GRID, DEFAULT_DELTA_GRID,
                              THYROID_KNOWN_CLASSES, THYROID_UNKNOWN_CLASSES,
                              TOY_KNOWN, TOY_UNKNOWN, EvalSet, f_measure,
@@ -15,6 +18,7 @@ from openevt.harness import (DEFAULT_ALPHA_GRID, DEFAULT_DELTA_GRID,
                              load_thyroid, rng_from, roc_auc, run_oletter,
                              run_toy_protocol, synthetic_openset_surrogate,
                              thyroid_split)
+from openevt.neighbors import TREE_DIMENSION_LIMIT, NeighborIndex
 from openevt.serialize import fit_model, model_kinds
 
 
@@ -132,6 +136,21 @@ class TestToyProtocol:
         unknown_xi = np.nanmean(res.xi_hat[res.test.is_unknown])
         assert known_xi < -0.35
         assert unknown_xi > -0.2
+
+    def test_xi_from_the_shared_pool_query(self, monkeypatch):
+        # xi_hat comes from the pool query that ranked the pool, so the one
+        # index the harness builds counts the 600-row leave-one-out pass and
+        # the 800-row pool once each, at width k + 1 = 21
+        made = []
+
+        class Recording(NeighborIndex):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(harness, "NeighborIndex", Recording)
+        run_toy_protocol(0)
+        assert [ix.counters.snapshot() for ix in made] == [(1400, 29400)]
 
     def test_deterministic(self):
         a = run_toy_protocol(3)
@@ -300,11 +319,78 @@ class TestSharedNeighbourPass:
                     assert got[threshold].tobytes() == want.tobytes(), kind
 
     def test_shared_pass_counts_once(self):
+        # The leave-one-out pass and the pool query count their kNN rows and
+        # columns, at gpdc's width, once on the index that ran them. evm's
+        # masked margin selection and its psi read the same block scores and
+        # count nothing, so the counts are those of gpdc and gevc alone.
         train, pool = self.case(30)
-        (g, _), (v, _), _ = fit_methods(train, self.METHODS, pool)
+        (g, _), (v, _), (_, e_scoring) = fit_methods(train, self.METHODS, pool)
         rows = train.n + pool.shape[0]  # the leave-one-out pass, then the pool
         assert g.index.counters.snapshot() == (rows, rows * (g.k + 1))
         assert v.index.counters.snapshot() == (0, 0)
+        assert set(e_scoring) == {"psi"}
+        (alone, _), _ = fit_methods(train, self.METHODS[:2], pool)
+        assert alone.index.counters.snapshot() == g.index.counters.snapshot()
+
+    @pytest.mark.parametrize("p", [2, 16, 30])
+    @pytest.mark.parametrize("methods", [
+        [("gpdc", {"k": 12}), ("evm", {"k": 7}), ("gevc", {})],
+        [("evm", {"k": 8})],
+        [("evm", {"k": 11}), ("gpdc", {"k": 6}), ("evm", {"k": 6})],
+    ], ids=["narrower-than-gpdc", "alone", "two-evm"])
+    def test_evm_equals_reference_at_any_width(self, p, methods):
+        # A k-column margin row is the prefix of the pass's widest one. On
+        # the scan path the first evm of a call takes its psi from the pool
+        # query's scores, and any other computes its own.
+        train, pool = self.case(p)
+        grid = DEFAULT_DELTA_GRID
+        fitted = fit_methods(train, methods, pool)
+        first = True
+        for (kind, options), (model, scoring) in zip(methods, fitted):
+            if kind != "evm":
+                continue
+            assert set(scoring) == ({"psi"} if first and p > TREE_DIMENSION_LIMIT
+                                    else set())
+            first = False
+            fields, flags = reference_model("evm", train, pool, grid, options["k"])
+            alone = fit_model("evm", train, **options)
+            for fitted_model, got in ((alone, alone.flags(pool, grid)),
+                                      (model, model.flags(pool, grid, **scoring))):
+                for name, want in fields.items():
+                    assert getattr(fitted_model, name).tobytes() == want.tobytes(), name
+                assert list(got) == list(flags)
+                for delta, want in flags.items():
+                    assert got[delta].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [2, 30])
+    def test_cross_class_duplicate_refused_alike(self, p):
+        # a point repeated in another class has a zero margin: the shared
+        # fit names the same point as the fit alone
+        train, pool = self.case(p)
+        labels = train.labels
+        j = int(np.flatnonzero(labels != labels[5])[3])
+        pts = np.array(train.points)
+        pts[j] = pts[5]
+        dup = LabeledDataset(pts, labels)
+        with pytest.raises(FitError) as alone:
+            evm.fit(dup, k=8)
+        with pytest.raises(FitError) as shared:
+            fit_methods(dup, self.METHODS, pool)
+        assert alone.value.diagnostics == {"point": min(5, j)}
+        assert str(shared.value) == str(alone.value)
+        assert shared.value.diagnostics == alone.value.diagnostics
+
+    @pytest.mark.parametrize("p", [16, 30])
+    def test_one_class_leaves_evm_out(self, p):
+        train, pool = self.case(p)
+        one = LabeledDataset(train.points, ["known"] * train.n)
+        test = EvalSet(points=pool, is_known=np.arange(pool.shape[0]) >= 40)
+        models, curves = fit_and_rank(one, test, k=6)
+        assert models["evm"] is None and curves["evm"] is None
+        for kind in ("gpdc", "gevc"):
+            alone = fit_model(kind, one, k=6)
+            assert curves[kind] == roc_auc(zip(alone.unknownness(pool),
+                                               test.is_unknown))
 
     @pytest.mark.parametrize("p", [2, 30])
     def test_gevc_update_leaves_gpdc_alone(self, p):
@@ -394,6 +480,25 @@ class TestSharedNeighbourPass:
             alone = roc_auc(zip(want[kind].unknownness(test.points),
                                 test.is_unknown))
             assert curves[kind] == alone
+
+
+def test_thyroid_protocol_makes_one_pass(tmp_path, monkeypatch, capsys):
+    # the kinds at their default k and the tail-fraction sweep share one
+    # leave-one-out pass, at the widest swept k + 1
+    widths, run = [], NeighborIndex.leave_one_out_smallest
+    monkeypatch.setattr(NeighborIndex, "leave_one_out_smallest",
+                        lambda ix, k, visit=None: (widths.append(k), run(ix, k, visit))[1])
+    rng = np.random.default_rng(5)
+    lines = [" ".join(f"{v:.5f}" for v in rng.uniform(size=21)) + " 3"
+             for _ in range(700)]
+    lines += [" ".join(f"{v:.5f}" for v in rng.uniform(size=21) + 0.9) + " 1"
+              for _ in range(60)]
+    f = tmp_path / "ann.data"
+    f.write_text("\n".join(lines) + "\n")
+    rc = main(["benchmark", "--protocol", "thyroid", "--data", str(f),
+               "--test-known", "100"])
+    assert rc == 0, capsys.readouterr().err
+    assert widths == [tail_count(0.10, 600) + 1]
 
 
 class TestLoaders:
