@@ -26,8 +26,7 @@ from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
                    _minkowski, check_finite, check_level)
 from .errors import DataError, FitError, UsageError
 from .evt import default_tail_count, fit_weibull_rows, refuse_overflow
-from .neighbors import (_EPS, TREE_DIMENSION_LIMIT, NeighborIndex, scan,
-                        scan_candidates)
+from .neighbors import _EPS, NeighborIndex, scan, scan_candidates
 from .serialize import payload_array, payload_level, payload_number
 
 
@@ -170,18 +169,13 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
     Requires at least two classes and k no bigger than the smallest
     cross-class sample. Fit failures name the offending training point.
     """
-    def margins(metric, k):
-        out, index = np.empty((data.n, k)), NeighborIndex(data.points, metric)
-        scan(index.points, index.points, metric.order,
-             margin_visitor(index, data.label_ids, out))
-        return out
-    return fit_from(margins, data, k, delta, metric)
+    return fit_from(lambda metric, k: None, data, k, delta, metric)
 
 
 def fit_from(margins, data, k=None, delta=None, metric=EUCLIDEAN) -> EvmModel:
-    """:func:`fit` on ``margins(metric, k)``, asked for after the checks
-    above ``TREE_DIMENSION_LIMIT``: each point's k or more smallest
-    half-distances to points of other classes, ascending."""
+    """:func:`fit` with the margins ``margins(metric, k)``, asked for after
+    the checks: k or more columns of :func:`class_margins` (None: computed
+    here)."""
     if data.n_classes < 2:
         raise DataError(
             "the extreme value machine needs at least two training classes: "
@@ -201,16 +195,9 @@ def fit_from(margins, data, k=None, delta=None, metric=EUCLIDEAN) -> EvmModel:
         )
 
     check_level(delta, "delta")
-    ids, pts = data.label_ids, data.points
-    if data.p > TREE_DIMENSION_LIMIT:
-        margins = margins(metric, k)[:, :k]
-    else:
-        margins = np.empty((n, k))
-        for c in range(data.n_classes):
-            own = ids == c
-            others = NeighborIndex(pts[~own], metric)
-            margins[own] = others.batch_k_smallest(pts[own], k) / 2.0
-
+    shared = margins(metric, k)
+    margins = (class_margins(NeighborIndex(data.points, metric), data.label_ids, k)
+               if shared is None else shared[:, :k])
     zero_rows = np.flatnonzero(margins[:, 0] == 0)
     if zero_rows.size:
         i = int(zero_rows[0])
@@ -228,8 +215,24 @@ def fit_from(margins, data, k=None, delta=None, metric=EUCLIDEAN) -> EvmModel:
             diagnostics={"point": i, "iterations": int(iters[i]),
                          "k": k, "spread": float(np.ptp(margins[i]))},
         )
-    return EvmModel(points=np.array(pts), sigmas=sigmas, alphas=alphas,
+    return EvmModel(points=np.array(data.points), sigmas=sigmas, alphas=alphas,
                     k=k, delta=delta, metric=metric)
+
+
+def class_margins(index: NeighborIndex, ids: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) matrix: for each of ``index``'s points, labelled ``ids``, the k
+    smallest half-distances to other classes' points, ascending. A scanning
+    index masks same-class points out of its scores; a tree's class queries
+    an index over every other class."""
+    out, pts = np.empty((index.size, k)), index.points
+    if index.scans:
+        scan(pts, pts, index.metric.order, margin_visitor(index, ids, out))
+        return out
+    for c in np.unique(ids):
+        own = ids == c
+        out[own] = NeighborIndex(pts[~own], index.metric).batch_k_smallest(
+            pts[own], k) / 2.0
+    return out
 
 
 def margin_visitor(index: NeighborIndex, ids: np.ndarray, out: np.ndarray):

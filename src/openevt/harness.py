@@ -39,7 +39,7 @@ from . import evm, gevc, gpdc
 from .data import LabeledDataset, load_dataset_csv, read_table
 from .errors import DataError, UsageError
 from .evt import default_tail_count, tail_count
-from .neighbors import TREE_DIMENSION_LIMIT, NeighborIndex
+from .neighbors import NeighborIndex
 from .serialize import fit_parameters, model_kinds
 
 DEFAULT_ALPHA_GRID = (0.01, 0.05, 0.1, 0.2)
@@ -164,15 +164,15 @@ def fit_methods(train: LabeledDataset, methods, pool: np.ndarray,
                           for kd, opts in methods if kd == kind)])
           for kind in ("gpdc", "evm")}  # the widest k, defaults included
     width = min(ks["gpdc"] + 1, n - 1)
-    scans = train.p > TREE_DIMENSION_LIMIT  # evm reads the scores there only
-    margin_width = min(ks["evm"], n - np.bincount(train.label_ids).max()) if scans else 0
-    passes = {}  # by metric: (index, leave-one-out matrix, evm margin matrix)
+    margin_width = min(ks["evm"], n - np.bincount(train.label_ids).max())
+    passes = {}  # by metric: (index, leave-one-out matrix, evm's margins if it scans)
 
     def leave_one_out(metric):
         if metric not in passes:
-            index, margins = NeighborIndex(train.points, metric), np.empty((n, margin_width))
-            visit = (evm.margin_visitor(index, train.label_ids, margins)
-                     if margin_width else None)
+            index, margins, visit = NeighborIndex(train.points, metric), None, None
+            if index.scans and margin_width:
+                margins = np.empty((n, margin_width))
+                visit = evm.margin_visitor(index, train.label_ids, margins)
             passes[metric] = index, index.leave_one_out_smallest(width, visit), margins
         return passes[metric]
 
@@ -193,44 +193,46 @@ def fit_methods(train: LabeledDataset, methods, pool: np.ndarray,
         if i == last:  # later fits read the margins only
             passes.update({metric: (index, None, margins)
                            for metric, (index, _, margins) in passes.items()})
-    pooled, psi = {}, {}  # by metric: pool matrix; by position: an evm's psi
+    # a scanning metric's first evm reads the pool query's scores, any other its own
+    firsts = {model.metric: model for model in reversed(models)
+              if model is not None and model.KIND == "evm"}
+    pooled, psi = {}, {}  # by metric: pool matrix; by evm model: psi
     for metric in list(passes):
         index = passes.pop(metric)[0]  # the fits are done with its matrices
-        # the metric's first evm reads the pool's scores, any other its own
-        i = next((i for i, model in enumerate(models) if scans and model is not None
-                  and model.KIND == "evm" and model.metric == metric), None)
-        visit = None if i is None else models[i].psi_visitor(
-            psi.setdefault(i, np.empty(pool.shape[0])))
+        visit, first = None, firsts.get(metric)
+        if index.scans and first is not None:
+            visit = first.psi_visitor(psi.setdefault(first, np.empty(len(pool))))
         pooled[metric] = index.batch_k_smallest(pool, width, visit)
 
-    def scoring(i, model):
+    def scoring(model):
         if model is None or model.KIND == "evm":
-            return model and ({"psi": psi[i]} if i in psi else {})
+            return model and ({"psi": psi[model]} if model in psi else {})
         # the columns the model reads, copied where that is fewer than all
         reads = model.k + 1 if model.KIND == "gpdc" else 1
         return {"distances": np.ascontiguousarray(pooled[model.metric][:, :reads])}
-    return [(model, scoring(i, model)) for i, model in enumerate(models)]
+    return [(model, scoring(model)) for model in models]
 
 
-def rank_methods(train: LabeledDataset, test: EvalSet, methods) -> list:
-    """(model, scoring keyword arguments, ROC of ``test`` ranked by its
-    unknownness) per (kind, options) of ``methods`` from one
-    :func:`fit_methods` call; all None where the fit rejects the data."""
-    return [(model, scoring, model and roc_auc(
-                zip(model.unknownness(test.points, **scoring), test.is_unknown)))
-            for model, scoring in fit_methods(train, methods, test.points,
-                                              optional=True)]
+def rank_methods(train: LabeledDataset, test: EvalSet, methods) -> tuple:
+    """(models, ROC curves of ``test`` ranked by unknownness, keyword
+    arguments of their scoring calls), one entry per (kind, options) of
+    ``methods``, from one :func:`fit_methods` call; None where the fit
+    rejects the data."""
+    fitted = fit_methods(train, methods, test.points, optional=True)
+    curves = [model and roc_auc(zip(model.unknownness(test.points, **scoring),
+                                    test.is_unknown)) for model, scoring in fitted]
+    models, scorings = zip(*fitted)
+    return models, curves, scorings
 
 
-def fit_and_rank(train: LabeledDataset, test: EvalSet,
-                 kinds=tuple(model_kinds()), **options) -> tuple:
-    """Fit each kind on ``train`` with the options it takes and take the ROC
-    of ``test`` ranked by unknownness. Returns (models, curves) by kind; both
-    are None for a kind whose fit rejects the training data (the margin
-    baseline needs two classes)."""
+def fit_and_rank(train: LabeledDataset, test: EvalSet, **options) -> tuple:
+    """Fit every kind on ``train`` with the options it takes and take the ROC
+    of ``test`` ranked by unknownness. Returns (models, curves, scoring
+    keyword arguments) by kind; all None for a kind whose fit rejects the
+    training data (the margin baseline needs two classes)."""
+    kinds = tuple(model_kinds())
     ranked = rank_methods(train, test, [(kind, options) for kind in kinds])
-    return ({kind: model for kind, (model, _, _) in zip(kinds, ranked)},
-            {kind: curve for kind, (_, _, curve) in zip(kinds, ranked)})
+    return tuple(dict(zip(kinds, column)) for column in ranked)
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +249,10 @@ class ToyResult:
 def run_toy_protocol(seed: int = 0, k: int = 20,
                      alpha: float = 0.05) -> ToyResult:
     train, test = generate_toy(seed)
-    kinds = tuple(model_kinds())
-    ranked = rank_methods(train, test, [(kind, {"k": k, "alpha": alpha})
-                                        for kind in kinds])
-    model, scoring, _ = ranked[kinds.index("gpdc")]  # xi from the pool query
-    _, pxi, _ = model.decision_stats(test.points, **scoring)
-    return ToyResult(curves={kind: curve for kind, (_, _, curve) in zip(kinds, ranked)},
-                     test=test, xi_hat=pxi / train.p)
+    models, curves, scorings = fit_and_rank(train, test, k=k, alpha=alpha)
+    # xi from the pool query that ranked the pool
+    _, pxi, _ = models["gpdc"].decision_stats(test.points, **scorings["gpdc"])
+    return ToyResult(curves=curves, test=test, xi_hat=pxi / train.p)
 
 
 # ---------------------------------------------------------------------------
@@ -372,24 +371,18 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
 
 
 def run_thyroid_protocol(train: LabeledDataset, test: EvalSet,
-                         fractions=THYROID_TAIL_FRACTIONS, alpha: float = 0.05,
-                         kinds=tuple(model_kinds())) -> tuple:
-    """(curves of ``kinds`` at their default k, by kind; the GPD classifier's
+                         fractions=THYROID_TAIL_FRACTIONS,
+                         alpha: float = 0.05) -> tuple:
+    """(curves of every kind at its default k, by kind; the GPD classifier's
     (fraction, k, auc) across tail sizes) from one :func:`fit_methods` call.
     A swept k is at least 2, the smallest k the default gamma = 1/n allows."""
+    kinds = tuple(model_kinds())
     ks = [max(2, tail_count(frac, train.n)) for frac in fractions]
-    ranked = rank_methods(train, test, [(kind, {"alpha": alpha}) for kind in kinds]
-                          + [("gpdc", {"k": k, "alpha": alpha}) for k in ks])
-    return ({kind: curve for kind, (_, _, curve) in zip(kinds, ranked)},
-            [(float(frac), k, curve.auc) for frac, k, (_, _, curve)
-             in zip(fractions, ks, ranked[len(kinds):])])
-
-
-def gpdc_tail_fraction_sweep(train: LabeledDataset, test: EvalSet,
-                             fractions=THYROID_TAIL_FRACTIONS,
-                             alpha: float = 0.05) -> list:
-    """The tail-fraction sweep of :func:`run_thyroid_protocol` alone."""
-    return run_thyroid_protocol(train, test, fractions, alpha, kinds=())[1]
+    curves = rank_methods(train, test, [(kind, {"alpha": alpha}) for kind in kinds]
+                          + [("gpdc", {"k": k, "alpha": alpha}) for k in ks])[1]
+    return (dict(zip(kinds, curves)),
+            [(float(frac), k, curve.auc)
+             for frac, k, curve in zip(fractions, ks, curves[len(kinds):])])
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,11 @@ class NeighborIndex:
         return self._metric
 
     @property
+    def scans(self) -> bool:
+        """Whether queries score every stored point (no kd-tree)."""
+        return self._tree is None
+
+    @property
     def points(self) -> np.ndarray:
         """Read-only view of the stored points."""
         view = self._points.view()
@@ -139,7 +144,7 @@ class NeighborIndex:
             raise UsageError("queries must be an (m, p) matrix matching the index")
         if not (1 <= k <= self.size):
             raise UsageError(f"k must be in [1, {self.size}], got {k}")
-        if self._tree is None:  # the kd-tree refuses non-finite rows itself
+        if self.scans:  # the kd-tree refuses non-finite rows itself
             check_finite(queries, "query row")
         try:
             return self._knn(queries, k, visit=visit)[0]
@@ -211,22 +216,22 @@ class NeighborIndex:
         """Exact (m, k) distances and indices of each query row's k nearest
         stored points, ascending with ties broken by index. ``exclude``
         names one stored index per row that is never a candidate (scored
-        inf). On the scan path ``visit`` then takes each block as in :func:`scan`."""
+        inf). ``visit`` then takes each block as in :func:`scan`, which only
+        the scan path can give it."""
         m, (n, p) = queries.shape[0], self._points.shape
+        if visit is not None and not self.scans:
+            raise UsageError("a block visitor needs an index that scans")
         if exclude is not None:
             exclude = np.asarray(exclude)
-        norms = None
-        if self._tree is None and self._metric.order == 2.0:
-            norms = np.einsum("ij,ij->i", self._points, self._points)
+        norms = (np.einsum("ij,ij->i", self._points, self._points)
+                 if self.scans and self._metric.order == 2.0 else None)
         if m == 0:
             return np.empty((0, k)), np.empty((0, k), np.intp)
         parts = []
         for block in row_blocks(m, n, p):
             rows = queries[block]
             skip = None if exclude is None else exclude[block]
-            if self._tree is not None:
-                cand, padded = self._tree_candidates(rows, k, skip)
-            else:
+            if self.scans:
                 score, slack = block_scores(rows, self._points, norms,
                                             self._metric.order)
                 if skip is not None:
@@ -234,6 +239,8 @@ class NeighborIndex:
                 cand, padded = scan_candidates(score, slack, k), True
                 if visit is not None:
                     visit(block, rows, score, slack)
+            else:
+                cand, padded = self._tree_candidates(rows, k, skip)
             parts.append(self._select(rows, cand, k, skip, padded))
         self.counters.queries += m  # a refused query counts nothing
         self.counters.distances += m * k

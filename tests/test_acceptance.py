@@ -18,8 +18,9 @@ from openevt import gevc, gpdc
 from openevt.data import LabeledDataset
 from openevt.evt import fit_weibull_rows, hill_shape
 from openevt.harness import (THYROID_TAIL_FRACTIONS, generate_toy,
-                             gpdc_tail_fraction_sweep, load_thyroid, rng_from,
-                             roc_auc, run_toy_protocol, thyroid_split)
+                             load_thyroid, rng_from, roc_auc,
+                             run_thyroid_protocol, run_toy_protocol,
+                             thyroid_split)
 
 
 def report(num: int, description: str, ok: bool, detail: str = ""):
@@ -216,8 +217,7 @@ def test_criterion_09_thyroid_bands():
     gevc_model = gevc.fit(train, alpha=0.05)
     gevc_auc = roc_auc(zip(gevc_model.unknownness(test.points),
                            test.is_unknown)).auc
-    sweep = gpdc_tail_fraction_sweep(train, test,
-                                     fractions=THYROID_TAIL_FRACTIONS)
+    sweep = run_thyroid_protocol(train, test, THYROID_TAIL_FRACTIONS)[1]
     aucs = [a for _, _, a in sweep]
     best = max(aucs)
     flat = max(aucs) - min(aucs)

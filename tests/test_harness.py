@@ -14,8 +14,8 @@ from openevt.harness import (DEFAULT_ALPHA_GRID, DEFAULT_DELTA_GRID,
                              THYROID_KNOWN_CLASSES, THYROID_UNKNOWN_CLASSES,
                              TOY_KNOWN, TOY_UNKNOWN, EvalSet, f_measure,
                              fit_and_rank, fit_methods, generate_toy,
-                             gpdc_tail_fraction_sweep, load_letter,
-                             load_thyroid, rng_from, roc_auc, run_oletter,
+                             load_letter, load_thyroid, rng_from, roc_auc,
+                             run_oletter, run_thyroid_protocol,
                              run_toy_protocol, synthetic_openset_surrogate,
                              thyroid_split)
 from openevt.neighbors import TREE_DIMENSION_LIMIT, NeighborIndex
@@ -260,8 +260,7 @@ class TestBinaryNovelty:
 
     def test_tail_fraction_sweep(self, problem):
         train, test = problem
-        sweep = gpdc_tail_fraction_sweep(train, test,
-                                         fractions=(0.0025, 0.01, 0.05))
+        sweep = run_thyroid_protocol(train, test, (0.0025, 0.01, 0.05))[1]
         assert [f for f, _, _ in sweep] == [0.0025, 0.01, 0.05]
         for _, k, auc in sweep:
             assert k >= 1 and 0.0 <= auc <= 1.0
@@ -385,7 +384,7 @@ class TestSharedNeighbourPass:
         train, pool = self.case(p)
         one = LabeledDataset(train.points, ["known"] * train.n)
         test = EvalSet(points=pool, is_known=np.arange(pool.shape[0]) >= 40)
-        models, curves = fit_and_rank(one, test, k=6)
+        models, curves, _ = fit_and_rank(one, test, k=6)
         assert models["evm"] is None and curves["evm"] is None
         for kind in ("gpdc", "gevc"):
             alone = fit_model(kind, one, k=6)
@@ -425,8 +424,7 @@ class TestSharedNeighbourPass:
 
     def test_sweep_rows_equal_separate_fits(self, problem):
         train, test = problem
-        sweep = gpdc_tail_fraction_sweep(train, test,
-                                         fractions=(0.0005, 0.01, 0.05))
+        sweep = run_thyroid_protocol(train, test, (0.0005, 0.01, 0.05))[1]
         assert [k for _, k, _ in sweep] == [2, 12, 60]
         for _, k, auc in sweep:
             model = fit_model("gpdc", train, k=k, alpha=0.05)
@@ -469,7 +467,7 @@ class TestSharedNeighbourPass:
             assert (getattr(info.value, "diagnostics", None)
                     == getattr(error, "diagnostics", None))
             return
-        models, curves = fit_and_rank(train, test, **options)
+        models, curves, _ = fit_and_rank(train, test, **options)
         assert list(models) == list(want)
         for kind, model in models.items():
             finite = {"gpdc": lambda m: [m.shape_threshold, m.radius_threshold],

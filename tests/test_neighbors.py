@@ -99,6 +99,26 @@ def test_flat_fallback_above_dimension_limit():
     _assert_brute(_row(ix, q, 7), pts, q, 7)
 
 
+@pytest.mark.parametrize("p", [2, 25])
+def test_block_visitor_only_on_the_scan(p):
+    # a scanning index hands every query row's scores to the visitor; the
+    # kd-tree has no block scores and refuses one rather than skip it
+    pts = np.random.default_rng(7).normal(size=(60, p))
+    ix, seen = NeighborIndex(pts), []
+    assert ix.scans == (p > neighbors.TREE_DIMENSION_LIMIT)
+
+    def visit(block, rows, score, slack):
+        seen.extend(range(block.start, block.start + rows.shape[0]))
+    for query in (lambda: ix.leave_one_out_smallest(3, visit),
+                  lambda: ix.batch_k_smallest(pts[:20], 3, visit)):
+        if ix.scans:
+            query()
+        else:
+            with pytest.raises(UsageError, match="scans"):
+                query()
+    assert seen == (list(range(60)) + list(range(20)) if ix.scans else [])
+
+
 class TestNearestWithinTraining:
     """One-row queries that exclude the row's own stored point."""
 
