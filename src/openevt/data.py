@@ -221,13 +221,20 @@ def read_table(path, delimiter: str | None = ",", header: bool | None = None,
         )
     feats, label = layout
     with open(path, newline="") as fh:
-        rows = [(line, cells) for line, cells in _split_lines(fh, delimiter)
-                if any(cells)]
+        if delimiter is None:
+            lines = enumerate((text.split(",") if "," in text else text.split()
+                               for text in fh), start=1)
+        else:
+            reader = csv.reader(fh, delimiter=delimiter)
+            lines = ((reader.line_num, cells) for cells in reader)
+        # cells keep their surrounding whitespace, which float() ignores
+        rows = [(line, cells) for line, cells in lines
+                if any(cell.strip() for cell in cells)]
     if header is None and rows:
         header = _floats(rows[0][1][feats]) is None
     if header:
         rows = rows[1:]
-    labels = None if label is None else [cells[label] for _, cells in rows]
+    labels = None if label is None else [cells[label].strip() for _, cells in rows]
     if not rows:
         return np.empty((0, 0)), labels
     width = width or len(rows[0][1])
@@ -241,32 +248,20 @@ def read_table(path, delimiter: str | None = ",", header: bool | None = None,
                              for c, cell in enumerate(cells[feats], start=1)
                              if _floats(cell) is None)
         raise DataError(
-            f"{path}: row {line}, column {c}: non-numeric value {cell!r}")
+            f"{path}: row {line}, column {c}: non-numeric value {cell.strip()!r}")
     if not np.isfinite(points).all():
         r, c = np.argwhere(~np.isfinite(points))[0]
         line, cells = rows[r]
         raise DataError(f"{path}: row {line}, column {c + 1}: "
-                        f"non-finite value {cells[feats][c]!r}")
+                        f"non-finite value {cells[feats][c].strip()!r}")
     return points, labels
-
-
-def _split_lines(fh, delimiter):
-    """(file line number, stripped cells) for each line of ``fh``."""
-    if delimiter is None:
-        for line, text in enumerate(fh, start=1):
-            cells = text.split(",") if "," in text else text.split()
-            yield line, [c.strip() for c in cells]
-        return
-    reader = csv.reader(fh, delimiter=delimiter)
-    for cells in reader:
-        yield reader.line_num, [c.strip() for c in cells]
 
 
 def _floats(cells):
     """A cell, or a (nested) list of cells, parsed as floats the way
     ``float()`` parses each; None if any cell is not a number."""
     try:
-        return np.array(cells).astype(float)
+        return np.array(cells, dtype=float)
     except ValueError:
         return None
 

@@ -89,7 +89,7 @@ class EvmModel:
         fixed = _EPS * (24.0 * np.abs(offset).max()
                         + 2.0 * (self.alphas.max() * (self.p + 4) + 4.0))
 
-        def visit(block, rows, score, slack):
+        def visit(block, rows, score, slack, spare):
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 s_min = score.min(axis=1)
                 t = np.log(score, out=score)
@@ -238,7 +238,8 @@ def class_margins(index: NeighborIndex, ids: np.ndarray, k: int) -> np.ndarray:
 def margin_visitor(index: NeighborIndex, ids: np.ndarray, out: np.ndarray):
     """Scan visitor of ``index``'s own points, labelled ``ids``, storing in
     ``out`` each row's smallest half-distances to other classes' points."""
-    def visit(block, rows, score, slack):
-        cand = scan_candidates(score, slack, out.shape[1], ids[block, None] == ids)
+    def visit(block, rows, score, slack, spare):
+        cand = scan_candidates(score, slack, out.shape[1], spare,
+                               ids[block, None] == ids)
         out[block] = index._select(rows, cand, out.shape[1])[0] / 2.0
     return visit

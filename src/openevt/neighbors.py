@@ -43,9 +43,17 @@ Concurrency: reads never change the points, the tree or a computed dmin;
 ``insert`` needs exclusive access. The first ``dmin_vector`` call computes
 dmin lazily (gevc at fit; concurrent first calls store equal arrays), and
 ``QueryCounters`` increments are not atomic, so concurrent readers may
-undercount.
+undercount. A scan called from the main thread splits its blocks across
+``SCAN_THREADS`` threads, the caller among them (one per CPU when BLAS
+runs each product on one thread); called from any other thread, such as
+the protocols' workers, it runs every block in that thread. Each worker
+keeps one score and one spare buffer for the call, and ``BLOCK_ELEMENTS``
+bounds each worker's block.
 """
 
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +73,17 @@ TREE_DIMENSION_LIMIT = 9
 # candidate differences (rows x stored points x dimension, the worst case
 # when every point is a candidate), which also bounds its score matrix.
 BLOCK_ELEMENTS = 1 << 21
+
+# A scan called from the main thread splits its blocks across this many
+# threads: the CPUs the process may run on over the threads BLAS gives each
+# product (the first of these variables set, else every CPU). Two scan
+# threads on a two-thread BLAS measured slower than one.
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+_BLAS_THREADS = [int(v) for v in (os.environ.get(name, "") for name in (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS",
+    "OMP_NUM_THREADS")) if v.isdigit() and int(v)]
+SCAN_THREADS = max(1, _CPUS // (_BLAS_THREADS + [_CPUS])[0])
 
 # Rebuild the tree when the pending buffer exceeds max(REBUILD_MIN,
 # REBUILD_FRACTION * tree size); 1/32 is from the table in CHANGES.md.
@@ -223,25 +242,26 @@ class NeighborIndex:
             raise UsageError("a block visitor needs an index that scans")
         if exclude is not None:
             exclude = np.asarray(exclude)
-        norms = (np.einsum("ij,ij->i", self._points, self._points)
-                 if self.scans and self._metric.order == 2.0 else None)
         if m == 0:
             return np.empty((0, k)), np.empty((0, k), np.intp)
-        parts = []
-        for block in row_blocks(m, n, p):
-            rows = queries[block]
+
+        def step(block, rows, score, slack, spare):
             skip = None if exclude is None else exclude[block]
-            if self.scans:
-                score, slack = block_scores(rows, self._points, norms,
-                                            self._metric.order)
-                if skip is not None:
-                    score[np.arange(rows.shape[0]), skip] = np.inf
-                cand, padded = scan_candidates(score, slack, k), True
-                if visit is not None:
-                    visit(block, rows, score, slack)
-            else:
+            if skip is not None:
+                score[np.arange(len(rows)), skip] = np.inf
+            cand = scan_candidates(score, slack, k, spare)
+            if visit is not None:
+                visit(block, rows, score, slack, spare)
+            return self._select(rows, cand, k, skip)
+
+        if self.scans:
+            parts = scan(queries, self._points, self._metric.order, step)
+        else:
+            parts = []
+            for block in row_blocks(m, n, p):
+                rows, skip = queries[block], None if exclude is None else exclude[block]
                 cand, padded = self._tree_candidates(rows, k, skip)
-            parts.append(self._select(rows, cand, k, skip, padded))
+                parts.append(self._select(rows, cand, k, skip, padded))
         self.counters.queries += m  # a refused query counts nothing
         self.counters.distances += m * k
         if len(parts) == 1:
@@ -339,20 +359,48 @@ def row_blocks(m: int, n: int, p: int) -> list:
     return [slice(lo, lo + step) for lo in range(0, m, step)]
 
 
-def scan(queries, points, order: float, visit):
-    """``visit(block, rows, score, slack)`` for each block of query rows with
-    its :func:`block_scores` against ``points``, which it may overwrite."""
+def scan(queries, points, order: float, visit) -> list:
+    """The results, in block order, of ``visit(block, rows, score, slack,
+    spare)`` for each block of query rows: its :func:`block_scores` against
+    ``points`` and scratch of the score's shape, which the visit may both
+    overwrite. The module docstring says which threads run the blocks."""
     (m, p), n = queries.shape, points.shape[0]
     norms = np.einsum("ij,ij->i", points, points) if order == 2.0 else None
-    for block in row_blocks(m, n, p):
-        rows = queries[block]
-        visit(block, rows, *block_scores(rows, points, norms, order))
+    blocks, errors = row_blocks(m, n, p), []
+    parts = [None] * len(blocks)
+    split = len(blocks) > 1 and threading.current_thread() is threading.main_thread()
+    workers = min(SCAN_THREADS, len(blocks)) if split else 1
+    # each worker takes the lowest block left until it takes its own None
+    tasks = deque([*range(len(blocks)), *[None] * workers])
+
+    def work():
+        out = None
+        try:
+            for i in iter(tasks.popleft, None):
+                rows = queries[blocks[i]]
+                if out is None:  # the largest block this worker runs
+                    out, spare = np.empty((2, len(rows), n))
+                score, slack = block_scores(rows, points, norms, order, out)
+                parts[i] = visit(blocks[i], rows, score, slack, spare[:len(rows)])
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return parts
 
 
-def scan_candidates(score, slack, k: int, masked=None) -> np.ndarray:
+def scan_candidates(score, slack, k: int, spare, masked=None) -> np.ndarray:
     """Candidate matrix of a block's :func:`block_scores`, padded with the
-    index n. A ``masked`` point (an (m, n) mask that leaves k per row) is
-    never a candidate; its score is overwritten with inf.
+    index n, using ``spare`` (of the score's shape) as scratch. A ``masked``
+    point (an (m, n) mask that leaves k per row) is never a candidate; its
+    score is overwritten with inf.
 
     With the GEMM form, a point y that belongs in a row's k nearest ranks
     no later than some point z among the row's k best scored, so y's score
@@ -366,7 +414,9 @@ def scan_candidates(score, slack, k: int, masked=None) -> np.ndarray:
     if k == 1:
         kth = score.min(axis=1)
     else:
-        kth = np.partition(score, k - 1, axis=1)[:, k - 1]
+        np.copyto(spare, score)
+        spare.partition(k - 1, axis=1)
+        kth = spare[:, k - 1]
     with np.errstate(invalid="ignore"):  # inf - inf: NaN, so a candidate
         hit = ~(score > (kth + slack)[:, None])
     if masked is not None:
@@ -378,14 +428,15 @@ def scan_candidates(score, slack, k: int, masked=None) -> np.ndarray:
     return cand
 
 
-def block_scores(queries, points, norms, order: float) -> tuple:
+def block_scores(queries, points, norms, order: float, out) -> tuple:
     """(m, n) scores of query rows against ``points``, and each row's slack.
 
     With ``norms`` (the points' squared norms; Euclidean only) a score is
     ||q||^2 - 2 q.y + ||y||^2. In any summation order it lies within
     (p + 2) eps M of the exact squared distance, M = ||q||^2 + max ||y||^2,
     and so does the square ``distances_to`` takes the root of; the slack is
-    4 (p + 4) eps M. Otherwise the scores are ``distances_to``'s, slack 0.
+    4 (p + 4) eps M; ``out``'s first m rows hold the scores. Otherwise the
+    scores are ``distances_to``'s, slack 0.
     """
     (m, p), n = queries.shape, points.shape[0]
     if norms is None:
@@ -393,7 +444,7 @@ def block_scores(queries, points, norms, order: float) -> tuple:
         return _minkowski(diff.reshape(-1, p), order).reshape(m, n), 0.0
     q_norms = np.einsum("ij,ij->i", queries, queries)
     with np.errstate(over="ignore", invalid="ignore"):
-        score = queries @ points.T
+        score = np.matmul(queries, points.T, out=out[:m])
         score *= -2.0
         score += q_norms[:, None]
         score += norms

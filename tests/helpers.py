@@ -1,5 +1,7 @@
 """Shared test utilities: brute-force oracles and small dataset builders."""
 
+import threading
+
 import numpy as np
 
 from openevt.data import DistanceMetric, LabeledDataset, distances_to
@@ -79,6 +81,16 @@ def reference_model(kind: str, train: LabeledDataset, pool: np.ndarray,
     d = np.array([distances_to(q, pts) for q in pool])
     psi = np.exp(-np.power(d / sigmas, alphas)).max(axis=1)
     return {"sigmas": sigmas, "alphas": alphas}, {delta: psi < delta for delta in grid}
+
+
+def in_thread(call):
+    """``call()`` run in a thread other than the main one; its result."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(call()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and out, "the call failed or timed out"
+    return out[0]
 
 
 def index_state(ix):

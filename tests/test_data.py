@@ -148,6 +148,36 @@ class TestCsv:
         expected = np.array([[float(c) for c in row] for row in rows])
         assert load_points_csv(f).tobytes() == expected.tobytes()
 
+    def test_edge_cells_parse_like_float(self, tmp_path):
+        # cells that np.loadtxt refuses (the first two), and cells padded
+        # with whitespace, which float() ignores and labels lose
+        cells = ["1_000", "\u0661\u0662", " 3 ", "+.5", "5.", "\xa07\xa0"]
+        f = tmp_path / "d.csv"
+        f.write_text(",".join(cells) + ", a \n" + ",".join(cells[::-1]) + ",b\n")
+        data = load_dataset_csv(f)
+        expected = np.array([[float(c) for c in cells],
+                             [float(c) for c in cells[::-1]]])
+        assert data.points.tobytes() == expected.tobytes()
+        assert data.labels.tolist() == ["a", "b"]
+        f.write_text("1,1e400,a\n")
+        with pytest.raises(DataError, match=r"row 1, column 2: non-finite value '1e400'"):
+            load_dataset_csv(f)
+
+    def test_padded_cells_quoted_stripped(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("1,2,a\n3, oops ,b\n")
+        with pytest.raises(DataError, match=r"row 2, column 2: non-numeric value 'oops'$"):
+            load_dataset_csv(f)
+        f.write_text("1,2,a\n3,\t-inf ,b\n")
+        with pytest.raises(DataError, match=r"row 2, column 2: non-finite value '-inf'$"):
+            load_dataset_csv(f)
+
+    def test_whitespace_rows_skipped(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("1,2,a\n   \n , ,\t\n3,4,b\n")
+        data = load_dataset_csv(f)
+        assert data.points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_non_finite_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("1.0,2.0,a\n3.0,inf,b\n")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gaussian_blobs, pair_count_auc
+from helpers import gaussian_blobs, in_thread, pair_count_auc, reference_model
 from openevt import evm, gevc, gpdc, neighbors
 from openevt.data import DistanceMetric, LabeledDataset, _minkowski
 from openevt.errors import DataError, FitError, UsageError
@@ -213,6 +213,40 @@ def test_exact_paths_match_brute_force(p, order, offset, duplicates, n_per, k,
     assert np.all(psi[-2:] == 0.0)  # every W underflows
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("p", [16, 30])
+def test_split_scan_margins_and_psi_in_any_thread(p, workers, monkeypatch):
+    # blocks of 7 rows split across the patched thread count (see
+    # test_neighbors); integer coordinates at p = 16 tie, with a repeat
+    rng = np.random.default_rng(p)
+    if p == 16:
+        pts = rng.integers(0, 9, size=(90, p)).astype(float)
+        pts[40] = pts[30]  # same class: fewer than k copies
+    else:
+        pts = rng.normal(size=(90, p))
+    data = LabeledDataset(pts, np.repeat(["a", "b", "c"], 30))
+    pool = np.vstack([pts[:10], pts[50:70] + rng.integers(-1, 2, size=(20, p))])
+    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", 7 * data.n * p)
+    monkeypatch.setattr(neighbors, "SCAN_THREADS", workers)
+    seen, solve = [], evm.fit_weibull_rows
+    monkeypatch.setattr(evm, "fit_weibull_rows",
+                        lambda w: (seen.append(w), solve(w))[1])
+
+    def fitted():
+        model = evm.fit(data, k=5)
+        return model, model.membership_batch(pool)
+
+    (model, psi), (other, other_psi) = fitted(), in_thread(fitted)
+    fields, _ = reference_model("evm", data, pool, (), 5)
+    for margins in seen:
+        np.testing.assert_array_equal(margins, brute_margins(data, 5, 2.0))
+    for m in (model, other):
+        np.testing.assert_array_equal(m.sigmas, fields["sigmas"])
+        np.testing.assert_array_equal(m.alphas, fields["alphas"])
+    np.testing.assert_array_equal(psi, exact_psi(model, pool))
+    np.testing.assert_array_equal(other_psi, psi)
+
+
 def test_zero_margin_names_first_coinciding_point():
     # point 4 (class "b") duplicates point 1 (class "a"): both get a zero
     # margin, from different class queries, and the lower index is named
@@ -238,7 +272,7 @@ def test_masked_margins_never_admit_same_class(fill):
              "same-class-finite": np.where(same, 0.0, np.inf)}[fill]
     out = np.empty((30, 5))
     visit = evm.margin_visitor(neighbors.NeighborIndex(pts), data.label_ids, out)
-    visit(slice(0, 30), pts, score, 0.0)
+    visit(slice(0, 30), pts, score, 0.0, np.empty((30, 30)))
     np.testing.assert_array_equal(out, brute_margins(data, 5, 2.0))
 
 

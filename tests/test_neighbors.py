@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+import threading
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_dmin, brute_knn, index_state
+from helpers import brute_dmin, brute_knn, in_thread, index_state
+import openevt
 from openevt import neighbors
 from openevt.data import DistanceMetric, distances_to
 from openevt.errors import DataError, UsageError
@@ -107,7 +114,7 @@ def test_block_visitor_only_on_the_scan(p):
     ix, seen = NeighborIndex(pts), []
     assert ix.scans == (p > neighbors.TREE_DIMENSION_LIMIT)
 
-    def visit(block, rows, score, slack):
+    def visit(block, rows, score, slack, spare):
         seen.extend(range(block.start, block.start + rows.shape[0]))
     for query in (lambda: ix.leave_one_out_smallest(3, visit),
                   lambda: ix.batch_k_smallest(pts[:20], 3, visit)):
@@ -424,6 +431,92 @@ def test_blocked_scan_matches_brute_force(case, monkeypatch):
         expected = _brute_rows(pts, pts, k, order, exclude=np.arange(n))
         np.testing.assert_array_equal(got[0], expected[0])
         np.testing.assert_array_equal(got[1], expected[1])
+
+
+def _split_case(p):
+    """(points, queries) above the dimension limit: at p = 16 integer ties
+    and a row repeated more than k+1 times, at p = 30 Gaussian points."""
+    rng = np.random.default_rng(p)
+    if p == 16:
+        pts = rng.integers(0, 3, size=(150, p)).astype(float)
+        pts[rng.choice(150, size=9, replace=False)] = pts[4]
+    else:
+        pts = rng.normal(size=(150, p))
+    return pts, pts[:40] + rng.integers(-1, 2, size=(40, p))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("p", [16, 30])
+def test_split_scan_matches_brute_force_in_any_thread(p, workers, monkeypatch):
+    # blocks of 7 rows split across the patched thread count, so that a
+    # 1-CPU machine splits them too; from another thread they all run there
+    pts, queries = _split_case(p)
+    n, k = pts.shape[0], 6
+    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", 7 * n * p)
+    monkeypatch.setattr(neighbors, "SCAN_THREADS", workers)
+
+    def views():
+        ix, seen = NeighborIndex(pts), set()
+
+        def visit(block, rows, score, slack, spare):
+            seen.add((threading.get_ident(), threading.active_count()))
+            time.sleep(0.001)  # so that every worker takes a block
+        caller = (threading.get_ident(), threading.active_count())
+        return (ix.leave_one_out_smallest(k, visit),
+                ix.batch_k_smallest(queries, k, visit), ix.dmin_vector(),
+                caller, seen)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        *split, caller, seen = views()
+    finally:
+        sys.setswitchinterval(switch)
+    assert len({ident for ident, _ in seen}) == workers
+    expected = (_brute_rows(pts, pts, k, 2.0, exclude=np.arange(n))[0],
+                _brute_rows(pts, queries, k, 2.0)[0], brute_dmin(pts))
+    *serial, caller, seen = in_thread(views)
+    assert seen == {caller}  # every block in the calling thread, no other
+    for got, other, want in zip(split, serial, expected):
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(other, want)
+
+
+@pytest.mark.parametrize("blas,share", [
+    ({}, "one"), ({"OPENBLAS_NUM_THREADS": "1"}, "all"),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, "all")])
+def test_scan_threads_leave_a_threaded_blas_its_cpus(blas, share):
+    # BLAS's default runs each product on every CPU: one scan thread; one
+    # BLAS thread per product (0 means unset): one scan thread per CPU
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(openevt.__file__).parent.parent),
+                    env.get("PYTHONPATH")) if p)
+    code = "from openevt import neighbors as n; print(n.SCAN_THREADS, n._CPUS)"
+    threads, cpus = map(int, subprocess.run(
+        [sys.executable, "-c", code], env={**env, **blas}, capture_output=True,
+        text=True, check=True, timeout=60).stdout.split())
+    assert threads == (cpus if share == "all" else 1)
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_split_scan_raises_a_visit_error_after_joining(failing, monkeypatch):
+    # the failing threads raise at their first block and the others sleep
+    # at each, so a caller that did not join would leave threads running
+    pts = _split_case(30)[0]
+    n, p = pts.shape
+    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", 7 * n * p)
+    monkeypatch.setattr(neighbors, "SCAN_THREADS", 3)
+    before = threading.active_count()
+
+    def visit(block, rows, score, slack, spare):
+        in_caller = threading.current_thread() is threading.main_thread()
+        if in_caller == (failing == "caller"):
+            raise ArithmeticError(f"in the {failing}")
+        time.sleep(0.01)
+    with pytest.raises(ArithmeticError, match=f"in the {failing}"):
+        NeighborIndex(pts).leave_one_out_smallest(3, visit)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("p", [2, 16])
