@@ -65,7 +65,7 @@ class EvmModel:
         W_i decreases in t_i = alpha_i (log d_i - log sigma_i), computed from
         the kernel's block scores with one log each. It is off by at most
         S + 6 eps |t| + 10 eps max|alpha log sigma| (log to 4 ulp), where
-        S = max(scale) e / (s_min - e) for the score error e (the slack),
+        S = max(scale) e / (s_min - e), e the slack (>= the score's error),
         and the exact W is within (max(alpha) (p + 4) + 4) eps of t. A point
         whose t exceeds the row's smallest by more than twice both bounds
         cannot hold the max, so only the rest are recomputed; a row with
@@ -100,7 +100,7 @@ class EvmModel:
                      + 2.0 * scale.max() * slack / (s_min - slack))
                 limit = np.where(s_min > slack, c + 32.0 * _EPS * np.abs(c),
                                  np.inf)
-                row, col = np.nonzero(~(t > limit[:, None]))
+                row, col = np.divmod(np.flatnonzero(~(t > limit[:, None])), self.n)
                 d = _minkowski(self._points.take(col, axis=0)
                                - rows.take(row, axis=0), order)
                 w = np.exp(-np.power(d / self.sigmas[col], self.alphas[col]))
@@ -238,6 +238,8 @@ def class_margins(index: NeighborIndex, ids: np.ndarray, k: int) -> np.ndarray:
 def margin_visitor(index: NeighborIndex, ids: np.ndarray, out: np.ndarray):
     """Scan visitor of ``index``'s own points, labelled ``ids``, storing in
     ``out`` each row's smallest half-distances to other classes' points."""
+    ids = ids.astype(np.min_scalar_type(ids.max()))  # a narrow mask compare
+
     def visit(block, rows, score, slack, spare):
         cand = scan_candidates(score, slack, out.shape[1], spare,
                                ids[block, None] == ids)

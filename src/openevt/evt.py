@@ -233,14 +233,19 @@ def fit_weibull_rows(w: np.ndarray):
     iterations = np.zeros(m, dtype=int)
 
     active = ~degenerate
+    logw = logw[active]  # kept for the active rows only
     for it in range(WEIBULL_MAX_ITER):
         if not active.any():
             break
         a = alpha[active]
-        wa = np.power(wn[active], a[:, None])
+        wa = wn[active]  # w^a in place, then one scratch buffer for s1, s2
+        np.power(wa, a[:, None], out=wa)
         s0 = wa.sum(axis=1)
-        s1 = (wa * logw[active]).sum(axis=1)
-        s2 = (wa * logw[active] ** 2).sum(axis=1)
+        scratch = np.multiply(wa, logw)
+        s1 = scratch.sum(axis=1)
+        np.multiply(wa, np.square(logw, out=scratch), out=scratch)
+        s2 = scratch.sum(axis=1)
+        del wa, scratch  # freed before the next iteration gathers
         r1 = s1 / s0
         f = r1 - 1.0 / a - mean_log[active]
         fp = (s2 / s0 - r1 ** 2) + 1.0 / a ** 2
@@ -258,6 +263,7 @@ def fit_weibull_rows(w: np.ndarray):
         iterations[idx] += 1
         converged[idx[done]] = True
         active[idx[done]] = False
+        logw = logw[~done]
 
     sigma_n = np.power(np.power(wn, alpha[:, None]).mean(axis=1), 1.0 / alpha)
     sigma = sigma_n * wmax[:, 0]

@@ -8,9 +8,9 @@ stored points sure to hold its k nearest:
   kd-tree (scipy's cKDTree, imported on the first tree build, so the scan
   path never loads scipy) proposes the row's closed ball at its kth tree
   distance, plus the pending inserts that the tree does not hold yet;
-- above it, the block is scored against every stored point with the GEMM
-  form of the squared Euclidean distance, ||q||^2 - 2 q.y + ||y||^2, and
-  every point scored within a slack of 4 (p + 4) eps (||q||^2 + max
+- above it, the block is scored against every stored point by one GEMM,
+  [-2q, 1, ||q||^2] . [y; ||y||^2; 1] = ||q - y||^2 in exact arithmetic,
+  and every point scored within a slack of 5 (p + 3) eps (||q||^2 + max
   ||y||^2) of the row's kth score is a candidate (exact brute-force
   k-selection by GEMM, Johnson, Douze & Jegou, *Billion-scale similarity
   search with GPUs*, sections 3-4). The slack bounds the rounding of both
@@ -365,7 +365,8 @@ def scan(queries, points, order: float, visit) -> list:
     ``points`` and scratch of the score's shape, which the visit may both
     overwrite. The module docstring says which threads run the blocks."""
     (m, p), n = queries.shape, points.shape[0]
-    norms = np.einsum("ij,ij->i", points, points) if order == 2.0 else None
+    operand = None if order != 2.0 else np.vstack(  # shared by the workers
+        [points.T, np.einsum("ij,ij->i", points, points), np.ones(n)])
     blocks, errors = row_blocks(m, n, p), []
     parts = [None] * len(blocks)
     split = len(blocks) > 1 and threading.current_thread() is threading.main_thread()
@@ -380,7 +381,7 @@ def scan(queries, points, order: float, visit) -> list:
                 rows = queries[blocks[i]]
                 if out is None:  # the largest block this worker runs
                     out, spare = np.empty((2, len(rows), n))
-                score, slack = block_scores(rows, points, norms, order, out)
+                score, slack = block_scores(rows, points, operand, order, out)
                 parts[i] = visit(blocks[i], rows, score, slack, spare[:len(rows)])
         except BaseException as exc:  # raised again in the caller
             errors.append(exc)
@@ -404,13 +405,14 @@ def scan_candidates(score, slack, k: int, spare, masked=None) -> np.ndarray:
 
     With the GEMM form, a point y that belongs in a row's k nearest ranks
     no later than some point z among the row's k best scored, so y's score
-    exceeds the kth score by at most twice both errors plus the root's and
-    the threshold's own rounding, about (4p + 13) eps M: within the slack.
-    An undefined (NaN) score or threshold makes the point a candidate.
+    exceeds the kth score by at most twice both errors, 2 (2.5 p + 4) eps M,
+    plus the roots' 4 eps M and the threshold's own rounding, eps M: (5p +
+    13) eps M, within the slack. An undefined (NaN) score or threshold
+    makes the point a candidate.
     """
     m, n = score.shape
     if masked is not None:
-        score[masked] = np.inf
+        np.copyto(score, np.inf, where=masked)
     if k == 1:
         kth = score.min(axis=1)
     else:
@@ -421,34 +423,34 @@ def scan_candidates(score, slack, k: int, spare, masked=None) -> np.ndarray:
         hit = ~(score > (kth + slack)[:, None])
     if masked is not None:
         hit &= ~masked
-    counts = hit.sum(axis=1)
     rows, cols = np.divmod(np.flatnonzero(hit), n)
+    counts = np.bincount(rows, minlength=m)
     cand = np.full((m, counts.max()), n)
     cand[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = cols
     return cand
 
 
-def block_scores(queries, points, norms, order: float, out) -> tuple:
+def block_scores(queries, points, operand, order: float, out) -> tuple:
     """(m, n) scores of query rows against ``points``, and each row's slack.
 
-    With ``norms`` (the points' squared norms; Euclidean only) a score is
-    ||q||^2 - 2 q.y + ||y||^2. In any summation order it lies within
-    (p + 2) eps M of the exact squared distance, M = ||q||^2 + max ||y||^2,
-    and so does the square ``distances_to`` takes the root of; the slack is
-    4 (p + 4) eps M; ``out``'s first m rows hold the scores. Otherwise the
-    scores are ``distances_to``'s, slack 0.
+    With ``operand`` (the points' columns [y; ||y||^2; 1]; Euclidean only)
+    a score, in ``out``'s first m rows, is the row [-2q, 1, ||q||^2] times
+    them. Doubling q is exact; with M = ||q||^2 + max ||y||^2, the p + 2
+    products' magnitudes sum to at most 2M and the norms' errors to p eps
+    M / 2. Summed in any order, the score is thus within (p + 2) eps M +
+    p eps M / 2 of the exact squared distance, and the square that
+    ``distances_to`` takes the root of within (p + 2) eps M; the slack is
+    5 (p + 3) eps M. Otherwise the scores are ``distances_to``'s, slack 0.
     """
     (m, p), n = queries.shape, points.shape[0]
-    if norms is None:
+    if operand is None:
         diff = points[None, :, :] - queries[:, None, :]
         return _minkowski(diff.reshape(-1, p), order).reshape(m, n), 0.0
-    q_norms = np.einsum("ij,ij->i", queries, queries)
     with np.errstate(over="ignore", invalid="ignore"):
-        score = np.matmul(queries, points.T, out=out[:m])
-        score *= -2.0
-        score += q_norms[:, None]
-        score += norms
-        return score, 4.0 * (p + 4) * _EPS * (q_norms + norms.max())
+        q_norms = np.einsum("ij,ij->i", queries, queries)
+        rows = np.column_stack([-2.0 * queries, np.ones(m), q_norms])
+        score = np.matmul(rows, operand, out=out[:m])
+        return score, 5.0 * (p + 3) * _EPS * (q_norms + operand[p].max())
 
 
 def _append(buffer: np.ndarray, n: int, row) -> np.ndarray:

@@ -181,9 +181,10 @@ def brute_margins(data, k, order):
     n_per=st.integers(min_value=6, max_value=25),
     k=st.integers(min_value=3, max_value=6),
     seed=st.integers(min_value=0, max_value=10_000),
+    shuffled=st.booleans(),
 )
 def test_exact_paths_match_brute_force(p, order, offset, duplicates, n_per, k,
-                                       seed):
+                                       seed, shuffled):
     rng = np.random.default_rng(seed)
     means = rng.normal(scale=3.0, size=(3, p))
     pts = np.vstack([m + rng.normal(size=(n_per, p)) for m in means])
@@ -192,7 +193,11 @@ def test_exact_paths_match_brute_force(p, order, offset, duplicates, n_per, k,
         # sample's spread positive
         pts[1::n_per] = pts[::n_per]
     pts += offset
-    data = LabeledDataset(pts, np.repeat(["a", "b", "c"], n_per))
+    labels = np.repeat(["a", "b", "c"], n_per)
+    if shuffled:  # classes interleaved, not in contiguous blocks of rows
+        perm = rng.permutation(pts.shape[0])
+        pts, labels = pts[perm], labels[perm]
+    data = LabeledDataset(pts, labels)
     metric = DistanceMetric(order)
     seen, solve = [], evm.fit_weibull_rows
     with pytest.MonkeyPatch.context() as mp:
@@ -262,18 +267,23 @@ def test_zero_margin_names_first_coinciding_point():
 def test_masked_margins_never_admit_same_class(fill):
     # Scores that decide nothing (inf or NaN everywhere, or finite only
     # for same-class points) make every point a candidate, yet a same-class
-    # point, here a duplicate at distance 0, never enters a margin row.
+    # point, here a duplicate at distance 0, never enters a margin row,
+    # whether each class holds contiguous rows or the classes interleave.
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(30, 12))
     pts[1::10] = pts[::10]
-    data = LabeledDataset(pts, np.repeat(["a", "b", "c"], 10))
-    same = data.label_ids[:, None] == data.label_ids
-    score = {"inf": np.full((30, 30), np.inf), "nan": np.full((30, 30), np.nan),
-             "same-class-finite": np.where(same, 0.0, np.inf)}[fill]
-    out = np.empty((30, 5))
-    visit = evm.margin_visitor(neighbors.NeighborIndex(pts), data.label_ids, out)
-    visit(slice(0, 30), pts, score, 0.0, np.empty((30, 30)))
-    np.testing.assert_array_equal(out, brute_margins(data, 5, 2.0))
+    labels = np.repeat(["a", "b", "c"], 10)
+    for perm in (np.arange(30), rng.permutation(30)):
+        data = LabeledDataset(pts[perm], labels[perm])
+        same = data.label_ids[:, None] == data.label_ids
+        score = {"inf": np.full((30, 30), np.inf),
+                 "nan": np.full((30, 30), np.nan),
+                 "same-class-finite": np.where(same, 0.0, np.inf)}[fill]
+        out = np.empty((30, 5))
+        visit = evm.margin_visitor(neighbors.NeighborIndex(data.points),
+                                   data.label_ids, out)
+        visit(slice(0, 30), data.points, score, 0.0, np.empty((30, 30)))
+        np.testing.assert_array_equal(out, brute_margins(data, 5, 2.0))
 
 
 def test_overflowing_margins_name_point_on_the_scan():

@@ -434,12 +434,13 @@ class TestSharedNeighbourPass:
     @settings(max_examples=60, deadline=None)
     @given(coincident=st.booleans(), seed=st.integers(0, 2**32 - 1),
            n_per=st.integers(3, 25), k=st.integers(2, 6),
-           integer=st.booleans())
+           integer=st.booleans(), shuffled=st.booleans())
     def test_adversarial_fits_match_standalone(self, coincident, seed, n_per,
-                                               k, integer):
+                                               k, integer, shuffled):
         # p = 1 draws, or a p = 3 set whose first class is one point
         # repeated: each kind fits as it does alone, with finite thresholds,
-        # or the first refusal in kind order surfaces unchanged
+        # or the first refusal in kind order surfaces unchanged; the rows of
+        # a class are contiguous or interleaved with the others'
         rng = np.random.default_rng(seed)
         p = 3 if coincident else 1
         pts = rng.normal(scale=3.0, size=(3 * n_per, p))
@@ -447,7 +448,11 @@ class TestSharedNeighbourPass:
             pts = np.round(pts)
         if coincident:
             pts[:n_per] = pts[0]
-        train = LabeledDataset(pts, np.repeat(["a", "b", "c"], n_per))
+        labels = np.repeat(["a", "b", "c"], n_per)
+        if shuffled:
+            perm = rng.permutation(3 * n_per)
+            pts, labels = pts[perm], labels[perm]
+        train = LabeledDataset(pts, labels)
         test = EvalSet(points=rng.normal(scale=3.0, size=(20, p)),
                        is_known=np.arange(20) < 10)
         options = {"k": k, "alpha": 0.05}

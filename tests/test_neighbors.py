@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -431,6 +432,38 @@ def test_blocked_scan_matches_brute_force(case, monkeypatch):
         expected = _brute_rows(pts, pts, k, order, exclude=np.arange(n))
         np.testing.assert_array_equal(got[0], expected[0])
         np.testing.assert_array_equal(got[1], expected[1])
+
+
+@pytest.mark.parametrize("p", [10, 16, 30])
+@pytest.mark.parametrize("case", ["offset_0", "offset_1e4", "offset_1e8",
+                                  "grid_repeats"])
+def test_scores_within_their_error_bound(case, p):
+    # Every GEMM score lies within (1.5 p + 2) eps M of the exact squared
+    # distance of its float inputs, M = ||q||^2 + max ||y||^2 exactly, and
+    # the slack covers the (5p + 13) eps M that scan_candidates needs
+    # (block_scores and scan_candidates derive both).
+    rng = np.random.default_rng(p)
+    if case == "grid_repeats":
+        pts = rng.integers(0, 4, size=(30, p)).astype(float)
+        pts[10:20] = pts[0]
+        queries = np.vstack([pts[:6], rng.integers(0, 4, size=(6, p))])
+    else:
+        offset = float(case.split("_")[1])
+        pts = rng.normal(size=(30, p)) + offset
+        queries = np.vstack([pts[:6], rng.normal(size=(6, p)) + offset])
+    blocks = neighbors.scan(queries, pts, 2.0, lambda block, rows, score,
+                            slack, spare: (block, score.copy(), slack))
+    exact_pts = [[Fraction(v) for v in y] for y in pts]
+    top = max(sum(v * v for v in y) for y in exact_pts)
+    eps = Fraction(np.finfo(float).eps)
+    for block, score, slack in blocks:
+        for q, row, row_slack in zip(queries[block], score, slack):
+            q = [Fraction(v) for v in q]
+            big_m = sum(v * v for v in q) + top
+            assert Fraction(row_slack) >= (5 * p + 13) * eps * big_m
+            for y, s in zip(exact_pts, row):
+                exact = sum((a - b) ** 2 for a, b in zip(q, y))
+                assert abs(Fraction(s) - exact) <= Fraction(3 * p + 4, 2) * eps * big_m
 
 
 def _split_case(p):
