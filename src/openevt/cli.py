@@ -18,8 +18,7 @@ from . import __version__
 from .data import (UNKNOWN, DistanceMetric, Standardizer, check_level,
                    load_dataset_csv, load_points_csv)
 from .errors import OpenEvtError, UsageError
-from .evt import tail_count
-from .gpdc import tail_stats
+from .evt import tail_count, tail_stats
 from .serialize import (fit_model, fit_parameters, load_model, model_kinds,
                         save_model)
 

@@ -85,9 +85,12 @@ def _minkowski(diff: np.ndarray, order: float) -> np.ndarray:
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
     if order == 1.0:
         return np.abs(diff).sum(axis=1)
-    # Overflow to inf is the correct distance; no warning is wanted for it.
+    # Scaled by its largest |diff| (1 if 0 or inf), no row's powers under- or
+    # overflow; a distance that overflows to inf is correct and not warned of.
+    top = np.abs(diff).max(axis=1, keepdims=True)
+    top[~((top > 0) & (top < np.inf))] = 1.0
     with np.errstate(over="ignore"):
-        return np.power(np.power(np.abs(diff), order).sum(axis=1), 1.0 / order)
+        return top[:, 0] * np.power(np.power(np.abs(diff / top), order).sum(axis=1), 1 / order)
 
 
 @dataclass(frozen=True)

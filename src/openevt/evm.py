@@ -162,20 +162,15 @@ class EvmModel:
 
 
 def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
-        metric: DistanceMetric = EUCLIDEAN) -> EvmModel:
+        metric: DistanceMetric = EUCLIDEAN, neighbours=None) -> EvmModel:
     """Fit one endpoint-0 reversed Weibull per training point on its k
     smallest cross-class margin half-distances, ascending.
 
     Requires at least two classes and k no bigger than the smallest
     cross-class sample. Fit failures name the offending training point.
+    ``neighbours`` (see :func:`openevt.gpdc.fit`) gives k or more columns of
+    :func:`class_margins`, or None to compute them here.
     """
-    return fit_from(lambda metric, k: None, data, k, delta, metric)
-
-
-def fit_from(margins, data, k=None, delta=None, metric=EUCLIDEAN) -> EvmModel:
-    """:func:`fit` with the margins ``margins(metric, k)``, asked for after
-    the checks: k or more columns of :func:`class_margins` (None: computed
-    here)."""
     if data.n_classes < 2:
         raise DataError(
             "the extreme value machine needs at least two training classes: "
@@ -195,7 +190,7 @@ def fit_from(margins, data, k=None, delta=None, metric=EUCLIDEAN) -> EvmModel:
         )
 
     check_level(delta, "delta")
-    shared = margins(metric, k)
+    shared = None if neighbours is None else neighbours(metric)[2]
     margins = (class_margins(NeighborIndex(data.points, metric), data.label_ids, k)
                if shared is None else shared[:, :k])
     zero_rows = np.flatnonzero(margins[:, 0] == 0)

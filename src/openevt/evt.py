@@ -80,10 +80,12 @@ class ReversedWeibull:
 
 
 def hill_shape(R, k: int) -> ShapeEstimate:
-    """Shape MLE from the k largest of the strictly negative values R.
+    """Shape MLE from the k largest of the strictly negative values R: the
+    one-row view of :func:`tail_stats` at p = 1.
 
     The threshold is the order statistic u = R_(n-k); the estimate is the
-    mean log-ratio of the k exceedances to u. Zero or positive entries are
+    mean log-ratio of the k exceedances to u, which are kept largest first,
+    in the order the estimator reads them. Zero or positive entries are
     rejected: callers must short-circuit coincident points first.
     """
     R = np.asarray(R, dtype=float)
@@ -96,13 +98,29 @@ def hill_shape(R, k: int) -> ShapeEstimate:
         raise UsageError(f"k must be smaller than the sample size ({k} >= {n})")
     if np.any(R >= 0):
         raise UsageError("all values must be strictly negative")
-    ordered = np.sort(R)
-    u = float(ordered[n - k - 1])
-    exceedances = ordered[n - k:]
-    xi = float(np.mean(np.log(exceedances / u)))
-    exceedances = np.array(exceedances)
-    exceedances.setflags(write=False)
-    return ShapeEstimate(xi_hat=xi, k=int(k), u=u, n=n, exceedances=exceedances)
+    r = np.sort(R)[::-1][:k + 1].copy()  # a NaN sorts last in R, so first in r
+    r.setflags(write=False)
+    return ShapeEstimate(xi_hat=float(tail_stats(-r[None, :], k, 1, 1.0, k)[1][0]),
+                         k=int(k), u=float(r[k]), n=n, exceedances=r[:k])
+
+
+def tail_stats(d: np.ndarray, k: int, p: int, gamma: float, n_ref: int):
+    """Shape and radius statistics from (m, k+1 or more) ascending distance
+    rows: the Hill estimator xi_hat of each row, scaled by p, and the ball
+    radius -q_gamma it implies (see the module docstring).
+
+    ``n_ref`` is the number of training points the distances were measured
+    against (n for external queries, n-1 inside the jackknife). Rows whose
+    smallest distance is zero are coincident with training and get NaN
+    statistics.
+    """
+    coincident = d[:, 0] == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = np.log(d[:, :k] / d[:, k:k + 1]).mean(axis=1)
+        radius = d[:, k] * (n_ref * gamma / k) ** (-xi)
+    pxi = np.where(coincident, np.nan, p * xi)
+    radius = np.where(coincident, np.nan, radius)
+    return coincident, pxi, radius
 
 
 def refuse_overflow(d: np.ndarray, what: str):

@@ -196,23 +196,17 @@ class GevcModel:
 
 
 def fit(data: LabeledDataset, alpha: float = 0.05,
-        metric: DistanceMetric = EUCLIDEAN,
-        free_endpoint: bool = False) -> GevcModel:
+        metric: DistanceMetric = EUCLIDEAN, free_endpoint: bool = False,
+        neighbours=None) -> GevcModel:
     """Fit the classifier: nearest distances for every training point, then
     the reversed Weibull on their negations (endpoint fixed at 0 unless
-    ``free_endpoint``)."""
-    return fit_from(lambda metric: None, data, alpha, metric, free_endpoint)
-
-
-def fit_from(nearest, data, alpha=0.05, metric=EUCLIDEAN,
-             free_endpoint=False) -> GevcModel:
-    """:func:`fit` with the nearest distances ``nearest(metric)``, asked for
-    after the checks and copied into the model's own index (None: computed
-    there)."""
+    ``free_endpoint``). ``neighbours`` (see :func:`openevt.gpdc.fit`) gives
+    them as column 0 of its matrix, copied into the model's own index."""
     if data.n < 3:
         raise UsageError(f"need at least 3 training points, got {data.n}")
     check_level(alpha, "alpha")
-    index = NeighborIndex(data.points, metric, dmin=nearest(metric))
+    dmin = None if neighbours is None else neighbours(metric)[1][:, 0]
+    index = NeighborIndex(data.points, metric, dmin=dmin)
     fitted, excluded = _fit_dmin_sample(index.dmin_vector(), free_endpoint)
     return GevcModel(index, list(data.labels), alpha, fitted, excluded,
                      free_endpoint=free_endpoint)

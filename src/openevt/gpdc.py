@@ -26,7 +26,7 @@ import numpy as np
 from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
                    check_level)
 from .errors import DataError, FitError, UsageError
-from .evt import default_tail_count
+from .evt import default_tail_count, tail_stats
 from .neighbors import NeighborIndex
 from .serialize import payload_array, payload_level, payload_number
 
@@ -40,25 +40,6 @@ def _quantile_thresholds(pxi_stats, radius_stats, alpha):
     level = 1.0 - alpha / 2.0
     return tuple(float(np.quantile(v[np.isfinite(v)], level, method="higher"))
                  for v in (pxi_stats, radius_stats))
-
-
-def tail_stats(d: np.ndarray, k: int, p: int, gamma: float, n_ref: int):
-    """Shape and radius statistics from (m, k+1 or more) ascending distance rows:
-    the vectorized Hill estimator (``evt.hill_shape`` is its scalar
-    reference), scaled by p, and the ball radius it implies.
-
-    ``n_ref`` is the number of training points the distances were measured
-    against (n for external queries, n-1 inside the jackknife). Rows whose
-    smallest distance is zero are coincident with training and get NaN
-    statistics.
-    """
-    coincident = d[:, 0] == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = np.log(d[:, :k] / d[:, k:k + 1]).mean(axis=1)
-        radius = d[:, k] * (n_ref * gamma / k) ** (-xi)
-    pxi = np.where(coincident, np.nan, p * xi)
-    radius = np.where(coincident, np.nan, radius)
-    return coincident, pxi, radius
 
 
 def _blank(values: np.ndarray, absent: np.ndarray) -> np.ndarray:
@@ -206,24 +187,16 @@ class GpdcModel:
 
 
 def fit(data: LabeledDataset, k: int | None = None, gamma: float | None = None,
-        alpha: float = 0.05, metric: DistanceMetric = EUCLIDEAN) -> GpdcModel:
+        alpha: float = 0.05, metric: DistanceMetric = EUCLIDEAN,
+        neighbours=None) -> GpdcModel:
     """Fit the classifier: build the index, run the leave-one-out
     calibration, and set the two decision thresholds for the target alpha.
 
     All classes are collapsed; labels are ignored. ``k`` defaults to the
-    0.25% tail rule, ``gamma`` to 1/n.
+    0.25% tail rule, ``gamma`` to 1/n. ``neighbours(metric)``, asked for
+    after the checks, may give a shared pass: (index over the points, its
+    leave-one-out matrix of k + 1 or more columns, evm's margins or None).
     """
-    def leave_one_out(metric, width):
-        index = NeighborIndex(data.points, metric)
-        return index, index.leave_one_out_smallest(width)
-    return fit_from(leave_one_out, data, k, gamma, alpha, metric)
-
-
-def fit_from(neighbours, data, k=None, gamma=None, alpha=0.05,
-             metric=EUCLIDEAN) -> GpdcModel:
-    """:func:`fit` on ``neighbours(metric, k + 1)``, asked for after the
-    checks: an index over the points of ``data`` and its leave-one-out
-    matrix of k + 1 or more columns."""
     n, p = data.n, data.p
     if k is None:
         k = default_tail_count(n)
@@ -242,7 +215,11 @@ def fit_from(neighbours, data, k=None, gamma=None, alpha=0.05,
         raise UsageError(f"gamma must be in (0, k/n) = (0, {k / n:g}), got {gamma}")
 
     # Leave-one-out pass: each training point scored against the other n-1.
-    index, d = neighbours(metric, k + 1)
+    if neighbours is None:
+        index = NeighborIndex(data.points, metric)
+        d = index.leave_one_out_smallest(k + 1)
+    else:
+        index, d, _ = neighbours(metric)
     coincident, pxi, radius = tail_stats(d, k, p, gamma, n - 1)
     if np.isfinite(pxi).sum() < 3:
         raise FitError(

@@ -16,13 +16,15 @@ Three protocols are provided at desk scale:
 * ``thyroid``: binary novelty detection with a single known class; ROC/AUC
   per method, with a tail-fraction sweep for the GPD classifier.
 
-The protocols fit every kind through ``fit_methods``: all share one
-neighbour pass per training set, a leave-one-out pass and a pool query at
-the widest width gpdc needs. A k-column kNN result is bitwise the prefix of
-a wider one, so gpdc takes its k+1 columns and gevc column 0, copied into an
-index of its own for its updates. Above the kd-tree's dimension limit evm's
-margins are a second selection from the leave-one-out scores, at its widest
-k, and its psi comes from the pool query's scores.
+The protocols fit every kind through ``fit_methods``, which hands each
+kind's ``fit`` one neighbour pass per training set as ``neighbours``: a
+leave-one-out pass and a pool query at the widest width gpdc needs. A
+k-column kNN result is bitwise the prefix of a wider one, so gpdc takes its
+k+1 columns and gevc column 0, copied into an index of its own for its
+updates. Above the kd-tree's dimension limit evm's margins are a second
+selection from the leave-one-out scores, at its widest k, and its psi comes
+from the pool query's scores. With evm the only kind, no kNN column is
+selected: its margins and psi come from scans of their own.
 
 All randomness flows from one seed through named substreams, and protocol
 repetitions own independent streams keyed by (seed, rep).
@@ -31,11 +33,10 @@ repetitions own independent streams keyed by (seed, rep).
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from . import evm, gevc, gpdc
+from . import evm
 from .data import LabeledDataset, load_dataset_csv, read_table
 from .errors import DataError, UsageError
 from .evt import default_tail_count, tail_count
@@ -154,38 +155,40 @@ def f_measure(tp: int, fp: int, fn: int) -> float:
 
 def fit_methods(train: LabeledDataset, methods, pool: np.ndarray,
                 optional: bool = False) -> list:
-    """Fit each (kind, options) of ``methods`` on ``train`` in order, with the
-    options its fit takes, and return (model, keyword arguments of its
-    scoring calls on ``pool``) per method; with ``optional``, (None, None)
-    where the fit rejects the data. Every fit runs before the pool pass, so
-    errors come as from the fits alone."""
+    """Fit each (kind, options) of ``methods`` on ``train`` in order through
+    the kind's ``fit``, with the options it takes and the shared pass as
+    ``neighbours``, and return (model, keyword arguments of its scoring
+    calls on ``pool``) per method; with ``optional``, (None, None) where the
+    fit rejects the data. Every fit runs before the pool pass, so errors
+    come as from the fits alone."""
     methods, n = list(methods), train.n
     ks = {kind: max([0, *(opts.get("k") or default_tail_count(n)
                           for kd, opts in methods if kd == kind)])
           for kind in ("gpdc", "evm")}  # the widest k, defaults included
-    width = min(ks["gpdc"] + 1, n - 1)
+    last = max([i for i, (kind, _) in enumerate(methods) if kind != "evm"], default=-1)
+    width = min(ks["gpdc"] + 1, n - 1) if last >= 0 else 0  # 0: evm reads no column
     margin_width = min(ks["evm"], n - np.bincount(train.label_ids).max())
-    passes = {}  # by metric: (index, leave-one-out matrix, evm's margins if it scans)
+    passes = {}  # by metric: (index, leave-one-out matrix, evm's margins or None)
 
     def leave_one_out(metric):
         if metric not in passes:
             index, margins, visit = NeighborIndex(train.points, metric), None, None
-            if index.scans and margin_width:
+            if not width:  # evm alone: its margins need no kNN selection
+                margins = evm.class_margins(index, train.label_ids, margin_width)
+            elif index.scans and margin_width:
                 margins = np.empty((n, margin_width))
                 visit = evm.margin_visitor(index, train.label_ids, margins)
-            passes[metric] = index, index.leave_one_out_smallest(width, visit), margins
+            d = index.leave_one_out_smallest(width, visit) if width else None
+            passes[metric] = index, d, margins
         return passes[metric]
 
-    shared = {"gpdc": partial(gpdc.fit_from, lambda metric, _: leave_one_out(metric)[:2]),
-              "gevc": partial(gevc.fit_from, lambda metric: leave_one_out(metric)[1][:, 0]),
-              "evm": partial(evm.fit_from, lambda metric, _: leave_one_out(metric)[2])}
-    last = max([i for i, (kind, _) in enumerate(methods) if kind != "evm"], default=-1)
     models = []
     for i, (kind, options) in enumerate(methods):
-        accepted = fit_parameters(kind)[1]
+        fit, accepted = fit_parameters(kind)
+        options = {k: v for k, v in options.items() if k in accepted}
+        options["neighbours"] = leave_one_out  # the pass, never an option
         try:
-            models.append(shared[kind](
-                train, **{k: v for k, v in options.items() if k in accepted}))
+            models.append(fit(train, **options))
         except DataError:
             if not optional:
                 raise
@@ -199,10 +202,13 @@ def fit_methods(train: LabeledDataset, methods, pool: np.ndarray,
     pooled, psi = {}, {}  # by metric: pool matrix; by evm model: psi
     for metric in list(passes):
         index = passes.pop(metric)[0]  # the fits are done with its matrices
-        visit, first = None, firsts.get(metric)
-        if index.scans and first is not None:
+        visit, first = None, firsts.get(metric) if index.scans else None
+        if first is not None and not width:  # evm alone: psi needs no selection
+            psi[first] = first.membership_batch(pool)
+        elif first is not None:
             visit = first.psi_visitor(psi.setdefault(first, np.empty(len(pool))))
-        pooled[metric] = index.batch_k_smallest(pool, width, visit)
+        if width:
+            pooled[metric] = index.batch_k_smallest(pool, width, visit)
 
     def scoring(model):
         if model is None or model.KIND == "evm":

@@ -97,10 +97,10 @@ _EPS = np.finfo(float).eps
 class QueryCounters:
     """Instrumentation: kNN query rows issued and the neighbor distances
     they returned (k per row). Every view counts, fits included: a gpdc
-    fit adds (n, n(k+1)) and a gevc fit (n, n). A pass shared by several
-    fits (``harness.fit_methods``) counts (n, nK) once, K its width, on the
-    index that ran it, and its pool query (m, mK): evm's margins and psi,
-    which a ``visit`` takes from that pass's scores, add nothing."""
+    fit adds (n, n(k+1)) and a gevc fit (n, n). The pass ``fit_methods``
+    hands every fit counts (n, nK) once, K its width, on its index, and its
+    pool query (m, mK); evm's margins and psi, read from their scores by a
+    ``visit``, add nothing."""
 
     queries: int = 0
     distances: int = 0
@@ -285,9 +285,9 @@ class NeighborIndex:
         d_tree, cand = self._tree.query(queries, k=probe, p=order)
         if probe == 1:  # the tree returns one column as a vector
             d_tree, cand = d_tree.reshape(m, 1), cand.reshape(m, 1)
-        # nextafter guards against last-ulp disagreement between the tree's
-        # distances and distances_to.
-        radius = np.nextafter(d_tree[:, need - 1], np.inf)
+        # A relative 4 (p + 4) eps, as for an insert's reach, covers the tree's
+        # rounding against distances_to's: several ulps at p = 9 or q = 1.5.
+        radius = d_tree[:, need - 1] * (1.0 + 4.0 * (self.dimension + 4) * _EPS)
         # The tree reports a point at an infinite distance as the missing
         # index size, so a probe at inf counts as tied too.
         last = d_tree[:, -1]

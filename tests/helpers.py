@@ -6,8 +6,7 @@ import numpy as np
 
 from openevt.data import DistanceMetric, LabeledDataset, distances_to
 from openevt.evt import (fit_weibull_rows, reversed_weibull_cdf,
-                         reversed_weibull_fit)
-from openevt.gpdc import tail_stats
+                         reversed_weibull_fit, tail_stats)
 from openevt.harness import rng_from
 from openevt.serialize import fit_model
 

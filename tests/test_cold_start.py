@@ -3,7 +3,8 @@ Importing the package or its CLI loads no scipy module, nor do gpdc, gevc
 (with a fixed or a free endpoint) and evm ``fit``/``score`` above the
 kd-tree dimension limit. The kd-tree imports scipy on its first build, so
 evm loads it below the limit through its margin indexes. The CLI loads the
-protocols (``openevt.harness`` and its thread pool) only for ``benchmark``.
+protocols (``openevt.harness`` and its thread pool) only for ``benchmark``,
+and the model modules only when a command fits or loads a model.
 
 Each check runs in a fresh interpreter: this test process has scipy loaded
 already."""
@@ -28,6 +29,9 @@ def scipy_modules():
 
 def protocol_modules():
     return sorted({"openevt.harness", "concurrent.futures"} & set(sys.modules))
+
+def model_modules():
+    return sorted({"openevt.gpdc", "openevt.gevc", "openevt.evm"} & set(sys.modules))
 """
 
 
@@ -48,6 +52,7 @@ def test_imports_load_no_scipy(tmp_path):
         import openevt.cli
         assert not scipy_modules(), scipy_modules()
         assert not protocol_modules(), protocol_modules()
+        assert not model_modules(), model_modules()
     """, tmp_path)
 
 

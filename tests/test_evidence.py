@@ -12,8 +12,7 @@ from helpers import brute_knn
 from openevt import evm, gevc, gpdc
 from openevt.data import DistanceMetric, LabeledDataset
 from openevt.errors import FitError, UsageError
-from openevt.evt import hill_shape
-from openevt.gpdc import tail_stats
+from openevt.evt import hill_shape, tail_stats
 from openevt.neighbors import NeighborIndex
 from openevt.serialize import fit_model
 
@@ -234,9 +233,8 @@ def test_tail_stats_matches_scalar_hill_estimator():
     d = np.sort(rng.uniform(0.5, 3.0, size=(20, 31)), axis=1)
     for k in (5, 12, 30):
         _, pxi, _ = tail_stats(d[:, :k + 1], k, 3, 0.001, 500)
-        for row, value in zip(d, pxi / 3):
-            assert value == pytest.approx(hill_shape(-row[:k + 1], k).xi_hat,
-                                          rel=1e-12)
+        for row, value in zip(d, pxi):
+            assert value == 3 * hill_shape(-row[:k + 1], k).xi_hat
 
 
 @pytest.mark.parametrize("p", [2, 16])

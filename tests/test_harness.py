@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (index_state, oletter_rep_oracle, pair_count_auc,
                      reference_model)
-from openevt import evm, harness
+from openevt import evm, gevc, gpdc, harness
 from openevt.cli import main
 from openevt.data import LabeledDataset
 from openevt.errors import DataError, FitError, UsageError
@@ -239,6 +241,58 @@ class TestOletter:
             run_oletter(data, reps=1, seed=6, train_count=train_count)
 
 
+class TestFitContract:
+    """``serialize.fit_parameters`` looks each kind's ``fit`` up at the call,
+    so a wrapper installed on a model module's ``fit`` sees every fit of
+    every protocol, each handed the shared pass as ``neighbours``."""
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        calls = []
+        for module in (gpdc, gevc, evm):
+            @functools.wraps(module.fit)
+            def counted(*args, _kind=module.__name__.split(".")[-1],
+                        _real=module.fit, **kwargs):
+                calls.append((_kind, kwargs.get("neighbours") is not None))
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, "fit", counted)
+        return calls
+
+    def test_fit_and_rank(self, fits):
+        train, pool = TestSharedNeighbourPass.case(30)
+        test = EvalSet(points=pool, is_known=np.arange(pool.shape[0]) >= 40)
+        fit_and_rank(train, test, k=6)
+        assert fits == [("gpdc", True), ("gevc", True), ("evm", True)]
+
+    def test_run_oletter(self, fits):
+        data, train_count = synthetic_openset_surrogate(seed=1)
+        run_oletter(data, reps=2, seed=1, train_count=train_count, jobs=2)
+        assert sorted(fits) == sorted([(kind, True) for kind in
+                                       ("gpdc", "gevc", "evm")] * 2)
+
+    def test_run_thyroid_protocol(self, fits, problem):
+        # evm refuses the one known class, but its fit was still called
+        train, test = problem
+        run_thyroid_protocol(train, test, (0.01, 0.05))
+        assert fits == [("gpdc", True), ("gevc", True), ("evm", True),
+                        ("gpdc", True), ("gpdc", True)]
+
+    @pytest.mark.parametrize("p", [2, 30])
+    def test_neighbours_option_never_replaces_the_pass(self, p):
+        def foreign(metric):
+            raise AssertionError("a method option reached the fit")
+        train, pool = TestSharedNeighbourPass.case(p)
+        methods = TestSharedNeighbourPass.METHODS
+        want = fit_methods(train, methods, pool)
+        got = fit_methods(train, [(kind, {**options, "neighbours": foreign})
+                                  for kind, options in methods], pool)
+        for (a, a_scoring), (b, b_scoring) in zip(want, got):
+            assert a.to_payload() == b.to_payload()
+            assert a_scoring.keys() == b_scoring.keys()
+            for key in a_scoring:
+                assert a_scoring[key].tobytes() == b_scoring[key].tobytes()
+
+
 @pytest.fixture(scope="module")
 def problem():
     rng = rng_from(9, "novelty")
@@ -360,6 +414,28 @@ class TestSharedNeighbourPass:
                 assert list(got) == list(flags)
                 for delta, want in flags.items():
                     assert got[delta].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [2, 16, 30])
+    def test_evm_alone_does_the_neighbour_work_of_its_fit(self, p, monkeypatch):
+        # without gpdc or gevc no fit reads a kNN column, so fit_methods
+        # selects none: no leave-one-out pass and no pool query, only the
+        # class queries of evm's margins on the kd-tree, as evm.fit does
+        train, pool = self.case(p)
+        calls = []
+        for name in ("leave_one_out_smallest", "batch_k_smallest"):
+            def spy(index, *args, _name=name, _real=getattr(NeighborIndex, name),
+                    **kwargs):
+                result = _real(index, *args, **kwargs)
+                calls.append((_name, result.shape))
+                return result
+            monkeypatch.setattr(NeighborIndex, name, spy)
+        alone = evm.fit(train, k=8)
+        alone.unknownness(pool)
+        expected, calls[:] = list(calls), []
+        (model, scoring), = fit_methods(train, [("evm", {"k": 8})], pool)
+        model.unknownness(pool, **scoring)
+        assert calls == expected
+        assert (not calls) == (p > TREE_DIMENSION_LIMIT)
 
     @pytest.mark.parametrize("p", [2, 30])
     def test_cross_class_duplicate_refused_alike(self, p):

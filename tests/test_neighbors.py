@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from helpers import brute_dmin, brute_knn, in_thread, index_state
 import openevt
 from openevt import neighbors
-from openevt.data import DistanceMetric, distances_to
+from openevt.data import DistanceMetric, _minkowski, distances_to
 from openevt.errors import DataError, UsageError
 from openevt.neighbors import NeighborIndex
 
@@ -572,15 +572,60 @@ def test_overflowing_distances_tie_by_index(p):
 
 @pytest.mark.parametrize("p", [2, 16])
 def test_minkowski_overflow_is_silent(p):
-    # q = 3 distances of 1e150 overflow to inf, which is the right answer;
-    # neither the tree nor the scan path may warn about it
+    # q = 3 distances beyond the largest double overflow to inf, which is
+    # the right answer; neither the tree nor the scan path may warn about
+    # it. At 1e150 only the powers would overflow: the distance is finite.
     pts = np.random.default_rng(0).normal(size=(40, p))
     ix = NeighborIndex(pts, DistanceMetric(3.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        d = ix.batch_k_smallest(np.full((2, p), 1e150), 3)
-        far = distances_to(np.full(p, 1e150), pts, DistanceMetric(3.0))
+        d = ix.batch_k_smallest(np.full((2, p), 1.5e308), 3)
+        far = distances_to(np.full(p, 1.5e308), pts, DistanceMetric(3.0))
+        near = ix.batch_k_smallest(np.full((2, p), 1e150), 3)
     assert np.isinf(d).all() and np.isinf(far).all()
+    np.testing.assert_allclose(near, 1e150 * p ** (1 / 3), rtol=1e-14)
+
+
+def test_minkowski_rows_scaled_against_under_and_overflow():
+    origin = np.zeros((1, 2))
+    # 0.4^1000 underflows, but the distance is not a duplicate's 0
+    assert distances_to([0.3, 0.4], origin, DistanceMetric(1e3)).tolist() == [0.4]
+    # (4e200)^3 overflows, but the distance is finite
+    big = distances_to([3e200, 4e200], origin, DistanceMetric(3.0))[0]
+    assert big == pytest.approx(91 ** (1 / 3) * 1e200, rel=1e-14)
+    for order in (1.0, 2.0, 3.0, 1e3):  # a zero row is a duplicate's 0
+        assert distances_to([0.3, 0.4], np.array([[0.3, 0.4]]),
+                            DistanceMetric(order)).tolist() == [0.0]
+    # q = 1 and q = 2 keep their own unscaled arithmetic
+    diff = np.random.default_rng(5).normal(size=(50, 7)) * 1e3
+    assert (_minkowski(diff, 2.0).tobytes()
+            == np.sqrt(np.einsum("ij,ij->i", diff, diff)).tobytes())
+    assert _minkowski(diff, 1.0).tobytes() == np.abs(diff).sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("order", [3.0, 7.5])
+@pytest.mark.parametrize("integer", [False, True])
+def test_tree_and_scan_agree_at_minkowski_orders(order, integer, monkeypatch):
+    # the tree proposes by scipy's unscaled p-norm, the scan by the scaled
+    # one; both select by distances_to, so every view is bitwise equal
+    rng = np.random.default_rng(int(order * 10) + integer)
+    if integer:  # many exact ties, broken by index
+        pts = rng.integers(0, 5, size=(400, 4)).astype(float)
+    else:
+        pts = rng.normal(size=(400, 4)) * [1e-3, 1.0, 10.0, 1e3]
+    queries = np.vstack([pts[:5], pts[5:35] + rng.normal(size=(30, 4))])
+    results = []
+    for limit in (neighbors.TREE_DIMENSION_LIMIT, 0):
+        monkeypatch.setattr(neighbors, "TREE_DIMENSION_LIMIT", limit)
+        ix = NeighborIndex(pts, DistanceMetric(order))
+        assert ix.scans == (limit == 0)
+        dist, idx = ix._knn(queries, 7)
+        results.append([dist.tobytes(), idx.tobytes(),
+                        ix.leave_one_out_smallest(6).tobytes(),
+                        ix.dmin_vector().tobytes()])
+    assert results[0] == results[1]
+    for q, row in zip(queries, idx):
+        np.testing.assert_array_equal(row, brute_knn(pts, q, 7, order)[1])
 
 
 @pytest.mark.parametrize("x,accepted", [
