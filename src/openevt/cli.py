@@ -370,12 +370,9 @@ def _benchmark_oletter(args, harness) -> int:
                                 deltas=deltas, jobs=args.jobs)
     comments = _config_comments(args, ["protocol", "seed", "reps", "jobs"])
     comments.append(f"data={args.data or 'synthetic-surrogate'}")
-    rows = []
-    for step in steps:
-        for method, curve in sorted(step.f_measures.items()):
-            for threshold, f in curve:
-                rows.append((step.rep, step.n_unknown_classes, method,
-                             threshold, f))
+    rows = [(step.rep, step.n_unknown_classes, method, threshold, f)
+            for step in steps for method, curve in sorted(step.f_measures.items())
+            for threshold, f in curve]
     if args.out:
         _write_csv(args.out, comments,
                    ("rep", "unknown_classes", "method", "threshold", "f_measure"),
@@ -401,13 +398,9 @@ def _benchmark_thyroid(args, harness) -> int:
                                                  args.alpha)
     comments = _config_comments(args, ["protocol", "seed", "data", "alpha",
                                        "test_known"])
-    rows = []
-    for method in sorted(curves):
-        curve = curves[method]
-        rows.append((method, "auc", None, None,
-                     None if curve is None else curve.auc))
-    for frac, k, auc in sweep:
-        rows.append(("gpdc", "auc_vs_k", frac, k, auc))
+    rows = [(method, "auc", None, None, None if curve is None else curve.auc)
+            for method, curve in sorted(curves.items())]
+    rows += [("gpdc", "auc_vs_k", frac, k, auc) for frac, k, auc in sweep]
     if args.out:
         _write_csv(args.out, comments,
                    ("method", "metric", "tail_fraction", "k", "value"), rows)

@@ -23,10 +23,11 @@ exactly pruned scores (see :meth:`EvmModel.membership_batch`).
 import numpy as np
 
 from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
-                   _minkowski, check_finite, check_level)
+                   check_finite, check_level)
 from .errors import DataError, FitError, UsageError
 from .evt import default_tail_count, fit_weibull_rows, refuse_overflow
-from .neighbors import _EPS, NeighborIndex, scan, scan_candidates
+from .neighbors import (_EPS, NeighborIndex, gathered_distances, row_blocks,
+                        scan, scan_candidates)
 from .serialize import payload_array, payload_level, payload_number
 
 
@@ -101,8 +102,10 @@ class EvmModel:
                 limit = np.where(s_min > slack, c + 32.0 * _EPS * np.abs(c),
                                  np.inf)
                 row, col = np.divmod(np.flatnonzero(~(t > limit[:, None])), self.n)
-                d = _minkowski(self._points.take(col, axis=0)
-                               - rows.take(row, axis=0), order)
+                d = np.empty(col.size)
+                for part in row_blocks(col.size, 2, self.p):  # diff + query row
+                    d[part] = gathered_distances(self._points, col[part],
+                                                 rows.take(row[part], axis=0), order)
                 w = np.exp(-np.power(d / self.sigmas[col], self.alphas[col]))
             # every row keeps its smallest t, so each row has a candidate
             out[block] = np.maximum.reduceat(

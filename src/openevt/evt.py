@@ -8,7 +8,7 @@ statistics to the threshold order statistic R_(n-k):
     xi_hat = (1/k) * sum_{i=1..k} log(R_(n+1-i) / u),    u = R_(n-k),
 
 which is nonpositive by construction. The implied tail approximation above
-the threshold and its quantile (``gpdc.tail_stats`` computes -q_gamma, the
+the threshold and its quantile (:func:`tail_stats` computes -q_gamma, the
 ball radius) are
 
     P(-D > x) ~= (k/n) * (x/u)^(-1/xi_hat),     x in (u, 0),
@@ -85,8 +85,8 @@ def hill_shape(R, k: int) -> ShapeEstimate:
 
     The threshold is the order statistic u = R_(n-k); the estimate is the
     mean log-ratio of the k exceedances to u, which are kept largest first,
-    in the order the estimator reads them. Zero or positive entries are
-    rejected: callers must short-circuit coincident points first.
+    in the order the estimator reads them. Zero, positive or NaN entries
+    are rejected: callers must short-circuit coincident points first.
     """
     R = np.asarray(R, dtype=float)
     if R.ndim != 1:
@@ -96,9 +96,9 @@ def hill_shape(R, k: int) -> ShapeEstimate:
         raise UsageError(f"k must be a positive integer, got {k}")
     if k >= n:
         raise UsageError(f"k must be smaller than the sample size ({k} >= {n})")
-    if np.any(R >= 0):
+    if not np.all(R < 0):  # NaN too
         raise UsageError("all values must be strictly negative")
-    r = np.sort(R)[::-1][:k + 1].copy()  # a NaN sorts last in R, so first in r
+    r = np.sort(R)[::-1][:k + 1].copy()
     r.setflags(write=False)
     return ShapeEstimate(xi_hat=float(tail_stats(-r[None, :], k, 1, 1.0, k)[1][0]),
                          k=int(k), u=float(r[k]), n=n, exceedances=r[:k])

@@ -47,8 +47,8 @@ undercount. A scan called from the main thread splits its blocks across
 ``SCAN_THREADS`` threads, the caller among them (one per CPU when BLAS
 runs each product on one thread); called from any other thread, such as
 the protocols' workers, it runs every block in that thread. Each worker
-keeps one score and one spare buffer for the call, and ``BLOCK_ELEMENTS``
-bounds each worker's block.
+keeps one score and one spare buffer for the call; ``BLOCK_ELEMENTS`` bounds
+their rows and, on its own, each gather of differences (see its comment).
 """
 
 import os
@@ -69,10 +69,11 @@ from .errors import DataError, UsageError
 # queries at 15,000 points. CHANGES.md has the table.
 TREE_DIMENSION_LIMIT = 9
 
-# A block of query rows holds at most this many float64 elements of
-# candidate differences (rows x stored points x dimension, the worst case
-# when every point is a candidate), which also bounds its score matrix.
+# A tree block, and each gather of candidate differences on its own, holds at
+# most this many float64 elements (rows x candidates x p). A Euclidean scan
+# block has the rows of one at min(p, SCORE_DIMENSION): above it, 2^17 scores.
 BLOCK_ELEMENTS = 1 << 21
+SCORE_DIMENSION = 16
 
 # A scan called from the main thread splits its blocks across this many
 # threads: the CPUs the process may run on over the threads BLAS gives each
@@ -324,9 +325,14 @@ class NeighborIndex:
         if exclude is not None:
             cand[cand == exclude[:, None]] = n
             cand.sort(axis=1)
-        # take() gathers rows several times faster than fancy indexing.
-        diff = self._points.take(cand, axis=0, mode="clip") - queries[:, None, :]
-        d = _minkowski(diff.reshape(-1, p), self._metric.order).reshape(cand.shape)
+        order = self._metric.order
+        if cand.size * p <= BLOCK_ELEMENTS:
+            d = gathered_distances(self._points, cand, queries[:, None, :], order)
+        else:  # gathers of row blocks within BLOCK_ELEMENTS
+            d = np.empty(cand.shape)
+            for block in row_blocks(*cand.shape, p):
+                d[block] = gathered_distances(self._points, cand[block],
+                                              queries[block, None, :], order)
         if padded or exclude is not None:
             d[cand == n] = np.inf
         if k == 1:
@@ -359,6 +365,15 @@ def row_blocks(m: int, n: int, p: int) -> list:
     return [slice(lo, lo + step) for lo in range(0, m, step)]
 
 
+def gathered_distances(points, cols, queries, order: float) -> np.ndarray:
+    """``distances_to``'s distances of ``points[cols]`` (indices past the end
+    clipped) to ``queries`` broadcast against them, from one gather."""
+    # take() gathers rows several times faster than fancy indexing.
+    diff = points.take(cols, axis=0, mode="clip")
+    diff -= queries
+    return _minkowski(diff.reshape(-1, points.shape[1]), order).reshape(cols.shape)
+
+
 def scan(queries, points, order: float, visit) -> list:
     """The results, in block order, of ``visit(block, rows, score, slack,
     spare)`` for each block of query rows: its :func:`block_scores` against
@@ -367,8 +382,9 @@ def scan(queries, points, order: float, visit) -> list:
     (m, p), n = queries.shape, points.shape[0]
     operand = None if order != 2.0 else np.vstack(  # shared by the workers
         [points.T, np.einsum("ij,ij->i", points, points), np.ones(n)])
-    blocks, errors = row_blocks(m, n, p), []
-    parts = [None] * len(blocks)
+    # Minkowski scores come from one gather of differences, as a tree block's
+    blocks = row_blocks(m, n, p if operand is None else min(p, SCORE_DIMENSION))
+    parts, errors = [None] * len(blocks), []
     split = len(blocks) > 1 and threading.current_thread() is threading.main_thread()
     workers = min(SCAN_THREADS, len(blocks)) if split else 1
     # each worker takes the lowest block left until it takes its own None

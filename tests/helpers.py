@@ -4,7 +4,8 @@ import threading
 
 import numpy as np
 
-from openevt.data import DistanceMetric, LabeledDataset, distances_to
+from openevt import neighbors
+from openevt.data import DistanceMetric, LabeledDataset, _minkowski, distances_to
 from openevt.evt import (fit_weibull_rows, reversed_weibull_cdf,
                          reversed_weibull_fit, tail_stats)
 from openevt.harness import rng_from
@@ -80,6 +81,27 @@ def reference_model(kind: str, train: LabeledDataset, pool: np.ndarray,
     d = np.array([distances_to(q, pts) for q in pool])
     psi = np.exp(-np.power(d / sigmas, alphas)).max(axis=1)
     return {"sigmas": sigmas, "alphas": alphas}, {delta: psi < delta for delta in grid}
+
+
+def exact_psi(model, queries):
+    """Unpruned evm psi: every training point's W at its ``_minkowski``
+    distance, the same expression the model recomputes candidates with."""
+    out = np.empty(queries.shape[0])
+    for i, x in enumerate(queries):
+        d = _minkowski(model.points - x, model.metric.order)
+        with np.errstate(over="ignore"):
+            out[i] = np.exp(-np.power(d / model.sigmas, model.alphas)).max()
+    return out
+
+
+def record_gathers(monkeypatch) -> list:
+    """The sizes, in float64 elements, of every difference array that the
+    neighbour module computes distances from, as ``_minkowski`` receives
+    them, appended as they come."""
+    sizes, minkowski = [], neighbors._minkowski
+    monkeypatch.setattr(neighbors, "_minkowski", lambda diff, order: (
+        sizes.append(diff.size), minkowski(diff, order))[1])
+    return sizes
 
 
 def in_thread(call):

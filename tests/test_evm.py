@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gaussian_blobs, in_thread, pair_count_auc, reference_model
+from helpers import (exact_psi, gaussian_blobs, in_thread, pair_count_auc,
+                     record_gathers, reference_model)
 from openevt import evm, gevc, gpdc, neighbors
 from openevt.data import DistanceMetric, LabeledDataset, _minkowski
 from openevt.errors import DataError, FitError, UsageError
 from openevt.harness import generate_toy
+from openevt.neighbors import SCORE_DIMENSION
 from openevt.serialize import load_model, save_model
 
 
@@ -154,17 +156,6 @@ def test_serialization_round_trip(model, tmp_path):
 # -- the exact-kernel paths against brute-force references ---------------------
 
 
-def exact_psi(model, queries):
-    """Unpruned psi: every training point's W at its ``_minkowski``
-    distance, the same expression the model recomputes candidates with."""
-    out = np.empty(queries.shape[0])
-    for i, x in enumerate(queries):
-        d = _minkowski(model.points - x, model.metric.order)
-        with np.errstate(over="ignore"):
-            out[i] = np.exp(-np.power(d / model.sigmas, model.alphas)).max()
-    return out
-
-
 def brute_margins(data, k, order):
     """Each point's k smallest cross-class half-distances, sorted."""
     pts, ids = data.points, data.label_ids
@@ -202,8 +193,10 @@ def test_exact_paths_match_brute_force(p, order, offset, duplicates, n_per, k,
     seen, solve = [], evm.fit_weibull_rows
     with pytest.MonkeyPatch.context() as mp:
         # blocks of 7 membership rows (and of 7 n / (n - class size) rows
-        # in the margin queries, whose indexes hold fewer points)
-        mp.setattr(neighbors, "BLOCK_ELEMENTS", 7 * data.n * p)
+        # in the margin queries, whose indexes hold fewer points); Minkowski
+        # scan blocks keep the tree's rule
+        width = min(p, SCORE_DIMENSION) if order == 2.0 else p
+        mp.setattr(neighbors, "BLOCK_ELEMENTS", 7 * data.n * width)
         mp.setattr(evm, "fit_weibull_rows",
                    lambda w: (seen.append(w), solve(w))[1])
         model = evm.fit(data, k=k, metric=metric)
@@ -231,7 +224,8 @@ def test_split_scan_margins_and_psi_in_any_thread(p, workers, monkeypatch):
         pts = rng.normal(size=(90, p))
     data = LabeledDataset(pts, np.repeat(["a", "b", "c"], 30))
     pool = np.vstack([pts[:10], pts[50:70] + rng.integers(-1, 2, size=(20, p))])
-    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", 7 * data.n * p)
+    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS",
+                        7 * data.n * min(p, SCORE_DIMENSION))
     monkeypatch.setattr(neighbors, "SCAN_THREADS", workers)
     seen, solve = [], evm.fit_weibull_rows
     monkeypatch.setattr(evm, "fit_weibull_rows",
@@ -250,6 +244,30 @@ def test_split_scan_margins_and_psi_in_any_thread(p, workers, monkeypatch):
         np.testing.assert_array_equal(m.alphas, fields["alphas"])
     np.testing.assert_array_equal(psi, exact_psi(model, pool))
     np.testing.assert_array_equal(other_psi, psi)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+def test_split_psi_and_margins_match_brute_force(offset, monkeypatch):
+    # Tie-heavy 0/1 rows (a row repeated within each class) at p = 30, in
+    # 3-row scan blocks: the margins' masked selection at k = 40 and psi,
+    # which at a 1e8 offset keeps every point, gather 3 n p differences a
+    # block, beyond the patched BLOCK_ELEMENTS, so both must split.
+    rng = np.random.default_rng(11)
+    pts = rng.integers(0, 2, size=(90, 30)).astype(float) + offset
+    pts[[1, 2, 31, 32]] = pts[[0, 0, 30, 30]]
+    data = LabeledDataset(pts, np.repeat(["a", "b", "c"], 30))
+    (n, p), budget = pts.shape, 3 * pts.shape[0] * SCORE_DIMENSION
+    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", budget)
+    sizes = record_gathers(monkeypatch)
+    index = neighbors.NeighborIndex(pts)
+    np.testing.assert_array_equal(evm.class_margins(index, data.label_ids, 40),
+                                  brute_margins(data, 40, 2.0))
+    model = evm.EvmModel(pts, rng.uniform(1.0, 3.0, n), rng.uniform(1.0, 4.0, n),
+                         5, None, DistanceMetric())
+    queries = np.vstack([pts[:4], pts[40:52] + rng.integers(-1, 2, size=(12, p))])
+    np.testing.assert_array_equal(model.membership_batch(queries),
+                                  exact_psi(model, queries))
+    assert max(sizes) <= budget < 3 * (n - 30) * p
 
 
 def test_zero_margin_names_first_coinciding_point():

@@ -40,6 +40,12 @@ class TestHillShape:
         with pytest.raises(UsageError):
             hill_shape([-1.0, 0.5, -2.0], 1)
 
+    def test_rejects_nan_like_a_nonnegative_value(self):
+        # NaN compares false both ways, so it is neither negative nor >= 0
+        for R in ([-1.0, np.nan, -2.0, -3.0], [np.nan] * 4):
+            with pytest.raises(UsageError, match="strictly negative"):
+                hill_shape(R, 1)
+
     def test_rejects_k_too_large(self):
         with pytest.raises(UsageError):
             hill_shape([-1.0, -2.0], 2)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -12,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_dmin, brute_knn, in_thread, index_state
+from helpers import (brute_dmin, brute_knn, exact_psi, in_thread, index_state,
+                     record_gathers, sorted_distances)
 import openevt
 from openevt import neighbors
 from openevt.data import DistanceMetric, _minkowski, distances_to
 from openevt.errors import DataError, UsageError
-from openevt.neighbors import NeighborIndex
+from openevt.evm import EvmModel
+from openevt.neighbors import SCORE_DIMENSION, NeighborIndex
 
 
 def _row(ix, q, k, exclude=None):
@@ -364,7 +367,8 @@ def test_self_excluding_views_match_brute_force(case, monkeypatch):
     n, p = pts.shape
     assert (ix._tree is not None) == (p < 16)
     # blocks of 7 rows: the last block is partial
-    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", 7 * n * p)
+    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS",
+                        7 * n * min(p, SCORE_DIMENSION))
     tree, tree_size = ix._tree, ix._tree_size
     k = 5
     loo = ix.leave_one_out_smallest(k)
@@ -421,7 +425,9 @@ def test_blocked_scan_matches_brute_force(case, monkeypatch):
     ix = NeighborIndex(pts, metric)
     assert ix._tree is None
     # blocks of 7 rows, so 23 query rows and n = 120 end in a partial block
-    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", 7 * n * p)
+    # (Minkowski scan blocks keep the tree's rule)
+    width = min(p, SCORE_DIMENSION) if order == 2.0 else p
+    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", 7 * n * width)
     for k in (1, 9, n - 1):
         for rows in (queries, queries[:1]):
             got = ix._knn(rows, k)
@@ -485,26 +491,25 @@ def test_split_scan_matches_brute_force_in_any_thread(p, workers, monkeypatch):
     # 1-CPU machine splits them too; from another thread they all run there
     pts, queries = _split_case(p)
     n, k = pts.shape[0], 6
-    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", 7 * n * p)
+    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS",
+                        7 * n * min(p, SCORE_DIMENSION))
     monkeypatch.setattr(neighbors, "SCAN_THREADS", workers)
 
-    def views():
+    def views(barrier=None):
         ix, seen = NeighborIndex(pts), set()
 
         def visit(block, rows, score, slack, spare):
             seen.add((threading.get_ident(), threading.active_count()))
-            time.sleep(0.001)  # so that every worker takes a block
+            if barrier is not None and block.start < 7 * workers:
+                # a worker holds its first block until every worker has
+                # taken one, so each takes one of the first round
+                barrier.wait()
         caller = (threading.get_ident(), threading.active_count())
         return (ix.leave_one_out_smallest(k, visit),
                 ix.batch_k_smallest(queries, k, visit), ix.dmin_vector(),
                 caller, seen)
 
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        *split, caller, seen = views()
-    finally:
-        sys.setswitchinterval(switch)
+    *split, caller, seen = views(threading.Barrier(workers, timeout=60))
     assert len({ident for ident, _ in seen}) == workers
     expected = (_brute_rows(pts, pts, k, 2.0, exclude=np.arange(n))[0],
                 _brute_rows(pts, queries, k, 2.0)[0], brute_dmin(pts))
@@ -538,7 +543,8 @@ def test_split_scan_raises_a_visit_error_after_joining(failing, monkeypatch):
     # at each, so a caller that did not join would leave threads running
     pts = _split_case(30)[0]
     n, p = pts.shape
-    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", 7 * n * p)
+    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS",
+                        7 * n * min(p, SCORE_DIMENSION))
     monkeypatch.setattr(neighbors, "SCAN_THREADS", 3)
     before = threading.active_count()
 
@@ -550,6 +556,79 @@ def test_split_scan_raises_a_visit_error_after_joining(failing, monkeypatch):
     with pytest.raises(ArithmeticError, match=f"in the {failing}"):
         NeighborIndex(pts).leave_one_out_smallest(3, visit)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n,p,rows", [
+    (500, 10, 419), (6000, 16, 21), (2250, 16, 58), (2250, 17, 58),
+    (2250, 30, 58), (300, 64, 436)])
+def test_scan_blocks_sized_by_their_scores(n, p, rows):
+    # up to p = 16 a scan block has a tree block's rows, whose differences
+    # fill BLOCK_ELEMENTS; above it, as many as a p = 16 block: 2^17 scores,
+    # never fewer rows than the tree's rule
+    tree_rows = neighbors.BLOCK_ELEMENTS // (n * p)
+    assert rows == tree_rows if p <= SCORE_DIMENSION else (
+        rows >= tree_rows and rows * n <= 1 << 17)
+    sizes = neighbors.scan(np.zeros((2 * rows + 1, p)), np.zeros((n, p)), 2.0,
+                           lambda block, block_rows, *scratch: len(block_rows))
+    assert sizes == [rows, rows, 1]
+
+
+@pytest.mark.parametrize("order", [2.0, 1.0])
+def test_split_gathers_match_brute_force(order, monkeypatch):
+    # Tie-heavy 0/1 rows, a row repeated 20 times and k up to n - 1 give
+    # candidate matrices as wide as the index. Patched to 3-row scan
+    # blocks, whose gathers (3 n p elements) exceed BLOCK_ELEMENTS, every
+    # selection and (Manhattan) score gather must split to stay within it.
+    rng = np.random.default_rng(5)
+    pts = rng.integers(0, 2, size=(90, 30)).astype(float)
+    pts[rng.choice(90, size=20, replace=False)] = pts[3]
+    queries = np.vstack([pts[3], rng.integers(0, 2, size=(12, 30))])
+    (n, p), budget = pts.shape, 3 * pts.shape[0] * SCORE_DIMENSION
+    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", budget)
+    sizes = record_gathers(monkeypatch)
+    ix = NeighborIndex(pts, DistanceMetric(order))
+    for k in (1, 9, n - 1):
+        got = ix._knn(queries, k)
+        expected = _brute_rows(pts, queries, k, order)
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
+        got = ix._knn(pts, k, exclude=np.arange(n))
+        expected = _brute_rows(pts, pts, k, order, exclude=np.arange(n))
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
+    assert max(sizes) <= budget < 3 * (n - 1) * p
+
+
+def test_gather_peaks_within_their_bound(monkeypatch):
+    # Two scan threads from the main thread, each holding a score and a
+    # spare buffer, a few score-sized index and distance arrays, and one
+    # gather within BLOCK_ELEMENTS: the tie-saturated leave-one-out (every
+    # point a candidate of every row) and evm's psi at a 1e8 offset (every
+    # point kept) stay within that, and equal their brute-force results.
+    monkeypatch.setattr(neighbors, "SCAN_THREADS", 2)
+    sizes = record_gathers(monkeypatch)
+    (n, p), k, rng = (2250, 30), 23, np.random.default_rng(7)
+    scores = neighbors.BLOCK_ELEMENTS // (n * min(p, SCORE_DIMENSION)) * n
+    bound = 2 * 8 * (neighbors.BLOCK_ELEMENTS + 8 * scores)
+    ties = np.zeros((n, p))
+    far = rng.normal(size=(n, p)) + 1e8
+    model = EvmModel(far, rng.uniform(1.0, 2.0, n), rng.uniform(1.0, 4.0, n),
+                     5, None, DistanceMetric())
+    queries = far[:1300] + rng.normal(size=(1300, p))
+    peaks = []
+    tracemalloc.start()
+    try:
+        loo = NeighborIndex(ties).leave_one_out_smallest(k)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        psi = model.membership_batch(queries)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) <= bound + loo.nbytes, [peak / 2**20 for peak in peaks]
+    assert max(sizes) <= neighbors.BLOCK_ELEMENTS
+    np.testing.assert_array_equal(loo, sorted_distances(ties)[:, :k])
+    np.testing.assert_array_equal(psi, exact_psi(model, queries))
 
 
 @pytest.mark.parametrize("p", [2, 16])
