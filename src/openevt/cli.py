@@ -286,8 +286,7 @@ def cmd_score(args) -> int:
     elif points.shape[1] != model.p:
         raise UsageError(
             f"dimension mismatch: test rows have {points.shape[1]} features, "
-            f"model expects {model.p}"
-        )
+            f"model expects {model.p}")
     if loaded.standardizer is not None:
         points = loaded.standardizer.apply(points)
 

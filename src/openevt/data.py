@@ -75,8 +75,7 @@ def distances_to(q, points: np.ndarray, metric: DistanceMetric = EUCLIDEAN) -> n
     if q.ndim != 1 or q.shape[0] != points.shape[1]:
         raise UsageError(
             f"dimension mismatch: query has {q.shape[0] if q.ndim == 1 else q.shape} "
-            f"coordinates, points have {points.shape[1]}"
-        )
+            f"coordinates, points have {points.shape[1]}")
     return _minkowski(points - q[None, :], metric.order)
 
 
@@ -220,8 +219,7 @@ def read_table(path, delimiter: str | None = ",", header: bool | None = None,
               "last": (slice(None, -1), -1)}.get(label_column)
     if layout is None:
         raise UsageError(
-            f"label_column must be 'none', 'first' or 'last', got {label_column!r}"
-        )
+            f"label_column must be 'none', 'first' or 'last', got {label_column!r}")
     feats, label = layout
     with open(path, newline="") as fh:
         if delimiter is None:

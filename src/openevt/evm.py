@@ -64,13 +64,15 @@ class EvmModel:
         training point of exp(-power(d / sigma, alpha)), d from ``distances_to``.
 
         W_i decreases in t_i = alpha_i (log d_i - log sigma_i), computed from
-        the kernel's block scores with one log each. It is off by at most
-        S + 6 eps |t| + 10 eps max|alpha log sigma| (log to 4 ulp), where
-        S = max(scale) e / (s_min - e), e the slack (>= the score's error),
-        and the exact W is within (max(alpha) (p + 4) + 4) eps of t. A point
-        whose t exceeds the row's smallest by more than twice both bounds
-        cannot hold the max, so only the rest are recomputed; a row with
-        s_min <= e keeps every point. The constants carry extra margin.
+        the kernel's block scores with one log each in their dtype, of
+        epsilon eps (e for float64). With scale and offset rounded to it and
+        the log to 4 ulp, t is off by at most S + 6 eps |t| + 10 eps
+        max|alpha log sigma|, S = max(scale) e' / (s_min - e'), e' the slack
+        (>= the score's error); the exact W is within (max(alpha) (p + 4) +
+        4) e of t. A point whose t exceeds the row's smallest by more than
+        twice both bounds cannot hold the max, so only the rest are
+        recomputed; a row with s_min <= e' keeps every point. The constants
+        carry extra margin, and the limit is rounded up to the dtype.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.p:
@@ -87,20 +89,21 @@ class EvmModel:
         # t = scale log(score) - offset; the Euclidean score is d^2.
         scale = self.alphas / 2.0 if order == 2.0 else self.alphas
         offset = self.alphas * np.log(self.sigmas)
-        fixed = _EPS * (24.0 * np.abs(offset).max()
-                        + 2.0 * (self.alphas.max() * (self.p + 4) + 4.0))
+        cast = {np.dtype(t): (scale.astype(t), offset.astype(t)) for t in (np.float32, float)}
+        big, fixed = np.abs(offset).max(), 2 * _EPS * (self.alphas.max() * (self.p + 4) + 4)
 
         def visit(block, rows, score, slack, spare):
+            eps, (scale_as, offset_as) = np.finfo(score.dtype).eps, cast[score.dtype]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 s_min = score.min(axis=1)
                 t = np.log(score, out=score)
-                t *= scale
-                t -= offset
-                t_min = t.min(axis=1)
-                c = (t_min + 8.0 * _EPS * np.abs(t_min) + fixed
+                t *= scale_as
+                t -= offset_as
+                t_min = t.min(axis=1).astype(float)
+                c = (t_min + 24.0 * eps * (np.abs(t_min) + big) + fixed
                      + 2.0 * scale.max() * slack / (s_min - slack))
-                limit = np.where(s_min > slack, c + 32.0 * _EPS * np.abs(c),
-                                 np.inf)
+                limit = np.nextafter(np.where(s_min > slack, c + 32.0 * eps * np.abs(c),
+                                              np.inf).astype(score.dtype), np.inf)
                 row, col = np.divmod(np.flatnonzero(~(t > limit[:, None])), self.n)
                 d = np.empty(col.size)
                 for part in row_blocks(col.size, 2, self.p):  # diff + query row
@@ -108,8 +111,7 @@ class EvmModel:
                                                  rows.take(row[part], axis=0), order)
                 w = np.exp(-np.power(d / self.sigmas[col], self.alphas[col]))
             # every row keeps its smallest t, so each row has a candidate
-            out[block] = np.maximum.reduceat(
-                w, np.flatnonzero(np.diff(row, prepend=-1)))
+            out[block] = np.maximum.reduceat(w, np.flatnonzero(np.diff(row, prepend=-1)))
         return visit
 
     def unknownness(self, points, psi=None) -> np.ndarray:
@@ -135,8 +137,7 @@ class EvmModel:
         if self.delta is None:
             raise UsageError(
                 "no probability threshold set: fit or construct the model "
-                "with an explicit delta to get binary decisions"
-            )
+                "with an explicit delta to get binary decisions")
         psi = self.membership_batch(points)
         return {"verdict": np.where(psi >= self.delta, KNOWN, UNKNOWN),
                 "score": psi, "psi": psi}
@@ -177,8 +178,7 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
     if data.n_classes < 2:
         raise DataError(
             "the extreme value machine needs at least two training classes: "
-            "margins are distances to other-class points"
-        )
+            "margins are distances to other-class points")
     n = data.n
     counts = np.bincount(data.label_ids, minlength=data.n_classes)
     max_cross = int(n - counts.max())
@@ -189,8 +189,7 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
     if k > max_cross:
         raise UsageError(
             f"k={k} exceeds the smallest cross-class sample ({max_cross}); "
-            "every point needs k margin distances to other classes"
-        )
+            "every point needs k margin distances to other classes")
 
     check_level(delta, "delta")
     shared = None if neighbours is None else neighbours(metric)[2]
@@ -202,8 +201,7 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
         raise FitError(
             f"zero margin distance at training point {i}: it coincides with "
             "a point of another class",
-            diagnostics={"point": i},
-        )
+            diagnostics={"point": i})
     refuse_overflow(margins, "margin")
     sigmas, alphas, ok, iters = fit_weibull_rows(margins)
     if not ok.all():
@@ -211,8 +209,7 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
         raise FitError(
             f"margin Weibull fit failed at training point {i}",
             diagnostics={"point": i, "iterations": int(iters[i]),
-                         "k": k, "spread": float(np.ptp(margins[i]))},
-        )
+                         "k": k, "spread": float(np.ptp(margins[i]))})
     return EvmModel(points=np.array(data.points), sigmas=sigmas, alphas=alphas,
                     k=k, delta=delta, metric=metric)
 

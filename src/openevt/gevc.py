@@ -41,8 +41,7 @@ def _fit_dmin_sample(dmin: np.ndarray, free_endpoint: bool) -> tuple:
         raise FitError(
             "need at least 3 strictly positive nearest-neighbor distances "
             f"(got {positive.shape[0]}, {excluded} duplicates excluded)",
-            diagnostics={"n": int(dmin.shape[0]), "excluded": excluded},
-        )
+            diagnostics={"n": int(dmin.shape[0]), "excluded": excluded})
     fit_sample = (reversed_weibull_fit_free_endpoint if free_endpoint
                   else reversed_weibull_fit)
     return fit_sample(-positive), excluded

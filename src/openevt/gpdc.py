@@ -225,6 +225,5 @@ def fit(data: LabeledDataset, k: int | None = None, gamma: float | None = None,
         raise FitError(
             "jackknife calibration degenerate: fewer than 3 training points "
             "with positive leave-one-out distances",
-            diagnostics={"n": n, "coincident": int(coincident.sum())},
-        )
+            diagnostics={"n": n, "coincident": int(coincident.sum())})
     return GpdcModel(index, k, gamma, alpha, pxi, radius)

@@ -311,8 +311,7 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
     n_known = 15 if j_classes >= 26 else max(2, round(j_classes * 15 / 26))
     if n_known < 2 or n_known >= j_classes:
         raise UsageError(
-            f"need 2 <= known classes < total classes ({j_classes}), got {n_known}"
-        )
+            f"need 2 <= known classes < total classes ({j_classes}), got {n_known}")
     if train_count is None:
         train_count = int(0.75 * data.n)
     if not (0 < train_count < data.n):
@@ -428,8 +427,7 @@ def thyroid_split(points: np.ndarray, is_unknown: np.ndarray, seed: int = 0,
     unknown_idx = np.flatnonzero(is_unknown)
     if known_idx.size <= test_known:
         raise UsageError(
-            f"need more than {test_known} known rows, got {known_idx.size}"
-        )
+            f"need more than {test_known} known rows, got {known_idx.size}")
     if unknown_idx.size == 0:
         raise UsageError("no unknown rows after class mapping")
     rng = rng_from(seed, "thyroid-split")

@@ -10,14 +10,11 @@ stored points sure to hold its k nearest:
   distance, plus the pending inserts that the tree does not hold yet;
 - above it, the block is scored against every stored point by one GEMM,
   [-2q, 1, ||q||^2] . [y; ||y||^2; 1] = ||q - y||^2 in exact arithmetic,
-  and every point scored within a slack of 5 (p + 3) eps (||q||^2 + max
-  ||y||^2) of the row's kth score is a candidate (exact brute-force
-  k-selection by GEMM, Johnson, Douze & Jegou, *Billion-scale similarity
-  search with GPUs*, sections 3-4). The slack bounds the rounding of both
-  the score and the recomputed distance in any summation order, so a
-  point that belongs in the k nearest can never score outside it. For
-  other Minkowski orders the scores are the exact distances and the slack
-  is 0.
+  in float32 where that is safe, and every point scored within the slack
+  (derived in :func:`block_scores`) of the row's kth score is a candidate
+  (exact k-selection by GEMM, Johnson, Douze & Jegou, *Billion-scale
+  similarity search with GPUs*, sections 3-4). For other Minkowski orders
+  the scores are the exact distances and the slack is 0.
 
 Then one selection step recomputes each candidate's distance with the
 arithmetic of :func:`~openevt.data.distances_to` and keeps each row's
@@ -47,8 +44,9 @@ undercount. A scan called from the main thread splits its blocks across
 ``SCAN_THREADS`` threads, the caller among them (one per CPU when BLAS
 runs each product on one thread); called from any other thread, such as
 the protocols' workers, it runs every block in that thread. Each worker
-keeps one score and one spare buffer for the call; ``BLOCK_ELEMENTS`` bounds
-their rows and, on its own, each gather of differences (see its comment).
+keeps a score buffer and a spare one of half its rows for the call;
+``BLOCK_ELEMENTS`` bounds their rows and, on its own, each gather of
+differences (see its comment).
 """
 
 import os
@@ -71,9 +69,8 @@ TREE_DIMENSION_LIMIT = 9
 
 # A tree block, and each gather of candidate differences on its own, holds at
 # most this many float64 elements (rows x candidates x p). A Euclidean scan
-# block has the rows of one at min(p, SCORE_DIMENSION): above it, 2^17 scores.
+# block holds a sixteenth of their bytes in scores, 1 MiB: 2^18 in float32.
 BLOCK_ELEMENTS = 1 << 21
-SCORE_DIMENSION = 16
 
 # A scan called from the main thread splits its blocks across this many
 # threads: the CPUs the process may run on over the threads BLAS gives each
@@ -120,8 +117,7 @@ class NeighborIndex:
         # _points and _dmin are views of the filled prefix of their buffers.
         self._points = self._point_buffer = pts
         self._metric = metric
-        self._tree = None
-        self._tree_size = 0
+        self._tree, self._tree_size = None, 0
         self._dmin = self._dmin_buffer = (
             None if dmin is None else np.array(dmin, dtype=float))
         self.counters = QueryCounters()
@@ -216,8 +212,7 @@ class NeighborIndex:
         self._dmin[changed] = d[improved]
         self._point_buffer = _append(self._point_buffer, n, x)
         self._dmin_buffer = _append(self._dmin_buffer, n, nearest)
-        self._points = self._point_buffer[:n + 1]
-        self._dmin = self._dmin_buffer[:n + 1]
+        self._points, self._dmin = self._point_buffer[:n + 1], self._dmin_buffer[:n + 1]
         pending = n + 1 - size
         if self._tree is not None and pending > max(REBUILD_MIN, REBUILD_FRACTION * size):
             self._rebuild()
@@ -227,10 +222,7 @@ class NeighborIndex:
 
     def _rebuild(self):
         from scipy.spatial import cKDTree
-
-        self._tree = cKDTree(self._points)
-        self._tree_size = self.size
-        self._far = None
+        self._tree, self._tree_size, self._far = cKDTree(self._points), self.size, None
 
     def _knn(self, queries: np.ndarray, k: int, exclude=None, visit=None) -> tuple:
         """Exact (m, k) distances and indices of each query row's k nearest
@@ -265,9 +257,7 @@ class NeighborIndex:
                 parts.append(self._select(rows, cand, k, skip, padded))
         self.counters.queries += m  # a refused query counts nothing
         self.counters.distances += m * k
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(np.concatenate(col) for col in zip(*parts))
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
     def _tree_candidates(self, queries, k, exclude) -> tuple:
         """(candidate matrix, whether padded) from the tree and pending inserts.
@@ -335,11 +325,9 @@ class NeighborIndex:
                                               queries[block, None, :], order)
         if padded or exclude is not None:
             d[cand == n] = np.inf
-        if k == 1:
-            # the first minimum has the lowest index, even when all are inf
-            top = d.argmin(axis=1, keepdims=True)
-        else:
-            top = np.lexsort((cand, d), axis=1)[:, :k]
+        # k = 1: the first minimum has the lowest index, even when all are inf
+        top = (d.argmin(axis=1, keepdims=True) if k == 1
+               else np.lexsort((cand, d), axis=1)[:, :k])
         top += np.arange(0, d.size, d.shape[1])[:, None]
         return d.take(top), cand.take(top)
 
@@ -377,13 +365,13 @@ def gathered_distances(points, cols, queries, order: float) -> np.ndarray:
 def scan(queries, points, order: float, visit) -> list:
     """The results, in block order, of ``visit(block, rows, score, slack,
     spare)`` for each block of query rows: its :func:`block_scores` against
-    ``points`` and scratch of the score's shape, which the visit may both
+    ``points`` and scratch of at least half its rows, which the visit may both
     overwrite. The module docstring says which threads run the blocks."""
     (m, p), n = queries.shape, points.shape[0]
-    operand = None if order != 2.0 else np.vstack(  # shared by the workers
-        [points.T, np.einsum("ij,ij->i", points, points), np.ones(n)])
+    operand = None if order != 2.0 else score_operand(queries, points)
+    dtype = float if operand is None else operand.dtype
     # Minkowski scores come from one gather of differences, as a tree block's
-    blocks = row_blocks(m, n, p if operand is None else min(p, SCORE_DIMENSION))
+    blocks = row_blocks(m, n, p if operand is None else 2 * operand.itemsize)
     parts, errors = [None] * len(blocks), []
     split = len(blocks) > 1 and threading.current_thread() is threading.main_thread()
     workers = min(SCAN_THREADS, len(blocks)) if split else 1
@@ -395,10 +383,11 @@ def scan(queries, points, order: float, visit) -> list:
         try:
             for i in iter(tasks.popleft, None):
                 rows = queries[blocks[i]]
-                if out is None:  # the largest block this worker runs
-                    out, spare = np.empty((2, len(rows), n))
+                if out is None:  # the largest block this worker runs, and half
+                    out, spare = (np.empty((size, n), dtype)
+                                  for size in (len(rows), (len(rows) + 1) // 2))
                 score, slack = block_scores(rows, points, operand, order, out)
-                parts[i] = visit(blocks[i], rows, score, slack, spare[:len(rows)])
+                parts[i] = visit(blocks[i], rows, score, slack, spare)
         except BaseException as exc:  # raised again in the caller
             errors.append(exc)
 
@@ -414,59 +403,80 @@ def scan(queries, points, order: float, visit) -> list:
 
 
 def scan_candidates(score, slack, k: int, spare, masked=None) -> np.ndarray:
-    """Candidate matrix of a block's :func:`block_scores`, padded with the
-    index n, using ``spare`` (of the score's shape) as scratch. A ``masked``
-    point (an (m, n) mask that leaves k per row) is never a candidate; its
-    score is overwritten with inf.
-
-    With the GEMM form, a point y that belongs in a row's k nearest ranks
-    no later than some point z among the row's k best scored, so y's score
-    exceeds the kth score by at most twice both errors, 2 (2.5 p + 4) eps M,
-    plus the roots' 4 eps M and the threshold's own rounding, eps M: (5p +
-    13) eps M, within the slack. An undefined (NaN) score or threshold
-    makes the point a candidate.
-    """
+    """Candidate matrix, padded with the index n, of a block's
+    :func:`block_scores`: each point scored within its row's slack of the
+    row's kth score (found in ``spare``'s rows), or at a NaN score or
+    threshold. A ``masked`` point (an (m, n) mask that leaves k per row) is
+    never a candidate; its score is overwritten with inf."""
     m, n = score.shape
     if masked is not None:
         np.copyto(score, np.inf, where=masked)
     if k == 1:
         kth = score.min(axis=1)
     else:
-        np.copyto(spare, score)
-        spare.partition(k - 1, axis=1)
-        kth = spare[:, k - 1]
+        kth, step = np.empty(m, score.dtype), len(spare)
+        for lo in range(0, m, step):
+            part = spare[:min(step, m - lo)]
+            np.copyto(part, score[lo:lo + step])
+            part.partition(k - 1, axis=1)
+            kth[lo:lo + step] = part[:, k - 1]
     with np.errstate(invalid="ignore"):  # inf - inf: NaN, so a candidate
-        hit = ~(score > (kth + slack)[:, None])
+        # rounded up to the score's dtype, the threshold only adds candidates
+        limit = np.nextafter((kth + slack).astype(score.dtype), np.inf)
+        hit = ~(score > limit[:, None])
     if masked is not None:
         hit &= ~masked
-    rows, cols = np.divmod(np.flatnonzero(hit), n)
-    counts = np.bincount(rows, minlength=m)
+    flat = np.flatnonzero(hit)
+    counts = np.diff(np.searchsorted(flat, np.arange(n, m * n + 1, n)), prepend=0)
     cand = np.full((m, counts.max()), n)
-    cand[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = cols
+    cand[np.arange(cand.shape[1]) < counts[:, None]] = np.remainder(flat, n, out=flat)
     return cand
+
+
+def score_operand(queries, points) -> np.ndarray:
+    """The points' columns [y; ||y||^2; 1] for :func:`block_scores`, norms
+    from float64: float32 where every M lies in [1e-20, 1e30), so no
+    operand, product or score overflows or underflows, and 1024 float32
+    slacks at the largest M are below the points' total variance, so the
+    slack admits few candidates; else float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("ij,ij->i", points, points)
+        top = norms.max() + np.einsum("ij,ij->i", queries, queries).max(initial=0.0)
+        spread = norms.mean() - np.square(points.mean(axis=0)).sum()
+        dtype = np.float32 if (1e-20 <= norms.max() and top < 1e30 and 1024 * (
+            2 * points.shape[1] + 8) * np.finfo(np.float32).eps * top < spread) else float
+    return np.vstack([points.T, norms, np.ones(len(norms))], dtype=dtype)
 
 
 def block_scores(queries, points, operand, order: float, out) -> tuple:
     """(m, n) scores of query rows against ``points``, and each row's slack.
 
-    With ``operand`` (the points' columns [y; ||y||^2; 1]; Euclidean only)
-    a score, in ``out``'s first m rows, is the row [-2q, 1, ||q||^2] times
-    them. Doubling q is exact; with M = ||q||^2 + max ||y||^2, the p + 2
-    products' magnitudes sum to at most 2M and the norms' errors to p eps
-    M / 2. Summed in any order, the score is thus within (p + 2) eps M +
-    p eps M / 2 of the exact squared distance, and the square that
-    ``distances_to`` takes the root of within (p + 2) eps M; the slack is
-    5 (p + 3) eps M. Otherwise the scores are ``distances_to``'s, slack 0.
+    With ``operand`` (:func:`score_operand`; Euclidean only) a score, in
+    ``out``'s first m rows, is the row [-2q, 1, ||q||^2] times it in its
+    dtype, of epsilon eps (e for float64). With M = ||q||^2 + max ||y||^2,
+    the p + 2 products sum to at most 2M in magnitude, so in any order the
+    score errs by (p + 2) eps M, plus p e M / 2 from the float64 norms and,
+    in float32, 1.5 eps M from rounding the operands (doubling is exact).
+    The square that ``distances_to`` roots errs by (p + 2) e M. A point y
+    among a row's k nearest ranks no later than some z among its k best
+    scored, so y's score exceeds the kth by at most twice both errors plus
+    the roots' 4 e M. With eps M + 2 e M for second-order terms, float32
+    underflow and its own rounding, the slack is (2p + 5 (+ 3 in float32))
+    eps M + (3p + 10) e M: 5 (p + 3) e M in float64. Otherwise the scores
+    are ``distances_to``'s, slack 0.
     """
     (m, p), n = queries.shape, points.shape[0]
     if operand is None:
         diff = points[None, :, :] - queries[:, None, :]
         return _minkowski(diff.reshape(-1, p), order).reshape(m, n), 0.0
+    eps = np.finfo(operand.dtype).eps
+    rounding = 3.0 * eps if operand.dtype == np.float32 else 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         q_norms = np.einsum("ij,ij->i", queries, queries)
         rows = np.column_stack([-2.0 * queries, np.ones(m), q_norms])
-        score = np.matmul(rows, operand, out=out[:m])
-        return score, 5.0 * (p + 3) * _EPS * (q_norms + operand[p].max())
+        score = np.matmul(rows.astype(operand.dtype, copy=False), operand, out=out[:m])
+        return score, (((2 * p + 5) * eps + rounding + (3 * p + 10) * _EPS)
+                       * (q_norms + operand[p].max()))
 
 
 def _append(buffer: np.ndarray, n: int, row) -> np.ndarray:

@@ -136,8 +136,7 @@ def load_model(path) -> ModelFile:
         raise DataError(f"{path}: not an {FORMAT_NAME} container")
     if doc.get("version") != FORMAT_VERSION:
         raise DataError(
-            f"{path}: unsupported container version {doc.get('version')!r}"
-        )
+            f"{path}: unsupported container version {doc.get('version')!r}")
     kind = doc.get("kind")
     kinds = model_kinds()
     if kind not in kinds:

@@ -104,6 +104,15 @@ def record_gathers(monkeypatch) -> list:
     return sizes
 
 
+def scan_budget(rows, points, queries=None):
+    """A ``BLOCK_ELEMENTS`` that cuts a Euclidean scan of ``queries`` (the
+    points themselves if None) against ``points`` into blocks of ``rows``
+    rows, whichever score dtype the scan takes."""
+    operand = neighbors.score_operand(points if queries is None else queries,
+                                      points)
+    return rows * points.shape[0] * 2 * operand.itemsize
+
+
 def in_thread(call):
     """``call()`` run in a thread other than the main one; its result."""
     out = []

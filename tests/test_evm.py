@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (exact_psi, gaussian_blobs, in_thread, pair_count_auc,
-                     record_gathers, reference_model)
+                     record_gathers, reference_model, scan_budget)
 from openevt import evm, gevc, gpdc, neighbors
 from openevt.data import DistanceMetric, LabeledDataset, _minkowski
 from openevt.errors import DataError, FitError, UsageError
 from openevt.harness import generate_toy
-from openevt.neighbors import SCORE_DIMENSION
 from openevt.serialize import load_model, save_model
 
 
@@ -192,11 +191,12 @@ def test_exact_paths_match_brute_force(p, order, offset, duplicates, n_per, k,
     metric = DistanceMetric(order)
     seen, solve = [], evm.fit_weibull_rows
     with pytest.MonkeyPatch.context() as mp:
-        # blocks of 7 membership rows (and of 7 n / (n - class size) rows
-        # in the margin queries, whose indexes hold fewer points); Minkowski
-        # scan blocks keep the tree's rule
-        width = min(p, SCORE_DIMENSION) if order == 2.0 else p
-        mp.setattr(neighbors, "BLOCK_ELEMENTS", 7 * data.n * width)
+        # blocks of 7 rows in the Euclidean margin scan (and in psi's, when
+        # its far rows do not move it to float64), and of 7 n / (n - class
+        # size) rows in the kd-tree's margin queries, whose indexes hold
+        # fewer points; Minkowski scan blocks keep the tree's rule
+        mp.setattr(neighbors, "BLOCK_ELEMENTS", 7 * data.n * p if order != 2.0
+                   else scan_budget(7, data.points))
         mp.setattr(evm, "fit_weibull_rows",
                    lambda w: (seen.append(w), solve(w))[1])
         model = evm.fit(data, k=k, metric=metric)
@@ -224,8 +224,7 @@ def test_split_scan_margins_and_psi_in_any_thread(p, workers, monkeypatch):
         pts = rng.normal(size=(90, p))
     data = LabeledDataset(pts, np.repeat(["a", "b", "c"], 30))
     pool = np.vstack([pts[:10], pts[50:70] + rng.integers(-1, 2, size=(20, p))])
-    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS",
-                        7 * data.n * min(p, SCORE_DIMENSION))
+    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", scan_budget(7, pts))
     monkeypatch.setattr(neighbors, "SCAN_THREADS", workers)
     seen, solve = [], evm.fit_weibull_rows
     monkeypatch.setattr(evm, "fit_weibull_rows",
@@ -249,14 +248,15 @@ def test_split_scan_margins_and_psi_in_any_thread(p, workers, monkeypatch):
 @pytest.mark.parametrize("offset", [0.0, 1e8])
 def test_split_psi_and_margins_match_brute_force(offset, monkeypatch):
     # Tie-heavy 0/1 rows (a row repeated within each class) at p = 30, in
-    # 3-row scan blocks: the margins' masked selection at k = 40 and psi,
-    # which at a 1e8 offset keeps every point, gather 3 n p differences a
-    # block, beyond the patched BLOCK_ELEMENTS, so both must split.
+    # 6-row float32 scan blocks, or 3-row float64 ones at a 1e8 offset: the
+    # margins' masked selection at k = 40 and psi, which at a 1e8 offset
+    # keeps every point, gather at least 3 n p differences a block, beyond
+    # the patched BLOCK_ELEMENTS, so both must split.
     rng = np.random.default_rng(11)
     pts = rng.integers(0, 2, size=(90, 30)).astype(float) + offset
     pts[[1, 2, 31, 32]] = pts[[0, 0, 30, 30]]
     data = LabeledDataset(pts, np.repeat(["a", "b", "c"], 30))
-    (n, p), budget = pts.shape, 3 * pts.shape[0] * SCORE_DIMENSION
+    (n, p), budget = pts.shape, 3 * pts.shape[0] * 16
     monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", budget)
     sizes = record_gathers(monkeypatch)
     index = neighbors.NeighborIndex(pts)
@@ -316,17 +316,20 @@ def test_overflowing_margins_name_point_on_the_scan():
 @pytest.mark.parametrize("p", [16, 30])
 def test_near_ties_survive_gemm_rounding(p):
     # Each query has two training points whose distances differ by about
-    # 1e-9 relative, far below the GEMM score's rounding at a 1e4 offset,
-    # so the scores alone misorder them in many rows: only the slack keeps
-    # the true nearest (and so the larger W) a candidate.
-    rng = np.random.default_rng(p)
-    queries = rng.normal(size=(40, p)) + 1e4
-    v = rng.normal(size=(40, p)) * 0.2
-    twin = 1.0 + rng.uniform(-1e-9, 1e-9, size=(40, 1))
-    pts = np.vstack([queries + v, queries - v * twin,
-                     rng.normal(size=(20, p)) + 1e4])
-    n = pts.shape[0]
-    model = evm.EvmModel(pts, np.ones(n), np.full(n, 2.0), k=3, delta=None,
-                         metric=DistanceMetric())
-    np.testing.assert_array_equal(model.membership_batch(queries),
-                                  exact_psi(model, queries))
+    # 1e-9 relative, far below the GEMM score's rounding in float64 at a 1e4
+    # offset and in float32 at none, so the scores alone misorder them in
+    # many rows: only the slack keeps the true nearest (and so the larger
+    # W) a candidate.
+    for offset, dtype in ((1e4, np.float64), (0.0, np.float32)):
+        rng = np.random.default_rng(p)
+        queries = rng.normal(size=(40, p)) + offset
+        v = rng.normal(size=(40, p)) * 0.2
+        twin = 1.0 + rng.uniform(-1e-9, 1e-9, size=(40, 1))
+        pts = np.vstack([queries + v, queries - v * twin,
+                         rng.normal(size=(20, p)) + offset])
+        n = pts.shape[0]
+        assert neighbors.score_operand(queries, pts).dtype == dtype
+        model = evm.EvmModel(pts, np.ones(n), np.full(n, 2.0), k=3, delta=None,
+                             metric=DistanceMetric())
+        np.testing.assert_array_equal(model.membership_batch(queries),
+                                      exact_psi(model, queries))

@@ -14,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_dmin, brute_knn, exact_psi, in_thread, index_state,
-                     record_gathers, sorted_distances)
+                     record_gathers, scan_budget, sorted_distances)
 import openevt
 from openevt import neighbors
 from openevt.data import DistanceMetric, _minkowski, distances_to
 from openevt.errors import DataError, UsageError
 from openevt.evm import EvmModel
-from openevt.neighbors import SCORE_DIMENSION, NeighborIndex
+from openevt.neighbors import NeighborIndex
 
 
 def _row(ix, q, k, exclude=None):
@@ -368,7 +368,7 @@ def test_self_excluding_views_match_brute_force(case, monkeypatch):
     assert (ix._tree is not None) == (p < 16)
     # blocks of 7 rows: the last block is partial
     monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS",
-                        7 * n * min(p, SCORE_DIMENSION))
+                        scan_budget(7, pts) if ix.scans else 7 * n * p)
     tree, tree_size = ix._tree, ix._tree_size
     k = 5
     loo = ix.leave_one_out_smallest(k)
@@ -406,6 +406,14 @@ def _scan_case(case):
         # than the distances between neighbours
         pts = rng.normal(size=(120, 30)) + 1e8
         return pts, pts[:23] + rng.normal(size=(23, 30)), DistanceMetric()
+    if case == "near_ties":
+        # each query's two nearest points lie at distances about 1e-9
+        # relative apart, far below the float32 scores' rounding
+        queries = rng.normal(size=(23, 20))
+        v = rng.normal(size=(23, 20)) * 0.2
+        twin = 1.0 + rng.uniform(-1e-9, 1e-9, size=(23, 1))
+        pts = np.vstack([queries + v, queries - v * twin, rng.normal(size=(74, 20))])
+        return pts, queries, DistanceMetric()
     if case == "grid_repeats":
         pts = rng.integers(0, 3, size=(120, 12)).astype(float)
         # repeated more than k+1 times for k = 1 and 9 below
@@ -418,7 +426,7 @@ def _scan_case(case):
 
 
 @pytest.mark.parametrize("case", ["offset_1e8", "grid_repeats", "manhattan",
-                                  "minkowski3"])
+                                  "minkowski3", "near_ties"])
 def test_blocked_scan_matches_brute_force(case, monkeypatch):
     pts, queries, metric = _scan_case(case)
     (n, p), order = pts.shape, metric.order
@@ -426,8 +434,8 @@ def test_blocked_scan_matches_brute_force(case, monkeypatch):
     assert ix._tree is None
     # blocks of 7 rows, so 23 query rows and n = 120 end in a partial block
     # (Minkowski scan blocks keep the tree's rule)
-    width = min(p, SCORE_DIMENSION) if order == 2.0 else p
-    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", 7 * n * width)
+    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", 7 * n * p if order != 2.0
+                        else scan_budget(7, pts, queries))
     for k in (1, 9, n - 1):
         for rows in (queries, queries[:1]):
             got = ix._knn(rows, k)
@@ -444,10 +452,13 @@ def test_blocked_scan_matches_brute_force(case, monkeypatch):
 @pytest.mark.parametrize("case", ["offset_0", "offset_1e4", "offset_1e8",
                                   "grid_repeats"])
 def test_scores_within_their_error_bound(case, p):
-    # Every GEMM score lies within (1.5 p + 2) eps M of the exact squared
-    # distance of its float inputs, M = ||q||^2 + max ||y||^2 exactly, and
-    # the slack covers the (5p + 13) eps M that scan_candidates needs
-    # (block_scores and scan_candidates derive both).
+    # Every GEMM score lies within its bound of the exact squared distance of
+    # its float64 inputs: (p + 2) eps M + p e M / 2, plus 1.5 eps M from the
+    # rounding to float32, with M = ||q||^2 + max ||y||^2 exactly, eps the
+    # score's epsilon and e float64's. The slack covers what selection needs:
+    # twice that, twice the recomputed square's (p + 2) e M, and the roots'
+    # 4 e M (block_scores derives both). Centred points score in float32,
+    # offset ones in float64.
     rng = np.random.default_rng(p)
     if case == "grid_repeats":
         pts = rng.integers(0, 4, size=(30, p)).astype(float)
@@ -457,19 +468,78 @@ def test_scores_within_their_error_bound(case, p):
         offset = float(case.split("_")[1])
         pts = rng.normal(size=(30, p)) + offset
         queries = np.vstack([pts[:6], rng.normal(size=(6, p)) + offset])
-    blocks = neighbors.scan(queries, pts, 2.0, lambda block, rows, score,
-                            slack, spare: (block, score.copy(), slack))
+    blocks = neighbors.scan(queries, pts, 2.0, lambda block, rows, score, slack,
+                            spare: (block, score.dtype, score.astype(float), slack))
     exact_pts = [[Fraction(v) for v in y] for y in pts]
     top = max(sum(v * v for v in y) for y in exact_pts)
-    eps = Fraction(np.finfo(float).eps)
-    for block, score, slack in blocks:
+    e = Fraction(np.finfo(float).eps)
+    for block, dtype, score, slack in blocks:
+        assert dtype == (np.float32 if case in ("offset_0", "grid_repeats")
+                         else np.float64)
+        eps = Fraction(float(np.finfo(dtype).eps))
+        error = (p + 2) * eps + p * e / 2 + (3 * eps / 2 if dtype == np.float32 else 0)
+        need = 2 * error + 2 * (p + 2) * e + 4 * e
         for q, row, row_slack in zip(queries[block], score, slack):
             q = [Fraction(v) for v in q]
             big_m = sum(v * v for v in q) + top
-            assert Fraction(row_slack) >= (5 * p + 13) * eps * big_m
+            assert Fraction(row_slack) >= need * big_m
             for y, s in zip(exact_pts, row):
                 exact = sum((a - b) ** 2 for a, b in zip(q, y))
-                assert abs(Fraction(s) - exact) <= Fraction(3 * p + 4, 2) * eps * big_m
+                assert abs(Fraction(s) - exact) <= error * big_m
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 2])
+def test_kth_score_plus_slack_rounded_up(dtype, k):
+    # A point scored exactly at its row's kth score plus the slack is a
+    # candidate, in either dtype; one a few steps of the dtype above is not
+    at = dtype(0.7)
+    steps = [at]
+    for _ in range(3):
+        steps.append(np.nextafter(steps[-1], dtype(np.inf)))
+    score = np.array([[0.0] * k + steps], dtype)
+    cand = neighbors.scan_candidates(score, np.array([float(at)]), k,
+                                     np.empty((1, k + 4), dtype))
+    assert k in cand[0] and k + 3 not in cand[0]
+
+
+@pytest.mark.parametrize("case,dtype", [
+    ("spread", np.float32), ("offset_1e8", np.float64),
+    ("far_outlier", np.float64), ("near_1e20", np.float64),
+    ("near_1e-21", np.float64), ("far_queries", np.float64),
+    ("zero_spread", np.float64)])
+def test_score_dtype_chosen_from_the_norms(case, dtype):
+    # float32 scores only where their slack stays small against the points'
+    # spread and no operand, product or score overflows or underflows; in
+    # either dtype every view equals brute force, without a warning
+    rng = np.random.default_rng(41)
+    pts = rng.normal(size=(300, 20))
+    queries = pts[:30] + rng.normal(size=(30, 20))
+    if case == "offset_1e8":
+        pts, queries = pts + 1e8, queries + 1e8
+    elif case == "far_outlier":
+        pts[7, 3] = 1e4
+    elif case.startswith("near_"):
+        scale = float(case.split("_")[1])
+        pts, queries = pts * scale, queries * scale
+    elif case == "far_queries":
+        queries[3] = 1e20
+    elif case == "zero_spread":
+        pts, queries = np.ones_like(pts), np.ones_like(queries)
+    n = pts.shape[0]
+    for rows in (queries, pts):  # the far queries' rows set their scan alone
+        got = neighbors.scan(rows, pts, 2.0, lambda block, rows, score, *_: score.dtype)
+        assert set(got) == {np.dtype(np.float32 if case == "far_queries" and rows is pts
+                                     else dtype)}
+    ix = NeighborIndex(pts)
+    for k in (1, 7):
+        for rows, exclude in ((queries, None), (pts, np.arange(n))):
+            got = ix._knn(rows, k, exclude)
+            expected = _brute_rows(pts, rows, k, 2.0, exclude)
+            np.testing.assert_array_equal(got[0], expected[0])
+            np.testing.assert_array_equal(got[1], expected[1])
+    assert neighbors.scan(np.empty((0, 20)), pts, 2.0, None) == []
+    assert ix.batch_k_smallest(np.empty((0, 20)), 3).shape == (0, 3)
 
 
 def _split_case(p):
@@ -491,30 +561,35 @@ def test_split_scan_matches_brute_force_in_any_thread(p, workers, monkeypatch):
     # 1-CPU machine splits them too; from another thread they all run there
     pts, queries = _split_case(p)
     n, k = pts.shape[0], 6
-    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS",
-                        7 * n * min(p, SCORE_DIMENSION))
+    budget = scan_budget(7, pts)
+    assert scan_budget(7, pts, queries) == budget  # one dtype for both scans
+    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", budget)
     monkeypatch.setattr(neighbors, "SCAN_THREADS", workers)
 
     def views(barrier=None):
-        ix, seen = NeighborIndex(pts), set()
+        ix, seen = NeighborIndex(pts), []
 
-        def visit(block, rows, score, slack, spare):
-            seen.add((threading.get_ident(), threading.active_count()))
-            if barrier is not None and block.start < 7 * workers:
-                # a worker holds its first block until every worker has
-                # taken one, so each takes one of the first round
-                barrier.wait()
+        def visitor():  # the threads that run one scan's blocks
+            seen.append(set())
+
+            def visit(block, rows, score, slack, spare):
+                seen[-1].add((threading.get_ident(), threading.active_count()))
+                if barrier is not None and block.start < 7 * workers:
+                    # a worker holds its first block until every worker has
+                    # taken one, so each takes one of the first round
+                    barrier.wait()
+            return visit
         caller = (threading.get_ident(), threading.active_count())
-        return (ix.leave_one_out_smallest(k, visit),
-                ix.batch_k_smallest(queries, k, visit), ix.dmin_vector(),
+        return (ix.leave_one_out_smallest(k, visitor()),
+                ix.batch_k_smallest(queries, k, visitor()), ix.dmin_vector(),
                 caller, seen)
 
     *split, caller, seen = views(threading.Barrier(workers, timeout=60))
-    assert len({ident for ident, _ in seen}) == workers
+    assert [len({ident for ident, _ in scan}) for scan in seen] == [workers] * 2
     expected = (_brute_rows(pts, pts, k, 2.0, exclude=np.arange(n))[0],
                 _brute_rows(pts, queries, k, 2.0)[0], brute_dmin(pts))
     *serial, caller, seen = in_thread(views)
-    assert seen == {caller}  # every block in the calling thread, no other
+    assert seen == [{caller}] * 2  # every block in the calling thread, no other
     for got, other, want in zip(split, serial, expected):
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(other, want)
@@ -542,9 +617,7 @@ def test_split_scan_raises_a_visit_error_after_joining(failing, monkeypatch):
     # the failing threads raise at their first block and the others sleep
     # at each, so a caller that did not join would leave threads running
     pts = _split_case(30)[0]
-    n, p = pts.shape
-    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS",
-                        7 * n * min(p, SCORE_DIMENSION))
+    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", scan_budget(7, pts))
     monkeypatch.setattr(neighbors, "SCAN_THREADS", 3)
     before = threading.active_count()
 
@@ -559,31 +632,39 @@ def test_split_scan_raises_a_visit_error_after_joining(failing, monkeypatch):
 
 
 @pytest.mark.parametrize("n,p,rows", [
-    (500, 10, 419), (6000, 16, 21), (2250, 16, 58), (2250, 17, 58),
+    (500, 10, 262), (6000, 16, 21), (2250, 16, 58), (2250, 17, 58),
     (2250, 30, 58), (300, 64, 436)])
 def test_scan_blocks_sized_by_their_scores(n, p, rows):
-    # up to p = 16 a scan block has a tree block's rows, whose differences
-    # fill BLOCK_ELEMENTS; above it, as many as a p = 16 block: 2^17 scores,
-    # never fewer rows than the tree's rule
-    tree_rows = neighbors.BLOCK_ELEMENTS // (n * p)
-    assert rows == tree_rows if p <= SCORE_DIMENSION else (
-        rows >= tree_rows and rows * n <= 1 << 17)
-    sizes = neighbors.scan(np.zeros((2 * rows + 1, p)), np.zeros((n, p)), 2.0,
-                           lambda block, block_rows, *scratch: len(block_rows))
-    assert sizes == [rows, rows, 1]
+    # a Euclidean scan block holds 1 MiB of scores, whatever p: ``rows`` rows
+    # of float64 scores (coincident points), about twice as many of float32
+    # (spread points); a Minkowski block keeps the tree's rule, whose
+    # differences fill BLOCK_ELEMENTS
+    rows32, rows64 = {500: 524, 6000: 43, 2250: 116, 300: 873}[n], rows
+    spread = np.random.default_rng(n).normal(size=(n, p))
+    for points, rows, order, dtype in (
+            (spread, rows32, 2.0, np.float32), (np.zeros((n, p)), rows64, 2.0, float),
+            (spread, neighbors.BLOCK_ELEMENTS // (n * p), 1.0, float)):
+        queries = points[np.arange(2 * rows + 1) % n]
+        sizes = neighbors.scan(queries, points, order, lambda block, block_rows,
+                               score, *scratch: (len(block_rows), score.dtype))
+        assert sizes == [(rows, dtype), (rows, dtype), (1, dtype)]
+        row_bytes = n * np.dtype(dtype).itemsize
+        assert order != 2.0 or rows * row_bytes <= 1 << 20 < (rows + 1) * row_bytes
 
 
 @pytest.mark.parametrize("order", [2.0, 1.0])
 def test_split_gathers_match_brute_force(order, monkeypatch):
     # Tie-heavy 0/1 rows, a row repeated 20 times and k up to n - 1 give
-    # candidate matrices as wide as the index. Patched to 3-row scan
-    # blocks, whose gathers (3 n p elements) exceed BLOCK_ELEMENTS, every
-    # selection and (Manhattan) score gather must split to stay within it.
+    # candidate matrices as wide as the index. Patched to 6-row float32
+    # scan blocks (1-row Manhattan ones), whose gathers (at least 3 n p
+    # elements) exceed BLOCK_ELEMENTS, every selection and (Manhattan) score
+    # gather must split to stay within it.
     rng = np.random.default_rng(5)
     pts = rng.integers(0, 2, size=(90, 30)).astype(float)
     pts[rng.choice(90, size=20, replace=False)] = pts[3]
     queries = np.vstack([pts[3], rng.integers(0, 2, size=(12, 30))])
-    (n, p), budget = pts.shape, 3 * pts.shape[0] * SCORE_DIMENSION
+    (n, p), budget = pts.shape, 3 * pts.shape[0] * 16
+    assert scan_budget(6, pts) == budget
     monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", budget)
     sizes = record_gathers(monkeypatch)
     ix = NeighborIndex(pts, DistanceMetric(order))
@@ -603,31 +684,38 @@ def test_gather_peaks_within_their_bound(monkeypatch):
     # Two scan threads from the main thread, each holding a score and a
     # spare buffer, a few score-sized index and distance arrays, and one
     # gather within BLOCK_ELEMENTS: the tie-saturated leave-one-out (every
-    # point a candidate of every row) and evm's psi at a 1e8 offset (every
-    # point kept) stay within that, and equal their brute-force results.
+    # point a candidate of every row, float64 scores), one of two coincident
+    # clusters (the row's own cluster a candidate, float32 scores) and evm's
+    # psi at a 1e8 offset (every point kept) stay within that, sized by a
+    # float64 block's scores, and equal their brute-force results.
     monkeypatch.setattr(neighbors, "SCAN_THREADS", 2)
     sizes = record_gathers(monkeypatch)
     (n, p), k, rng = (2250, 30), 23, np.random.default_rng(7)
-    scores = neighbors.BLOCK_ELEMENTS // (n * min(p, SCORE_DIMENSION)) * n
+    scores = neighbors.BLOCK_ELEMENTS // (16 * n) * n
     bound = 2 * 8 * (neighbors.BLOCK_ELEMENTS + 8 * scores)
-    ties = np.zeros((n, p))
+    ties, clusters = np.zeros((n, p)), np.zeros((n, p))
+    clusters[::2] = 1.0
+    assert scan_budget(1, ties) == 2 * scan_budget(1, clusters)  # float64, float32
     far = rng.normal(size=(n, p)) + 1e8
     model = EvmModel(far, rng.uniform(1.0, 2.0, n), rng.uniform(1.0, 4.0, n),
                      5, None, DistanceMetric())
     queries = far[:1300] + rng.normal(size=(1300, p))
-    peaks = []
+    expected, peaks = [sorted_distances(points)[:, :k] for points in (ties, clusters)], []
     tracemalloc.start()
     try:
-        loo = NeighborIndex(ties).leave_one_out_smallest(k)
-        peaks.append(tracemalloc.get_traced_memory()[1])
+        for points, want in zip((ties, clusters), expected):
+            tracemalloc.reset_peak()
+            loo = NeighborIndex(points).leave_one_out_smallest(k)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            np.testing.assert_array_equal(loo, want)
+            del loo
         tracemalloc.reset_peak()
         psi = model.membership_batch(queries)
         peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert max(peaks) <= bound + loo.nbytes, [peak / 2**20 for peak in peaks]
+    assert max(peaks) <= bound + expected[0].nbytes, [peak / 2**20 for peak in peaks]
     assert max(sizes) <= neighbors.BLOCK_ELEMENTS
-    np.testing.assert_array_equal(loo, sorted_distances(ties)[:, :k])
     np.testing.assert_array_equal(psi, exact_psi(model, queries))
 
 
