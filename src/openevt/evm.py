@@ -13,11 +13,11 @@ default, and evaluation protocols rank by psi instead. The classifier
 needs at least two training classes, since margins are defined across
 classes. No model-reduction step is applied: all n per-point fits are kept.
 
-Both hot paths use the exact kNN kernel's arithmetic on block scores that
-a visitor reads, so the protocols' shared neighbour pass serves them too:
-margins mask same-class points (up to the kd-tree's dimension limit, a
-class queries an index over every other class), and psi comes from
-exactly pruned scores (see :meth:`EvmModel.membership_batch`).
+Both hot paths are selections of the exact kNN kernel's neighbour pass,
+so the protocols' shared pass serves them too: the margins are a labelled
+kNN selection, halved in place, and psi a visit of the block scores that
+recomputes only the points exact bounds keep (see
+:meth:`EvmModel.membership_batch`).
 """
 
 import numpy as np
@@ -26,8 +26,7 @@ from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
                    check_finite, check_level)
 from .errors import DataError, FitError, UsageError
 from .evt import default_tail_count, fit_weibull_rows, refuse_overflow
-from .neighbors import (_EPS, NeighborIndex, gathered_distances, row_blocks,
-                        scan, scan_candidates)
+from .neighbors import _EPS, Knn, NeighborIndex, gathered_distances, row_blocks, scan
 from .serialize import payload_array, payload_level, payload_number
 
 
@@ -173,7 +172,7 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
     Requires at least two classes and k no bigger than the smallest
     cross-class sample. Fit failures name the offending training point.
     ``neighbours`` (see :func:`openevt.gpdc.fit`) gives k or more columns of
-    :func:`class_margins`, or None to compute them here.
+    the margins, or None to select them here.
     """
     if data.n_classes < 2:
         raise DataError(
@@ -192,9 +191,11 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
             "every point needs k margin distances to other classes")
 
     check_level(delta, "delta")
-    shared = None if neighbours is None else neighbours(metric)[2]
-    margins = (class_margins(NeighborIndex(data.points, metric), data.label_ids, k)
-               if shared is None else shared[:, :k])
+    if neighbours is None:
+        knn = Knn(k, labels=data.label_ids)
+        NeighborIndex(data.points, metric).run(data.points, [knn])
+        knn.distances /= 2.0
+    margins = knn.distances if neighbours is None else neighbours(metric)[2][:, :k]
     zero_rows = np.flatnonzero(margins[:, 0] == 0)
     if zero_rows.size:
         i = int(zero_rows[0])
@@ -213,30 +214,3 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
     return EvmModel(points=np.array(data.points), sigmas=sigmas, alphas=alphas,
                     k=k, delta=delta, metric=metric)
 
-
-def class_margins(index: NeighborIndex, ids: np.ndarray, k: int) -> np.ndarray:
-    """(n, k) matrix: for each of ``index``'s points, labelled ``ids``, the k
-    smallest half-distances to other classes' points, ascending. A scanning
-    index masks same-class points out of its scores; a tree's class queries
-    an index over every other class."""
-    out, pts = np.empty((index.size, k)), index.points
-    if index.scans:
-        scan(pts, pts, index.metric.order, margin_visitor(index, ids, out))
-        return out
-    for c in np.unique(ids):
-        own = ids == c
-        out[own] = NeighborIndex(pts[~own], index.metric).batch_k_smallest(
-            pts[own], k) / 2.0
-    return out
-
-
-def margin_visitor(index: NeighborIndex, ids: np.ndarray, out: np.ndarray):
-    """Scan visitor of ``index``'s own points, labelled ``ids``, storing in
-    ``out`` each row's smallest half-distances to other classes' points."""
-    ids = ids.astype(np.min_scalar_type(ids.max()))  # a narrow mask compare
-
-    def visit(block, rows, score, slack, spare):
-        cand = scan_candidates(score, slack, out.shape[1], spare,
-                               ids[block, None] == ids)
-        out[block] = index._select(rows, cand, out.shape[1])[0] / 2.0
-    return visit

@@ -18,13 +18,12 @@ Three protocols are provided at desk scale:
 
 The protocols fit every kind through ``fit_methods``, which hands each
 kind's ``fit`` one neighbour pass per training set as ``neighbours``: a
-leave-one-out pass and a pool query at the widest width gpdc needs. A
-k-column kNN result is bitwise the prefix of a wider one, so gpdc takes its
-k+1 columns and gevc column 0, copied into an index of its own for its
-updates. Above the kd-tree's dimension limit evm's margins are a second
-selection from the leave-one-out scores, at its widest k, and its psi comes
-from the pool query's scores. With evm the only kind, no kNN column is
-selected: its margins and psi come from scans of their own.
+leave-one-out pass and a pool pass, each one list of selections. A k-column
+kNN result is bitwise the prefix of a wider one, so one kNN selection at
+the widest width serves gpdc (k+1 columns) and gevc (column 0, copied into
+an index of its own for its updates). evm's widest margins join the
+leave-one-out pass as a labelled selection and the first evm's psi the pool
+pass as a visit; with evm alone the passes hold no kNN selection.
 
 All randomness flows from one seed through named substreams, and protocol
 repetitions own independent streams keyed by (seed, rep).
@@ -36,11 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import evm
 from .data import LabeledDataset, load_dataset_csv, read_table
 from .errors import DataError, UsageError
 from .evt import default_tail_count, tail_count
-from .neighbors import NeighborIndex
+from .neighbors import Knn, NeighborIndex
 from .serialize import fit_parameters, model_kinds
 
 DEFAULT_ALPHA_GRID = (0.01, 0.05, 0.1, 0.2)
@@ -172,14 +170,13 @@ def fit_methods(train: LabeledDataset, methods, pool: np.ndarray,
 
     def leave_one_out(metric):
         if metric not in passes:
-            index, margins, visit = NeighborIndex(train.points, metric), None, None
-            if not width:  # evm alone: its margins need no kNN selection
-                margins = evm.class_margins(index, train.label_ids, margin_width)
-            elif index.scans and margin_width:
-                margins = np.empty((n, margin_width))
-                visit = evm.margin_visitor(index, train.label_ids, margins)
-            d = index.leave_one_out_smallest(width, visit) if width else None
-            passes[metric] = index, d, margins
+            index = NeighborIndex(train.points, metric)
+            margins = [Knn(margin_width, labels=train.label_ids)] if margin_width else []
+            d = (index.leave_one_out_smallest(width, margins) if width
+                 else index.run(train.points, margins))
+            for knn in margins:  # halved in place
+                knn.distances /= 2.0
+            passes[metric] = index, d, margins[0].distances if margins else None
         return passes[metric]
 
     models = []
@@ -196,19 +193,15 @@ def fit_methods(train: LabeledDataset, methods, pool: np.ndarray,
         if i == last:  # later fits read the margins only
             passes.update({metric: (index, None, margins)
                            for metric, (index, _, margins) in passes.items()})
-    # a scanning metric's first evm reads the pool query's scores, any other its own
+    # each metric's first evm takes its psi from the pool pass, any other its own
     firsts = {model.metric: model for model in reversed(models)
               if model is not None and model.KIND == "evm"}
     pooled, psi = {}, {}  # by metric: pool matrix; by evm model: psi
     for metric in list(passes):
-        index = passes.pop(metric)[0]  # the fits are done with its matrices
-        visit, first = None, firsts.get(metric) if index.scans else None
-        if first is not None and not width:  # evm alone: psi needs no selection
-            psi[first] = first.membership_batch(pool)
-        elif first is not None:
-            visit = first.psi_visitor(psi.setdefault(first, np.empty(len(pool))))
-        if width:
-            pooled[metric] = index.batch_k_smallest(pool, width, visit)
+        index, first = passes.pop(metric)[0], firsts.get(metric)
+        visits = [first.psi_visitor(psi.setdefault(first, np.empty(len(pool))))] if first else []
+        pooled[metric] = (index.batch_k_smallest(pool, width, visits) if width
+                          else index.run(pool, visits))
 
     def scoring(model):
         if model is None or model.KIND == "evm":

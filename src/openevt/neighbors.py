@@ -1,8 +1,8 @@
 """Exact k-nearest-neighbor search with incremental insertion.
 
-Every neighbour view is one query, ``_knn``, run over blocks of query rows
-in two steps. First a candidate source proposes, for each row, a set of
-stored points sure to hold its k nearest:
+Every neighbour view is a :class:`Knn` selection of a pass over blocks of
+query rows, in two steps. First a candidate source proposes, for each row,
+a set of stored points sure to hold its k nearest:
 
 - up to ``TREE_DIMENSION_LIMIT`` (p = 9, the crossover measured below) a
   kd-tree (scipy's cKDTree, imported on the first tree build, so the scan
@@ -21,8 +21,8 @@ arithmetic of :func:`~openevt.data.distances_to` and keeps each row's
 first k in (distance, index) order. Results are therefore exact and
 deterministic whichever source proposed the candidates, however BLAS
 summed the scores, and at coordinate offsets where the GEMM form cancels:
-the scores only decide which distances are recomputed. A scan's block
-scores can also go to a ``visit`` callback, for a second selection.
+the scores only decide which distances are recomputed. A pass
+(:meth:`NeighborIndex.run`) also hands a scan's scores to bare visits.
 
 The leave-one-out distances and the nearest-other-point vector dmin are
 that query over the stored points with each point excluded from its own
@@ -53,6 +53,7 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -93,18 +94,33 @@ _EPS = np.finfo(float).eps
 
 @dataclass
 class QueryCounters:
-    """Instrumentation: kNN query rows issued and the neighbor distances
-    they returned (k per row). Every view counts, fits included: a gpdc
-    fit adds (n, n(k+1)) and a gevc fit (n, n). The pass ``fit_methods``
-    hands every fit counts (n, nK) once, K its width, on its index, and its
-    pool query (m, mK); evm's margins and psi, read from their scores by a
-    ``visit``, add nothing."""
+    """Instrumentation: query rows of unlabelled kNN selections and the
+    distances they returned (k per row): (n, n(k+1)) for a gpdc fit, (n, n)
+    for a gevc fit, (n, nK) and (m, mK) for ``fit_methods``' passes of width K."""
 
     queries: int = 0
     distances: int = 0
 
     def snapshot(self) -> tuple:
         return (self.queries, self.distances)
+
+
+@dataclass
+class Knn:
+    """A selection of :meth:`NeighborIndex.run`: each row's k nearest stored
+    points in (distance, index) order, as (m, k) ``distances`` and, without
+    labels, ``indices``. No row selects its ``exclude`` index or, given
+    ``labels`` instead (one per stored point, which are the rows), a point of its label."""
+
+    k: int
+    exclude: np.ndarray | None = None
+    labels: np.ndarray | None = None
+    distances: np.ndarray | None = None
+    indices: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.labels is not None:  # a narrow mask compare
+            self.labels = self.labels.astype(np.min_scalar_type(self.labels.max()))
 
 
 class NeighborIndex:
@@ -152,21 +168,56 @@ class NeighborIndex:
 
     # -- queries ------------------------------------------------------------
 
-    def batch_k_smallest(self, queries: np.ndarray, k: int, visit=None) -> np.ndarray:
-        """(m, k) matrix of the k smallest distances for each query row; a
-        non-finite row raises UsageError naming it. See ``_knn`` for visit."""
+    def batch_k_smallest(self, queries: np.ndarray, k: int, selections=()) -> np.ndarray:
+        """(m, k) matrix of the k smallest distances for each query row, in
+        one :meth:`run` with ``selections``; a non-finite row raises
+        UsageError naming it."""
         queries = np.asarray(queries, dtype=float)
         if queries.ndim != 2 or queries.shape[1] != self.dimension:
             raise UsageError("queries must be an (m, p) matrix matching the index")
         if not (1 <= k <= self.size):
             raise UsageError(f"k must be in [1, {self.size}], got {k}")
-        if self.scans:  # the kd-tree refuses non-finite rows itself
-            check_finite(queries, "query row")
         try:
-            return self._knn(queries, k, visit=visit)[0]
+            return self._knn(queries, k, selections=selections)[0]
         except ValueError:  # the kd-tree refused a row: name it
             check_finite(queries, "query row")
             raise
+
+    def run(self, queries: np.ndarray, selections) -> None:
+        """One pass of (m, p) ``queries``: each :class:`Knn` of ``selections``
+        fills its outputs, and each bare visit takes every block of a
+        :func:`scan`. A scan hands each block to the kNN selections, which
+        leave its scores as they are, then to the visits, which may overwrite
+        them. On the kd-tree a kNN selection queries the tree (with labels,
+        an index over each label's complement), and only the visits scan."""
+        (m, p), n = queries.shape, self.size
+        knns = [sel for sel in selections if isinstance(sel, Knn)]
+        for sel in knns:
+            if not self.scans and sel.labels is None:  # the tree's, block by block
+                parts = []
+                for block in row_blocks(m, n, p) or [slice(0, 0)]:  # m = 0: one block
+                    rows, skip = queries[block], None if sel.exclude is None else sel.exclude[block]
+                    cand, padded = self._tree_candidates(rows, sel.k, skip)
+                    parts.append(self._select(rows, cand, sel.k, skip, padded))
+                sel.distances, sel.indices = (parts[0] if len(parts) == 1
+                                              else map(np.concatenate, zip(*parts)))
+                continue
+            sel.distances = np.empty((m, sel.k))
+            sel.indices = None if sel.labels is not None else np.empty((m, sel.k), np.intp)
+            for label in () if self.scans else np.unique(sel.labels):
+                own = sel.labels == label
+                sel.distances[own] = NeighborIndex(self._points[~own], self._metric
+                                                   ).batch_k_smallest(queries[own], sel.k)
+        steps = [partial(self._scan_select, sel) for sel in knns] if self.scans else []
+        steps += [sel for sel in selections if not isinstance(sel, Knn)]
+        if steps:
+            check_finite(queries, "query row")
+            scan(queries, self._points, self._metric.order,
+                 lambda *block: [step(*block) for step in steps])
+        for sel in knns:
+            if sel.labels is None:  # a refused query counts nothing
+                self.counters.queries += m
+                self.counters.distances += m * sel.k
 
     def dmin_vector(self) -> np.ndarray:
         """Per-point distance to the closest other stored point."""
@@ -224,40 +275,23 @@ class NeighborIndex:
         from scipy.spatial import cKDTree
         self._tree, self._tree_size, self._far = cKDTree(self._points), self.size, None
 
-    def _knn(self, queries: np.ndarray, k: int, exclude=None, visit=None) -> tuple:
-        """Exact (m, k) distances and indices of each query row's k nearest
-        stored points, ascending with ties broken by index. ``exclude``
-        names one stored index per row that is never a candidate (scored
-        inf). ``visit`` then takes each block as in :func:`scan`, which only
-        the scan path can give it."""
-        m, (n, p) = queries.shape[0], self._points.shape
-        if visit is not None and not self.scans:
-            raise UsageError("a block visitor needs an index that scans")
-        if exclude is not None:
-            exclude = np.asarray(exclude)
-        if m == 0:
-            return np.empty((0, k)), np.empty((0, k), np.intp)
+    def _knn(self, queries: np.ndarray, k: int, exclude=None, selections=()) -> tuple:
+        """The k nearest stored points of each row, as (m, k) distances and indices."""
+        knn = Knn(k, None if exclude is None else np.asarray(exclude))
+        self.run(queries, [knn, *selections])
+        return knn.distances, knn.indices
 
-        def step(block, rows, score, slack, spare):
-            skip = None if exclude is None else exclude[block]
-            if skip is not None:
-                score[np.arange(len(rows)), skip] = np.inf
-            cand = scan_candidates(score, slack, k, spare)
-            if visit is not None:
-                visit(block, rows, score, slack, spare)
-            return self._select(rows, cand, k, skip)
-
-        if self.scans:
-            parts = scan(queries, self._points, self._metric.order, step)
-        else:
-            parts = []
-            for block in row_blocks(m, n, p):
-                rows, skip = queries[block], None if exclude is None else exclude[block]
-                cand, padded = self._tree_candidates(rows, k, skip)
-                parts.append(self._select(rows, cand, k, skip, padded))
-        self.counters.queries += m  # a refused query counts nothing
-        self.counters.distances += m * k
-        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+    def _scan_select(self, sel, block, rows, score, slack, spare):
+        """``sel``'s rows ``block`` from their scores, an excluded one inf for it alone."""
+        masked = None if sel.labels is None else sel.labels[block, None] == sel.labels
+        skip = None if sel.exclude is None else sel.exclude[block]
+        at = np.s_[:0] if skip is None else (np.arange(len(rows)), skip)  # [:0]: none
+        kept, score[at] = score[at], np.inf
+        cand = scan_candidates(score, slack, sel.k, spare, masked)
+        score[at] = kept
+        sel.distances[block], indices = self._select(rows, cand, sel.k, skip)
+        if sel.indices is not None:
+            sel.indices[block] = indices
 
     def _tree_candidates(self, queries, k, exclude) -> tuple:
         """(candidate matrix, whether padded) from the tree and pending inserts.
@@ -336,14 +370,13 @@ class NeighborIndex:
             self._dmin = self._dmin_buffer = self._knn(
                 self._points, 1, exclude=np.arange(self.size))[0][:, 0]
 
-    def leave_one_out_smallest(self, k: int, visit=None) -> np.ndarray:
-        """(n, k) matrix: for each stored point, the k smallest distances to
-        the other stored points, ascending. Used for jackknife calibration
-        (and, through ``visit``, evm's margins; see ``_knn``)."""
+    def leave_one_out_smallest(self, k: int, selections=()) -> np.ndarray:
+        """(n, k) matrix of each stored point's k smallest distances to the
+        other stored points, ascending, in one :meth:`run` with ``selections``."""
         n = self.size
         if not (1 <= k <= n - 1):
             raise UsageError(f"k must be in [1, {n - 1}], got {k}")
-        return self._knn(self._points, k, np.arange(n), visit)[0]
+        return self._knn(self._points, k, np.arange(n), selections)[0]
 
 
 def row_blocks(m: int, n: int, p: int) -> list:
@@ -362,32 +395,32 @@ def gathered_distances(points, cols, queries, order: float) -> np.ndarray:
     return _minkowski(diff.reshape(-1, points.shape[1]), order).reshape(cols.shape)
 
 
-def scan(queries, points, order: float, visit) -> list:
-    """The results, in block order, of ``visit(block, rows, score, slack,
-    spare)`` for each block of query rows: its :func:`block_scores` against
-    ``points`` and scratch of at least half its rows, which the visit may both
-    overwrite. The module docstring says which threads run the blocks."""
+def scan(queries, points, order: float, visit):
+    """``visit(block, rows, score, slack, spare)`` for each block of query
+    rows: its :func:`block_scores` against ``points`` and scratch of at
+    least half its rows, which the visit may both overwrite. The module
+    docstring says which threads run the blocks."""
     (m, p), n = queries.shape, points.shape[0]
     operand = None if order != 2.0 else score_operand(queries, points)
     dtype = float if operand is None else operand.dtype
     # Minkowski scores come from one gather of differences, as a tree block's
     blocks = row_blocks(m, n, p if operand is None else 2 * operand.itemsize)
-    parts, errors = [None] * len(blocks), []
+    errors = []
     split = len(blocks) > 1 and threading.current_thread() is threading.main_thread()
     workers = min(SCAN_THREADS, len(blocks)) if split else 1
     # each worker takes the lowest block left until it takes its own None
-    tasks = deque([*range(len(blocks)), *[None] * workers])
+    tasks = deque([*blocks, *[None] * workers])
 
     def work():
         out = None
         try:
-            for i in iter(tasks.popleft, None):
-                rows = queries[blocks[i]]
+            for block in iter(tasks.popleft, None):
+                rows = queries[block]
                 if out is None:  # the largest block this worker runs, and half
                     out, spare = (np.empty((size, n), dtype)
                                   for size in (len(rows), (len(rows) + 1) // 2))
                 score, slack = block_scores(rows, points, operand, order, out)
-                parts[i] = visit(blocks[i], rows, score, slack, spare)
+                visit(block, rows, score, slack, spare)
         except BaseException as exc:  # raised again in the caller
             errors.append(exc)
 
@@ -399,25 +432,24 @@ def scan(queries, points, order: float, visit) -> list:
         thread.join()
     if errors:
         raise errors[0]
-    return parts
 
 
 def scan_candidates(score, slack, k: int, spare, masked=None) -> np.ndarray:
     """Candidate matrix, padded with the index n, of a block's
-    :func:`block_scores`: each point scored within its row's slack of the
-    row's kth score (found in ``spare``'s rows), or at a NaN score or
-    threshold. A ``masked`` point (an (m, n) mask that leaves k per row) is
-    never a candidate; its score is overwritten with inf."""
+    :func:`block_scores`, which it leaves as they are: each point scored
+    within its row's slack of the row's kth score (found in ``spare``'s
+    rows), or at a NaN score or threshold. A ``masked`` point (an (m, n)
+    mask that leaves k per row) is never a candidate."""
     m, n = score.shape
-    if masked is not None:
-        np.copyto(score, np.inf, where=masked)
-    if k == 1:
+    if k == 1 and masked is None:
         kth = score.min(axis=1)
     else:
         kth, step = np.empty(m, score.dtype), len(spare)
         for lo in range(0, m, step):
             part = spare[:min(step, m - lo)]
             np.copyto(part, score[lo:lo + step])
+            if masked is not None:
+                np.copyto(part, np.inf, where=masked[lo:lo + step])
             part.partition(k - 1, axis=1)
             kth[lo:lo + step] = part[:, k - 1]
     with np.errstate(invalid="ignore"):  # inf - inf: NaN, so a candidate

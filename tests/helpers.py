@@ -42,15 +42,16 @@ def sorted_distances(points: np.ndarray, queries=None, order: float = 2.0):
 
 
 def reference_model(kind: str, train: LabeledDataset, pool: np.ndarray,
-                    grid, k: int, alpha: float = 0.05) -> tuple:
-    """One kind fitted and applied from full sorted distance matrices, no
-    index: (fitted fields, {threshold: unknown flags on ``pool``}). gpdc
-    and gevc take their defaults (gamma = 1/n, endpoint 0); evm takes k
-    margins. Only the neighbour search is replaced: the statistics and the
-    Weibull solver are the package's own."""
+                    grid, k: int, alpha: float = 0.05,
+                    metric: DistanceMetric = DistanceMetric()) -> tuple:
+    """One kind fitted and applied from full sorted distance matrices under
+    ``metric``, no index: (fitted fields, {threshold: unknown flags on
+    ``pool``}). gpdc and gevc take their defaults (gamma = 1/n, endpoint 0);
+    evm takes k margins. Only the neighbour search is replaced: the
+    statistics and the Weibull solver are the package's own."""
     n, p = train.points.shape
-    loo = sorted_distances(train.points)
-    pooled = sorted_distances(train.points, pool)
+    loo = sorted_distances(train.points, order=metric.order)
+    pooled = sorted_distances(train.points, pool, metric.order)
     if kind == "gpdc":
         gamma = 1.0 / n
         _, pxi, radius = tail_stats(loo[:, :k + 1], k, p, gamma, n - 1)
@@ -75,10 +76,10 @@ def reference_model(kind: str, train: LabeledDataset, pool: np.ndarray,
                  "excluded_zeros": int((dmin == 0).sum())},
                 {a: w < a for a in grid})
     pts, labels = train.points, train.labels
-    margins = np.array([np.sort(distances_to(x, pts[labels != label]))[:k] / 2.0
+    margins = np.array([np.sort(distances_to(x, pts[labels != label], metric))[:k] / 2.0
                         for x, label in zip(pts, labels)])
     sigmas, alphas, _, _ = fit_weibull_rows(margins)
-    d = np.array([distances_to(q, pts) for q in pool])
+    d = np.array([distances_to(q, pts, metric) for q in pool])
     psi = np.exp(-np.power(d / sigmas, alphas)).max(axis=1)
     return {"sigmas": sigmas, "alphas": alphas}, {delta: psi < delta for delta in grid}
 

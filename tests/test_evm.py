@@ -259,9 +259,9 @@ def test_split_psi_and_margins_match_brute_force(offset, monkeypatch):
     (n, p), budget = pts.shape, 3 * pts.shape[0] * 16
     monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", budget)
     sizes = record_gathers(monkeypatch)
-    index = neighbors.NeighborIndex(pts)
-    np.testing.assert_array_equal(evm.class_margins(index, data.label_ids, 40),
-                                  brute_margins(data, 40, 2.0))
+    margins = neighbors.Knn(40, labels=data.label_ids)
+    neighbors.NeighborIndex(pts).run(pts, [margins])
+    np.testing.assert_array_equal(margins.distances / 2.0, brute_margins(data, 40, 2.0))
     model = evm.EvmModel(pts, rng.uniform(1.0, 3.0, n), rng.uniform(1.0, 4.0, n),
                          5, None, DistanceMetric())
     queries = np.vstack([pts[:4], pts[40:52] + rng.integers(-1, 2, size=(12, p))])
@@ -286,7 +286,8 @@ def test_masked_margins_never_admit_same_class(fill):
     # Scores that decide nothing (inf or NaN everywhere, or finite only
     # for same-class points) make every point a candidate, yet a same-class
     # point, here a duplicate at distance 0, never enters a margin row,
-    # whether each class holds contiguous rows or the classes interleave.
+    # whether each class holds contiguous rows or the classes interleave;
+    # the labelled selection leaves the scores as they are.
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(30, 12))
     pts[1::10] = pts[::10]
@@ -297,11 +298,12 @@ def test_masked_margins_never_admit_same_class(fill):
         score = {"inf": np.full((30, 30), np.inf),
                  "nan": np.full((30, 30), np.nan),
                  "same-class-finite": np.where(same, 0.0, np.inf)}[fill]
-        out = np.empty((30, 5))
-        visit = evm.margin_visitor(neighbors.NeighborIndex(data.points),
-                                   data.label_ids, out)
-        visit(slice(0, 30), data.points, score, 0.0, np.empty((30, 30)))
-        np.testing.assert_array_equal(out, brute_margins(data, 5, 2.0))
+        margins, before = neighbors.Knn(5, labels=data.label_ids,
+                                        distances=np.empty((30, 5))), score.copy()
+        neighbors.NeighborIndex(data.points)._scan_select(
+            margins, slice(0, 30), data.points, score, 0.0, np.empty((30, 30)))
+        np.testing.assert_array_equal(margins.distances / 2.0, brute_margins(data, 5, 2.0))
+        np.testing.assert_array_equal(score, before)
 
 
 def test_overflowing_margins_name_point_on_the_scan():

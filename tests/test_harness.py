@@ -9,7 +9,7 @@ from helpers import (index_state, oletter_rep_oracle, pair_count_auc,
                      reference_model)
 from openevt import evm, gevc, gpdc, harness
 from openevt.cli import main
-from openevt.data import LabeledDataset
+from openevt.data import DistanceMetric, LabeledDataset
 from openevt.errors import DataError, FitError, UsageError
 from openevt.evt import tail_count
 from openevt.harness import (DEFAULT_ALPHA_GRID, DEFAULT_DELTA_GRID,
@@ -350,14 +350,31 @@ class TestSharedNeighbourPass:
                           np.where(pts[:, 1] < np.median(pts[:, 1]), "b", "c"))
         return LabeledDataset(pts, labels), pool.astype(float)
 
-    @pytest.mark.parametrize("p", [2, 16, 30])
-    def test_every_kind_equals_whole_model_reference(self, p):
+    ORDERS = [(order, p) for order in (2.0, 1.0, 1.5) for p in (2, 16, 30)]
+
+    @pytest.mark.parametrize("order,p", ORDERS, ids=[
+        str(p) if order == 2.0 else f"q{order:g}-{p}" for order, p in ORDERS])
+    def test_every_kind_equals_whole_model_reference(self, order, p):
+        # Minkowski orders, the non-integer 1.5 among them, run through
+        # every kind's fit and evidence on the tree and on the scan
         train, pool = self.case(p)
-        shared = list(fit_methods(train, self.METHODS, pool))
-        for (kind, options), (model, scoring) in zip(self.METHODS, shared):
+        metric = DistanceMetric(order)
+        methods = [(kind, {**options, "metric": metric}) for kind, options in self.METHODS]
+        if (order, p) == (1.0, 16):
+            # integer points at q = 1: some point's 8 nearest other-class
+            # distances tie, and evm refuses them shared as alone
+            with pytest.raises(FitError, match="margin Weibull fit failed") as shared_error:
+                fit_methods(train, methods, pool)
+            with pytest.raises(FitError) as alone_error:
+                fit_model("evm", train, **methods[2][1])
+            assert str(shared_error.value) == str(alone_error.value)
+            assert shared_error.value.diagnostics == alone_error.value.diagnostics
+            methods = methods[:2]
+        shared = list(fit_methods(train, methods, pool))
+        for (kind, options), (model, scoring) in zip(methods, shared):
             grid = self.GRIDS[model.THRESHOLD]
             fields, flags = reference_model(kind, train, pool, grid,
-                                            options.get("k"))
+                                            options.get("k"), metric=metric)
             alone = fit_model(kind, train, **options)
             for fitted, got in ((alone, alone.flags(pool, grid)),
                                 (model, model.flags(pool, grid, **scoring))):
@@ -371,12 +388,14 @@ class TestSharedNeighbourPass:
                 for threshold, want in flags.items():
                     assert got[threshold].tobytes() == want.tobytes(), kind
 
-    def test_shared_pass_counts_once(self):
-        # The leave-one-out pass and the pool query count their kNN rows and
+    @pytest.mark.parametrize("p", [2, 30])
+    def test_shared_pass_counts_once(self, p):
+        # The leave-one-out pass and the pool pass count their kNN rows and
         # columns, at gpdc's width, once on the index that ran them. evm's
-        # masked margin selection and its psi read the same block scores and
-        # count nothing, so the counts are those of gpdc and gevc alone.
-        train, pool = self.case(30)
+        # margins, a labelled selection, and its psi, a visit, count nothing
+        # on it, on the kd-tree as on the scan, so the counts are those of
+        # gpdc and gevc alone.
+        train, pool = self.case(p)
         (g, _), (v, _), (_, e_scoring) = fit_methods(train, self.METHODS, pool)
         rows = train.n + pool.shape[0]  # the leave-one-out pass, then the pool
         assert g.index.counters.snapshot() == (rows, rows * (g.k + 1))
@@ -392,9 +411,9 @@ class TestSharedNeighbourPass:
         [("evm", {"k": 11}), ("gpdc", {"k": 6}), ("evm", {"k": 6})],
     ], ids=["narrower-than-gpdc", "alone", "two-evm"])
     def test_evm_equals_reference_at_any_width(self, p, methods):
-        # A k-column margin row is the prefix of the pass's widest one. On
-        # the scan path the first evm of a call takes its psi from the pool
-        # query's scores, and any other computes its own.
+        # A k-column margin row is the prefix of the pass's widest one. At
+        # every p the first evm of a call takes its psi from the pool pass,
+        # and any other computes its own.
         train, pool = self.case(p)
         grid = DEFAULT_DELTA_GRID
         fitted = fit_methods(train, methods, pool)
@@ -402,8 +421,7 @@ class TestSharedNeighbourPass:
         for (kind, options), (model, scoring) in zip(methods, fitted):
             if kind != "evm":
                 continue
-            assert set(scoring) == ({"psi"} if first and p > TREE_DIMENSION_LIMIT
-                                    else set())
+            assert set(scoring) == ({"psi"} if first else set())
             first = False
             fields, flags = reference_model("evm", train, pool, grid, options["k"])
             alone = fit_model("evm", train, **options)
@@ -565,8 +583,8 @@ def test_thyroid_protocol_makes_one_pass(tmp_path, monkeypatch, capsys):
     # the kinds at their default k and the tail-fraction sweep share one
     # leave-one-out pass, at the widest swept k + 1
     widths, run = [], NeighborIndex.leave_one_out_smallest
-    monkeypatch.setattr(NeighborIndex, "leave_one_out_smallest",
-                        lambda ix, k, visit=None: (widths.append(k), run(ix, k, visit))[1])
+    monkeypatch.setattr(NeighborIndex, "leave_one_out_smallest", lambda ix, k, selections=():
+                        (widths.append(k), run(ix, k, selections))[1])
     rng = np.random.default_rng(5)
     lines = [" ".join(f"{v:.5f}" for v in rng.uniform(size=21)) + " 3"
              for _ in range(700)]

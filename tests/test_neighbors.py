@@ -111,23 +111,76 @@ def test_flat_fallback_above_dimension_limit():
 
 
 @pytest.mark.parametrize("p", [2, 25])
-def test_block_visitor_only_on_the_scan(p):
-    # a scanning index hands every query row's scores to the visitor; the
-    # kd-tree has no block scores and refuses one rather than skip it
+def test_bare_visit_sees_every_query_row(p):
+    # on the kd-tree as on the scan, a bare visit of a pass takes every
+    # query row's scores against every stored point once, beside a kNN
+    # selection or alone
     pts = np.random.default_rng(7).normal(size=(60, p))
     ix, seen = NeighborIndex(pts), []
     assert ix.scans == (p > neighbors.TREE_DIMENSION_LIMIT)
 
     def visit(block, rows, score, slack, spare):
+        assert score.shape == (rows.shape[0], 60)
         seen.extend(range(block.start, block.start + rows.shape[0]))
-    for query in (lambda: ix.leave_one_out_smallest(3, visit),
-                  lambda: ix.batch_k_smallest(pts[:20], 3, visit)):
-        if ix.scans:
-            query()
-        else:
-            with pytest.raises(UsageError, match="scans"):
-                query()
-    assert seen == (list(range(60)) + list(range(20)) if ix.scans else [])
+    ix.leave_one_out_smallest(3, [visit])
+    ix.batch_k_smallest(pts[:20], 3, [visit])
+    ix.run(pts[:10], [visit])
+    assert seen == list(range(60)) + list(range(20)) + list(range(10))
+
+
+@pytest.mark.parametrize("p", [2, 30])
+def test_one_pass_of_knn_margins_and_a_visit(p, monkeypatch):
+    # A leave-one-out kNN selection, a labelled one (evm's margins) and a
+    # visit share one pass over integer points with many distance ties, in
+    # blocks of 7 rows, and equal brute force. The visit, listed first,
+    # sees the scores of a scan alone: kNN selections leave them as they
+    # are. Only the unlabelled selection counts.
+    rng = np.random.default_rng(p)
+    pts = np.round(rng.normal(size=(90, p)) * 2.0)
+    labels = rng.integers(0, 3, size=90)
+    n = pts.shape[0]
+    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", scan_budget(7, pts))
+    ix = NeighborIndex(pts)
+    assert ix.scans == (p > neighbors.TREE_DIMENSION_LIMIT)
+
+    def record(into):
+        def visit(block, rows, score, slack, spare):
+            into[block] = score
+        return visit
+    seen, alone = np.empty((n, n)), np.empty((n, n))
+    loo, margins = neighbors.Knn(6, np.arange(n)), neighbors.Knn(5, labels=labels)
+    ix.run(pts, [record(seen), loo, margins])
+    neighbors.scan(pts, pts, 2.0, record(alone))
+    assert seen.tobytes() == alone.tobytes()
+    expected = _brute_rows(pts, pts, 6, 2.0, exclude=np.arange(n))
+    np.testing.assert_array_equal(loo.distances, expected[0])
+    np.testing.assert_array_equal(loo.indices, expected[1])
+    cross = [np.sort(distances_to(x, pts[labels != label]))[:5]
+             for x, label in zip(pts, labels)]
+    np.testing.assert_array_equal(margins.distances, np.array(cross))
+    assert margins.indices is None
+    assert ix.counters.snapshot() == (n, 6 * n)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-300, 1e-310, 1e-320])
+@pytest.mark.parametrize("order", [1.0, 1.5, 2.0, 3.0, 8.0, 100.0])
+def test_subnormal_tree_distances_match_brute_force(order, scale):
+    # points and queries scaled toward and into the subnormal range, where
+    # scipy's tree distances lose bits and the coordinates collapse into
+    # ties: the kd-tree's selections still equal brute force by
+    # distances_to, ties broken by index
+    rng = np.random.default_rng(int(order * 10))
+    pts, queries = rng.normal(size=(80, 3)) * scale, rng.normal(size=(12, 3)) * scale
+    n, metric = pts.shape[0], DistanceMetric(order)
+    ix = NeighborIndex(pts, metric)
+    assert not ix.scans
+    dist, idx = ix._knn(queries, 5)
+    expected = _brute_rows(pts, queries, 5, order)
+    np.testing.assert_array_equal(dist, expected[0])
+    np.testing.assert_array_equal(idx, expected[1])
+    np.testing.assert_array_equal(
+        ix.leave_one_out_smallest(4),
+        _brute_rows(pts, pts, 4, order, exclude=np.arange(n))[0])
 
 
 class TestNearestWithinTraining:
@@ -468,8 +521,9 @@ def test_scores_within_their_error_bound(case, p):
         offset = float(case.split("_")[1])
         pts = rng.normal(size=(30, p)) + offset
         queries = np.vstack([pts[:6], rng.normal(size=(6, p)) + offset])
-    blocks = neighbors.scan(queries, pts, 2.0, lambda block, rows, score, slack,
-                            spare: (block, score.dtype, score.astype(float), slack))
+    blocks = []
+    neighbors.scan(queries, pts, 2.0, lambda block, rows, score, slack, spare:
+                   blocks.append((block, score.dtype, score.astype(float), slack)))
     exact_pts = [[Fraction(v) for v in y] for y in pts]
     top = max(sum(v * v for v in y) for y in exact_pts)
     e = Fraction(np.finfo(float).eps)
@@ -528,9 +582,10 @@ def test_score_dtype_chosen_from_the_norms(case, dtype):
         pts, queries = np.ones_like(pts), np.ones_like(queries)
     n = pts.shape[0]
     for rows in (queries, pts):  # the far queries' rows set their scan alone
-        got = neighbors.scan(rows, pts, 2.0, lambda block, rows, score, *_: score.dtype)
-        assert set(got) == {np.dtype(np.float32 if case == "far_queries" and rows is pts
-                                     else dtype)}
+        got = set()
+        neighbors.scan(rows, pts, 2.0, lambda block, rows, score, *_: got.add(score.dtype))
+        assert got == {np.dtype(np.float32 if case == "far_queries" and rows is pts
+                                else dtype)}
     ix = NeighborIndex(pts)
     for k in (1, 7):
         for rows, exclude in ((queries, None), (pts, np.arange(n))):
@@ -538,7 +593,7 @@ def test_score_dtype_chosen_from_the_norms(case, dtype):
             expected = _brute_rows(pts, rows, k, 2.0, exclude)
             np.testing.assert_array_equal(got[0], expected[0])
             np.testing.assert_array_equal(got[1], expected[1])
-    assert neighbors.scan(np.empty((0, 20)), pts, 2.0, None) == []
+    neighbors.scan(np.empty((0, 20)), pts, 2.0, None)  # no block, so no visit
     assert ix.batch_k_smallest(np.empty((0, 20)), 3).shape == (0, 3)
 
 
@@ -580,8 +635,8 @@ def test_split_scan_matches_brute_force_in_any_thread(p, workers, monkeypatch):
                     barrier.wait()
             return visit
         caller = (threading.get_ident(), threading.active_count())
-        return (ix.leave_one_out_smallest(k, visitor()),
-                ix.batch_k_smallest(queries, k, visitor()), ix.dmin_vector(),
+        return (ix.leave_one_out_smallest(k, [visitor()]),
+                ix.batch_k_smallest(queries, k, [visitor()]), ix.dmin_vector(),
                 caller, seen)
 
     *split, caller, seen = views(threading.Barrier(workers, timeout=60))
@@ -627,7 +682,7 @@ def test_split_scan_raises_a_visit_error_after_joining(failing, monkeypatch):
             raise ArithmeticError(f"in the {failing}")
         time.sleep(0.01)
     with pytest.raises(ArithmeticError, match=f"in the {failing}"):
-        NeighborIndex(pts).leave_one_out_smallest(3, visit)
+        NeighborIndex(pts).leave_one_out_smallest(3, [visit])
     assert threading.active_count() == before
 
 
@@ -645,9 +700,11 @@ def test_scan_blocks_sized_by_their_scores(n, p, rows):
             (spread, rows32, 2.0, np.float32), (np.zeros((n, p)), rows64, 2.0, float),
             (spread, neighbors.BLOCK_ELEMENTS // (n * p), 1.0, float)):
         queries = points[np.arange(2 * rows + 1) % n]
-        sizes = neighbors.scan(queries, points, order, lambda block, block_rows,
-                               score, *scratch: (len(block_rows), score.dtype))
-        assert sizes == [(rows, dtype), (rows, dtype), (1, dtype)]
+        sizes = {}
+        neighbors.scan(queries, points, order, lambda block, block_rows, score,
+                       *scratch: sizes.update({block.start: (len(block_rows), score.dtype)}))
+        assert [sizes[start] for start in sorted(sizes)] == [
+            (rows, dtype), (rows, dtype), (1, dtype)]
         row_bytes = n * np.dtype(dtype).itemsize
         assert order != 2.0 or rows * row_bytes <= 1 << 20 < (rows + 1) * row_bytes
 
