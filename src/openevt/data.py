@@ -31,42 +31,32 @@ class DistanceMetric:
                              f"got {self.order}")
 
     @classmethod
-    def euclidean(cls) -> "DistanceMetric":
-        return cls(2.0)
-
-    @classmethod
-    def manhattan(cls) -> "DistanceMetric":
-        return cls(1.0)
-
-    @classmethod
-    def minkowski(cls, q: float) -> "DistanceMetric":
-        return cls(float(q))
-
-    @classmethod
     def parse(cls, text: str) -> "DistanceMetric":
         """Parse ``"euclidean"``, ``"manhattan"`` or ``"minkowski:Q"``."""
         name = text.strip().lower() if isinstance(text, str) else ""
         if name == "euclidean":
-            return cls.euclidean()
+            return cls(2.0)
         if name == "manhattan":
-            return cls.manhattan()
+            return cls(1.0)
         if name.startswith("minkowski:"):
             try:
-                return cls.minkowski(float(name.split(":", 1)[1]))
+                return cls(float(name.split(":", 1)[1]))
             except ValueError:
                 raise UsageError(f"bad Minkowski order in metric {text!r}") from None
         raise UsageError(f"unknown metric {text!r}")
 
     @property
     def name(self) -> str:
+        """Text that :meth:`parse` maps back to this very order."""
         if self.order == 2.0:
             return "euclidean"
         if self.order == 1.0:
             return "manhattan"
-        return f"minkowski:{self.order:g}"
+        short = f"{self.order:g}"
+        return f"minkowski:{short if float(short) == self.order else repr(float(self.order))}"
 
 
-EUCLIDEAN = DistanceMetric.euclidean()
+EUCLIDEAN = DistanceMetric(2.0)
 
 
 def distances_to(q, points: np.ndarray, metric: DistanceMetric = EUCLIDEAN) -> np.ndarray:

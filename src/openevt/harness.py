@@ -20,8 +20,8 @@ The protocols fit every kind through ``fit_methods``, which hands each
 kind's ``fit`` one neighbour pass per training set as ``neighbours``: a
 leave-one-out pass and a pool pass, each one list of selections. A k-column
 kNN result is bitwise the prefix of a wider one, so one kNN selection at
-the widest width serves gpdc (k+1 columns) and gevc (column 0, copied into
-an index of its own for its updates). evm's widest margins join the
+the widest width, read whole, serves gpdc (k+1 columns) and gevc (column 0,
+copied into an index of its own for its updates). evm's widest margins join the
 leave-one-out pass as a labelled selection and the first evm's psi the pool
 pass as a visit; with evm alone the passes hold no kNN selection.
 
@@ -39,7 +39,7 @@ from .data import LabeledDataset, load_dataset_csv, read_table
 from .errors import DataError, UsageError
 from .evt import default_tail_count, tail_count
 from .neighbors import Knn, NeighborIndex
-from .serialize import fit_parameters, model_kinds
+from .serialize import fit_model, model_kinds
 
 DEFAULT_ALPHA_GRID = (0.01, 0.05, 0.1, 0.2)
 DEFAULT_DELTA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -154,7 +154,7 @@ def f_measure(tp: int, fp: int, fn: int) -> float:
 def fit_methods(train: LabeledDataset, methods, pool: np.ndarray,
                 optional: bool = False) -> list:
     """Fit each (kind, options) of ``methods`` on ``train`` in order through
-    the kind's ``fit``, with the options it takes and the shared pass as
+    :func:`~openevt.serialize.fit_model`, with the shared pass as
     ``neighbours``, and return (model, keyword arguments of its scoring
     calls on ``pool``) per method; with ``optional``, (None, None) where the
     fit rejects the data. Every fit runs before the pool pass, so errors
@@ -181,11 +181,8 @@ def fit_methods(train: LabeledDataset, methods, pool: np.ndarray,
 
     models = []
     for i, (kind, options) in enumerate(methods):
-        fit, accepted = fit_parameters(kind)
-        options = {k: v for k, v in options.items() if k in accepted}
-        options["neighbours"] = leave_one_out  # the pass, never an option
-        try:
-            models.append(fit(train, **options))
+        try:  # the shared pass replaces any "neighbours" option
+            models.append(fit_model(kind, train, **{**options, "neighbours": leave_one_out}))
         except DataError:
             if not optional:
                 raise
@@ -203,12 +200,10 @@ def fit_methods(train: LabeledDataset, methods, pool: np.ndarray,
         pooled[metric] = (index.batch_k_smallest(pool, width, visits) if width
                           else index.run(pool, visits))
 
-    def scoring(model):
+    def scoring(model):  # gpdc and gevc each read their own columns
         if model is None or model.KIND == "evm":
             return model and ({"psi": psi[model]} if model in psi else {})
-        # the columns the model reads, copied where that is fewer than all
-        reads = model.k + 1 if model.KIND == "gpdc" else 1
-        return {"distances": np.ascontiguousarray(pooled[model.metric][:, :reads])}
+        return {"distances": pooled[model.metric]}
     return [(model, scoring(model)) for model in models]
 
 

@@ -170,18 +170,10 @@ class NeighborIndex:
 
     def batch_k_smallest(self, queries: np.ndarray, k: int, selections=()) -> np.ndarray:
         """(m, k) matrix of the k smallest distances for each query row, in
-        one :meth:`run` with ``selections``; a non-finite row raises
-        UsageError naming it."""
-        queries = np.asarray(queries, dtype=float)
-        if queries.ndim != 2 or queries.shape[1] != self.dimension:
-            raise UsageError("queries must be an (m, p) matrix matching the index")
+        one :meth:`run` with ``selections``."""
         if not (1 <= k <= self.size):
             raise UsageError(f"k must be in [1, {self.size}], got {k}")
-        try:
-            return self._knn(queries, k, selections=selections)[0]
-        except ValueError:  # the kd-tree refused a row: name it
-            check_finite(queries, "query row")
-            raise
+        return self._knn(queries, k, selections=selections)[0]
 
     def run(self, queries: np.ndarray, selections) -> None:
         """One pass of (m, p) ``queries``: each :class:`Knn` of ``selections``
@@ -189,7 +181,11 @@ class NeighborIndex:
         :func:`scan`. A scan hands each block to the kNN selections, which
         leave its scores as they are, then to the visits, which may overwrite
         them. On the kd-tree a kNN selection queries the tree (with labels,
-        an index over each label's complement), and only the visits scan."""
+        an index over each label's complement), and only the visits scan.
+        Queries of the wrong width, or a non-finite row, raise UsageError."""
+        queries = np.asarray(queries, dtype=float)
+        if queries.ndim != 2 or queries.shape[1] != self.dimension:
+            raise UsageError(f"queries must be (m, {self.dimension}), got {queries.shape}")
         (m, p), n = queries.shape, self.size
         knns = [sel for sel in selections if isinstance(sel, Knn)]
         for sel in knns:
@@ -197,7 +193,11 @@ class NeighborIndex:
                 parts = []
                 for block in row_blocks(m, n, p) or [slice(0, 0)]:  # m = 0: one block
                     rows, skip = queries[block], None if sel.exclude is None else sel.exclude[block]
-                    cand, padded = self._tree_candidates(rows, sel.k, skip)
+                    try:
+                        cand, padded = self._tree_candidates(rows, sel.k, skip)
+                    except ValueError:  # the kd-tree refused a row: name it
+                        check_finite(queries, "query row")
+                        raise
                     parts.append(self._select(rows, cand, sel.k, skip, padded))
                 sel.distances, sel.indices = (parts[0] if len(parts) == 1
                                               else map(np.concatenate, zip(*parts)))

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from openevt import gevc
 from openevt.cli import main
-from openevt.harness import generate_toy
+from openevt.data import DistanceMetric
+from openevt.harness import generate_toy, load_letter, run_oletter
 from openevt.serialize import load_model
 
 
@@ -236,6 +238,43 @@ def test_evm_delta_outside_unit_interval_is_usage_error(toy_files, capsys, delta
     assert "delta must be in (0, 1]" in capsys.readouterr().err
 
 
+def test_fit_and_score_keep_an_exact_minkowski_order(toy_files, tmp_path, capsys):
+    # an order of more than six significant digits reaches the model file,
+    # the fit report and the scores whole: scoring runs under the fit's order
+    _, train_csv, test_csv, train, test = toy_files
+    model, out = tmp_path / "m.model", tmp_path / "s.csv"
+    assert main(["fit", "--method", "gevc", "--train", str(train_csv),
+                 "--metric", "minkowski:1.2345678", "--out", str(model)]) == 0
+    assert "metric=minkowski:1.2345678" in capsys.readouterr().out.splitlines()
+    assert load_model(model).model.metric == DistanceMetric(1.2345678)
+    assert main(["score", "--model", str(model), "--test", str(test_csv),
+                 "--out", str(out)]) == 0
+    evidence = gevc.fit(train, metric=DistanceMetric(1.2345678)).evidence(test.points)
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert rows[0] == ["row", *evidence]
+    for j, column in enumerate(evidence.values(), start=1):
+        assert [r[j] for r in rows[1:]] == [
+            v if isinstance(v, str) else repr(v) for v in column.tolist()]
+
+
+def test_fit_refuses_k_with_tail_fraction(toy_files, tmp_path, capsys):
+    _, train_csv, _, _, _ = toy_files
+    out = tmp_path / "m.model"
+    rc = main(["fit", "--method", "gpdc", "--train", str(train_csv), "--k", "5",
+               "--tail-fraction", "0.1", "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert "pass either --k or --tail-fraction, not both" in capsys.readouterr().err
+
+
+def test_score_refuses_delta_for_a_gpdc_model(toy_files, gpdc_model, tmp_path, capsys):
+    _, _, test_csv, _, _ = toy_files
+    out = tmp_path / "s.csv"
+    rc = main(["score", "--model", str(gpdc_model), "--test", str(test_csv),
+               "--delta", "0.5", "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert "--delta only applies to evm models" in capsys.readouterr().err
+
+
 def test_score_standardized_model(toy_files):
     tmp, train_csv, test_csv, _, _ = toy_files
     model = tmp / "std.model"
@@ -378,6 +417,32 @@ class TestBenchmark:
         rc = main(["benchmark", "--protocol", "oletter", flag, value])
         assert rc == 2
         assert f"{flag[2:]}={value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alphas,message", [
+        ("a,b", "--alphas: expected a comma-separated list of numbers"),
+        (",", "--alphas: empty list")])
+    def test_oletter_refuses_bad_alphas(self, alphas, message, capsys):
+        rc = main(["benchmark", "--protocol", "oletter", "--alphas", alphas])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_oletter_letter_file_takes_the_default_split(self, tmp_path):
+        # a letter-format file of fewer than 20,000 rows trains on its first 75%
+        rng = np.random.default_rng(11)
+        f = tmp_path / "letter.data"
+        f.write_text("".join(
+            chr(ord("A") + i % 4) + "," + ",".join(map(str, rng.integers(0, 16, 16))) + "\n"
+            for i in range(240)))
+        out = tmp_path / "ol.csv"
+        assert main(["benchmark", "--protocol", "oletter", "--data", str(f),
+                     "--seed", "3", "--reps", "1", "--out", str(out)]) == 0
+        steps = run_oletter(load_letter(f), reps=1, seed=3, train_count=180)
+        want = [f"{s.rep},{s.n_unknown_classes},{method},{threshold!r},"
+                + ("" if value is None else repr(value))
+                for s in steps for method, curve in sorted(s.f_measures.items())
+                for threshold, value in curve]
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert lines[1:] == want
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(SystemExit):

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from openevt.data import (DistanceMetric, LabeledDataset, Standardizer,
                           Verdict, distances_to, load_dataset_csv,
@@ -9,7 +11,7 @@ from openevt.data import (DistanceMetric, LabeledDataset, Standardizer,
 from openevt.errors import DataError, UsageError
 
 
-def distance(a, b, metric=DistanceMetric.euclidean()):
+def distance(a, b, metric=DistanceMetric(2.0)):
     """One distance through the package's distance arithmetic."""
     return float(distances_to(np.asarray(a, dtype=float),
                               np.asarray([b], dtype=float), metric)[0])
@@ -24,18 +26,18 @@ def test_distance_identity():
 
 
 def test_distance_manhattan_unit_steps():
-    assert distance((0, 0, 0), (1, 1, 1), DistanceMetric.manhattan()) == 3.0
+    assert distance((0, 0, 0), (1, 1, 1), DistanceMetric(1.0)) == 3.0
 
 
 def test_distance_minkowski():
-    d = distance((0, 0), (1, 1), DistanceMetric.minkowski(3))
+    d = distance((0, 0), (1, 1), DistanceMetric(3.0))
     assert d == pytest.approx(2 ** (1 / 3))
 
 
 def test_distance_symmetry():
     rng = np.random.default_rng(0)
-    for metric in (DistanceMetric.euclidean(), DistanceMetric.manhattan(),
-                   DistanceMetric.minkowski(3.5)):
+    for metric in (DistanceMetric(2.0), DistanceMetric(1.0),
+                   DistanceMetric(3.5)):
         for _ in range(50):
             a = rng.normal(size=4)
             b = rng.normal(size=4)
@@ -54,11 +56,25 @@ def test_metric_parse():
     with pytest.raises(UsageError):
         DistanceMetric.parse("cosine")
     with pytest.raises(UsageError):
-        DistanceMetric.minkowski(0.5)
+        DistanceMetric(0.5)
     # an infinite order put every distance at 1.0, a point's own included
     for text in ("minkowski:inf", "Minkowski:Infinity", "minkowski:nan"):
         with pytest.raises(UsageError, match="Minkowski order must be finite"):
             DistanceMetric.parse(text)
+
+
+@given(st.floats(1.0, 1e6))
+def test_metric_name_parses_back_to_its_order(q):
+    metric = DistanceMetric(q)
+    assert DistanceMetric.parse(metric.name) == metric
+    if q not in (1.0, 2.0) and float(f"{q:g}") == q:  # the short form stays
+        assert metric.name == f"minkowski:{q:g}"
+
+
+def test_metric_names():
+    assert [DistanceMetric(q).name for q in (2.0, 1.0, 1.5, 3.0, 1.2345678, 1e6)] == [
+        "euclidean", "manhattan", "minkowski:1.5", "minkowski:3",
+        "minkowski:1.2345678", "minkowski:1e+06"]
 
 
 def test_verdict_flags():

@@ -175,7 +175,7 @@ def test_calibration_equals_scoring_against_the_others(n, p, k, seed, grid,
     # Integer grids force ties and duplicates at the kth distance.
     pts = (rng.integers(0, 6, size=(n, p)).astype(float) if grid
            else rng.normal(size=(n, p)))
-    metric = DistanceMetric.manhattan() if manhattan else DistanceMetric()
+    metric = DistanceMetric(1.0) if manhattan else DistanceMetric()
     data = LabeledDataset(pts, ["a"] * n)
     try:
         gpdc_model = gpdc.fit(data, k=k, metric=metric)

@@ -485,6 +485,16 @@ class TestSharedNeighbourPass:
             assert curves[kind] == roc_auc(zip(alone.unknownness(pool),
                                                test.is_unknown))
 
+    def test_one_class_raises_evm_error_unless_optional(self):
+        train, pool = self.case(2)
+        one = LabeledDataset(train.points, ["known"] * train.n)
+        with pytest.raises(DataError) as alone:
+            fit_model("evm", one, k=8)
+        with pytest.raises(DataError) as shared:
+            fit_methods(one, self.METHODS, pool)
+        assert "two training classes" in str(shared.value)
+        assert str(shared.value) == str(alone.value)
+
     @pytest.mark.parametrize("p", [2, 30])
     def test_gevc_update_leaves_gpdc_alone(self, p):
         train, pool = self.case(p)

@@ -95,7 +95,7 @@ def test_property_exactness_vs_brute(n, p, k, seed, grid):
 def test_manhattan_and_minkowski_queries():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(80, 4))
-    for metric in (DistanceMetric.manhattan(), DistanceMetric.minkowski(3.0)):
+    for metric in (DistanceMetric(1.0), DistanceMetric(3.0)):
         ix = NeighborIndex(pts, metric)
         q = rng.normal(size=4)
         _assert_brute(_row(ix, q, 10), pts, q, 10, metric.order)
@@ -899,3 +899,35 @@ def test_non_finite_query_row_named(p):
         with pytest.raises(UsageError, match=f"query row 2, column {p - 1}"):
             ix.batch_k_smallest(queries, 3)
     assert ix.counters.snapshot() == (0, 0)  # a refused query counts nothing
+
+
+@pytest.mark.parametrize("p", [2, 30])
+def test_run_refuses_bad_query_rows_on_either_path(p):
+    # the kd-tree (p = 2) names a refused row as the scan (p = 30) does,
+    # instead of letting scipy's bare ValueError out
+    ix = NeighborIndex(np.random.default_rng(4).normal(size=(60, p)))
+    assert ix.scans == (p > neighbors.TREE_DIMENSION_LIMIT)
+    queries = np.zeros((5, p))
+    queries[3, 1] = np.nan
+    with pytest.raises(UsageError, match="non-finite coordinate at query row 3, column 1"):
+        ix.run(queries, [neighbors.Knn(3)])
+    for bad in (np.zeros((5, p + 1)), np.zeros((5, p - 1)), np.zeros(p)):
+        with pytest.raises(UsageError, match=rf"queries must be \(m, {p}\), got \("):
+            ix.run(bad, [neighbors.Knn(3)])
+    assert ix.counters.snapshot() == (0, 0)
+
+
+def test_labelled_knn_with_a_one_point_complement():
+    # one class of a single point: every other row's class complement is an
+    # index of that one point, whose tree returns one column as a vector
+    rng = np.random.default_rng(12)
+    pts = rng.normal(size=(40, 2))
+    labels = np.zeros(40, dtype=int)
+    labels[17] = 1
+    ix = NeighborIndex(pts)
+    assert not ix.scans
+    knn = neighbors.Knn(1, labels=labels)
+    ix.run(pts, [knn])
+    want = [brute_knn(pts[labels != labels[i]], pts[i], 1)[0] for i in range(40)]
+    assert knn.distances.tobytes() == np.array(want).tobytes()
+    assert knn.indices is None

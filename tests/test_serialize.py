@@ -5,7 +5,7 @@ import pytest
 
 from helpers import gaussian_blobs
 from openevt import evm, gevc, gpdc
-from openevt.data import LabeledDataset
+from openevt.data import DistanceMetric, LabeledDataset
 from openevt.errors import DataError
 from openevt.serialize import load_model, save_model
 
@@ -148,6 +148,26 @@ def test_round_trip_evidence_bitwise(build, tmp_path):
         assert _bits(want[key]) == _bits(got[key]), key
     save_model(loaded, tmp_path / "again.model")
     assert (tmp_path / "again.model").read_bytes() == f.read_bytes()
+
+
+@pytest.mark.parametrize("metric", ["manhattan", "minkowski:1.5"])
+@pytest.mark.parametrize("kind", ["gpdc", "gevc", "evm"])
+def test_non_euclidean_round_trip_evidence_bitwise(kind, metric, tmp_path):
+    fit = {"gpdc": lambda d, m: gpdc.fit(d, k=8, metric=m),
+           "gevc": lambda d, m: gevc.fit(d, metric=m),
+           "evm": lambda d, m: evm.fit(d, k=10, delta=0.5, metric=m)}[kind]
+    model = fit(gaussian_blobs(7, [(0.0, 0.0), (4.0, 1.0)], n_per=80),
+                DistanceMetric.parse(metric))
+    f = tmp_path / "m.model"
+    save_model(model, f)
+    assert json.loads(f.read_text())["metric"] == metric
+    loaded = load_model(f).model
+    assert loaded.metric == model.metric
+    queries = np.random.default_rng(7).normal(size=(40, 2)) * 3.0
+    want, got = model.evidence(queries), loaded.evidence(queries)
+    assert want.keys() == got.keys()
+    for key in want:
+        assert _bits(want[key]) == _bits(got[key]), key
 
 
 # -- payload validation on load -----------------------------------------------
