@@ -15,8 +15,8 @@ classes. No model-reduction step is applied: all n per-point fits are kept.
 
 Both hot paths are selections of the exact kNN kernel's neighbour pass,
 so the protocols' shared pass serves them too: the margins are a labelled
-kNN selection, halved in place, and psi a visit of the block scores that
-recomputes only the points exact bounds keep (see
+kNN selection, which the fit halves, and psi a visit of the block scores
+that recomputes only the points exact bounds keep (see
 :meth:`EvmModel.membership_batch`).
 """
 
@@ -172,7 +172,7 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
     Requires at least two classes and k no bigger than the smallest
     cross-class sample. Fit failures name the offending training point.
     ``neighbours`` (see :func:`openevt.gpdc.fit`) gives k or more columns of
-    the margins, or None to select them here.
+    the unhalved margins, or None to select them here; the fit halves their first k.
     """
     if data.n_classes < 2:
         raise DataError(
@@ -194,8 +194,7 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
     if neighbours is None:
         knn = Knn(k, labels=data.label_ids)
         NeighborIndex(data.points, metric).run(data.points, [knn])
-        knn.distances /= 2.0
-    margins = knn.distances if neighbours is None else neighbours(metric)[2][:, :k]
+    margins = (knn.distances if neighbours is None else neighbours(metric)[2][:, :k]) / 2.0
     zero_rows = np.flatnonzero(margins[:, 0] == 0)
     if zero_rows.size:
         i = int(zero_rows[0])

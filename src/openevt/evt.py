@@ -37,6 +37,7 @@ MIN_TAIL_COUNT = 10
 
 WEIBULL_MAX_ITER = 200
 WEIBULL_TOL = 1e-10
+WEIBULL_RTOL = 8 * np.finfo(float).eps  # above alpha ~ 5e4, doubles lie > 1e-10 apart
 # Samples normalized by their row maximum are floored at this before taking
 # logs, so that duplicate-point artifacts cannot inject -inf into the
 # likelihood.
@@ -227,7 +228,8 @@ def fit_weibull_rows(w: np.ndarray):
         S1(a)/S0(a) - 1/a - mean(log w) = 0,
         S0 = sum w^a,  S1 = sum w^a log w,
 
-    solved by Newton steps with halving whenever a step would leave (0, inf).
+    solved by Newton steps with halving whenever a step would leave (0, inf),
+    until a step is below WEIBULL_TOL or WEIBULL_RTOL * alpha, the larger.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
@@ -275,7 +277,7 @@ def fit_weibull_rows(w: np.ndarray):
             step[bad] *= 0.5
             new = a - step
             bad = new <= 0
-        done = np.abs(new - a) < WEIBULL_TOL
+        done = np.abs(new - a) < np.maximum(WEIBULL_TOL, WEIBULL_RTOL * a)
         idx = np.flatnonzero(active)
         alpha[idx] = new
         iterations[idx] += 1

@@ -95,7 +95,7 @@ class GevcModel:
         grows with unknownness.
         """
         x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (self.p,):  # batch_k_smallest checks finiteness
+        if x0.shape != (self.p,):  # the index's run checks finiteness
             raise UsageError(f"query has shape {x0.shape}, model is p={self.p}")
         row = {k: v.item() for k, v in self.evidence(x0[None, :]).items()}
         verdict = Verdict(row.pop("verdict"), row.pop("score"), row)

@@ -195,7 +195,7 @@ def fit(data: LabeledDataset, k: int | None = None, gamma: float | None = None,
     All classes are collapsed; labels are ignored. ``k`` defaults to the
     0.25% tail rule, ``gamma`` to 1/n. ``neighbours(metric)``, asked for
     after the checks, may give a shared pass: (index over the points, its
-    leave-one-out matrix of k + 1 or more columns, evm's margins or None).
+    leave-one-out matrix of k + 1 or more columns, evm's unhalved margins or None).
     """
     n, p = data.n, data.p
     if k is None:

@@ -16,14 +16,14 @@ Three protocols are provided at desk scale:
 * ``thyroid``: binary novelty detection with a single known class; ROC/AUC
   per method, with a tail-fraction sweep for the GPD classifier.
 
-The protocols fit every kind through ``fit_methods``, which hands each
-kind's ``fit`` one neighbour pass per training set as ``neighbours``: a
-leave-one-out pass and a pool pass, each one list of selections. A k-column
-kNN result is bitwise the prefix of a wider one, so one kNN selection at
-the widest width, read whole, serves gpdc (k+1 columns) and gevc (column 0,
-copied into an index of its own for its updates). evm's widest margins join the
-leave-one-out pass as a labelled selection and the first evm's psi the pool
-pass as a visit; with evm alone the passes hold no kNN selection.
+The protocols fit every kind under one metric through ``fit_methods``: a
+leave-one-out pass, handed to each kind's ``fit`` as ``neighbours``, then a
+pool pass, each one list of selections. A k-column kNN result is bitwise
+the prefix of a wider one, so one kNN selection at the widest width serves
+gpdc (k+1 columns) and gevc (column 0, copied into an index of its own for
+its updates). evm's widest margins join the leave-one-out pass as a
+labelled selection, which each evm halves itself, and the first evm's psi
+the pool pass as a visit; with evm alone the passes hold no kNN selection.
 
 All randomness flows from one seed through named substreams, and protocol
 repetitions own independent streams keyed by (seed, rep).
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, load_dataset_csv, read_table
+from .data import EUCLIDEAN, LabeledDataset, load_dataset_csv, read_table
 from .errors import DataError, UsageError
 from .evt import default_tail_count, tail_count
 from .neighbors import Knn, NeighborIndex
@@ -154,56 +154,53 @@ def f_measure(tp: int, fp: int, fn: int) -> float:
 def fit_methods(train: LabeledDataset, methods, pool: np.ndarray,
                 optional: bool = False) -> list:
     """Fit each (kind, options) of ``methods`` on ``train`` in order through
-    :func:`~openevt.serialize.fit_model`, with the shared pass as
-    ``neighbours``, and return (model, keyword arguments of its scoring
-    calls on ``pool``) per method; with ``optional``, (None, None) where the
-    fit rejects the data. Every fit runs before the pool pass, so errors
-    come as from the fits alone."""
+    :func:`~openevt.serialize.fit_model`, with the shared pass as ``neighbours``,
+    and return (model, keyword arguments of its scoring calls on ``pool``) per
+    method; with ``optional``, (None, None) where the fit rejects the data. The
+    methods share one metric, else UsageError. Every fit runs before the pool
+    pass, so errors come as from the fits alone."""
     methods, n = list(methods), train.n
+    metrics = {options.get("metric", EUCLIDEAN) for _, options in methods}
+    if len(metrics) > 1:
+        raise UsageError(f"fit_methods takes one metric, got {sorted(m.name for m in metrics)}")
     ks = {kind: max([0, *(opts.get("k") or default_tail_count(n)
                           for kd, opts in methods if kd == kind)])
           for kind in ("gpdc", "evm")}  # the widest k, defaults included
-    last = max([i for i, (kind, _) in enumerate(methods) if kind != "evm"], default=-1)
-    width = min(ks["gpdc"] + 1, n - 1) if last >= 0 else 0  # 0: evm reads no column
+    reads_columns = any(kind != "evm" for kind, _ in methods)
+    width = min(ks["gpdc"] + 1, n - 1) if reads_columns else 0  # 0: evm reads no column
     margin_width = min(ks["evm"], n - np.bincount(train.label_ids).max())
-    passes = {}  # by metric: (index, leave-one-out matrix, evm's margins or None)
+    shared = []  # once a fit asks: (index, leave-one-out matrix, evm's margins or None)
 
     def leave_one_out(metric):
-        if metric not in passes:
+        if not shared:
             index = NeighborIndex(train.points, metric)
             margins = [Knn(margin_width, labels=train.label_ids)] if margin_width else []
             d = (index.leave_one_out_smallest(width, margins) if width
                  else index.run(train.points, margins))
-            for knn in margins:  # halved in place
-                knn.distances /= 2.0
-            passes[metric] = index, d, margins[0].distances if margins else None
-        return passes[metric]
+            shared.append((index, d, margins[0].distances if margins else None))
+        return shared[0]
 
     models = []
-    for i, (kind, options) in enumerate(methods):
+    for kind, options in methods:
         try:  # the shared pass replaces any "neighbours" option
             models.append(fit_model(kind, train, **{**options, "neighbours": leave_one_out}))
         except DataError:
             if not optional:
                 raise
             models.append(None)
-        if i == last:  # later fits read the margins only
-            passes.update({metric: (index, None, margins)
-                           for metric, (index, _, margins) in passes.items()})
-    # each metric's first evm takes its psi from the pool pass, any other its own
-    firsts = {model.metric: model for model in reversed(models)
-              if model is not None and model.KIND == "evm"}
-    pooled, psi = {}, {}  # by metric: pool matrix; by evm model: psi
-    for metric in list(passes):
-        index, first = passes.pop(metric)[0], firsts.get(metric)
-        visits = [first.psi_visitor(psi.setdefault(first, np.empty(len(pool))))] if first else []
-        pooled[metric] = (index.batch_k_smallest(pool, width, visits) if width
-                          else index.run(pool, visits))
+    # the first evm takes its psi from the pool pass, any other its own
+    first = next((model for model in models if model is not None and model.KIND == "evm"), None)
+    psi = np.empty(len(pool))
+    visits = [first.psi_visitor(psi)] if first else []
+    if shared:  # else no fit reached the pass, and none scores
+        index = shared[0][0]
+        pooled = (index.batch_k_smallest(pool, width, visits) if width
+                  else index.run(pool, visits))
 
     def scoring(model):  # gpdc and gevc each read their own columns
         if model is None or model.KIND == "evm":
-            return model and ({"psi": psi[model]} if model in psi else {})
-        return {"distances": pooled[model.metric]}
+            return model and ({"psi": psi} if model is first else {})
+        return {"distances": pooled}
     return [(model, scoring(model)) for model in models]
 
 

@@ -130,6 +130,7 @@ class NeighborIndex:
         pts = np.array(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise UsageError("index needs a non-empty (n, p) point matrix")
+        check_finite(pts, "stored point")
         # _points and _dmin are views of the filled prefix of their buffers.
         self._points = self._point_buffer = pts
         self._metric = metric
@@ -171,8 +172,6 @@ class NeighborIndex:
     def batch_k_smallest(self, queries: np.ndarray, k: int, selections=()) -> np.ndarray:
         """(m, k) matrix of the k smallest distances for each query row, in
         one :meth:`run` with ``selections``."""
-        if not (1 <= k <= self.size):
-            raise UsageError(f"k must be in [1, {self.size}], got {k}")
         return self._knn(queries, k, selections=selections)[0]
 
     def run(self, queries: np.ndarray, selections) -> None:
@@ -182,12 +181,17 @@ class NeighborIndex:
         leave its scores as they are, then to the visits, which may overwrite
         them. On the kd-tree a kNN selection queries the tree (with labels,
         an index over each label's complement), and only the visits scan.
-        Queries of the wrong width, or a non-finite row, raise UsageError."""
+        A k out of range, wrong-width queries or a non-finite row raise UsageError."""
+        knns = [sel for sel in selections if isinstance(sel, Knn)]
+        for sel in knns:  # O(1) without labels, as one-row queries run it
+            top = (self.size - (sel.exclude is not None) if sel.labels is None
+                   else self.size - np.bincount(sel.labels).max())
+            if not 1 <= sel.k <= top:
+                raise UsageError(f"k must be in [1, {top}], got {sel.k}")
         queries = np.asarray(queries, dtype=float)
         if queries.ndim != 2 or queries.shape[1] != self.dimension:
             raise UsageError(f"queries must be (m, {self.dimension}), got {queries.shape}")
         (m, p), n = queries.shape, self.size
-        knns = [sel for sel in selections if isinstance(sel, Knn)]
         for sel in knns:
             if not self.scans and sel.labels is None:  # the tree's, block by block
                 parts = []
@@ -366,17 +370,14 @@ class NeighborIndex:
         return d.take(top), cand.take(top)
 
     def _ensure_dmin(self):
-        if self._dmin is None:
-            self._dmin = self._dmin_buffer = self._knn(
-                self._points, 1, exclude=np.arange(self.size))[0][:, 0]
+        if self._dmin is None:  # a lone point has no other: inf
+            self._dmin = self._dmin_buffer = np.full(1, np.inf) if self.size == 1 else (
+                self._knn(self._points, 1, exclude=np.arange(self.size))[0][:, 0])
 
     def leave_one_out_smallest(self, k: int, selections=()) -> np.ndarray:
         """(n, k) matrix of each stored point's k smallest distances to the
         other stored points, ascending, in one :meth:`run` with ``selections``."""
-        n = self.size
-        if not (1 <= k <= n - 1):
-            raise UsageError(f"k must be in [1, {n - 1}], got {k}")
-        return self._knn(self._points, k, np.arange(n), selections)[0]
+        return self._knn(self._points, k, np.arange(self.size), selections)[0]
 
 
 def row_blocks(m: int, n: int, p: int) -> list:

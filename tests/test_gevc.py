@@ -40,6 +40,18 @@ class TestFit:
         with pytest.raises(FitError):
             gevc.fit(data)
 
+    @pytest.mark.parametrize("jitter", [10.0 ** e for e in range(-13, -4)])
+    def test_jittered_grid_fits_at_huge_shapes(self, jitter):
+        # a 20 x 20 unit grid plus Gaussian jitter j has shape about 1.165 / j:
+        # up to 1e13, where adjacent doubles near it lie far more than the
+        # absolute step tolerance apart, Newton still stops and fits
+        xs, ys = np.meshgrid(np.arange(20.0), np.arange(20.0))
+        pts = np.column_stack([xs.ravel(), ys.ravel()])
+        pts += np.random.default_rng(0).normal(size=pts.shape) * jitter
+        fitted = gevc.fit(LabeledDataset(pts, ["a"] * 400)).fitted
+        assert np.isfinite([fitted.sigma, fitted.alpha]).all()
+        assert fitted.alpha == pytest.approx(1.165 / jitter, rel=0.01)
+
     def test_duplicates_excluded_from_fit(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(60, 2))

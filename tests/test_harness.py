@@ -10,7 +10,7 @@ from helpers import (index_state, oletter_rep_oracle, pair_count_auc,
 from openevt import evm, gevc, gpdc, harness
 from openevt.cli import main
 from openevt.data import DistanceMetric, LabeledDataset
-from openevt.errors import DataError, FitError, UsageError
+from openevt.errors import DataError, FitError, OpenEvtError, UsageError
 from openevt.evt import tail_count
 from openevt.harness import (DEFAULT_ALPHA_GRID, DEFAULT_DELTA_GRID,
                              THYROID_KNOWN_CLASSES, THYROID_UNKNOWN_CLASSES,
@@ -277,6 +277,21 @@ class TestFitContract:
         assert fits == [("gpdc", True), ("gevc", True), ("evm", True),
                         ("gpdc", True), ("gpdc", True)]
 
+    def test_two_metrics_refused_before_any_fit(self, fits, monkeypatch):
+        # one call fits under one metric: a second is refused before any fit
+        # runs or any index is made; the default is Euclidean
+        made, init = [], NeighborIndex.__init__
+        monkeypatch.setattr(NeighborIndex, "__init__", lambda ix, *args, **kwargs: (
+            made.append(args), init(ix, *args, **kwargs))[1])
+        train, pool = TestSharedNeighbourPass.case(30)
+        with pytest.raises(UsageError, match=r"one metric, got \['euclidean', 'manhattan'\]"):
+            fit_methods(train, [("gpdc", {"k": 6}),
+                                ("gevc", {"metric": DistanceMetric(1.0)})], pool)
+        assert fits == [] and made == []
+        fit_methods(train, [("gpdc", {"k": 6, "metric": DistanceMetric(2.0)}),
+                            ("gevc", {})], pool)
+        assert fits == [("gpdc", True), ("gevc", True)] and len(made) == 2
+
     @pytest.mark.parametrize("p", [2, 30])
     def test_neighbours_option_never_replaces_the_pass(self, p):
         def foreign(metric):
@@ -370,6 +385,12 @@ class TestSharedNeighbourPass:
             assert str(shared_error.value) == str(alone_error.value)
             assert shared_error.value.diagnostics == alone_error.value.diagnostics
             methods = methods[:2]
+        self.assert_kinds_equal_reference(train, pool, methods, metric)
+
+    def assert_kinds_equal_reference(self, train, pool, methods, metric):
+        """Each kind of ``methods``, fitted alone and through one
+        fit_methods call, equals reference_model in fields and flags, bit
+        for bit."""
         shared = list(fit_methods(train, methods, pool))
         for (kind, options), (model, scoring) in zip(methods, shared):
             grid = self.GRIDS[model.THRESHOLD]
@@ -387,6 +408,33 @@ class TestSharedNeighbourPass:
                 assert list(got) == list(flags)
                 for threshold, want in flags.items():
                     assert got[threshold].tobytes() == want.tobytes(), kind
+
+    @settings(max_examples=30, deadline=None)
+    @given(order=st.floats(1.0, 8.0), p=st.sampled_from([2, 30]),
+           seed=st.integers(0, 2**32 - 1), n_per=st.integers(8, 20))
+    def test_drawn_minkowski_orders_equal_reference(self, order, p, seed, n_per):
+        # a hypothesis-drawn q through every kind's fit and evidence, alone
+        # and shared, on the kd-tree (p = 2) and the scan (p = 30); a kind
+        # that refuses the set alone is refused alike by fit_methods
+        rng = np.random.default_rng(seed)
+        pts = np.repeat(rng.normal(scale=3.0, size=(3, p)), n_per, axis=0)
+        pts += rng.normal(size=pts.shape)
+        train = LabeledDataset(pts, np.repeat(["a", "b", "c"], n_per))
+        pool = np.vstack([rng.normal(scale=3.0, size=(10, p)), pts[::n_per]])
+        metric = DistanceMetric(order)
+        methods = [(kind, {**options, "metric": metric}) for kind, options in
+                   [("gpdc", {"k": 4}), ("gevc", {}), ("evm", {"k": 5})]]
+        for kind, options in list(methods):
+            try:
+                fit_model(kind, train, **options)
+            except OpenEvtError as exc:
+                with pytest.raises(type(exc)) as shared:
+                    fit_methods(train, [(kind, options)], pool)
+                assert str(shared.value) == str(exc)
+                assert (getattr(shared.value, "diagnostics", None)
+                        == getattr(exc, "diagnostics", None))
+                methods.remove((kind, options))
+        self.assert_kinds_equal_reference(train, pool, methods, metric)
 
     @pytest.mark.parametrize("p", [2, 30])
     def test_shared_pass_counts_once(self, p):

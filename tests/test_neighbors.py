@@ -931,3 +931,49 @@ def test_labelled_knn_with_a_one_point_complement():
     want = [brute_knn(pts[labels != labels[i]], pts[i], 1)[0] for i in range(40)]
     assert knn.distances.tobytes() == np.array(want).tobytes()
     assert knn.indices is None
+
+
+@pytest.mark.parametrize("p", [2, 30])
+def test_run_refuses_a_knn_it_cannot_fill(p):
+    # k must lie in [1, the points a row may select]: n, n - 1 with an
+    # excluded index, n less the largest class with labels; the kd-tree and
+    # the scan refuse alike, before any work, with the message of the
+    # convenience methods
+    ix = NeighborIndex(np.random.default_rng(6).normal(size=(20, p)))
+    assert ix.scans == (p > neighbors.TREE_DIMENSION_LIMIT)
+    labels = np.repeat([0, 1], [6, 14])
+    before = index_state(ix)
+    for knn, top in [(neighbors.Knn(21), 20), (neighbors.Knn(0), 20),
+                     (neighbors.Knn(20, np.arange(20)), 19),
+                     (neighbors.Knn(0, np.arange(20)), 19),
+                     (neighbors.Knn(7, labels=labels), 6),
+                     (neighbors.Knn(14, labels=labels), 6)]:
+        with pytest.raises(UsageError, match=rf"k must be in \[1, {top}\], got {knn.k}$"):
+            ix.run(ix.points, [knn])
+        assert knn.distances is None
+    assert index_state(ix) == before  # its counters among it
+    for knn in (neighbors.Knn(20), neighbors.Knn(19, np.arange(20)),
+                neighbors.Knn(6, labels=labels)):
+        ix.run(ix.points, [knn])
+        assert np.isfinite(knn.distances).all()
+
+
+@pytest.mark.parametrize("p", [2, 30])
+def test_one_point_index_has_no_nearest_other(p):
+    ix = NeighborIndex(np.zeros((1, p)))
+    assert ix.dmin_vector().tolist() == [np.inf]
+    with pytest.raises(UsageError, match=r"k must be in \[1, 0\], got 1"):
+        ix.leave_one_out_smallest(1)
+    assert ix.insert(np.ones(p)) == [0]
+    np.testing.assert_array_equal(ix.dmin_vector(), brute_dmin(ix.points))
+
+
+@pytest.mark.parametrize("p", [2, 30])
+def test_non_finite_stored_point_refused(p):
+    # the kd-tree (p = 2) does not let scipy's ValueError out, and the scan
+    # (p = 30) does not call a stored point a query row later
+    pts = np.random.default_rng(7).normal(size=(30, p))
+    for value in (np.nan, np.inf, -np.inf):
+        pts[7, 1] = value
+        with pytest.raises(UsageError, match="non-finite coordinate at stored point 7, column 1"):
+            NeighborIndex(pts)
