@@ -188,8 +188,9 @@ def _write_csv(path, comments, columns, rows):
 
 def _config_comments(args, keys) -> list:
     out = [f"openevt {__version__}", f"command={args.command}"]
-    for key in keys:
-        out.append(f"{key.replace('_', '-')}={_fmt(getattr(args, key))}")
+    for key in keys:  # an option left unset is not echoed
+        if getattr(args, key) is not None:
+            out.append(f"{key.replace('_', '-')}={_fmt(getattr(args, key))}")
     return out
 
 
@@ -279,7 +280,7 @@ def cmd_score(args) -> int:
                              header=_header_flag(args.header),
                              label_column=args.label_column)
     comments = _config_comments(args, ["model", "test", "label_column",
-                                       "delimiter", "header", "seed"])
+                                       "delimiter", "header", "seed", "delta"])
     comments.append(f"model-kind={loaded.kind}")
     if points.shape[0] == 0:
         points = np.empty((0, model.p))

@@ -15,9 +15,9 @@ classes. No model-reduction step is applied: all n per-point fits are kept.
 
 Both hot paths are selections of the exact kNN kernel's neighbour pass,
 so the protocols' shared pass serves them too: the margins are a labelled
-kNN selection, which the fit halves, and psi a visit of the block scores
-that recomputes only the points exact bounds keep (see
-:meth:`EvmModel.membership_batch`).
+kNN selection of the training pass, read in place (the fit halves sigma,
+not its sample), and psi a visit of the block scores that recomputes only
+the points exact bounds keep (see :meth:`EvmModel.membership_batch`).
 """
 
 import numpy as np
@@ -26,7 +26,7 @@ from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
                    check_finite, check_level)
 from .errors import DataError, FitError, UsageError
 from .evt import default_tail_count, fit_weibull_rows, refuse_overflow
-from .neighbors import _EPS, Knn, NeighborIndex, gathered_distances, row_blocks, scan
+from .neighbors import _EPS, NeighborIndex, gathered_distances, row_blocks, scan
 from .serialize import payload_array, payload_level, payload_number
 
 
@@ -172,7 +172,7 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
     Requires at least two classes and k no bigger than the smallest
     cross-class sample. Fit failures name the offending training point.
     ``neighbours`` (see :func:`openevt.gpdc.fit`) gives k or more columns of
-    the unhalved margins, or None to select them here; the fit halves their first k.
+    the unhalved margins; the fit reads their first k in place and halves sigma.
     """
     if data.n_classes < 2:
         raise DataError(
@@ -191,10 +191,8 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
             "every point needs k margin distances to other classes")
 
     check_level(delta, "delta")
-    if neighbours is None:
-        knn = Knn(k, labels=data.label_ids)
-        NeighborIndex(data.points, metric).run(data.points, [knn])
-    margins = (knn.distances if neighbours is None else neighbours(metric)[2][:, :k]) / 2.0
+    margins = (neighbours() if neighbours else NeighborIndex.training_pass(
+        data.points, metric, 0, data.label_ids, k))[2][:, :k]  # unhalved, in place
     zero_rows = np.flatnonzero(margins[:, 0] == 0)
     if zero_rows.size:
         i = int(zero_rows[0])
@@ -203,13 +201,14 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
             "a point of another class",
             diagnostics={"point": i})
     refuse_overflow(margins, "margin")
+    # rows are scaled by their maximum: sigma / 2 is bitwise the fit of normal half-margins
     sigmas, alphas, ok, iters = fit_weibull_rows(margins)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
         raise FitError(
             f"margin Weibull fit failed at training point {i}",
             diagnostics={"point": i, "iterations": int(iters[i]),
-                         "k": k, "spread": float(np.ptp(margins[i]))})
-    return EvmModel(points=np.array(data.points), sigmas=sigmas, alphas=alphas,
+                         "k": k, "spread": float(np.ptp(margins[i])) / 2.0})
+    return EvmModel(points=data.points, sigmas=sigmas / 2.0, alphas=alphas,
                     k=k, delta=delta, metric=metric)
 

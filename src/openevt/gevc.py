@@ -200,11 +200,11 @@ def fit(data: LabeledDataset, alpha: float = 0.05,
     """Fit the classifier: nearest distances for every training point, then
     the reversed Weibull on their negations (endpoint fixed at 0 unless
     ``free_endpoint``). ``neighbours`` (see :func:`openevt.gpdc.fit`) gives
-    them as column 0 of its matrix, copied into the model's own index."""
+    them as column 0 of its leave-one-out matrix, copied into the model's own index."""
     if data.n < 3:
         raise UsageError(f"need at least 3 training points, got {data.n}")
     check_level(alpha, "alpha")
-    dmin = None if neighbours is None else neighbours(metric)[1][:, 0]
+    dmin = None if neighbours is None else neighbours()[1][:, 0]
     index = NeighborIndex(data.points, metric, dmin=dmin)
     fitted, excluded = _fit_dmin_sample(index.dmin_vector(), free_endpoint)
     return GevcModel(index, list(data.labels), alpha, fitted, excluded,

@@ -16,14 +16,14 @@ Three protocols are provided at desk scale:
 * ``thyroid``: binary novelty detection with a single known class; ROC/AUC
   per method, with a tail-fraction sweep for the GPD classifier.
 
-The protocols fit every kind under one metric through ``fit_methods``: a
-leave-one-out pass, handed to each kind's ``fit`` as ``neighbours``, then a
-pool pass, each one list of selections. A k-column kNN result is bitwise
-the prefix of a wider one, so one kNN selection at the widest width serves
-gpdc (k+1 columns) and gevc (column 0, copied into an index of its own for
-its updates). evm's widest margins join the leave-one-out pass as a
-labelled selection, which each evm halves itself, and the first evm's psi
-the pool pass as a visit; with evm alone the passes hold no kNN selection.
+The protocols fit every kind under one metric through ``fit_methods``: one
+``NeighborIndex.training_pass``, the builder of a fit alone, handed to each
+kind's ``fit`` as ``neighbours``, then a pool pass, each one list of
+selections. A k-column kNN result is bitwise the prefix of a wider one, so
+one kNN selection at the widest width serves gpdc (k+1 columns) and gevc
+(column 0, copied into an index of its own for its updates). evm's widest
+margins join the training pass as a labelled selection, which each evm
+reads in place, and every evm's psi the pool pass as a visit of its own.
 
 All randomness flows from one seed through named substreams, and protocol
 repetitions own independent streams keyed by (seed, rep).
@@ -38,7 +38,7 @@ import numpy as np
 from .data import EUCLIDEAN, LabeledDataset, load_dataset_csv, read_table
 from .errors import DataError, UsageError
 from .evt import default_tail_count, tail_count
-from .neighbors import Knn, NeighborIndex
+from .neighbors import NeighborIndex
 from .serialize import fit_model, model_kinds
 
 DEFAULT_ALPHA_GRID = (0.01, 0.05, 0.1, 0.2)
@@ -154,11 +154,11 @@ def f_measure(tp: int, fp: int, fn: int) -> float:
 def fit_methods(train: LabeledDataset, methods, pool: np.ndarray,
                 optional: bool = False) -> list:
     """Fit each (kind, options) of ``methods`` on ``train`` in order through
-    :func:`~openevt.serialize.fit_model`, with the shared pass as ``neighbours``,
-    and return (model, keyword arguments of its scoring calls on ``pool``) per
-    method; with ``optional``, (None, None) where the fit rejects the data. The
-    methods share one metric, else UsageError. Every fit runs before the pool
-    pass, so errors come as from the fits alone."""
+    :func:`~openevt.serialize.fit_model`, with one training pass as ``neighbours``,
+    and return (model, keyword arguments of its scoring calls on ``pool``: the
+    pool pass's kNN matrix, or an evm's psi, a visit of it) per method; with
+    ``optional``, (None, None) where the fit rejects the data. The methods
+    share one metric, else UsageError. Every fit runs before the pool pass."""
     methods, n = list(methods), train.n
     metrics = {options.get("metric", EUCLIDEAN) for _, options in methods}
     if len(metrics) > 1:
@@ -169,39 +169,30 @@ def fit_methods(train: LabeledDataset, methods, pool: np.ndarray,
     reads_columns = any(kind != "evm" for kind, _ in methods)
     width = min(ks["gpdc"] + 1, n - 1) if reads_columns else 0  # 0: evm reads no column
     margin_width = min(ks["evm"], n - np.bincount(train.label_ids).max())
-    shared = []  # once a fit asks: (index, leave-one-out matrix, evm's margins or None)
+    shared = []  # the training pass, once a fit asks for it
 
-    def leave_one_out(metric):
+    def training_pass():
         if not shared:
-            index = NeighborIndex(train.points, metric)
-            margins = [Knn(margin_width, labels=train.label_ids)] if margin_width else []
-            d = (index.leave_one_out_smallest(width, margins) if width
-                 else index.run(train.points, margins))
-            shared.append((index, d, margins[0].distances if margins else None))
+            shared.append(NeighborIndex.training_pass(train.points, *metrics, width,
+                                                      train.label_ids, margin_width))
         return shared[0]
 
     models = []
     for kind, options in methods:
         try:  # the shared pass replaces any "neighbours" option
-            models.append(fit_model(kind, train, **{**options, "neighbours": leave_one_out}))
+            models.append(fit_model(kind, train, **{**options, "neighbours": training_pass}))
         except DataError:
             if not optional:
                 raise
             models.append(None)
-    # the first evm takes its psi from the pool pass, any other its own
-    first = next((model for model in models if model is not None and model.KIND == "evm"), None)
-    psi = np.empty(len(pool))
-    visits = [first.psi_visitor(psi)] if first else []
+    psi = {i: np.empty(len(pool)) for i, m in enumerate(models) if m and m.KIND == "evm"}
+    visits = [models[i].psi_visitor(out) for i, out in psi.items()]
     if shared:  # else no fit reached the pass, and none scores
         index = shared[0][0]
         pooled = (index.batch_k_smallest(pool, width, visits) if width
                   else index.run(pool, visits))
-
-    def scoring(model):  # gpdc and gevc each read their own columns
-        if model is None or model.KIND == "evm":
-            return model and ({"psi": psi} if model is first else {})
-        return {"distances": pooled}
-    return [(model, scoring(model)) for model in models]
+    return [(model, model and ({"psi": psi[i]} if i in psi else {"distances": pooled}))
+            for i, model in enumerate(models)]
 
 
 def rank_methods(train: LabeledDataset, test: EvalSet, methods) -> tuple:

@@ -223,6 +223,17 @@ class NeighborIndex:
                 self.counters.queries += m
                 self.counters.distances += m * sel.k
 
+    @classmethod
+    def training_pass(cls, points, metric, width, labels=None, margin_width=0) -> tuple:
+        """(index over ``points``, their (n, ``width``) leave-one-out matrix or
+        None at width 0, their unhalved (n, ``margin_width``) distances to other
+        ``labels`` or None) from one :meth:`run`: the pass every fit starts from."""
+        index = cls(points, metric)
+        margins = [Knn(margin_width, labels=labels)] if margin_width else []
+        d = (index.leave_one_out_smallest(width, margins) if width
+             else index.run(points, margins))
+        return index, d, margins[0].distances if margins else None
+
     def dmin_vector(self) -> np.ndarray:
         """Per-point distance to the closest other stored point."""
         self._ensure_dmin()

@@ -80,7 +80,8 @@ def reference_model(kind: str, train: LabeledDataset, pool: np.ndarray,
                         for x, label in zip(pts, labels)])
     sigmas, alphas, _, _ = fit_weibull_rows(margins)
     d = np.array([distances_to(q, pts, metric) for q in pool])
-    psi = np.exp(-np.power(d / sigmas, alphas)).max(axis=1)
+    with np.errstate(over="ignore"):  # power overflows where W is 0, as in exact_psi
+        psi = np.exp(-np.power(d / sigmas, alphas)).max(axis=1)
     return {"sigmas": sigmas, "alphas": alphas}, {delta: psi < delta for delta in grid}
 
 

@@ -222,6 +222,24 @@ def test_score_evm_requires_delta(toy_files, capsys):
     assert len(lines) == 801
 
 
+def test_score_echoes_delta_only_when_given(toy_files):
+    # the delta stored at fit time is not a score option: no delta line
+    tmp, train_csv, test_csv, _, _ = toy_files
+    model = tmp / "evm_fit_delta.model"
+    assert main(["fit", "--method", "evm", "--train", str(train_csv), "--k", "20",
+                 "--delta", "0.5", "--out", str(model)]) == 0
+    runs = {}
+    for name, extra in (("without", []), ("with", ["--delta", "0.2"])):
+        out = tmp / f"delta_{name}.csv"
+        assert main(["score", "--model", str(model), "--test", str(test_csv),
+                     "--out", str(out), *extra]) == 0
+        runs[name] = out.read_text().splitlines()
+    comments = {name: [l for l in text if l.startswith("#")] for name, text in runs.items()}
+    assert not any(l.startswith("# delta") for l in comments["without"])
+    assert comments["with"] == [*comments["without"][:-1], "# delta=0.2",
+                                comments["without"][-1]]  # before model-kind
+
+
 @pytest.mark.parametrize("delta", ["nan", "0", "-1", "2", "inf"])
 def test_evm_delta_outside_unit_interval_is_usage_error(toy_files, capsys, delta):
     tmp, train_csv, test_csv, _, _ = toy_files
@@ -530,6 +548,56 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text("not_a_real_option=1\n")
     rc = main(["benchmark", "--config", str(cfg), "--protocol", "toy"])
     assert rc == 2
+
+
+def test_config_file_skips_comments_and_other_commands_keys(tmp_path, capsys):
+    # a "#" line and a blank line are skipped, and "model", a key of score,
+    # is ignored by benchmark; a line without "=" is a usage error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# toy run\n\nseed=11\nmodel=unread.model\n")
+    assert main(["benchmark", "--config", str(cfg), "--protocol", "toy"]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["benchmark", "--protocol", "toy", "--seed", "11"]) == 0
+    assert capsys.readouterr().out == from_file
+    cfg.write_text("seed=11\nk 20\n")
+    assert main(["benchmark", "--config", str(cfg), "--protocol", "toy"]) == 2
+    assert f"{cfg}: line 2: expected key=value" in capsys.readouterr().err
+
+
+def _one_row_train(tmp_path, toy_files):
+    f = tmp_path / "one.csv"
+    write_csv(f, [[0.0, 1.0]], ["a"])
+    return ["fit", "--method", "gevc", "--train", str(f), "--out", str(tmp_path / "m.model")]
+
+
+def _model_without_sigma(tmp_path, toy_files):
+    _, train_csv, test_csv, _, _ = toy_files
+    model = tmp_path / "gevc.model"
+    assert main(["fit", "--method", "gevc", "--train", str(train_csv),
+                 "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    del doc["payload"]["sigma"]
+    model.write_text(json.dumps(doc))
+    return ["score", "--model", str(model), "--test", str(test_csv),
+            "--out", str(tmp_path / "s.csv")]
+
+
+def _empty_thyroid(tmp_path, toy_files):
+    f = tmp_path / "ann.data"
+    f.write_text("\n\n")
+    return ["benchmark", "--protocol", "thyroid", "--data", str(f)]
+
+
+@pytest.mark.parametrize("case,message", [
+    (_one_row_train, "need at least 2 points, got 1"),
+    (_model_without_sigma, "payload field 'sigma' is missing"),
+    (_empty_thyroid, "no data rows"),
+], ids=["one-row-train", "model-without-sigma", "empty-thyroid"])
+def test_refused_input_files_are_data_errors(case, message, toy_files, tmp_path, capsys):
+    argv = case(tmp_path, toy_files)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_config_file_switch_takes_true_or_false(toy_files, tmp_path, capsys):

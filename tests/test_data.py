@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from openevt.data import (DistanceMetric, LabeledDataset, Standardizer,
                           Verdict, distances_to, load_dataset_csv,
-                          load_points_csv)
+                          load_points_csv, read_table)
 from openevt.errors import DataError, UsageError
 
 
@@ -116,6 +116,23 @@ class TestLabeledDataset:
         sub = data.restrict_to_classes(["a"])
         assert sub.n == 2
         assert set(sub.labels) == {"a"}
+
+
+# refused before any file is opened: the paths are never read
+@pytest.mark.parametrize("refused,message", [
+    (lambda: LabeledDataset([0.0, 1.0], ["a", "b"]), "must be a 2-d array"),
+    (lambda: LabeledDataset(np.empty((2, 0)), ["a", "b"]), "dimension p >= 1"),
+    (lambda: LabeledDataset([[0.0], [1.0]], ["a", "b"]).restrict_to_classes(["c"]),
+     r"no rows with labels in \['c'\]"),
+    (lambda: read_table("never-read.csv", label_column="middle"),
+     "label_column must be 'none', 'first' or 'last', got 'middle'"),
+    (lambda: load_dataset_csv("never-read.csv", label_column="none"),
+     "label_column must be 'first' or 'last', got 'none'"),
+], ids=["1-d-points", "zero-width-points", "no-matching-class",
+        "table-label-column", "dataset-label-column"])
+def test_refused_with_usage_error(refused, message):
+    with pytest.raises(UsageError, match=message):
+        refused()
 
 
 class TestCsv:

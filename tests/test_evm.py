@@ -8,7 +8,7 @@ from helpers import (exact_psi, gaussian_blobs, in_thread, pair_count_auc,
 from openevt import evm, gevc, gpdc, neighbors
 from openevt.data import DistanceMetric, LabeledDataset, _minkowski
 from openevt.errors import DataError, FitError, UsageError
-from openevt.harness import generate_toy
+from openevt.harness import fit_methods, generate_toy
 from openevt.serialize import load_model, save_model
 
 
@@ -27,6 +27,13 @@ class TestFit:
     def test_well_separated_classes_fit(self, model):
         assert model.n == 240
         assert np.all(model.sigmas > 0) and np.all(model.alphas > 0)
+
+    def test_keeps_the_datasets_read_only_points(self, separated, model):
+        # no copy of the training points, fitted alone or through fit_methods
+        (shared, _), = fit_methods(separated, [("evm", {"k": 15})], separated.points[:5])
+        for fitted in (model, shared):
+            assert fitted.points is separated.points
+            assert not fitted.points.flags.writeable
 
     def test_single_class_unsupported(self):
         data = gaussian_blobs(1, [(0.0, 0.0)], n_per=50)
@@ -204,7 +211,8 @@ def test_exact_paths_match_brute_force(p, order, offset, duplicates, n_per, k,
         mp.setattr(evm, "fit_weibull_rows",
                    lambda w: (seen.append(w), solve(w))[1])
         model = evm.fit(data, k=k, metric=metric)
-        np.testing.assert_array_equal(seen[0], brute_margins(data, k, order))
+        # the solver sees the unhalved margins, and the fit halves sigma
+        np.testing.assert_array_equal(seen[0], 2.0 * brute_margins(data, k, order))
         far = means[:2] + offset + 1e150
         near = pts[rng.choice(data.n, 12)] + rng.normal(size=(12, p))
         queries = np.vstack([pts[:5], near, far])
@@ -240,8 +248,8 @@ def test_split_scan_margins_and_psi_in_any_thread(p, workers, monkeypatch):
 
     (model, psi), (other, other_psi) = fitted(), in_thread(fitted)
     fields, _ = reference_model("evm", data, pool, (), 5)
-    for margins in seen:
-        np.testing.assert_array_equal(margins, brute_margins(data, 5, 2.0))
+    for margins in seen:  # unhalved
+        np.testing.assert_array_equal(margins, 2.0 * brute_margins(data, 5, 2.0))
     for m in (model, other):
         np.testing.assert_array_equal(m.sigmas, fields["sigmas"])
         np.testing.assert_array_equal(m.alphas, fields["alphas"])

@@ -160,6 +160,20 @@ class TestGpdTail:
             gpdc.fit(data, k=10, gamma=0.0)
 
 
+@pytest.mark.parametrize("refused,message", [
+    (lambda: hill_shape([[-1.0, -2.0, -3.0]], 1), "1-d array"),
+    (lambda: hill_shape([-1.0, -2.0, -3.0], 1.0), "positive integer, got 1.0"),
+    (lambda: reversed_weibull_fit_free_endpoint([-1.0, -2.0]), "at least 3 values"),
+    (lambda: fit_weibull_rows(np.ones(4)), "2-d array"),
+    (lambda: fit_weibull_rows(np.array([[1.0, 0.0, 2.0]])), "must be positive"),
+    (lambda: fit_weibull_rows(np.array([[1.0, -2.0, 2.0]])), "must be positive"),
+], ids=["hill-2-d", "hill-float-k", "free-endpoint-2-values", "weibull-1-d",
+        "weibull-zero", "weibull-negative"])
+def test_refused_with_usage_error(refused, message):
+    with pytest.raises(UsageError, match=message):
+        refused()
+
+
 class TestReversedWeibullCdf:
     def test_endpoint_value(self):
         w = ReversedWeibull(sigma=2.0, alpha=1.5)

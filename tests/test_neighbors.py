@@ -56,6 +56,12 @@ def test_k_larger_than_n_rejected():
         ix.batch_k_smallest(np.array([[0.5]]), 3)
 
 
+@pytest.mark.parametrize("points", [np.empty((0, 2)), np.zeros(3)], ids=["no-rows", "1-d"])
+def test_index_needs_a_non_empty_point_matrix(points):
+    with pytest.raises(UsageError, match=r"non-empty \(n, p\) point matrix"):
+        NeighborIndex(points)
+
+
 def test_dimension_mismatch_rejected():
     ix = NeighborIndex(np.array([[0.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(UsageError):
@@ -160,6 +166,32 @@ def test_one_pass_of_knn_margins_and_a_visit(p, monkeypatch):
     np.testing.assert_array_equal(margins.distances, np.array(cross))
     assert margins.indices is None
     assert ix.counters.snapshot() == (n, 6 * n)
+
+
+@pytest.mark.parametrize("p", [2, 30])
+@pytest.mark.parametrize("width,margin_width", [(6, 5), (6, 0), (0, 5)])
+def test_training_pass_equals_brute_force(p, width, margin_width):
+    # the pass every fit starts from: an index over the points, their
+    # leave-one-out matrix (None at width 0) and their unhalved distances to
+    # other labels (None at margin width 0), from one run
+    rng = np.random.default_rng(p)
+    pts = np.round(rng.normal(size=(90, p)) * 2.0)
+    labels = rng.integers(0, 3, size=90)
+    ix, loo, margins = NeighborIndex.training_pass(pts, DistanceMetric(), width,
+                                                   labels, margin_width)
+    assert ix.points.tobytes() == pts.tobytes()
+    if width:
+        expected = _brute_rows(pts, pts, width, 2.0, exclude=np.arange(90))[0]
+        np.testing.assert_array_equal(loo, expected)
+    else:
+        assert loo is None
+    if margin_width:
+        cross = [np.sort(distances_to(x, pts[labels != label]))[:margin_width]
+                 for x, label in zip(pts, labels)]
+        np.testing.assert_array_equal(margins, np.array(cross))
+    else:
+        assert margins is None
+    assert ix.counters.snapshot() == ((90, 90 * width) if width else (0, 0))
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-300, 1e-310, 1e-320])

@@ -6,8 +6,8 @@ import pytest
 from helpers import gaussian_blobs
 from openevt import evm, gevc, gpdc
 from openevt.data import DistanceMetric, LabeledDataset
-from openevt.errors import DataError
-from openevt.serialize import load_model, save_model
+from openevt.errors import DataError, UsageError
+from openevt.serialize import fit_model, load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -307,3 +307,14 @@ def test_bad_container_metric_names_field_and_path(saved_docs, tmp_path, metric)
         load_model(f)
     assert info.value.exit_code == 3
     assert str(info.value).startswith(f"{f}: container field 'metric'")
+
+
+@pytest.mark.parametrize("kind,options,message", [
+    ("gpdc", {"k": 0}, "k must be >= 1, got 0"),
+    ("evm", {"k": 0}, "k must be >= 1, got 0"),
+    ("svm", {}, r"unknown method 'svm' \(expected gpdc, gevc, evm\)"),
+], ids=["gpdc-k-0", "evm-k-0", "unknown-kind"])
+def test_fit_model_refusals(kind, options, message):
+    data = gaussian_blobs(0, [(0.0, 0.0), (5.0, 0.0)], n_per=20)
+    with pytest.raises(UsageError, match=message):
+        fit_model(kind, data, **options)
