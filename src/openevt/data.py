@@ -72,13 +72,13 @@ def distances_to(q, points: np.ndarray, metric: DistanceMetric = EUCLIDEAN) -> n
 def _minkowski(diff: np.ndarray, order: float) -> np.ndarray:
     if order == 2.0:
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    if order == 1.0:
-        return np.abs(diff).sum(axis=1)
-    # Scaled by its largest |diff| (1 if 0 or inf), no row's powers under- or
-    # overflow; a distance that overflows to inf is correct and not warned of.
-    top = np.abs(diff).max(axis=1, keepdims=True)
-    top[~((top > 0) & (top < np.inf))] = 1.0
+    # An overflowing distance is inf, correct and not warned of. Scaled by its largest
+    # |diff| (1 if 0 or inf), no row's powers of another order under- or overflow.
     with np.errstate(over="ignore"):
+        if order == 1.0:
+            return np.abs(diff).sum(axis=1)
+        top = np.abs(diff).max(axis=1, keepdims=True)
+        top[~((top > 0) & (top < np.inf))] = 1.0
         return top[:, 0] * np.power(np.power(np.abs(diff / top), order).sum(axis=1), 1 / order)
 
 

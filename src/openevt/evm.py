@@ -22,8 +22,7 @@ the points exact bounds keep (see :meth:`EvmModel.membership_batch`).
 
 import numpy as np
 
-from .data import (EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset,
-                   check_finite, check_level)
+from .data import EUCLIDEAN, KNOWN, UNKNOWN, DistanceMetric, LabeledDataset, check_level
 from .errors import DataError, FitError, UsageError
 from .evt import default_tail_count, fit_weibull_rows, refuse_overflow
 from .neighbors import _EPS, NeighborIndex, gathered_distances, row_blocks, scan
@@ -74,10 +73,7 @@ class EvmModel:
         carry extra margin, and the limit is rounded up to the dtype.
         """
         points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.p:
-            raise UsageError("points must be an (m, p) matrix matching the model")
-        check_finite(points, "query row")
-        out = np.empty(points.shape[0])
+        out = np.empty(points.shape[:1])  # scan refuses a bad shape or row
         scan(points, self._points, self.metric.order, self.psi_visitor(out))
         return out
 

@@ -207,16 +207,6 @@ def rank_methods(train: LabeledDataset, test: EvalSet, methods) -> tuple:
     return models, curves, scorings
 
 
-def fit_and_rank(train: LabeledDataset, test: EvalSet, **options) -> tuple:
-    """Fit every kind on ``train`` with the options it takes and take the ROC
-    of ``test`` ranked by unknownness. Returns (models, curves, scoring
-    keyword arguments) by kind; all None for a kind whose fit rejects the
-    training data (the margin baseline needs two classes)."""
-    kinds = tuple(model_kinds())
-    ranked = rank_methods(train, test, [(kind, options) for kind in kinds])
-    return tuple(dict(zip(kinds, column)) for column in ranked)
-
-
 # ---------------------------------------------------------------------------
 # toy protocol
 
@@ -231,10 +221,11 @@ class ToyResult:
 def run_toy_protocol(seed: int = 0, k: int = 20,
                      alpha: float = 0.05) -> ToyResult:
     train, test = generate_toy(seed)
-    models, curves, scorings = fit_and_rank(train, test, k=k, alpha=alpha)
-    # xi from the pool query that ranked the pool
-    _, pxi, _ = models["gpdc"].decision_stats(test.points, **scorings["gpdc"])
-    return ToyResult(curves=curves, test=test, xi_hat=pxi / train.p)
+    models, curves, scorings = rank_methods(
+        train, test, [(kind, {"k": k, "alpha": alpha}) for kind in model_kinds()])
+    # xi from the pool query that ranked the pool; gpdc is the first kind
+    _, pxi, _ = models[0].decision_stats(test.points, **scorings[0])
+    return ToyResult(curves=dict(zip(model_kinds(), curves)), test=test, xi_hat=pxi / train.p)
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,14 @@ The leave-one-out distances and the nearest-other-point vector dmin are
 that query over the stored points with each point excluded from its own
 row, so calibration and external queries share one arithmetic. An insert
 of x reports exactly which dmin entries improve, its reverse nearest
-neighbours y, d(x, y) < dmin(y) (Korn & Muthukrishnan, SIGMOD 2000). The
-scan path proposes every point. The tree proposes its closed ball around x
-at a reach r (the REBUILD_MIN-th largest tree dmin after a rebuild; stored
-dmin only fall), widened by a relative 4 (p + 4) eps against its rounding,
-the tree points whose dmin exceeded r, and the pending points, which the
-rebuild rule below keeps few as every query recomputes them (every point
-if x lies beyond r of these or scipy refuses the ball as overflowing).
+neighbours y, d(x, y) < dmin(y) (Korn & Muthukrishnan, SIGMOD 2000), from
+distances recomputed by :func:`gathered_distances`. The scan path proposes
+every point. The tree proposes its closed ball around x at a reach r (the
+REBUILD_MIN-th largest tree dmin after a rebuild; stored dmin only fall),
+widened by a relative 4 (p + 4) eps against its rounding, the tree points
+whose dmin exceeded r, and the pending points, which the rebuild rule
+below keeps few as every query recomputes them (every point if x lies
+beyond r of these or scipy refuses the ball as overflowing).
 
 Concurrency: reads never change the points, the tree or a computed dmin;
 ``insert`` needs exclusive access. The first ``dmin_vector`` call computes
@@ -215,7 +216,6 @@ class NeighborIndex:
         steps = [partial(self._scan_select, sel) for sel in knns] if self.scans else []
         steps += [sel for sel in selections if not isinstance(sel, Knn)]
         if steps:
-            check_finite(queries, "query row")
             scan(queries, self._points, self._metric.order,
                  lambda *block: [step(*block) for step in steps])
         for sel in knns:
@@ -264,11 +264,11 @@ class NeighborIndex:
             ball.extend(self._far)
             ball.extend(range(size, n))
             cand = np.fromiter(ball, np.intp, len(ball))
-        d = _minkowski(self._points.take(cand, axis=0) - x, self._metric.order)
+        d = gathered_distances(self._points, cand, x, self._metric.order)
         nearest = d.min(initial=np.inf)
         if not nearest <= reach:  # only the reach was searched
             cand = np.arange(n)
-            d = _minkowski(self._points - x, self._metric.order)
+            d = gathered_distances(self._points, cand, x, self._metric.order)
             nearest = d.min()
         if nearest == np.inf:
             raise DataError("the point's nearest distance overflows to inf: "
@@ -408,10 +408,13 @@ def gathered_distances(points, cols, queries, order: float) -> np.ndarray:
 
 
 def scan(queries, points, order: float, visit):
-    """``visit(block, rows, score, slack, spare)`` for each block of query
-    rows: its :func:`block_scores` against ``points`` and scratch of at
-    least half its rows, which the visit may both overwrite. The module
-    docstring says which threads run the blocks."""
+    """``visit(block, rows, score, slack, spare)`` for each block of query rows:
+    its :func:`block_scores` against ``points`` and scratch of at least half its
+    rows, which the visit may both overwrite. The module docstring says which
+    threads run the blocks. Wrong-width or non-finite queries raise UsageError."""
+    if queries.ndim != 2 or queries.shape[1] != points.shape[1]:
+        raise UsageError(f"queries must be (m, {points.shape[1]}), got {queries.shape}")
+    check_finite(queries, "query row")
     (m, p), n = queries.shape, points.shape[0]
     operand = None if order != 2.0 else score_operand(queries, points)
     dtype = float if operand is None else operand.dtype
@@ -511,8 +514,8 @@ def block_scores(queries, points, operand, order: float, out) -> tuple:
     """
     (m, p), n = queries.shape, points.shape[0]
     if operand is None:
-        diff = points[None, :, :] - queries[:, None, :]
-        return _minkowski(diff.reshape(-1, p), order).reshape(m, n), 0.0
+        cols = np.broadcast_to(np.arange(n), (m, n))
+        return gathered_distances(points, cols, queries[:, None, :], order), 0.0
     eps = np.finfo(operand.dtype).eps
     rounding = 3.0 * eps if operand.dtype == np.float32 else 0.0
     with np.errstate(over="ignore", invalid="ignore"):

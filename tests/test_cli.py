@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import openevt
 from openevt import gevc
 from openevt.cli import main
-from openevt.data import DistanceMetric
+from openevt.data import DistanceMetric, LabeledDataset
 from openevt.harness import generate_toy, load_letter, run_oletter
-from openevt.serialize import load_model
+from openevt.serialize import fit_model, load_model
 
 
 def write_csv(path, points, labels=None):
@@ -273,6 +278,34 @@ def test_fit_and_score_keep_an_exact_minkowski_order(toy_files, tmp_path, capsys
     for j, column in enumerate(evidence.values(), start=1):
         assert [r[j] for r in rows[1:]] == [
             v if isinstance(v, str) else repr(v) for v in column.tolist()]
+
+
+@pytest.mark.parametrize("method", ["gpdc", "gevc", "evm"])
+def test_score_of_an_overflowing_manhattan_row_is_silent(method, tmp_path):
+    # a Manhattan distance past the largest double is inf, the right answer:
+    # the scores are the in-memory model's, and neither command writes to
+    # stderr (they run in a fresh interpreter, under the default warning
+    # filters, so an overflow warning would be printed there)
+    rng = np.random.default_rng(0)
+    train = LabeledDataset(rng.normal(size=(200, 2)) * 1e300, np.repeat(["a", "b"], 100))
+    train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+    write_csv(train_csv, train.points, train.labels)
+    write_csv(test_csv, [[1.7e308, 1.7e308]])
+    model, out = tmp_path / "m.model", tmp_path / "s.csv"
+    delta = ["--delta", "0.5"] if method == "evm" else []
+    env = {**os.environ, "PYTHONPATH": str(Path(openevt.__file__).resolve().parent.parent)}
+    for args in (["fit", "--method", method, "--metric", "manhattan", "--train",
+                  str(train_csv), "--out", str(model), *delta],
+                 ["score", "--model", str(model), "--test", str(test_csv), "--out", str(out)]):
+        proc = subprocess.run([sys.executable, "-m", "openevt.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+    evidence = fit_model(method, train, metric=DistanceMetric(1.0), delta=0.5
+                         ).evidence(np.full((1, 2), 1.7e308))
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert rows == [["row", *evidence], ["0", *(
+        v if isinstance(v, str) else repr(v) for v in (c.tolist()[0] for c in evidence.values()))]]
+    assert rows[1][1] == "unknown"
 
 
 def test_fit_refuses_k_with_tail_fraction(toy_files, tmp_path, capsys):

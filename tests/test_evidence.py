@@ -256,3 +256,18 @@ def test_non_finite_query_rows_refused(p):
         models[1].score(queries[3])
     with pytest.raises(UsageError, match="query row 3, column 1"):
         models[2].membership_batch(queries)
+
+
+@pytest.mark.parametrize("p", [2, 16])
+@pytest.mark.parametrize("kind", ["gpdc", "gevc", "evm"])
+def test_overflowing_manhattan_distance_is_silent(kind, p):
+    # a Manhattan distance past the largest double is inf, the right answer:
+    # the row is unknown, on the tree (p = 2) and on the scan (p = 16), and
+    # no overflow is warned of (the suite makes a RuntimeWarning an error)
+    rng = np.random.default_rng(0)
+    data = LabeledDataset(rng.normal(size=(200, p)) * 1e300, np.repeat(["a", "b"], 100))
+    model = fit_model(kind, data, metric=DistanceMetric(1.0), delta=0.5)
+    evidence = model.evidence(np.full((1, p), 1.7e308))
+    assert evidence["verdict"].tolist() == ["unknown"]
+    column, value = {"gpdc": ("xi_hat", np.nan), "gevc": ("d0min", np.inf), "evm": ("psi", 0.0)}[kind]
+    assert np.array_equal(evidence[column].astype(float), [value], equal_nan=True)

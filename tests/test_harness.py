@@ -15,8 +15,8 @@ from openevt.evt import tail_count
 from openevt.harness import (DEFAULT_ALPHA_GRID, DEFAULT_DELTA_GRID,
                              THYROID_KNOWN_CLASSES, THYROID_UNKNOWN_CLASSES,
                              TOY_KNOWN, TOY_UNKNOWN, EvalSet, f_measure,
-                             fit_and_rank, fit_methods, generate_toy,
-                             load_letter, load_thyroid, rng_from, roc_auc,
+                             fit_methods, generate_toy, load_letter,
+                             load_thyroid, rank_methods, rng_from, roc_auc,
                              run_oletter, run_thyroid_protocol,
                              run_toy_protocol, synthetic_openset_surrogate,
                              thyroid_split)
@@ -258,10 +258,8 @@ class TestFitContract:
             monkeypatch.setattr(module, "fit", counted)
         return calls
 
-    def test_fit_and_rank(self, fits):
-        train, pool = TestSharedNeighbourPass.case(30)
-        test = EvalSet(points=pool, is_known=np.arange(pool.shape[0]) >= 40)
-        fit_and_rank(train, test, k=6)
+    def test_run_toy_protocol(self, fits):
+        run_toy_protocol(0)
         assert fits == [("gpdc", True), ("gevc", True), ("evm", True)]
 
     def test_run_oletter(self, fits):
@@ -322,10 +320,11 @@ class TestBinaryNovelty:
 
     def test_evm_unsupported_single_class(self, problem):
         train, test = problem
-        curves = fit_and_rank(train, test)[1]
-        assert curves["evm"] is None
-        assert curves["gpdc"].auc > 0.9
-        assert curves["gevc"].auc > 0.9
+        gpdc_curve, gevc_curve, evm_curve = rank_methods(
+            train, test, [("gpdc", {}), ("gevc", {}), ("evm", {})])[1]
+        assert evm_curve is None
+        assert gpdc_curve.auc > 0.9
+        assert gevc_curve.auc > 0.9
 
     def test_tail_fraction_sweep(self, problem):
         train, test = problem
@@ -526,12 +525,13 @@ class TestSharedNeighbourPass:
         train, pool = self.case(p)
         one = LabeledDataset(train.points, ["known"] * train.n)
         test = EvalSet(points=pool, is_known=np.arange(pool.shape[0]) >= 40)
-        models, curves, _ = fit_and_rank(one, test, k=6)
-        assert models["evm"] is None and curves["evm"] is None
-        for kind in ("gpdc", "gevc"):
+        kinds = ("gpdc", "gevc", "evm")
+        models, curves, _ = rank_methods(one, test, [(kind, {"k": 6}) for kind in kinds])
+        assert models[2] is None and curves[2] is None
+        for kind, curve in zip(kinds[:2], curves):
             alone = fit_model(kind, one, k=6)
-            assert curves[kind] == roc_auc(zip(alone.unknownness(pool),
-                                               test.is_unknown))
+            assert curve == roc_auc(zip(alone.unknownness(pool),
+                                        test.is_unknown))
 
     def test_one_class_raises_evm_error_unless_optional(self):
         train, pool = self.case(2)
@@ -619,14 +619,14 @@ class TestSharedNeighbourPass:
                 break
         if error is not None:
             with pytest.raises(type(error)) as info:
-                fit_and_rank(train, test, **options)
+                rank_methods(train, test, [(kind, options) for kind in model_kinds()])
             assert str(info.value) == str(error)
             assert (getattr(info.value, "diagnostics", None)
                     == getattr(error, "diagnostics", None))
             return
-        models, curves, _ = fit_and_rank(train, test, **options)
-        assert list(models) == list(want)
-        for kind, model in models.items():
+        models, curves, _ = rank_methods(train, test, [(kind, options) for kind in want])
+        assert len(models) == len(want) == len(model_kinds())
+        for kind, model, curve in zip(want, models, curves):
             finite = {"gpdc": lambda m: [m.shape_threshold, m.radius_threshold],
                       "gevc": lambda m: [m.fitted.sigma, m.fitted.alpha],
                       "evm": lambda m: np.concatenate([m.sigmas, m.alphas])}[kind]
@@ -634,7 +634,7 @@ class TestSharedNeighbourPass:
             assert model.summary() == want[kind].summary()
             alone = roc_auc(zip(want[kind].unknownness(test.points),
                                 test.is_unknown))
-            assert curves[kind] == alone
+            assert curve == alone
 
 
 def test_thyroid_protocol_makes_one_pass(tmp_path, monkeypatch, capsys):

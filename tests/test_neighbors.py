@@ -936,16 +936,20 @@ def test_non_finite_query_row_named(p):
 @pytest.mark.parametrize("p", [2, 30])
 def test_run_refuses_bad_query_rows_on_either_path(p):
     # the kd-tree (p = 2) names a refused row as the scan (p = 30) does,
-    # instead of letting scipy's bare ValueError out
+    # instead of letting scipy's bare ValueError out; evm's psi, a scan of
+    # its own on either path, refuses with the same messages
     ix = NeighborIndex(np.random.default_rng(4).normal(size=(60, p)))
     assert ix.scans == (p > neighbors.TREE_DIMENSION_LIMIT)
+    model = EvmModel(ix.points, np.ones(60), np.ones(60), 3, 0.5, DistanceMetric(2.0))
     queries = np.zeros((5, p))
     queries[3, 1] = np.nan
-    with pytest.raises(UsageError, match="non-finite coordinate at query row 3, column 1"):
-        ix.run(queries, [neighbors.Knn(3)])
-    for bad in (np.zeros((5, p + 1)), np.zeros((5, p - 1)), np.zeros(p)):
-        with pytest.raises(UsageError, match=rf"queries must be \(m, {p}\), got \("):
-            ix.run(bad, [neighbors.Knn(3)])
+    for refuse in (lambda q: ix.run(q, [neighbors.Knn(3)]),
+                   model.membership_batch, model.evidence):
+        with pytest.raises(UsageError, match="non-finite coordinate at query row 3, column 1"):
+            refuse(queries)
+        for bad in (np.zeros((5, p + 1)), np.zeros((5, p - 1)), np.zeros(p)):
+            with pytest.raises(UsageError, match=rf"queries must be \(m, {p}\), got \("):
+                refuse(bad)
     assert ix.counters.snapshot() == (0, 0)
 
 
