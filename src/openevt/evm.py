@@ -167,8 +167,8 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
 
     Requires at least two classes and k no bigger than the smallest
     cross-class sample. Fit failures name the offending training point.
-    ``neighbours`` (see :func:`openevt.gpdc.fit`) gives k or more columns of
-    the unhalved margins; the fit reads their first k in place and halves sigma.
+    ``neighbours`` (see :func:`openevt.gpdc.fit`) gives (n, k or more) unhalved
+    margins, else UsageError; the fit reads their first k in place and halves sigma.
     """
     if data.n_classes < 2:
         raise DataError(
@@ -187,8 +187,11 @@ def fit(data: LabeledDataset, k: int | None = None, delta: float | None = None,
             "every point needs k margin distances to other classes")
 
     check_level(delta, "delta")
-    margins = (neighbours() if neighbours else NeighborIndex.training_pass(
-        data.points, metric, 0, data.label_ids, k))[2][:, :k]  # unhalved, in place
+    margins = (neighbours or NeighborIndex.training_pass(
+        data.points, metric, 0, data.label_ids, k))[2]  # unhalved, read in place
+    if np.ndim(margins) != 2 or margins.shape[0] != n or margins.shape[1] < k:
+        raise UsageError(f"neighbours needs ({n}, >= {k}) margins, got {np.shape(margins)}")
+    margins = margins[:, :k]
     zero_rows = np.flatnonzero(margins[:, 0] == 0)
     if zero_rows.size:
         i = int(zero_rows[0])

@@ -204,7 +204,7 @@ def fit(data: LabeledDataset, alpha: float = 0.05,
     if data.n < 3:
         raise UsageError(f"need at least 3 training points, got {data.n}")
     check_level(alpha, "alpha")
-    dmin = None if neighbours is None else neighbours()[1][:, 0]
+    dmin = None if neighbours is None else neighbours[1][:, 0]
     index = NeighborIndex(data.points, metric, dmin=dmin)
     fitted, excluded = _fit_dmin_sample(index.dmin_vector(), free_endpoint)
     return GevcModel(index, list(data.labels), alpha, fitted, excluded,

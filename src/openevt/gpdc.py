@@ -193,9 +193,9 @@ def fit(data: LabeledDataset, k: int | None = None, gamma: float | None = None,
     calibration, and set the two decision thresholds for the target alpha.
 
     All classes are collapsed; labels are ignored. ``k`` defaults to the
-    0.25% tail rule, ``gamma`` to 1/n. ``neighbours()``, asked for after
-    the checks, may give a shared :meth:`~openevt.neighbors.NeighborIndex.training_pass`
-    whose leave-one-out matrix has k + 1 or more columns; else the fit runs its own.
+    0.25% tail rule, ``gamma`` to 1/n. ``neighbours``, a shared
+    :meth:`~openevt.neighbors.NeighborIndex.training_pass` of ``data`` with an (n, k + 1
+    or more) leave-one-out matrix (else UsageError), replaces the fit's own.
     """
     n, p = data.n, data.p
     if k is None:
@@ -215,8 +215,9 @@ def fit(data: LabeledDataset, k: int | None = None, gamma: float | None = None,
         raise UsageError(f"gamma must be in (0, k/n) = (0, {k / n:g}), got {gamma}")
 
     # Leave-one-out pass: each training point scored against the other n-1.
-    index, d, _ = (neighbours() if neighbours
-                   else NeighborIndex.training_pass(data.points, metric, k + 1))
+    index, d, _ = neighbours or NeighborIndex.training_pass(data.points, metric, k + 1)
+    if np.ndim(d) != 2 or d.shape[0] != n or d.shape[1] <= k:
+        raise UsageError(f"neighbours needs ({n}, >= {k + 1}) distances, got {np.shape(d)}")
     coincident, pxi, radius = tail_stats(d, k, p, gamma, n - 1)
     if np.isfinite(pxi).sum() < 3:
         raise FitError(

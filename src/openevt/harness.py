@@ -154,11 +154,11 @@ def f_measure(tp: int, fp: int, fn: int) -> float:
 def fit_methods(train: LabeledDataset, methods, pool: np.ndarray,
                 optional: bool = False) -> list:
     """Fit each (kind, options) of ``methods`` on ``train`` in order through
-    :func:`~openevt.serialize.fit_model`, with one training pass as ``neighbours``,
-    and return (model, keyword arguments of its scoring calls on ``pool``: the
-    pool pass's kNN matrix, or an evm's psi, a visit of it) per method; with
-    ``optional``, (None, None) where the fit rejects the data. The methods
-    share one metric, else UsageError. Every fit runs before the pool pass."""
+    :func:`~openevt.serialize.fit_model`, each handed as ``neighbours`` the one
+    training pass built before any fit, and return (model, keyword arguments of its
+    scoring calls on ``pool``: the pool pass's kNN matrix, or an evm's psi, a visit
+    of it) per method; with ``optional``, (None, None) where the fit rejects the data.
+    The methods share one metric, else UsageError. Every fit runs before the pool pass."""
     methods, n = list(methods), train.n
     metrics = {options.get("metric", EUCLIDEAN) for _, options in methods}
     if len(metrics) > 1:
@@ -169,28 +169,20 @@ def fit_methods(train: LabeledDataset, methods, pool: np.ndarray,
     reads_columns = any(kind != "evm" for kind, _ in methods)
     width = min(ks["gpdc"] + 1, n - 1) if reads_columns else 0  # 0: evm reads no column
     margin_width = min(ks["evm"], n - np.bincount(train.label_ids).max())
-    shared = []  # the training pass, once a fit asks for it
-
-    def training_pass():
-        if not shared:
-            shared.append(NeighborIndex.training_pass(train.points, *metrics, width,
-                                                      train.label_ids, margin_width))
-        return shared[0]
-
+    shared = NeighborIndex.training_pass(train.points, *metrics, width,
+                                         train.label_ids, margin_width)
     models = []
     for kind, options in methods:
         try:  # the shared pass replaces any "neighbours" option
-            models.append(fit_model(kind, train, **{**options, "neighbours": training_pass}))
+            models.append(fit_model(kind, train, **{**options, "neighbours": shared}))
         except DataError:
             if not optional:
                 raise
             models.append(None)
     psi = {i: np.empty(len(pool)) for i, m in enumerate(models) if m and m.KIND == "evm"}
     visits = [models[i].psi_visitor(out) for i, out in psi.items()]
-    if shared:  # else no fit reached the pass, and none scores
-        index = shared[0][0]
-        pooled = (index.batch_k_smallest(pool, width, visits) if width
-                  else index.run(pool, visits))
+    pooled = (shared[0].batch_k_smallest(pool, width, visits) if width
+              else shared[0].run(pool, visits))
     return [(model, model and ({"psi": psi[i]} if i in psi else {"distances": pooled}))
             for i, model in enumerate(models)]
 

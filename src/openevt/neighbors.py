@@ -138,6 +138,8 @@ class NeighborIndex:
         self._tree, self._tree_size = None, 0
         self._dmin = self._dmin_buffer = (
             None if dmin is None else np.array(dmin, dtype=float))
+        if dmin is not None and self._dmin.shape != pts.shape[:1]:
+            raise UsageError(f"dmin must have shape ({len(pts)},), got {self._dmin.shape}")
         self.counters = QueryCounters()
         if pts.shape[1] <= TREE_DIMENSION_LIMIT:
             self._rebuild()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from helpers import (exact_psi, gaussian_blobs, in_thread, pair_count_auc,
                      record_gathers, reference_model, scan_budget)
 from openevt import evm, gevc, gpdc, neighbors
-from openevt.data import DistanceMetric, LabeledDataset, _minkowski
+from openevt.data import EUCLIDEAN, DistanceMetric, LabeledDataset, _minkowski
 from openevt.errors import DataError, FitError, UsageError
 from openevt.harness import fit_methods, generate_toy
 from openevt.serialize import load_model, save_model
@@ -34,6 +34,19 @@ class TestFit:
         for fitted in (model, shared):
             assert fitted.points is separated.points
             assert not fitted.points.flags.writeable
+
+    def test_pass_that_does_not_fit_the_data_refused(self, separated):
+        # margins need n rows and k columns: five would fit a k = 5 model
+        # that records k = 10
+        pts, labels = separated.points, separated.label_ids
+        narrow = neighbors.NeighborIndex.training_pass(pts, EUCLIDEAN, 0, labels, 5)
+        short = neighbors.NeighborIndex.training_pass(pts[::2], EUCLIDEAN, 0, labels[::2], 10)
+        no_margins = neighbors.NeighborIndex.training_pass(pts, EUCLIDEAN, 11)
+        for shared, got in ((narrow, r"\(240, 5\)"), (short, r"\(120, 10\)"),
+                            (no_margins, r"\(\)")):
+            with pytest.raises(UsageError, match=rf"neighbours needs \(240, >= 10\) "
+                                                 rf"margins, got {got}"):
+                evm.fit(separated, k=10, neighbours=shared)
 
     def test_single_class_unsupported(self):
         data = gaussian_blobs(1, [(0.0, 0.0)], n_per=50)

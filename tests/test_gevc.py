@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from helpers import brute_dmin, gaussian_blobs
 from openevt import gevc
-from openevt.data import LabeledDataset
+from openevt.data import EUCLIDEAN, LabeledDataset
 from openevt.errors import DataError, FitError, UsageError
 from openevt.evt import reversed_weibull_cdf
+from openevt.neighbors import NeighborIndex
 from openevt.serialize import load_model, save_model
 
 
@@ -24,6 +25,13 @@ def model(blob):
 class TestFit:
     def test_dmin_matches_definition(self, model, blob):
         np.testing.assert_array_equal(model.dmin, brute_dmin(blob.points))
+
+    def test_pass_of_other_data_refused(self, blob):
+        # 50 points handed an 80-row pass: its nearest distances are not theirs
+        data = LabeledDataset(blob.points[:50], blob.labels[:50])
+        shared = NeighborIndex.training_pass(blob.points[:80], EUCLIDEAN, 1)
+        with pytest.raises(UsageError, match=r"dmin must have shape \(50,\), got \(80,\)"):
+            gevc.fit(data, neighbours=shared)
 
     def test_fitted_median_tracks_empirical(self):
         # empirical-CDF check: the fitted distribution puts probability

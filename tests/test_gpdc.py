@@ -4,10 +4,11 @@ import pytest
 from helpers import gaussian_blobs
 from openevt import gpdc
 from openevt.cli import main
-from openevt.data import LabeledDataset
+from openevt.data import EUCLIDEAN, LabeledDataset
 from openevt.errors import FitError, UsageError
 from openevt.gpdc import (ACCEPTED, COINCIDENT_KNOWN, REJECTED_RADIUS,
                           REJECTED_SHAPE)
+from openevt.neighbors import NeighborIndex
 from openevt.serialize import load_model, save_model
 
 
@@ -52,6 +53,15 @@ class TestFit:
         data = LabeledDataset(np.zeros((30, 2)), ["a"] * 30)
         with pytest.raises(FitError):
             gpdc.fit(data, k=5)
+
+    @pytest.mark.parametrize("width, rows, got", [(5, 600, "(600, 5)"), (1, 600, "(600, 1)"),
+                                                  (11, 80, "(80, 11)"), (0, 600, "()")])
+    def test_pass_that_does_not_fit_the_data_refused(self, blobs, width, rows, got):
+        # a leave-one-out matrix needs n rows and k + 1 columns
+        shared = NeighborIndex.training_pass(blobs.points[:rows], EUCLIDEAN, width)
+        with pytest.raises(UsageError) as refused:
+            gpdc.fit(blobs, k=10, neighbours=shared)
+        assert str(refused.value) == f"neighbours needs (600, >= 11) distances, got {got}"
 
     def test_default_k_rule(self, blobs):
         m = gpdc.fit(blobs)

@@ -1,4 +1,5 @@
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -244,38 +245,57 @@ class TestOletter:
 class TestFitContract:
     """``serialize.fit_parameters`` looks each kind's ``fit`` up at the call,
     so a wrapper installed on a model module's ``fit`` sees every fit of
-    every protocol, each handed the shared pass as ``neighbours``."""
+    every protocol. ``fit_methods`` builds one training pass per call, before
+    any fit, and hands each fit of the call that same tuple as ``neighbours``."""
 
     @pytest.fixture
-    def fits(self, monkeypatch):
-        calls = []
+    def record(self, monkeypatch):
+        record = SimpleNamespace(fits=[], passes=[])
         for module in (gpdc, gevc, evm):
             @functools.wraps(module.fit)
             def counted(*args, _kind=module.__name__.split(".")[-1],
                         _real=module.fit, **kwargs):
-                calls.append((_kind, kwargs.get("neighbours") is not None))
+                record.fits.append((_kind, kwargs.get("neighbours")))
                 return _real(*args, **kwargs)
             monkeypatch.setattr(module, "fit", counted)
-        return calls
+        build = NeighborIndex.training_pass
 
-    def test_run_toy_protocol(self, fits):
+        def counted_pass(*args, **kwargs):
+            record.passes.append(build(*args, **kwargs))
+            return record.passes[-1]
+        monkeypatch.setattr(NeighborIndex, "training_pass", staticmethod(counted_pass))
+        return record
+
+    @staticmethod
+    def received(record) -> list:
+        """Per training pass built, the kinds whose fit was handed that very
+        tuple, in order; a fit handed anything else fails."""
+        assert all(isinstance(built[0], NeighborIndex) for built in record.passes)
+        got = [[] for _ in record.passes]
+        for kind, neighbours in record.fits:
+            same = [built is neighbours for built in record.passes]
+            assert any(same), f"{kind} was handed {neighbours!r}, not a pass built"
+            got[same.index(True)].append(kind)
+        return got
+
+    def test_run_toy_protocol(self, record):
         run_toy_protocol(0)
-        assert fits == [("gpdc", True), ("gevc", True), ("evm", True)]
+        assert self.received(record) == [["gpdc", "gevc", "evm"]]
 
-    def test_run_oletter(self, fits):
+    def test_run_oletter(self, record):
+        # one pass per repetition, each handed to that repetition's fits
         data, train_count = synthetic_openset_surrogate(seed=1)
         run_oletter(data, reps=2, seed=1, train_count=train_count, jobs=2)
-        assert sorted(fits) == sorted([(kind, True) for kind in
-                                       ("gpdc", "gevc", "evm")] * 2)
+        assert sorted(map(sorted, self.received(record))) == [["evm", "gevc", "gpdc"]] * 2
 
-    def test_run_thyroid_protocol(self, fits, problem):
-        # evm refuses the one known class, but its fit was still called
+    def test_run_thyroid_protocol(self, record, problem):
+        # evm refuses the one known class, but its fit was still called,
+        # with the pass that the fits before it read
         train, test = problem
         run_thyroid_protocol(train, test, (0.01, 0.05))
-        assert fits == [("gpdc", True), ("gevc", True), ("evm", True),
-                        ("gpdc", True), ("gpdc", True)]
+        assert self.received(record) == [["gpdc", "gevc", "evm", "gpdc", "gpdc"]]
 
-    def test_two_metrics_refused_before_any_fit(self, fits, monkeypatch):
+    def test_two_metrics_refused_before_any_fit(self, record, monkeypatch):
         # one call fits under one metric: a second is refused before any fit
         # runs or any index is made; the default is Euclidean
         made, init = [], NeighborIndex.__init__
@@ -285,10 +305,10 @@ class TestFitContract:
         with pytest.raises(UsageError, match=r"one metric, got \['euclidean', 'manhattan'\]"):
             fit_methods(train, [("gpdc", {"k": 6}),
                                 ("gevc", {"metric": DistanceMetric(1.0)})], pool)
-        assert fits == [] and made == []
+        assert record.fits == record.passes == made == []
         fit_methods(train, [("gpdc", {"k": 6, "metric": DistanceMetric(2.0)}),
                             ("gevc", {})], pool)
-        assert fits == [("gpdc", True), ("gevc", True)] and len(made) == 2
+        assert self.received(record) == [["gpdc", "gevc"]] and len(made) == 2
 
     @pytest.mark.parametrize("p", [2, 30])
     def test_neighbours_option_never_replaces_the_pass(self, p):

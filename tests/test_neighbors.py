@@ -62,6 +62,16 @@ def test_index_needs_a_non_empty_point_matrix(points):
         NeighborIndex(points)
 
 
+@pytest.mark.parametrize("dmin", [np.ones(10), np.ones(80), np.ones((50, 1))],
+                         ids=["short", "long", "2-d"])
+def test_index_refuses_a_dmin_of_the_wrong_shape(dmin):
+    # one entry per point, else an insert later reads past the vector
+    points = np.random.default_rng(3).normal(size=(50, 2))
+    with pytest.raises(UsageError, match=r"dmin must have shape \(50,\), got \("):
+        NeighborIndex(points, dmin=dmin)
+    assert NeighborIndex(points, dmin=np.ones(50)).dmin_vector().tolist() == [1.0] * 50
+
+
 def test_dimension_mismatch_rejected():
     ix = NeighborIndex(np.array([[0.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(UsageError):
