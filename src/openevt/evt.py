@@ -140,10 +140,11 @@ def refuse_overflow(d: np.ndarray, what: str):
 def reversed_weibull_cdf(w: ReversedWeibull, z):
     """W(z): exp{-((endpoint - z)/sigma)^alpha} below the endpoint, else 1."""
     z_arr = np.asarray(z, dtype=float)
-    # Clipping at 0 makes W exactly 1 from the endpoint on: 0^alpha = 0.
-    scaled = np.maximum((w.endpoint - z_arr) / w.sigma, 0.0)
-    with np.errstate(over="ignore"):
-        vals = np.exp(-np.power(scaled, w.alpha))
+    # Clipping at 0 makes W exactly 1 from the endpoint on: 0^alpha = 0. For 1 < alpha < 1e18
+    # a cap where the power reaches 1e150 makes W exactly 0 where the power would overflow.
+    top = 1e150 ** (1 / w.alpha) if 1 < w.alpha < 1e18 else np.inf
+    scaled = np.minimum(np.maximum((w.endpoint - z_arr) / w.sigma, 0.0), top)
+    vals = np.exp(-np.power(scaled, w.alpha))
     return float(vals) if z_arr.ndim == 0 else vals
 
 

@@ -97,9 +97,9 @@ class GevcModel:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (self.p,):  # the index's run checks finiteness
             raise UsageError(f"query has shape {x0.shape}, model is p={self.p}")
-        row = {k: v.item() for k, v in self.evidence(x0[None, :]).items()}
-        verdict = Verdict(row.pop("verdict"), row.pop("score"), row)
-        return verdict, row["d0min"]
+        d0 = self._index.batch_k_smallest(x0[None, :], 1)[0]
+        d0, w = d0.item(), reversed_weibull_cdf(self.fitted, -d0).item()  # evidence's row
+        return Verdict(UNKNOWN if w < self.alpha else KNOWN, 1.0 - w, {"d0min": d0, "cdf": w}), d0
 
     def evidence(self, points, distances=None) -> dict:
         """Batch evidence for an (m, p) array, one array per output column:
@@ -199,13 +199,15 @@ def fit(data: LabeledDataset, alpha: float = 0.05,
         neighbours=None) -> GevcModel:
     """Fit the classifier: nearest distances for every training point, then
     the reversed Weibull on their negations (endpoint fixed at 0 unless
-    ``free_endpoint``). ``neighbours`` (see :func:`openevt.gpdc.fit`) gives
-    them as column 0 of its leave-one-out matrix, copied into the model's own index."""
+    ``free_endpoint``). ``neighbours`` (see :func:`openevt.gpdc.fit`) gives them
+    as column 0 of its leave-one-out matrix (else UsageError), copied into the model's index."""
     if data.n < 3:
         raise UsageError(f"need at least 3 training points, got {data.n}")
     check_level(alpha, "alpha")
-    dmin = None if neighbours is None else neighbours[1][:, 0]
-    index = NeighborIndex(data.points, metric, dmin=dmin)
+    d = neighbours and neighbours[1]
+    if neighbours and (np.ndim(d) != 2 or d.shape[1] < 1):  # the index checks the rows
+        raise UsageError(f"neighbours needs ({data.n}, >= 1) distances, got {np.shape(d)}")
+    index = NeighborIndex(data.points, metric, dmin=d[:, 0] if neighbours else None)
     fitted, excluded = _fit_dmin_sample(index.dmin_vector(), free_endpoint)
     return GevcModel(index, list(data.labels), alpha, fitted, excluded,
                      free_endpoint=free_endpoint)

@@ -196,18 +196,17 @@ class NeighborIndex:
             raise UsageError(f"queries must be (m, {self.dimension}), got {queries.shape}")
         (m, p), n = queries.shape, self.size
         for sel in knns:
-            if not self.scans and sel.labels is None:  # the tree's, block by block
-                parts = []
-                for block in row_blocks(m, n, p) or [slice(0, 0)]:  # m = 0: one block
-                    rows, skip = queries[block], None if sel.exclude is None else sel.exclude[block]
-                    try:
-                        cand, padded = self._tree_candidates(rows, sel.k, skip)
-                    except ValueError:  # the kd-tree refused a row: name it
-                        check_finite(queries, "query row")
-                        raise
-                    parts.append(self._select(rows, cand, sel.k, skip, padded))
-                sel.distances, sel.indices = (parts[0] if len(parts) == 1
-                                              else map(np.concatenate, zip(*parts)))
+            if not self.scans and sel.labels is None:  # the tree's, in row blocks
+                try:
+                    if m * n * p <= BLOCK_ELEMENTS:  # one block: the call's own arrays
+                        sel.distances, sel.indices = self._tree_select(queries, sel.k, sel.exclude)
+                    else:
+                        sel.distances, sel.indices = map(np.concatenate, zip(*(
+                            self._tree_select(queries[b], sel.k, None if sel.exclude is None
+                                              else sel.exclude[b]) for b in row_blocks(m, n, p))))
+                except ValueError:  # the kd-tree refused a row: name it
+                    check_finite(queries, "query row")
+                    raise
                 continue
             sel.distances = np.empty((m, sel.k))
             sel.indices = None if sel.labels is not None else np.empty((m, sel.k), np.intp)
@@ -216,8 +215,8 @@ class NeighborIndex:
                 sel.distances[own] = NeighborIndex(self._points[~own], self._metric
                                                    ).batch_k_smallest(queries[own], sel.k)
         steps = [partial(self._scan_select, sel) for sel in knns] if self.scans else []
-        steps += [sel for sel in selections if not isinstance(sel, Knn)]
-        if steps:
+        if steps or len(knns) < len(selections):  # a scan: the kNN steps, then the visits
+            steps += [sel for sel in selections if not isinstance(sel, Knn)]
             scan(queries, self._points, self._metric.order,
                  lambda *block: [step(*block) for step in steps])
         for sel in knns:
@@ -281,7 +280,7 @@ class NeighborIndex:
         self._point_buffer = _append(self._point_buffer, n, x)
         self._dmin_buffer = _append(self._dmin_buffer, n, nearest)
         self._points, self._dmin = self._point_buffer[:n + 1], self._dmin_buffer[:n + 1]
-        pending = n + 1 - size
+        pending, self._pending = n + 1 - size, np.arange(size, n + 1)[None] if size else None
         if self._tree is not None and pending > max(REBUILD_MIN, REBUILD_FRACTION * size):
             self._rebuild()
         return sorted(set(changed.tolist()))  # far points in the ball repeat
@@ -310,8 +309,8 @@ class NeighborIndex:
         if sel.indices is not None:
             sel.indices[block] = indices
 
-    def _tree_candidates(self, queries, k, exclude) -> tuple:
-        """(candidate matrix, whether padded) from the tree and pending inserts.
+    def _tree_select(self, queries, k, exclude) -> tuple:
+        """:meth:`_select` of candidates from the tree and the pending inserts.
 
         A row's candidates are every tree point within the closed ball at
         its kth tree distance (the (k+1)th when a point is excluded). The
@@ -324,9 +323,8 @@ class NeighborIndex:
         m, size, order = queries.shape[0], self._tree_size, self._metric.order
         need = min(k + (exclude is not None), size)
         probe = min(need + 1, size)
-        d_tree, cand = self._tree.query(queries, k=probe, p=order)
-        if probe == 1:  # the tree returns one column as a vector
-            d_tree, cand = d_tree.reshape(m, 1), cand.reshape(m, 1)
+        # k = [1] asks for the 1st hit as a column, where k = 1 returns a vector
+        d_tree, cand = self._tree.query(queries, k=probe if probe > 1 else [1], p=order)
         # A relative 4 (p + 4) eps, as for an insert's reach, covers the tree's
         # rounding against distances_to's: several ulps at p = 9 or q = 1.5.
         radius = d_tree[:, need - 1] * (1.0 + 4.0 * (self.dimension + 4) * _EPS)
@@ -347,10 +345,9 @@ class NeighborIndex:
             last = d_tree[:, -1]
             tied = tied[(last <= radius[tied]) | (last == np.inf)]
         cand.sort(axis=1)
-        if size < self.size:
-            pending = np.arange(size, self.size)[None].repeat(m, axis=0)
-            cand = np.concatenate([cand, pending], axis=1)
-        return cand, padded
+        if size < self.size:  # insert keeps the pending indices
+            cand = np.concatenate([cand, self._pending.repeat(m, axis=0)], axis=1)
+        return self._select(queries, cand, k, exclude, padded)
 
     def _select(self, queries, cand, k, exclude=None, padded=True) -> tuple:
         """Each row's k nearest candidates, as (m, k) distances and indices.
@@ -366,20 +363,20 @@ class NeighborIndex:
         if exclude is not None:
             cand[cand == exclude[:, None]] = n
             cand.sort(axis=1)
-        order = self._metric.order
         if cand.size * p <= BLOCK_ELEMENTS:
-            d = gathered_distances(self._points, cand, queries[:, None, :], order)
+            d = gathered_distances(self._points, cand, queries[:, None, :], self._metric.order)
         else:  # gathers of row blocks within BLOCK_ELEMENTS
             d = np.empty(cand.shape)
             for block in row_blocks(*cand.shape, p):
                 d[block] = gathered_distances(self._points, cand[block],
-                                              queries[block, None, :], order)
+                                              queries[block, None, :], self._metric.order)
         if padded or exclude is not None:
             d[cand == n] = np.inf
         # k = 1: the first minimum has the lowest index, even when all are inf
         top = (d.argmin(axis=1, keepdims=True) if k == 1
                else np.lexsort((cand, d), axis=1)[:, :k])
-        top += np.arange(0, d.size, d.shape[1])[:, None]
+        if len(top) > 1:  # flat indices; a lone row's are its columns
+            top += np.arange(0, d.size, d.shape[1])[:, None]
         return d.take(top), cand.take(top)
 
     def _ensure_dmin(self):

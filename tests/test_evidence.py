@@ -44,9 +44,10 @@ ON_TREE = {"p2_tree": True, "p4_integer_ties": True, "p16_integer_ties": False,
            "p30_flat": False}
 
 
-def _gevc_with_pending():
+def _gevc_with_pending(order=2.0):
     rng = np.random.default_rng(22)
-    model = gevc.fit(LabeledDataset(rng.normal(size=(300, 2)), ["a"] * 300))
+    model = gevc.fit(LabeledDataset(rng.normal(size=(300, 2)), ["a"] * 300),
+                     metric=DistanceMetric(order))
     model.update([(x, "a") for x in rng.normal(size=(30, 2)) * 1.5])
     assert model.index._tree_size < model.index.size  # inserts still pending
     queries = np.vstack([rng.normal(size=(40, 2)) * 2.0,
@@ -82,13 +83,18 @@ def test_gpdc_score_is_row_of_evidence(case):
     np.testing.assert_array_equal(model.unknownness(queries), evidence["score"])
 
 
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
 def _check_gevc(model, queries):
     evidence = _check_one_row_evidence(model, queries)
     for x, row in zip(queries, _rows(evidence)):
         verdict, d0 = model.score(x)
-        assert (verdict.label, verdict.score, d0) == (
-            row["verdict"], row["score"], row["d0min"])
-        assert verdict.evidence == {"d0min": row["d0min"], "cdf": row["cdf"]}
+        assert verdict.label == row["verdict"]
+        assert _bits(verdict.score, d0) == _bits(row["score"], row["d0min"])
+        assert list(verdict.evidence) == ["d0min", "cdf"]
+        assert _bits(*verdict.evidence.values()) == _bits(row["d0min"], row["cdf"])
     np.testing.assert_array_equal(model.unknownness(queries), evidence["score"])
 
 
@@ -101,10 +107,21 @@ def test_gevc_score_is_row_of_evidence(case):
 
 
 def test_gevc_score_is_row_of_evidence_with_pending_inserts():
-    model, queries = _gevc_with_pending()
-    _check_gevc(model, queries)
-    # the pending rows are found: each re-scored insert is at distance 0
-    assert np.all(model.evidence(queries[-10:])["d0min"] == 0.0)
+    # Euclidean, Manhattan and Minkowski order 3
+    for order in (2.0, 1.0, 3.0):
+        model, queries = _gevc_with_pending(order)
+        _check_gevc(model, queries)
+        # the pending rows are found: each re-scored insert is at distance 0
+        assert np.all(model.evidence(queries[-10:])["d0min"] == 0.0)
+        # a stream of one-point updates across a tree rebuild (pending inserts
+        # past REBUILD_MIN) and back to pending ones after it
+        rng = np.random.default_rng(23)
+        ix, sizes = model.index, set()
+        for x in rng.normal(size=(60, 2)) * 1.5:
+            model.update([(x, "a")])
+            sizes.add(ix._tree_size)
+            _check_gevc(model, np.vstack([rng.normal(size=(3, 2)) * 2.0, ix.points[-2:]]))
+        assert len(sizes) == 2 and ix._tree_size < ix.size  # rebuilt once, pending again
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,28 @@ class TestReversedWeibullCdf:
         vals = reversed_weibull_cdf(w, zs)
         assert np.all(np.diff(vals) >= 0)
         assert vals[0] >= 0.0 and vals[-1] == 1.0
+
+    def test_zero_where_the_power_overflows(self):
+        # ((0 - z) / 1) ** 5e4 overflows at z = -2: W is exactly 0, unwarned
+        w = ReversedWeibull(sigma=1.0, alpha=5e4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reversed_weibull_cdf(w, -2.0) == 0.0
+            vals = reversed_weibull_cdf(w, np.array([-2.0, -1e300, -1.0, -0.5]))
+        assert vals.tolist() == [0.0, 0.0, math.exp(-1.0), 1.0]
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 60.0, 5e4, 1e12, 9e17, 1e20])
+    def test_equals_the_unbounded_power(self, alpha):
+        # the same arithmetic with the power left to overflow, bit for bit; from
+        # alpha = 1e18 no cap exists (the double after 1 overflows past 3.2e18)
+        w = ReversedWeibull(sigma=0.7, alpha=alpha, endpoint=0.25)
+        scaled = np.concatenate([np.geomspace(1e-300, 1e300, 2001), [0.0, 1.0, np.inf],
+                                 1.0 + np.arange(-50, 51) * np.finfo(float).eps])
+        z = w.endpoint - scaled * w.sigma
+        with np.errstate(over="ignore"):
+            want = np.exp(-np.power(np.maximum((w.endpoint - z) / w.sigma, 0.0), alpha))
+        with np.errstate(over="ignore" if alpha >= 1e18 else "raise"):
+            assert reversed_weibull_cdf(w, z).tobytes() == want.tobytes()
 
 
 class TestReversedWeibullFit:

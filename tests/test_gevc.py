@@ -33,6 +33,14 @@ class TestFit:
         with pytest.raises(UsageError, match=r"dmin must have shape \(50,\), got \(80,\)"):
             gevc.fit(data, neighbours=shared)
 
+    def test_pass_without_leave_one_out_refused(self, blob):
+        # a pass built for evm alone (width 0) has margins but no nearest distances
+        data = LabeledDataset(blob.points[:50], ["a", "b"] * 25)
+        shared = NeighborIndex.training_pass(data.points, EUCLIDEAN, 0, data.label_ids, 5)
+        with pytest.raises(UsageError) as refused:
+            gevc.fit(data, neighbours=shared)
+        assert str(refused.value) == "neighbours needs (50, >= 1) distances, got ()"
+
     def test_fitted_median_tracks_empirical(self):
         # empirical-CDF check: the fitted distribution puts probability
         # 0.5 +/- 0.05 at the empirical median of the negated distances

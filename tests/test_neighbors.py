@@ -363,6 +363,37 @@ def test_one_row_k_nearest_with_many_pending(grid, monkeypatch):
                                           d_exp)
 
 
+class _CountingTree:
+    """A kd-tree that counts its ``query`` calls."""
+
+    def __init__(self, tree):
+        self.tree, self.queries = tree, 0
+
+    def query(self, *args, **kwargs):
+        self.queries += 1
+        return self.tree.query(*args, **kwargs)
+
+
+@pytest.mark.parametrize("pending", [0, 30])
+def test_one_row_query_asks_the_tree_once_unless_tied(pending):
+    # an untied row's probe lies beyond its kth distance after one query; a
+    # row on an integer grid whose kth and (k+1)th distances tie asks again
+    rng = np.random.default_rng(29)
+    cases = [(rng.normal(size=(400, 2)), rng.normal(size=2), False),
+             (rng.integers(0, 6, size=(400, 2)).astype(float), np.array([2.0, 3.0]), True)]
+    k = 4
+    for base, q, tied in cases:
+        ix = NeighborIndex(base)
+        for x in rng.normal(size=(pending, 2)):
+            ix.insert(x)
+        assert ix.size - ix._tree_size == pending
+        ix._tree = counting = _CountingTree(ix._tree)
+        got = _row(ix, q, k)
+        assert counting.queries > 1 if tied else counting.queries == 1
+        _assert_brute(got, ix.points, q, k)
+        assert (brute_knn(ix.points, q, k + 1)[0][k] == got[0][-1]) == tied
+
+
 def test_insert_cost_sublinear_smoke():
     # smoke benchmark, not a hard contract: on the tree path an insert
     # searches the ball of the points it can improve, so its time on
