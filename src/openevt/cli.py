@@ -51,8 +51,11 @@ def _build_parser() -> tuple:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file; flags override it")
     common.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    layout = argparse.ArgumentParser(add_help=False)  # the CSV layout flags
+    layout.add_argument("--delimiter", default=",")
+    layout.add_argument("--header", default="auto", choices=["auto", "yes", "no"])
 
-    p_fit = sub.add_parser("fit", parents=[common],
+    p_fit = sub.add_parser("fit", parents=[common, layout],
                            help="fit a model on a training CSV")
     p_fit.add_argument("--method", required=True, choices=list(model_kinds()))
     p_fit.add_argument("--train", required=True, help="training CSV path")
@@ -70,15 +73,13 @@ def _build_parser() -> tuple:
     p_fit.add_argument("--metric", default="euclidean",
                        help="euclidean | manhattan | minkowski:Q")
     p_fit.add_argument("--label-column", default="last", choices=["first", "last"])
-    p_fit.add_argument("--delimiter", default=",")
-    p_fit.add_argument("--header", default="auto", choices=["auto", "yes", "no"])
     p_fit.add_argument("--standardize", action="store_true",
                        help="standardize features (stored in the model file)")
     p_fit.add_argument("--free-endpoint", action="store_true",
                        help="gevc: estimate the Weibull endpoint too")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_score = sub.add_parser("score", parents=[common],
+    p_score = sub.add_parser("score", parents=[common, layout],
                              help="score a test CSV against a model file")
     p_score.add_argument("--model", required=True, help="model file from fit")
     p_score.add_argument("--test", required=True, help="test CSV path")
@@ -86,8 +87,6 @@ def _build_parser() -> tuple:
     p_score.add_argument("--label-column", default="none",
                          choices=["none", "first", "last"],
                          help="ignore this column of the test CSV")
-    p_score.add_argument("--delimiter", default=",")
-    p_score.add_argument("--header", default="auto", choices=["auto", "yes", "no"])
     p_score.add_argument("--delta", type=float, default=None,
                          help="override the evm probability threshold")
     p_score.add_argument("--hill-plot-out", default=None,
@@ -270,18 +269,18 @@ def cmd_score(args) -> int:
     loaded = load_model(args.model)
     model = loaded.model
     if args.delta is not None:
-        if loaded.kind != "evm":
+        if model.KIND != "evm":
             raise UsageError("--delta only applies to evm models")
         check_level(args.delta, "delta")
         model.delta = args.delta
-    if args.hill_plot_out and loaded.kind != "gpdc":
+    if args.hill_plot_out and model.KIND != "gpdc":
         raise UsageError("--hill-plot-out only applies to gpdc models")
     points = load_points_csv(args.test, delimiter=args.delimiter,
                              header=_header_flag(args.header),
                              label_column=args.label_column)
     comments = _config_comments(args, ["model", "test", "label_column",
                                        "delimiter", "header", "seed", "delta"])
-    comments.append(f"model-kind={loaded.kind}")
+    comments.append(f"model-kind={model.KIND}")
     if points.shape[0] == 0:
         points = np.empty((0, model.p))
     elif points.shape[1] != model.p:

@@ -141,7 +141,6 @@ class EvmModel:
 
     def to_payload(self) -> dict:
         return {
-            "points": self._points.tolist(),
             "sigmas": self.sigmas.tolist(),
             "alphas": self.alphas.tolist(),
             "k": self.k,
@@ -149,10 +148,10 @@ class EvmModel:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict, metric: DistanceMetric) -> "EvmModel":
+    def from_payload(cls, payload: dict, metric: DistanceMetric, points) -> "EvmModel":
+        """The model :meth:`to_payload` wrote, on the container's ``points``."""
         delta = (None if payload.get("delta") is None
                  else payload_level(payload, "delta"))
-        points = payload_array(payload, "points")
         n = points.shape[0]
         return cls(points, payload_array(payload, "sigmas", n),
                    payload_array(payload, "alphas", n),

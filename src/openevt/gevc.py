@@ -82,6 +82,10 @@ class GevcModel:
         return self._index
 
     @property
+    def points(self) -> np.ndarray:
+        return self._index.points
+
+    @property
     def dmin(self) -> np.ndarray:
         """Current nearest-other-training-point distances."""
         return self._index.dmin_vector()
@@ -158,7 +162,6 @@ class GevcModel:
 
     def to_payload(self) -> dict:
         return {
-            "points": self._index.points.tolist(),
             "labels": self._labels,
             "alpha": self.alpha,
             "free_endpoint": self.free_endpoint,
@@ -170,8 +173,8 @@ class GevcModel:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict, metric: DistanceMetric) -> "GevcModel":
-        points = payload_array(payload, "points")
+    def from_payload(cls, payload: dict, metric: DistanceMetric, points) -> "GevcModel":
+        """The model :meth:`to_payload` wrote, on the container's ``points``."""
         n = points.shape[0]
         labels = payload.get("labels")
         if labels is None:
@@ -187,7 +190,7 @@ class GevcModel:
         dmin = payload_array(payload, "dmin", n, valid=lambda d: d >= 0)
         index = NeighborIndex(points, metric, dmin=dmin)
         fitted = ReversedWeibull(sigma=payload_number(payload, "sigma", 0.0),
-                                 alpha=payload_number(payload, "weibull_alpha", 0.0),
+                                 alpha=payload_number(payload, "weibull_alpha", 0.0, 1e18),
                                  endpoint=payload_number(payload, "endpoint"))
         return cls(index, labels, payload_level(payload, "alpha"), fitted,
                    payload_number(payload, "excluded_zeros", 0, n, integer=True),

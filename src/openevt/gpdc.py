@@ -36,10 +36,10 @@ ACCEPTED = "accepted"
 COINCIDENT_KNOWN = "coincident_known"
 
 
-def _quantile_thresholds(pxi_stats, radius_stats, alpha):
+def _quantile_thresholds(pxi_sorted, radius_sorted, alpha):
     level = 1.0 - alpha / 2.0
-    return tuple(float(np.quantile(v[np.isfinite(v)], level, method="higher"))
-                 for v in (pxi_stats, radius_stats))
+    return tuple(float(np.quantile(v, level, method="higher"))
+                 for v in (pxi_sorted, radius_sorted))
 
 
 def _blank(values: np.ndarray, absent: np.ndarray) -> np.ndarray:
@@ -61,6 +61,7 @@ class GpdcModel:
         (NaN marks training points coincident with another); the decision
         thresholds are their quantiles at ``alpha``."""
         self._index = index
+        self.points = index.points
         self.p = index.dimension
         self.n = index.size
         self.k = k
@@ -68,10 +69,10 @@ class GpdcModel:
         self.alpha = alpha
         self.pxi_stats = pxi_stats
         self.radius_stats = radius_stats
-        self.shape_threshold, self.radius_threshold = _quantile_thresholds(
-            pxi_stats, radius_stats, alpha)
         self._pxi_sorted = np.sort(pxi_stats[np.isfinite(pxi_stats)])
         self._radius_sorted = np.sort(radius_stats[np.isfinite(radius_stats)])
+        self.shape_threshold, self.radius_threshold = _quantile_thresholds(
+            self._pxi_sorted, self._radius_sorted, alpha)
 
     # -- public surface -------------------------------------------------
 
@@ -124,7 +125,7 @@ class GpdcModel:
             s, t = self.shape_threshold, self.radius_threshold
         else:
             check_level(alpha, "alpha")
-            s, t = _quantile_thresholds(self.pxi_stats, self.radius_stats, alpha)
+            s, t = _quantile_thresholds(self._pxi_sorted, self._radius_sorted, alpha)
         # Known only when both tests pass: a statistic left undefined by
         # distances that overflow to inf passes neither.
         return ~coincident & ~((pxi < s) & (radius <= t))
@@ -154,7 +155,6 @@ class GpdcModel:
 
     def to_payload(self) -> dict:
         return {
-            "points": self._index.points.tolist(),
             "k": self.k,
             "gamma": self.gamma,
             "alpha": self.alpha,
@@ -165,8 +165,8 @@ class GpdcModel:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict, metric: DistanceMetric) -> "GpdcModel":
-        points = payload_array(payload, "points")
+    def from_payload(cls, payload: dict, metric: DistanceMetric, points) -> "GpdcModel":
+        """The model :meth:`to_payload` wrote, on the container's ``points``."""
         n = points.shape[0]
         k = payload_number(payload, "k", 1, n - 2, integer=True)
         gamma = payload_number(payload, "gamma", 0.0, k / n)

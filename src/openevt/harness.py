@@ -243,17 +243,14 @@ def synthetic_openset_surrogate(n_classes: int = 8, train_per_class: int = 60,
     """Gaussian stand-in with the openness protocol's structure. Returns
     (data, train_count): the first train_count rows are the training split."""
     rng = rng_from(seed, "surrogate")
-    rows, labels = [], []
     means = rng.normal(scale=5.0, size=(n_classes, p))
     per_class = train_per_class + test_per_class
-    for j in range(n_classes):
-        rows.append(rng.standard_normal((per_class, p)) + means[j])
-        labels += [f"class{j:02d}"] * per_class
-    data = LabeledDataset(np.vstack(rows), labels)
-    # Reorder so all training rows come first, preserving class order.
+    rows = rng.standard_normal((n_classes, per_class, p)) + means[:, None]
+    labels = np.repeat([f"class{j:02d}" for j in range(n_classes)], per_class)
+    # All training rows come first, then all test rows, each in class order.
     is_train = np.tile(np.arange(per_class) < train_per_class, n_classes)
     order = np.concatenate([np.flatnonzero(is_train), np.flatnonzero(~is_train)])
-    return (LabeledDataset(data.points[order], data.labels[order]),
+    return (LabeledDataset(rows.reshape(-1, p)[order], labels[order]),
             n_classes * train_per_class)
 
 
@@ -268,7 +265,7 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
         raise UsageError(f"reps and jobs must be >= 1, got reps={reps}, jobs={jobs}")
     j_classes = data.n_classes
     n_known = 15 if j_classes >= 26 else max(2, round(j_classes * 15 / 26))
-    if n_known < 2 or n_known >= j_classes:
+    if n_known >= j_classes:
         raise UsageError(
             f"need 2 <= known classes < total classes ({j_classes}), got {n_known}")
     if train_count is None:

@@ -249,7 +249,7 @@ class NeighborIndex:
         x = as_point(x, self.dimension)
         self._ensure_dmin()
         n, size = self.size, self._tree_size
-        if self._tree is None:
+        if self.scans:
             cand, reach = np.arange(n), np.inf
         else:
             if self._far is None:  # first insert since the tree was built
@@ -281,7 +281,7 @@ class NeighborIndex:
         self._dmin_buffer = _append(self._dmin_buffer, n, nearest)
         self._points, self._dmin = self._point_buffer[:n + 1], self._dmin_buffer[:n + 1]
         pending, self._pending = n + 1 - size, np.arange(size, n + 1)[None] if size else None
-        if self._tree is not None and pending > max(REBUILD_MIN, REBUILD_FRACTION * size):
+        if not self.scans and pending > max(REBUILD_MIN, REBUILD_FRACTION * size):
             self._rebuild()
         return sorted(set(changed.tolist()))  # far points in the ball repeat
 

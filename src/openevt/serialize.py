@@ -1,7 +1,7 @@
-"""The model kinds and their persistence: the one mapping from kind to
-model class, fitting by kind, and one self-describing JSON container for
-all three classifier kinds, with a versioned header and an optional stored
-feature standardizer applied by the CLI at scoring time."""
+"""Model kinds and their persistence: the one mapping from kind to class,
+fitting by kind, and one JSON container. The container writes a versioned
+header, the training points and an optional feature standardizer, and each
+kind its own fields; :func:`load_model` returns the model and standardizer."""
 
 import inspect
 import json
@@ -19,7 +19,6 @@ FORMAT_VERSION = 1
 
 @dataclass
 class ModelFile:
-    kind: str
     model: object
     standardizer: Standardizer | None
 
@@ -114,7 +113,7 @@ def save_model(model, path, standardizer: Standardizer | None = None) -> None:
         "version": FORMAT_VERSION,
         "kind": model.KIND,
         "metric": model.metric.name,
-        "payload": model.to_payload(),
+        "payload": {"points": model.points.tolist(), **model.to_payload()},
     }
     if standardizer is not None:
         doc["standardize"] = {
@@ -147,7 +146,8 @@ def load_model(path) -> ModelFile:
         raise DataError(f"{path}: container field 'metric': {exc}") from None
     block = doc.get("standardize")
     try:
-        model = kinds[kind].from_payload(doc["payload"], metric)
+        points = payload_array(doc["payload"], "points")
+        model = kinds[kind].from_payload(doc["payload"], metric, points)
         standardizer = None if block is None else Standardizer(
             mean=payload_array(block, "mean", model.p, block="standardize"),
             scale=payload_array(block, "scale", model.p, block="standardize",
@@ -156,4 +156,4 @@ def load_model(path) -> ModelFile:
         raise DataError(f"{path}: {exc}") from None
     except KeyError as exc:
         raise DataError(f"{path}: payload field {exc} is missing") from None
-    return ModelFile(kind=kind, model=model, standardizer=standardizer)
+    return ModelFile(model=model, standardizer=standardizer)

@@ -163,7 +163,7 @@ def test_serialization_round_trip(model, tmp_path):
     path = tmp_path / "m.json"
     save_model(model, path)
     back = load_model(path)
-    assert back.kind == "evm"
+    assert back.model.KIND == "evm"
     loaded = back.model
     assert loaded.delta == model.delta and loaded.k == model.k
     rng = np.random.default_rng(3)

@@ -276,7 +276,7 @@ def test_serialization_round_trip(model, tmp_path):
     path = tmp_path / "m.json"
     save_model(model, path)
     back = load_model(path)
-    assert back.kind == "gevc"
+    assert back.model.KIND == "gevc"
     loaded = back.model
     assert loaded.fitted == model.fitted
     np.testing.assert_array_equal(loaded.dmin, model.dmin)

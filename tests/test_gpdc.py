@@ -226,7 +226,7 @@ def test_serialization_round_trip(model, tmp_path):
     path = tmp_path / "m.json"
     save_model(model, path)
     back = load_model(path)
-    assert back.kind == "gpdc"
+    assert back.model.KIND == "gpdc"
     loaded = back.model
     assert loaded.shape_threshold == model.shape_threshold
     assert loaded.radius_threshold == model.radius_threshold

@@ -320,6 +320,7 @@ class TestFitContract:
         got = fit_methods(train, [(kind, {**options, "neighbours": foreign})
                                   for kind, options in methods], pool)
         for (a, a_scoring), (b, b_scoring) in zip(want, got):
+            assert a.points.tobytes() == b.points.tobytes()
             assert a.to_payload() == b.to_payload()
             assert a_scoring.keys() == b_scoring.keys()
             for key in a_scoring:

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import gaussian_blobs
 from openevt import evm, gevc, gpdc
-from openevt.data import DistanceMetric, LabeledDataset
+from openevt.data import DistanceMetric, LabeledDataset, Standardizer
 from openevt.errors import DataError, UsageError
 from openevt.serialize import fit_model, load_model, save_model
 
@@ -62,7 +62,7 @@ def test_failed_encode_leaves_existing_file_intact(model_path, tmp_path,
     f = tmp_path / "m.model"
     f.write_bytes(model_path.read_bytes())
     model = load_model(f).model
-    monkeypatch.setattr(model, "to_payload", lambda: {"points": {1, 2}})
+    monkeypatch.setattr(model, "to_payload", lambda: {"sigma": {1, 2}})
     with pytest.raises(TypeError):
         save_model(model, f)
     assert f.read_bytes() == model_path.read_bytes()
@@ -80,6 +80,22 @@ def test_gevc_labels_kept_through_load_save_and_update(model_path, tmp_path):
     model.update([(np.zeros(2), "new")])
     save_model(model, f)
     assert json.loads(f.read_text())["payload"]["labels"] == [None] * n + ["new"]
+
+
+@pytest.mark.parametrize("p", [2, 30])
+@pytest.mark.parametrize("kind", ["gpdc", "gevc", "evm"])
+def test_load_then_save_rewrites_the_file_byte_for_byte(kind, p, tmp_path):
+    data = gaussian_blobs(8, [np.zeros(p), np.full(p, 3.0)], n_per=60)
+    standardizer = Standardizer.fit(data.points)
+    data = LabeledDataset(standardizer.apply(data.points), data.labels)
+    f, again = tmp_path / "m.model", tmp_path / "again.model"
+    save_model(fit_model(kind, data, k=8, delta=0.5), f, standardizer)
+    # the container writes the points, ahead of the kind's own fields
+    payload = json.loads(f.read_text())["payload"]
+    assert next(iter(payload)) == "points" and len(payload["points"]) == data.n
+    loaded = load_model(f)
+    save_model(loaded.model, again, loaded.standardizer)
+    assert again.read_bytes() == f.read_bytes()
 
 
 # -- load(save(m)) round trip -------------------------------------------------
@@ -231,6 +247,9 @@ TAMPERED = [
     ("gevc", "free_endpoint", lambda v: "no"),
     ("gevc", "free_endpoint", lambda v: 1),
     ("gevc", "free_endpoint", lambda v: None),
+    # reversed_weibull_cdf caps its power only for shapes below 1e18
+    ("gevc", "weibull_alpha", lambda v: 1e18),
+    ("gevc", "weibull_alpha", lambda v: 1e20),
 ]
 
 
