@@ -87,7 +87,7 @@ class EvmModel:
         cast = {np.dtype(t): (scale.astype(t), offset.astype(t)) for t in (np.float32, float)}
         big, fixed = np.abs(offset).max(), 2 * _EPS * (self.alphas.max() * (self.p + 4) + 4)
 
-        def visit(block, rows, score, slack, spare):
+        def visit(block, rows, score, slack):
             eps, (scale_as, offset_as) = np.finfo(score.dtype).eps, cast[score.dtype]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 s_min = score.min(axis=1)

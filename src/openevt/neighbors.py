@@ -11,10 +11,10 @@ a set of stored points sure to hold its k nearest:
 - above it, the block is scored against every stored point by one GEMM,
   [-2q, 1, ||q||^2] . [y; ||y||^2; 1] = ||q - y||^2 in exact arithmetic,
   in float32 where that is safe, and every point scored within the slack
-  (derived in :func:`block_scores`) of the row's kth score is a candidate
-  (exact k-selection by GEMM, Johnson, Douze & Jegou, *Billion-scale
-  similarity search with GPUs*, sections 3-4). For other Minkowski orders
-  the scores are the exact distances and the slack is 0.
+  (derived in :func:`block_scores`) of a bound on the row's kth score is a
+  candidate (exact two-level k-selection by GEMM, Johnson, Douze & Jegou,
+  *Billion-scale similarity search with GPUs*, sections 3-4). For other
+  Minkowski orders the scores are the exact distances and the slack is 0.
 
 Then one selection step recomputes each candidate's distance with the
 arithmetic of :func:`~openevt.data.distances_to` and keeps each row's
@@ -45,9 +45,8 @@ undercount. A scan called from the main thread splits its blocks across
 ``SCAN_THREADS`` threads, the caller among them (one per CPU when BLAS
 runs each product on one thread); called from any other thread, such as
 the protocols' workers, it runs every block in that thread. Each worker
-keeps a score buffer and a spare one of half its rows for the call;
-``BLOCK_ELEMENTS`` bounds their rows and, on its own, each gather of
-differences (see its comment).
+keeps one score buffer for the call; ``BLOCK_ELEMENTS`` bounds its rows
+and, on its own, each gather of differences (see its comment).
 """
 
 import os
@@ -297,13 +296,13 @@ class NeighborIndex:
         self.run(queries, [knn, *selections])
         return knn.distances, knn.indices
 
-    def _scan_select(self, sel, block, rows, score, slack, spare):
+    def _scan_select(self, sel, block, rows, score, slack):
         """``sel``'s rows ``block`` from their scores, an excluded one inf for it alone."""
         masked = None if sel.labels is None else sel.labels[block, None] == sel.labels
         skip = None if sel.exclude is None else sel.exclude[block]
         at = np.s_[:0] if skip is None else (np.arange(len(rows)), skip)  # [:0]: none
         kept, score[at] = score[at], np.inf
-        cand = scan_candidates(score, slack, sel.k, spare, masked)
+        cand = scan_candidates(score, slack, sel.k, masked)
         score[at] = kept
         sel.distances[block], indices = self._select(rows, cand, sel.k, skip)
         if sel.indices is not None:
@@ -407,10 +406,10 @@ def gathered_distances(points, cols, queries, order: float) -> np.ndarray:
 
 
 def scan(queries, points, order: float, visit):
-    """``visit(block, rows, score, slack, spare)`` for each block of query rows:
-    its :func:`block_scores` against ``points`` and scratch of at least half its
-    rows, which the visit may both overwrite. The module docstring says which
-    threads run the blocks. Wrong-width or non-finite queries raise UsageError."""
+    """``visit(block, rows, score, slack)`` for each block of query rows with
+    its :func:`block_scores` against ``points``, which the visit may
+    overwrite. The module docstring says which threads run the blocks.
+    Wrong-width or non-finite queries raise UsageError."""
     if queries.ndim != 2 or queries.shape[1] != points.shape[1]:
         raise UsageError(f"queries must be (m, {points.shape[1]}), got {queries.shape}")
     check_finite(queries, "query row")
@@ -430,11 +429,10 @@ def scan(queries, points, order: float, visit):
         try:
             for block in iter(tasks.popleft, None):
                 rows = queries[block]
-                if out is None:  # the largest block this worker runs, and half
-                    out, spare = (np.empty((size, n), dtype)
-                                  for size in (len(rows), (len(rows) + 1) // 2))
+                if out is None:  # the largest block this worker runs
+                    out = np.empty((len(rows), n), dtype)
                 score, slack = block_scores(rows, points, operand, order, out)
-                visit(block, rows, score, slack, spare)
+                visit(block, rows, score, slack)
         except BaseException as exc:  # raised again in the caller
             errors.append(exc)
 
@@ -448,24 +446,25 @@ def scan(queries, points, order: float, visit):
         raise errors[0]
 
 
-def scan_candidates(score, slack, k: int, spare, masked=None) -> np.ndarray:
+def scan_candidates(score, slack, k: int, masked=None) -> np.ndarray:
     """Candidate matrix, padded with the index n, of a block's
     :func:`block_scores`, which it leaves as they are: each point scored
-    within its row's slack of the row's kth score (found in ``spare``'s
-    rows), or at a NaN score or threshold. A ``masked`` point (an (m, n)
-    mask that leaves k per row) is never a candidate."""
+    within its row's slack of a bound on the row's kth score, or at a NaN
+    score or threshold. A ``masked`` point (an (m, n) mask that leaves k per
+    row) is never a candidate. Past k = 1 unmasked, the bound is the kth least
+    of the row's unmasked minima over c >= k chunks j, j + c, ... of s <= 8
+    points: scores of k distinct points, so at least the row's kth score."""
     m, n = score.shape
     if k == 1 and masked is None:
         kth = score.min(axis=1)
-    else:
-        kth, step = np.empty(m, score.dtype), len(spare)
-        for lo in range(0, m, step):
-            part = spare[:min(step, m - lo)]
-            np.copyto(part, score[lo:lo + step])
-            if masked is not None:
-                np.copyto(part, np.inf, where=masked[lo:lo + step])
-            part.partition(k - 1, axis=1)
-            kth[lo:lo + step] = part[:, k - 1]
+    else:  # the kth of the chunk minima (+inf for a chunk wholly masked)
+        s = max(1, min(8, n // (4 * k)))
+        shape = (m, s, n // s)
+        minima = np.minimum.reduce(
+            score[:, :n - n % s].reshape(shape), axis=1, initial=np.inf,
+            where=True if masked is None else ~masked[:, :n - n % s].reshape(shape))
+        minima.partition(k - 1, axis=1)
+        kth = minima[:, k - 1]
     with np.errstate(invalid="ignore"):  # inf - inf: NaN, so a candidate
         # rounded up to the score's dtype, the threshold only adds candidates
         limit = np.nextafter((kth + slack).astype(score.dtype), np.inf)

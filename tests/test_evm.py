@@ -326,7 +326,7 @@ def test_masked_margins_never_admit_same_class(fill):
         margins, before = neighbors.Knn(5, labels=data.label_ids,
                                         distances=np.empty((30, 5))), score.copy()
         neighbors.NeighborIndex(data.points)._scan_select(
-            margins, slice(0, 30), data.points, score, 0.0, np.empty((30, 30)))
+            margins, slice(0, 30), data.points, score, 0.0)
         np.testing.assert_array_equal(margins.distances / 2.0, brute_margins(data, 5, 2.0))
         np.testing.assert_array_equal(score, before)
 

@@ -135,7 +135,7 @@ def test_bare_visit_sees_every_query_row(p):
     ix, seen = NeighborIndex(pts), []
     assert ix.scans == (p > neighbors.TREE_DIMENSION_LIMIT)
 
-    def visit(block, rows, score, slack, spare):
+    def visit(block, rows, score, slack):
         assert score.shape == (rows.shape[0], 60)
         seen.extend(range(block.start, block.start + rows.shape[0]))
     ix.leave_one_out_smallest(3, [visit])
@@ -160,7 +160,7 @@ def test_one_pass_of_knn_margins_and_a_visit(p, monkeypatch):
     assert ix.scans == (p > neighbors.TREE_DIMENSION_LIMIT)
 
     def record(into):
-        def visit(block, rows, score, slack, spare):
+        def visit(block, rows, score, slack):
             into[block] = score
         return visit
     seen, alone = np.empty((n, n)), np.empty((n, n))
@@ -595,7 +595,7 @@ def test_scores_within_their_error_bound(case, p):
         pts = rng.normal(size=(30, p)) + offset
         queries = np.vstack([pts[:6], rng.normal(size=(6, p)) + offset])
     blocks = []
-    neighbors.scan(queries, pts, 2.0, lambda block, rows, score, slack, spare:
+    neighbors.scan(queries, pts, 2.0, lambda block, rows, score, slack:
                    blocks.append((block, score.dtype, score.astype(float), slack)))
     exact_pts = [[Fraction(v) for v in y] for y in pts]
     top = max(sum(v * v for v in y) for y in exact_pts)
@@ -625,9 +625,132 @@ def test_kth_score_plus_slack_rounded_up(dtype, k):
     for _ in range(3):
         steps.append(np.nextafter(steps[-1], dtype(np.inf)))
     score = np.array([[0.0] * k + steps], dtype)
-    cand = neighbors.scan_candidates(score, np.array([float(at)]), k,
-                                     np.empty((1, k + 4), dtype))
+    cand = neighbors.scan_candidates(score, np.array([float(at)]), k)
     assert k in cand[0] and k + 3 not in cand[0]
+
+
+def _chunk_case(case):
+    """(points, queries, labels, k) at p = 12, laid out against the chunks
+    of :func:`neighbors.scan_candidates`: columns j, j + c, j + 2c, ... of
+    the first s c, where s = min(8, n // 4k) (at least 1) and c = n // s."""
+    rng = np.random.default_rng(12)
+    if case == "class_ordered":  # four classes stored one after another
+        labels = np.repeat(np.arange(4), 60)
+        pts = rng.normal(size=(240, 12)) + 3.0 * labels[:, None]
+        return pts, rng.normal(size=(23, 12)) + 3.0 * rng.integers(0, 4, (23, 1)), labels, 7
+    if case == "packed_chunks":
+        # the point of rank r from the origin (at radius 1 + r) sits in
+        # chunk r // s, so a query near the origin finds its nearest s to a
+        # chunk: the loosest bound, the kth of the minima at rank (k-1) s
+        n, k, s = 200, 6, 8
+        ranks = np.arange(n)
+        ways = rng.normal(size=(n, 12))
+        pts = np.empty((n, 12))
+        pts[ranks % s * (n // s) + ranks // s] = (
+            ways / np.linalg.norm(ways, axis=1, keepdims=True) * (1.0 + ranks[:, None]))
+        return pts, rng.normal(size=(23, 12)) * 0.01, ranks % 3, k
+    if case == "tail_nearest":  # n mod s = 3: the nearest sit in the tail columns
+        pts = rng.normal(size=(203, 12))
+        pts[200:] = 20.0 + rng.normal(size=(3, 12)) * 0.1
+        return pts, 20.0 + rng.normal(size=(23, 12)) * 0.1, rng.integers(0, 3, 203), 5
+    if case == "few_columns":  # n < 4k: one chunk per column
+        return (rng.normal(size=(30, 12)), rng.normal(size=(23, 12)),
+                np.repeat(np.arange(3), 10), 9)
+    if case == "complement_in_few_chunks":
+        # class 1 fills chunks 0-2 only (s = 8, c = 25): a class-0 row's
+        # unmasked minima are finite in 3 < k chunks, so its bound is inf
+        labels = np.zeros(200, int)
+        labels[(np.arange(8)[:, None] * 25 + np.arange(3)).ravel()] = 1
+        pts = rng.normal(size=(200, 12)) + 2.0 * labels[:, None]
+        return pts, rng.normal(size=(23, 12)), labels, 5
+    # overflowing_scores: a point and a query at ±1e160 score inf and NaN
+    pts, queries = rng.normal(size=(120, 12)), rng.normal(size=(23, 12))
+    pts[17, 0], queries[4, 0] = 1e160, -1e160
+    return pts, queries, rng.integers(0, 3, 120), 6
+
+
+@pytest.mark.parametrize("case,offset", [
+    *((case, offset) for case in ("class_ordered", "packed_chunks", "tail_nearest",
+                                  "few_columns", "complement_in_few_chunks")
+      for offset in (0.0, 1e5)), ("overflowing_scores", 0.0)])
+def test_chunk_bound_keeps_selections_exact(case, offset, monkeypatch):
+    # The kth chunk minimum only bounds each row's kth score, so the kNN,
+    # leave-one-out and labelled selections equal brute force (ties by
+    # index) in every stored order, in float32 scores (centred points) and
+    # float64 ones (offset or overflowing), in blocks of 7 rows.
+    pts, queries, labels, k = _chunk_case(case)
+    pts, queries = pts + offset, queries + offset
+    n = pts.shape[0]
+    dtype = np.float32 if offset == 0.0 and case != "overflowing_scores" else np.float64
+    assert neighbors.score_operand(queries, pts).dtype == dtype
+    assert neighbors.score_operand(pts, pts).dtype == dtype
+    if case == "packed_chunks":  # loose, but within k s candidates a row
+        score, slack = neighbors.block_scores(
+            queries, pts, neighbors.score_operand(queries, pts), 2.0, np.empty((23, n), dtype))
+        found = (neighbors.scan_candidates(score, slack, k) < n).sum(axis=1)
+        assert ((k < found) & (found <= k * 8)).all(), found
+    if case == "complement_in_few_chunks":  # every class-1 point, for every class-0 row
+        score, slack = neighbors.block_scores(
+            pts, pts, neighbors.score_operand(pts, pts), 2.0, np.empty((n, n), dtype))
+        masked = labels[:, None] == labels
+        found = (neighbors.scan_candidates(score, slack, k, masked) < n).sum(axis=1)
+        assert (found[labels == 0] == 24).all()
+    monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", scan_budget(7, pts))
+    ix = NeighborIndex(pts)
+    assert ix.scans
+    for rows in (queries, queries[:1]):
+        got, expected = ix._knn(rows, k), _brute_rows(pts, rows, k, 2.0)
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
+    got = ix._knn(pts, k, exclude=np.arange(n))
+    expected = _brute_rows(pts, pts, k, 2.0, exclude=np.arange(n))
+    np.testing.assert_array_equal(got[0], expected[0])
+    np.testing.assert_array_equal(got[1], expected[1])
+    margins = neighbors.Knn(k, labels=labels)
+    ix.run(pts, [margins])
+    np.testing.assert_array_equal(margins.distances, np.array(
+        [np.sort(distances_to(x, pts[labels != label]))[:k] for x, label in zip(pts, labels)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5), n=st.integers(1, 400),
+       k=st.integers(1, 40), dtype=st.sampled_from([np.float32, np.float64]),
+       masked=st.booleans(), grid=st.booleans(), special=st.booleans())
+def test_chunk_minima_bound_the_kth_score(seed, m, n, k, dtype, masked, grid, special):
+    # For any scores, k and mask that leaves k points a row, the kth least
+    # of the row's minima over interleaved chunks (computed here, NaN last)
+    # is at least its kth score, and scan_candidates holds every unmasked
+    # point within the slack of that kth score, and none past the bound
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    score = (rng.integers(0, 6, (m, n)) if grid else rng.normal(size=(m, n))).astype(dtype)
+    if special:  # as an overflowing GEMM row scores
+        score[rng.random((m, n)) < 0.1] = np.inf
+        score[rng.random((m, n)) < 0.05] = np.nan
+    mask = None
+    if masked:
+        mask = rng.random((m, n)) < rng.uniform()
+        mask[np.arange(m)[:, None], np.argsort(rng.random((m, n)), axis=1)[:, :k]] = False
+    slack = rng.uniform(0.0, 2.0, m) * rng.integers(0, 2)
+    cand = neighbors.scan_candidates(score, slack, k, mask)
+    s = max(1, min(8, n // (4 * k)))
+    c = n // s
+    for i in range(m):
+        free = np.ones(n, bool) if mask is None else ~mask[i]
+        row = np.where(free, score[i].astype(float), np.inf)
+        kth = np.sort(row)[k - 1]
+        if k == 1 and mask is None:  # the row's least score, NaN if any is
+            bound = row.min()
+        else:
+            bound = np.sort([row[j:s * c:c].min() for j in range(c)])[k - 1]
+        assert np.isnan(bound) or bound >= kth
+        got = set(cand[i][cand[i] < n].tolist())
+        need = free & (np.isnan(row) | (row <= kth + slack[i]))
+        assert set(np.flatnonzero(need).tolist()) <= got
+        with np.errstate(invalid="ignore"):  # NaN bound: every unmasked point
+            limit = np.nextafter(dtype(bound + slack[i]), dtype(np.inf))
+            allowed = free & ~(score[i] > limit)
+        assert got <= set(np.flatnonzero(allowed).tolist())
 
 
 @pytest.mark.parametrize("case,dtype", [
@@ -700,7 +823,7 @@ def test_split_scan_matches_brute_force_in_any_thread(p, workers, monkeypatch):
         def visitor():  # the threads that run one scan's blocks
             seen.append(set())
 
-            def visit(block, rows, score, slack, spare):
+            def visit(block, rows, score, slack):
                 seen[-1].add((threading.get_ident(), threading.active_count()))
                 if barrier is not None and block.start < 7 * workers:
                     # a worker holds its first block until every worker has
@@ -749,7 +872,7 @@ def test_split_scan_raises_a_visit_error_after_joining(failing, monkeypatch):
     monkeypatch.setattr(neighbors, "SCAN_THREADS", 3)
     before = threading.active_count()
 
-    def visit(block, rows, score, slack, spare):
+    def visit(block, rows, score, slack):
         in_caller = threading.current_thread() is threading.main_thread()
         if in_caller == (failing == "caller"):
             raise ArithmeticError(f"in the {failing}")
@@ -811,9 +934,9 @@ def test_split_gathers_match_brute_force(order, monkeypatch):
 
 
 def test_gather_peaks_within_their_bound(monkeypatch):
-    # Two scan threads from the main thread, each holding a score and a
-    # spare buffer, a few score-sized index and distance arrays, and one
-    # gather within BLOCK_ELEMENTS: the tie-saturated leave-one-out (every
+    # Two scan threads from the main thread, each holding a score buffer,
+    # a few score-sized index and distance arrays, and one gather within
+    # BLOCK_ELEMENTS: the tie-saturated leave-one-out (every
     # point a candidate of every row, float64 scores), one of two coincident
     # clusters (the row's own cluster a candidate, float32 scores) and evm's
     # psi at a 1e8 offset (every point kept) stay within that, sized by a
@@ -822,7 +945,7 @@ def test_gather_peaks_within_their_bound(monkeypatch):
     sizes = record_gathers(monkeypatch)
     (n, p), k, rng = (2250, 30), 23, np.random.default_rng(7)
     scores = neighbors.BLOCK_ELEMENTS // (16 * n) * n
-    bound = 2 * 8 * (neighbors.BLOCK_ELEMENTS + 8 * scores)
+    bound = 2 * 8 * (neighbors.BLOCK_ELEMENTS + 7.5 * scores)
     ties, clusters = np.zeros((n, p)), np.zeros((n, p))
     clusters[::2] = 1.0
     assert scan_budget(1, ties) == 2 * scan_budget(1, clusters)  # float64, float32
