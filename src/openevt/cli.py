@@ -95,29 +95,23 @@ def _build_parser() -> tuple:
 
     p_bench = sub.add_parser("benchmark", parents=[common],
                              help="run an evaluation protocol")
-    p_bench.add_argument("--protocol", required=True,
-                         choices=["toy", "oletter", "thyroid"])
+    p_bench.add_argument("--protocol", required=True, choices=list(PROTOCOLS))
     p_bench.add_argument("--out", default=None, help="metrics CSV path")
-    p_bench.add_argument("--data", default=None,
-                         help="dataset file (letter/thyroid protocols)")
-    p_bench.add_argument("--k", type=int, default=20,
-                         help="toy protocol exceedance count")
-    p_bench.add_argument("--alpha", type=float, default=0.05)
-    p_bench.add_argument("--reps", type=int, default=5,
+    # Each protocol's flags default to None here; PROTOCOLS holds their defaults.
+    p_bench.add_argument("--data", help="dataset file (letter/thyroid protocols)")
+    p_bench.add_argument("--k", type=int, help="toy protocol exceedance count")
+    p_bench.add_argument("--alpha", type=float)
+    p_bench.add_argument("--reps", type=int,
                          help="oletter repetitions (the full protocol has 20)")
-    p_bench.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p_bench.add_argument("--jobs", type=int,
                          help="worker pool size for protocol repetitions")
-    p_bench.add_argument("--alphas", default=None,
-                         help="comma list of alpha thresholds (oletter)")
-    p_bench.add_argument("--deltas", default=None,
-                         help="comma list of evm thresholds (oletter)")
-    p_bench.add_argument("--emit-xi", default=None,
-                         help="toy: write per-test-point xi_hat CSV here")
-    p_bench.add_argument("--roc-out", default=None,
-                         help="prefix for per-method ROC curve CSVs")
-    p_bench.add_argument("--gpdc-tail-fractions", default=None,
+    p_bench.add_argument("--alphas", help="comma list of alpha thresholds (oletter)")
+    p_bench.add_argument("--deltas", help="comma list of evm thresholds (oletter)")
+    p_bench.add_argument("--emit-xi", help="toy: write per-test-point xi_hat CSV here")
+    p_bench.add_argument("--roc-out", help="prefix for per-method ROC curve CSVs")
+    p_bench.add_argument("--gpdc-tail-fractions",
                          help="comma list of tail fractions (thyroid sweep)")
-    p_bench.add_argument("--test-known", type=int, default=250,
+    p_bench.add_argument("--test-known", type=int,
                          help="thyroid: known rows sampled into the test set")
     p_bench.set_defaults(func=cmd_benchmark)
     return parser, sub.choices
@@ -202,13 +196,18 @@ def _header_flag(text: str) -> bool | None:
     return {"auto": None, "yes": True, "no": False}[text]
 
 
-def _float_list(text: str, flag: str) -> tuple:
+def _float_list(text: str | None, flag: str, default: tuple) -> tuple:
+    """The levels of a comma list, each in (0, 1]; ``default`` if unset."""
+    if not text:
+        return default
     try:
         values = tuple(float(v) for v in text.split(",") if v.strip() != "")
     except ValueError:
         raise UsageError(f"{flag}: expected a comma-separated list of numbers") from None
     if not values:
         raise UsageError(f"{flag}: empty list")
+    for value in values:
+        check_level(value, flag)
     return values
 
 
@@ -231,6 +230,7 @@ def cmd_fit(args) -> int:
                              f"{args.method} models")
     if "k" in options and "tail_fraction" in options:
         raise UsageError("pass either --k or --tail-fraction, not both")
+    check_level(args.tail_fraction, "--tail-fraction")
     metric = DistanceMetric.parse(args.metric)
     data = load_dataset_csv(args.train, label_column=args.label_column,
                             delimiter=args.delimiter,
@@ -320,12 +320,20 @@ def _write_hill_plot(args, model, points, comments):
 
 
 def cmd_benchmark(args) -> int:
+    run, echoed, unechoed = PROTOCOLS[args.protocol]
+    reads = {"command", "func", "protocol",  # set by the parser
+             "config", "seed", "out", *echoed, *unechoed}
+    for key, value in vars(args).items():  # in parser order
+        if value is not None and key not in reads:
+            raise UsageError(f"--{key.replace('_', '-')} does not apply to the "
+                             f"{args.protocol} protocol")
+    for key, default in echoed.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
     # The protocols are imported here only: fit and score do not need them.
     from . import harness
 
-    run = {"toy": _benchmark_toy, "oletter": _benchmark_oletter,
-           "thyroid": _benchmark_thyroid}[args.protocol]
-    return run(args, harness)
+    return run(args, harness, _config_comments(args, ["protocol", "seed", *echoed]))
 
 
 def _report_curves(args, comments, curves):
@@ -339,9 +347,8 @@ def _report_curves(args, comments, curves):
                        ("fpr", "tpr"), curve.points)
 
 
-def _benchmark_toy(args, harness) -> int:
+def _benchmark_toy(args, harness, comments) -> int:
     result = harness.run_toy_protocol(args.seed, k=args.k, alpha=args.alpha)
-    comments = _config_comments(args, ["protocol", "seed", "k", "alpha"])
     if args.out:
         _write_csv(args.out, comments, ("method", "metric", "value"),
                    [(m, "auc", result.curves[m].auc) for m in sorted(result.curves)])
@@ -353,21 +360,18 @@ def _benchmark_toy(args, harness) -> int:
     return 0
 
 
-def _benchmark_oletter(args, harness) -> int:
+def _benchmark_oletter(args, harness, comments) -> int:
     if args.data is not None:
         _require_file(args.data)
         data = harness.load_letter(args.data)
         train_count = 15000 if data.n >= 20000 else None
     else:
         data, train_count = harness.synthetic_openset_surrogate(seed=args.seed)
-    alphas = (_float_list(args.alphas, "--alphas")
-              if args.alphas else harness.DEFAULT_ALPHA_GRID)
-    deltas = (_float_list(args.deltas, "--deltas")
-              if args.deltas else harness.DEFAULT_DELTA_GRID)
+    alphas = _float_list(args.alphas, "--alphas", harness.DEFAULT_ALPHA_GRID)
+    deltas = _float_list(args.deltas, "--deltas", harness.DEFAULT_DELTA_GRID)
     steps = harness.run_oletter(data, reps=args.reps, seed=args.seed,
                                 train_count=train_count, alphas=alphas,
                                 deltas=deltas, jobs=args.jobs)
-    comments = _config_comments(args, ["protocol", "seed", "reps", "jobs"])
     comments.append(f"data={args.data or 'synthetic-surrogate'}")
     rows = [(step.rep, step.n_unknown_classes, method, threshold, f)
             for step in steps for method, curve in sorted(step.f_measures.items())
@@ -386,17 +390,15 @@ def _benchmark_oletter(args, harness) -> int:
     return 0
 
 
-def _benchmark_thyroid(args, harness) -> int:
+def _benchmark_thyroid(args, harness, comments) -> int:
     _require_file(args.data)
     points, is_unknown = harness.load_thyroid(args.data)
     train, test = harness.thyroid_split(points, is_unknown, seed=args.seed,
                                         test_known=args.test_known)
-    fractions = (_float_list(args.gpdc_tail_fractions, "--gpdc-tail-fractions")
-                 if args.gpdc_tail_fractions else harness.THYROID_TAIL_FRACTIONS)
+    fractions = _float_list(args.gpdc_tail_fractions, "--gpdc-tail-fractions",
+                            harness.THYROID_TAIL_FRACTIONS)
     curves, sweep = harness.run_thyroid_protocol(train, test, fractions,
                                                  args.alpha)
-    comments = _config_comments(args, ["protocol", "seed", "data", "alpha",
-                                       "test_known"])
     rows = [(method, "auc", None, None, None if curve is None else curve.auc)
             for method, curve in sorted(curves.items())]
     rows += [("gpdc", "auc_vs_k", frac, k, auc) for frac, k, auc in sweep]
@@ -409,6 +411,18 @@ def _benchmark_thyroid(args, harness) -> int:
     print(f"gpdc.best.k={best[1]}")
     print(f"gpdc.best.auc={_fmt(best[2])}")
     return 0
+
+
+# Each protocol's runner, the flags its CSV comments echo after protocol and
+# seed (in echo order, with their defaults), and the flags it reads unechoed.
+# Every protocol also reads --seed, --out and --config.
+PROTOCOLS = {
+    "toy": (_benchmark_toy, {"k": 20, "alpha": 0.05}, ("emit_xi", "roc_out")),
+    "oletter": (_benchmark_oletter, {"reps": 5, "jobs": os.cpu_count() or 1},
+                ("data", "alphas", "deltas")),
+    "thyroid": (_benchmark_thyroid, {"data": None, "alpha": 0.05, "test_known": 250},
+                ("gpdc_tail_fractions", "roc_out")),
+}
 
 
 if __name__ == "__main__":

@@ -98,8 +98,8 @@ class Verdict:
 
 
 def check_level(value, name: str):
-    """Refuse a decision level outside (0, 1]: the alpha of gpdc and gevc and
-    the delta of evm, for which None means unset."""
+    """Refuse a level outside (0, 1]: a decision level (the alpha of gpdc and
+    gevc, the delta of evm) or a tail fraction. None means unset."""
     if value is not None and not (0.0 < value <= 1.0):
         raise UsageError(f"{name} must be in (0, 1], got {value}")
 

@@ -38,24 +38,13 @@ class EvmModel:
     def __init__(self, points: np.ndarray, sigmas: np.ndarray,
                  alphas: np.ndarray, k: int, delta: float | None,
                  metric: DistanceMetric):
-        self._points = points
+        self.points = points
+        self.n, self.p = points.shape
         self.sigmas = sigmas
         self.alphas = alphas
         self.k = k
         self.delta = delta
         self.metric = metric
-
-    @property
-    def n(self) -> int:
-        return self._points.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self._points.shape[1]
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._points
 
     def membership_batch(self, points) -> np.ndarray:
         """psi for each row of an (m, p) array: bitwise the max over every
@@ -74,7 +63,7 @@ class EvmModel:
         """
         points = np.asarray(points, dtype=float)
         out = np.empty(points.shape[:1])  # scan refuses a bad shape or row
-        scan(points, self._points, self.metric.order, self.psi_visitor(out))
+        scan(points, self.points, self.metric.order, self.psi_visitor(out))
         return out
 
     def psi_visitor(self, out: np.ndarray):
@@ -102,7 +91,7 @@ class EvmModel:
                 row, col = np.divmod(np.flatnonzero(~(t > limit[:, None])), self.n)
                 d = np.empty(col.size)
                 for part in row_blocks(col.size, 2, self.p):  # diff + query row
-                    d[part] = gathered_distances(self._points, col[part],
+                    d[part] = gathered_distances(self.points, col[part],
                                                  rows.take(row[part], axis=0), order)
                 w = np.exp(-np.power(d / self.sigmas[col], self.alphas[col]))
             # every row keeps its smallest t, so each row has a candidate

@@ -57,7 +57,9 @@ class GevcModel:
     def __init__(self, index: NeighborIndex, labels: list, alpha: float,
                  fitted: ReversedWeibull, excluded_zeros: int,
                  free_endpoint: bool = False):
-        self._index = index
+        self.index = index
+        self.p = index.dimension
+        self.metric = index.metric
         self._labels = labels
         self.alpha = alpha
         self.free_endpoint = free_endpoint
@@ -67,28 +69,16 @@ class GevcModel:
 
     @property
     def n(self) -> int:
-        return self._index.size
-
-    @property
-    def p(self) -> int:
-        return self._index.dimension
-
-    @property
-    def metric(self) -> DistanceMetric:
-        return self._index.metric
-
-    @property
-    def index(self) -> NeighborIndex:
-        return self._index
+        return self.index.size
 
     @property
     def points(self) -> np.ndarray:
-        return self._index.points
+        return self.index.points
 
     @property
     def dmin(self) -> np.ndarray:
         """Current nearest-other-training-point distances."""
-        return self._index.dmin_vector()
+        return self.index.dmin_vector()
 
     def score(self, x0) -> tuple:
         """Classify one point; returns (Verdict, d0min), the single row of
@@ -101,7 +91,7 @@ class GevcModel:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (self.p,):  # the index's run checks finiteness
             raise UsageError(f"query has shape {x0.shape}, model is p={self.p}")
-        d0 = self._index.batch_k_smallest(x0[None, :], 1)[0]
+        d0 = self.index.batch_k_smallest(x0[None, :], 1)[0]
         d0, w = d0.item(), reversed_weibull_cdf(self.fitted, -d0).item()  # evidence's row
         return Verdict(UNKNOWN if w < self.alpha else KNOWN, 1.0 - w, {"d0min": d0, "cdf": w}), d0
 
@@ -110,7 +100,7 @@ class GevcModel:
         verdict, score = 1 - W(-d0min), d0min and cdf = W(-d0min); d0min is
         column 0 of ``distances``, ascending rows, if given."""
         if distances is None:
-            distances = self._index.batch_k_smallest(points, 1)
+            distances = self.index.batch_k_smallest(points, 1)
         d0 = distances[:, 0]
         w = reversed_weibull_cdf(self.fitted, -d0)
         return {"verdict": _VERDICTS.take(w < self.alpha),
@@ -145,16 +135,16 @@ class GevcModel:
         try:
             for i, (x, label) in enumerate(pairs):
                 try:
-                    changed = self._index.insert(x)
+                    changed = self.index.insert(x)
                 except DataError as exc:
                     raise DataError(f"update pair {i}: {exc}") from None
                 self._labels.append(label)
                 # The new point's own entry counts as changed too.
                 self._changed_since_fit += len(changed) + 1
         finally:  # also after a refused pair, for the pairs before it
-            if self._changed_since_fit > REFIT_FRACTION * self._index.size:
+            if self._changed_since_fit > REFIT_FRACTION * self.index.size:
                 self.fitted, self.excluded_zeros = _fit_dmin_sample(
-                    self._index.dmin_vector(), self.free_endpoint)
+                    self.index.dmin_vector(), self.free_endpoint)
                 self._changed_since_fit = 0
         return self
 
@@ -165,7 +155,7 @@ class GevcModel:
             "labels": self._labels,
             "alpha": self.alpha,
             "free_endpoint": self.free_endpoint,
-            "dmin": self._index.dmin_vector().tolist(),
+            "dmin": self.index.dmin_vector().tolist(),
             "sigma": self.fitted.sigma,
             "weibull_alpha": self.fitted.alpha,
             "endpoint": self.fitted.endpoint,

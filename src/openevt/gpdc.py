@@ -60,7 +60,8 @@ class GpdcModel:
         """``pxi_stats`` and ``radius_stats`` are the jackknife statistics
         (NaN marks training points coincident with another); the decision
         thresholds are their quantiles at ``alpha``."""
-        self._index = index
+        self.index = index
+        self.metric = index.metric
         self.points = index.points
         self.p = index.dimension
         self.n = index.size
@@ -76,19 +77,11 @@ class GpdcModel:
 
     # -- public surface -------------------------------------------------
 
-    @property
-    def metric(self) -> DistanceMetric:
-        return self._index.metric
-
-    @property
-    def index(self) -> NeighborIndex:
-        return self._index
-
     def decision_stats(self, points, distances=None) -> tuple:
         """Batch statistics for an (m, p) array: (coincident, p_xi, radius),
         from ``distances``, its k+1 or more smallest ascending, if given."""
         if distances is None:
-            distances = self._index.batch_k_smallest(points, self.k + 1)
+            distances = self.index.batch_k_smallest(points, self.k + 1)
         return tail_stats(distances, self.k, self.p, self.gamma, self.n)
 
     def evidence(self, points) -> dict:

@@ -381,9 +381,9 @@ def thyroid_split(points: np.ndarray, is_unknown: np.ndarray, seed: int = 0,
     set; the remaining known rows train. Returns (train, test)."""
     known_idx = np.flatnonzero(~is_unknown)
     unknown_idx = np.flatnonzero(is_unknown)
-    if known_idx.size <= test_known:
+    if not 1 <= test_known < known_idx.size:
         raise UsageError(
-            f"need more than {test_known} known rows, got {known_idx.size}")
+            f"test_known must be in [1, {known_idx.size} known rows), got {test_known}")
     if unknown_idx.size == 0:
         raise UsageError("no unknown rows after class mapping")
     rng = rng_from(seed, "thyroid-split")

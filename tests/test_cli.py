@@ -9,7 +9,7 @@ import pytest
 
 import openevt
 from openevt import gevc
-from openevt.cli import main
+from openevt.cli import PROTOCOLS, _build_parser, main
 from openevt.data import DistanceMetric, LabeledDataset
 from openevt.harness import generate_toy, load_letter, run_oletter
 from openevt.serialize import fit_model, load_model
@@ -556,6 +556,120 @@ class TestBenchmark:
         assert [(r[2], r[3]) for r in rows] == [
             ("0.0025", "2"), ("0.01", "2"), ("0.025", "4"), ("0.05", "8"),
             ("0.1", "15")]
+
+
+# The flags each protocol reads besides --seed, --out and --config, as the
+# README lists them.
+PROTOCOL_FLAGS = {
+    "toy": {"k", "alpha", "emit_xi", "roc_out"},
+    "oletter": {"data", "reps", "jobs", "alphas", "deltas"},
+    "thyroid": {"data", "alpha", "test_known", "gpdc_tail_fractions", "roc_out"},
+}
+FLAG_VALUES = {"data": "data.csv", "k": "5", "alpha": "0.05", "reps": "2",
+               "jobs": "1", "alphas": "0.1", "deltas": "0.5", "emit_xi": "xi.csv",
+               "roc_out": "roc", "gpdc_tail_fractions": "0.01", "test_known": "100"}
+
+
+def _benchmark_flags() -> set:
+    actions = _build_parser()[1]["benchmark"]._actions
+    return {a.dest for a in actions if a.option_strings} - {
+        "help", "config", "seed", "protocol", "out"}
+
+
+def test_every_benchmark_flag_is_read_by_a_protocol():
+    reads = {name: {*echoed, *unechoed} for name, (_, echoed, unechoed) in PROTOCOLS.items()}
+    assert reads == PROTOCOL_FLAGS
+    assert set().union(*reads.values()) == _benchmark_flags()
+
+
+@pytest.mark.parametrize("protocol,flag", [
+    (protocol, flag) for protocol, reads in PROTOCOL_FLAGS.items()
+    for flag in sorted(_benchmark_flags() - reads)])
+def test_benchmark_refuses_flags_its_protocol_does_not_read(tmp_path, capsys,
+                                                            monkeypatch, protocol, flag):
+    monkeypatch.chdir(tmp_path)  # the file-valued flags name files in tmp_path
+    option = "--" + flag.replace("_", "-")
+    rc = main(["benchmark", "--protocol", protocol, "--out", "out.csv",
+               option, FLAG_VALUES[flag]])
+    assert rc == 2
+    assert f"{option} does not apply to the {protocol} protocol" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_benchmark_names_the_first_unread_flag_in_parser_order(capsys):
+    rc = main(["benchmark", "--protocol", "toy", "--alphas", "notanumber", "--reps", "0",
+               "--test-known", "-5", "--gpdc-tail-fractions", "zz"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --reps does not apply to the toy protocol\n"
+
+
+@pytest.mark.parametrize("protocol,line,option", [
+    ("toy", "reps=3", "--reps"), ("oletter", "emit_xi=xi.csv", "--emit-xi"),
+    ("thyroid", "alphas=0.1", "--alphas")])
+def test_benchmark_refuses_config_values_its_protocol_does_not_read(
+        tmp_path, capsys, monkeypatch, protocol, line, option):
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(f"model=unread.model\n{line}\n")
+    rc = main(["benchmark", "--config", "run.cfg", "--protocol", protocol,
+               "--out", "out.csv"])
+    assert rc == 2
+    assert f"{option} does not apply to the {protocol} protocol" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def _thyroid_file(path, known=700, unknown=60):
+    rng = np.random.default_rng(5)
+    lines = [" ".join(f"{v:.5f}" for v in rng.uniform(size=21)) + " 3"
+             for _ in range(known)]
+    lines += [" ".join(f"{v:.5f}" for v in rng.uniform(size=21) + 0.9) + " 1"
+              for _ in range(unknown)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("test_known", ["-5", "0", "700"])
+def test_thyroid_test_known_outside_the_known_rows_is_usage_error(
+        tmp_path, capsys, test_known):
+    rc = main(["benchmark", "--protocol", "thyroid", "--test-known", test_known,
+               "--data", _thyroid_file(tmp_path / "ann.data"),
+               "--out", str(tmp_path / "thy.csv")])
+    assert rc == 2
+    assert (f"test_known must be in [1, 700 known rows), got {test_known}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "thy.csv").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--protocol", "oletter", "--deltas", "7,-3"], "--deltas must be in (0, 1], got 7.0"),
+    (["--protocol", "oletter", "--alphas", "0.1,0"], "--alphas must be in (0, 1], got 0.0"),
+    (["--protocol", "oletter", "--alphas", "nan"], "--alphas must be in (0, 1], got nan"),
+    (["--protocol", "thyroid", "--gpdc-tail-fractions", "0,-1"],
+     "--gpdc-tail-fractions must be in (0, 1], got 0.0"),
+    (["--protocol", "thyroid", "--gpdc-tail-fractions", "0.01,1.5"],
+     "--gpdc-tail-fractions must be in (0, 1], got 1.5"),
+], ids=["deltas", "alphas-zero", "alphas-nan", "fractions-zero", "fractions-above-one"])
+def test_benchmark_levels_outside_unit_interval_are_usage_errors(
+        tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    data = ["--data", _thyroid_file(tmp_path / "ann.data")] if "thyroid" in argv else []
+    rc = main(["benchmark", *argv, *data, "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["gpdc", "evm"])
+@pytest.mark.parametrize("fraction", ["-1", "0", "1.5", "nan"])
+def test_fit_tail_fraction_outside_unit_interval_is_usage_error(
+        toy_files, tmp_path, capsys, method, fraction):
+    _, train_csv, _, _, _ = toy_files
+    out = tmp_path / "m.model"
+    rc = main(["fit", "--method", method, "--train", str(train_csv),
+               "--tail-fraction", fraction, "--out", str(out)])
+    assert rc == 2
+    assert (f"--tail-fraction must be in (0, 1], got {float(fraction)}"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_config_file_merging(tmp_path, capsys):

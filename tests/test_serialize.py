@@ -110,14 +110,14 @@ def _with_duplicates(data: LabeledDataset) -> LabeledDataset:
 def _gpdc_blocked():
     data = gaussian_blobs(1, [np.zeros(16)], n_per=150)
     model = gpdc.fit(data, k=8)
-    assert model._index._tree is None
+    assert model.index._tree is None
     return model
 
 
 def _gpdc_tree():
     model = gpdc.fit(_with_duplicates(gaussian_blobs(2, [(0.0, 0.0)], n_per=150)),
                      k=8)
-    assert model._index._tree is not None
+    assert model.index._tree is not None
     assert np.isnan(model.pxi_stats).any()
     return model
 
