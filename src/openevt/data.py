@@ -9,7 +9,7 @@ Minkowski norms are supported everywhere.
 
 import csv
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -181,13 +181,6 @@ class LabeledDataset:
     def subset(self, mask) -> "LabeledDataset":
         mask = np.asarray(mask)
         return LabeledDataset(self._points[mask], self._labels[mask])
-
-    def restrict_to_classes(self, names: Sequence[str]) -> "LabeledDataset":
-        keep = set(names)
-        mask = np.array([l in keep for l in self._labels], dtype=bool)
-        if not mask.any():
-            raise UsageError(f"no rows with labels in {sorted(keep)}")
-        return self.subset(mask)
 
     def __repr__(self):
         return f"LabeledDataset(n={self.n}, p={self.p}, classes={self.n_classes})"

@@ -21,9 +21,9 @@ The protocols fit every kind under one metric through ``fit_methods``: one
 kind's ``fit`` as ``neighbours``, then a pool pass, each one list of
 selections. A k-column kNN result is bitwise the prefix of a wider one, so
 one kNN selection at the widest width serves gpdc (k+1 columns) and gevc
-(column 0, copied into an index of its own for its updates). evm's widest
-margins join the training pass as a labelled selection, which each evm
-reads in place, and every evm's psi the pool pass as a visit of its own.
+(column 0, in an index of its own on the shared points until an update).
+evm's widest margins join the training pass as a labelled selection, which
+each evm reads in place, and every evm's psi the pool pass as a visit.
 
 All randomness flows from one seed through named substreams, and protocol
 repetitions own independent streams keyed by (seed, rep).
@@ -280,7 +280,7 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
             "evm": {"k": 75 if full_scale else None},
         }
 
-    train_rows = data.subset(np.arange(data.n) < train_count)
+    is_train = np.arange(data.n) < train_count
     test_points = data.points[train_count:]
     test_ids = data.label_ids[train_count:]
     names = np.array(data.class_names, dtype=object)
@@ -296,7 +296,7 @@ def run_oletter(data: LabeledDataset, methods: dict | None = None,
         known = rng.choice(j_classes, size=n_known, replace=False)
         unknown_order = rng.permutation(np.setdiff1d(np.arange(j_classes), known))
         known_classes = tuple(names[known])
-        train = train_rows.restrict_to_classes(known_classes)
+        train = data.subset(is_train & np.isin(data.label_ids, known))
 
         # Pool rows by class rank (0 known, m for the m-th unknown class),
         # file order within a class: step m's pool is its first stops[m] rows.

@@ -124,14 +124,19 @@ class Knn:
 
 
 class NeighborIndex:
-    """Exact nearest-neighbor structure over n points of dimension p."""
+    """Exact nearest-neighbor structure over n points of dimension p. Read-only
+    C-contiguous float64 ``points`` that own their data (a dataset's, a loaded
+    model's) are kept as given and never written; any other input is copied once."""
 
     def __init__(self, points, metric: DistanceMetric = EUCLIDEAN, dmin=None):
-        pts = np.array(points, dtype=float)
+        share = (isinstance(points, np.ndarray) and points.base is None
+                 and not points.flags.writeable)  # it owns its data, read-only
+        pts = (np.asarray if share else np.array)(points, dtype=float, order="C")
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise UsageError("index needs a non-empty (n, p) point matrix")
         check_finite(pts, "stored point")
-        # _points and _dmin are views of the filled prefix of their buffers.
+        # _points and _dmin are views of the filled prefix of their buffers, which
+        # start full: the first insert copies them, so shared points are never written.
         self._points = self._point_buffer = pts
         self._metric = metric
         self._tree, self._tree_size = None, 0
@@ -298,11 +303,11 @@ class NeighborIndex:
 
     def _scan_select(self, sel, block, rows, score, slack):
         """``sel``'s rows ``block`` from their scores, an excluded one inf for it alone."""
-        masked = None if sel.labels is None else sel.labels[block, None] == sel.labels
+        allowed = None if sel.labels is None else sel.labels[block, None] != sel.labels
         skip = None if sel.exclude is None else sel.exclude[block]
         at = np.s_[:0] if skip is None else (np.arange(len(rows)), skip)  # [:0]: none
         kept, score[at] = score[at], np.inf
-        cand = scan_candidates(score, slack, sel.k, masked)
+        cand = scan_candidates(score, slack, sel.k, allowed)
         score[at] = kept
         sel.distances[block], indices = self._select(rows, cand, sel.k, skip)
         if sel.indices is not None:
@@ -446,31 +451,31 @@ def scan(queries, points, order: float, visit):
         raise errors[0]
 
 
-def scan_candidates(score, slack, k: int, masked=None) -> np.ndarray:
+def scan_candidates(score, slack, k: int, allowed=None) -> np.ndarray:
     """Candidate matrix, padded with the index n, of a block's
     :func:`block_scores`, which it leaves as they are: each point scored
     within its row's slack of a bound on the row's kth score, or at a NaN
-    score or threshold. A ``masked`` point (an (m, n) mask that leaves k per
-    row) is never a candidate. Past k = 1 unmasked, the bound is the kth least
-    of the row's unmasked minima over c >= k chunks j, j + c, ... of s <= 8
-    points: scores of k distinct points, so at least the row's kth score."""
+    score or threshold. Given ``allowed``, an (m, n) mask with k per row, no
+    other point is a candidate. Past k = 1 on every point, the bound is the
+    kth least of the row's allowed minima over c >= k chunks j, j + c, ... of
+    s <= 8 points: scores of k distinct points, so at least the kth score."""
     m, n = score.shape
-    if k == 1 and masked is None:
+    if k == 1 and allowed is None:
         kth = score.min(axis=1)
-    else:  # the kth of the chunk minima (+inf for a chunk wholly masked)
+    else:  # the kth of the chunk minima (+inf for a chunk with none allowed)
         s = max(1, min(8, n // (4 * k)))
         shape = (m, s, n // s)
         minima = np.minimum.reduce(
             score[:, :n - n % s].reshape(shape), axis=1, initial=np.inf,
-            where=True if masked is None else ~masked[:, :n - n % s].reshape(shape))
+            where=True if allowed is None else allowed[:, :n - n % s].reshape(shape))
         minima.partition(k - 1, axis=1)
         kth = minima[:, k - 1]
     with np.errstate(invalid="ignore"):  # inf - inf: NaN, so a candidate
         # rounded up to the score's dtype, the threshold only adds candidates
         limit = np.nextafter((kth + slack).astype(score.dtype), np.inf)
         hit = ~(score > limit[:, None])
-    if masked is not None:
-        hit &= ~masked
+    if allowed is not None:
+        hit &= allowed
     flat = np.flatnonzero(hit)
     counts = np.diff(np.searchsorted(flat, np.arange(n, m * n + 1, n)), prepend=0)
     cand = np.full((m, counts.max()), n)

@@ -147,6 +147,7 @@ def load_model(path) -> ModelFile:
     block = doc.get("standardize")
     try:
         points = payload_array(doc["payload"], "points")
+        points.setflags(write=False)  # read-only: the model's index shares it
         model = kinds[kind].from_payload(doc["payload"], metric, points)
         standardizer = None if block is None else Standardizer(
             mean=payload_array(block, "mean", model.p, block="standardize"),

@@ -224,6 +224,22 @@ class TestUpdate:
         assert m.dmin[1] == 0.0
 
 
+@pytest.mark.parametrize("p", [2, 12])
+def test_updates_never_write_the_datasets_points(p):
+    # the model's index shares the dataset's matrix until its first update;
+    # a stream across a tree rebuild leaves that matrix bitwise as it was
+    rng = np.random.default_rng(21)
+    data = LabeledDataset(rng.normal(size=(200, p)), ["a"] * 200)
+    before = data.points.tobytes()
+    model = gevc.fit(data)
+    assert np.shares_memory(model.points, data.points)
+    model.update((x, "b") for x in rng.normal(size=(80, p)))
+    assert model.index.scans or model.index._tree_size > 200  # a tree rebuilt
+    assert data.points.tobytes() == before
+    assert not np.shares_memory(model.points, data.points)
+    np.testing.assert_array_equal(model.points[:200], data.points)
+
+
 def test_concurrent_scoring_after_update_matches_serial():
     # update refits before it returns, and 8 threads scoring the updated
     # model, switching often, match a serial replay of the same updates

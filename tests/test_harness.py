@@ -228,6 +228,25 @@ class TestOletter:
         step = steps[0]
         assert len(step.known_classes) == 15
 
+    def test_models_share_each_reps_training_points(self, monkeypatch):
+        # each rep's dataset is its known classes' training rows in file
+        # order, and every model fitted on it reads that one matrix
+        data, train_count = synthetic_openset_surrogate(seed=1)
+        seen, real = [], harness.fit_methods
+
+        def spy(train, methods, pool, optional=False):
+            fitted = real(train, methods, pool, optional)
+            seen.append((train, [model for model, _ in fitted]))
+            return fitted
+        monkeypatch.setattr(harness, "fit_methods", spy)
+        run_oletter(data, reps=2, seed=1, train_count=train_count, jobs=2)
+        assert len(seen) == 2
+        for train, models in seen:
+            known = np.isin(data.labels[:train_count], train.class_names)
+            np.testing.assert_array_equal(train.points, data.points[:train_count][known])
+            assert [model.KIND for model in models] == ["gpdc", "gevc", "evm"]
+            assert all(np.shares_memory(model.points, train.points) for model in models)
+
     def test_class_without_test_rows_rejected(self):
         data, train_count = synthetic_openset_surrogate(seed=7)
         last = data.labels[-1]

@@ -17,7 +17,7 @@ from helpers import (brute_dmin, brute_knn, exact_psi, in_thread, index_state,
                      record_gathers, scan_budget, sorted_distances)
 import openevt
 from openevt import neighbors
-from openevt.data import DistanceMetric, _minkowski, distances_to
+from openevt.data import DistanceMetric, LabeledDataset, _minkowski, distances_to
 from openevt.errors import DataError, UsageError
 from openevt.evm import EvmModel
 from openevt.neighbors import NeighborIndex
@@ -70,6 +70,40 @@ def test_index_refuses_a_dmin_of_the_wrong_shape(dmin):
     with pytest.raises(UsageError, match=r"dmin must have shape \(50,\), got \("):
         NeighborIndex(points, dmin=dmin)
     assert NeighborIndex(points, dmin=np.ones(50)).dmin_vector().tolist() == [1.0] * 50
+
+
+@pytest.mark.parametrize("p", [2, 12])
+def test_index_shares_a_datasets_points(p):
+    # a dataset's read-only matrix is the index's point buffer, not a copy
+    data = LabeledDataset(np.random.default_rng(3).normal(size=(50, p)), ["a"] * 50)
+    ix = NeighborIndex(data.points)
+    assert np.shares_memory(ix.points, data.points)
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+@pytest.mark.parametrize("given", [
+    lambda pts: pts, lambda pts: _read_only(pts.view()),
+    lambda pts: _read_only(np.asfortranarray(pts)),
+    lambda pts: _read_only(pts.astype(np.float32))],
+    ids=["writeable", "read-only-view-of-writeable", "fortran-order", "float32"])
+@pytest.mark.parametrize("p", [2, 12])
+def test_index_copies_points_it_cannot_share(given, p):
+    # writing the caller's array after the build changes no kNN result
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(60, p))
+    kept = given(pts)
+    ix = NeighborIndex(kept)
+    queries = rng.normal(size=(9, p))
+    before = ix._knn(queries, 5)
+    pts[:] = rng.normal(size=pts.shape)
+    after = ix._knn(queries, 5)
+    assert not np.shares_memory(ix.points, kept)
+    for was, now in zip(before, after):
+        assert was.tobytes() == now.tobytes()
 
 
 def test_dimension_mismatch_rejected():
@@ -692,8 +726,8 @@ def test_chunk_bound_keeps_selections_exact(case, offset, monkeypatch):
     if case == "complement_in_few_chunks":  # every class-1 point, for every class-0 row
         score, slack = neighbors.block_scores(
             pts, pts, neighbors.score_operand(pts, pts), 2.0, np.empty((n, n), dtype))
-        masked = labels[:, None] == labels
-        found = (neighbors.scan_candidates(score, slack, k, masked) < n).sum(axis=1)
+        allowed = labels[:, None] != labels
+        found = (neighbors.scan_candidates(score, slack, k, allowed) < n).sum(axis=1)
         assert (found[labels == 0] == 24).all()
     monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", scan_budget(7, pts))
     ix = NeighborIndex(pts)
@@ -717,9 +751,9 @@ def test_chunk_bound_keeps_selections_exact(case, offset, monkeypatch):
        k=st.integers(1, 40), dtype=st.sampled_from([np.float32, np.float64]),
        masked=st.booleans(), grid=st.booleans(), special=st.booleans())
 def test_chunk_minima_bound_the_kth_score(seed, m, n, k, dtype, masked, grid, special):
-    # For any scores, k and mask that leaves k points a row, the kth least
+    # For any scores, k and allowed set of k or more a row, the kth least
     # of the row's minima over interleaved chunks (computed here, NaN last)
-    # is at least its kth score, and scan_candidates holds every unmasked
+    # is at least its kth score, and scan_candidates holds every allowed
     # point within the slack of that kth score, and none past the bound
     rng = np.random.default_rng(seed)
     k = min(k, n)
@@ -727,19 +761,19 @@ def test_chunk_minima_bound_the_kth_score(seed, m, n, k, dtype, masked, grid, sp
     if special:  # as an overflowing GEMM row scores
         score[rng.random((m, n)) < 0.1] = np.inf
         score[rng.random((m, n)) < 0.05] = np.nan
-    mask = None
+    allowed = None
     if masked:
-        mask = rng.random((m, n)) < rng.uniform()
-        mask[np.arange(m)[:, None], np.argsort(rng.random((m, n)), axis=1)[:, :k]] = False
+        allowed = rng.random((m, n)) >= rng.uniform()
+        allowed[np.arange(m)[:, None], np.argsort(rng.random((m, n)), axis=1)[:, :k]] = True
     slack = rng.uniform(0.0, 2.0, m) * rng.integers(0, 2)
-    cand = neighbors.scan_candidates(score, slack, k, mask)
+    cand = neighbors.scan_candidates(score, slack, k, allowed)
     s = max(1, min(8, n // (4 * k)))
     c = n // s
     for i in range(m):
-        free = np.ones(n, bool) if mask is None else ~mask[i]
+        free = np.ones(n, bool) if allowed is None else allowed[i]
         row = np.where(free, score[i].astype(float), np.inf)
         kth = np.sort(row)[k - 1]
-        if k == 1 and mask is None:  # the row's least score, NaN if any is
+        if k == 1 and allowed is None:  # the row's least score, NaN if any is
             bound = row.min()
         else:
             bound = np.sort([row[j:s * c:c].min() for j in range(c)])[k - 1]
@@ -747,10 +781,10 @@ def test_chunk_minima_bound_the_kth_score(seed, m, n, k, dtype, masked, grid, sp
         got = set(cand[i][cand[i] < n].tolist())
         need = free & (np.isnan(row) | (row <= kth + slack[i]))
         assert set(np.flatnonzero(need).tolist()) <= got
-        with np.errstate(invalid="ignore"):  # NaN bound: every unmasked point
+        with np.errstate(invalid="ignore"):  # NaN bound: every allowed point
             limit = np.nextafter(dtype(bound + slack[i]), dtype(np.inf))
-            allowed = free & ~(score[i] > limit)
-        assert got <= set(np.flatnonzero(allowed).tolist())
+            admitted = free & ~(score[i] > limit)
+        assert got <= set(np.flatnonzero(admitted).tolist())
 
 
 @pytest.mark.parametrize("case,dtype", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import gaussian_blobs
-from openevt import evm, gevc, gpdc
+from openevt import evm, gevc, gpdc, serialize
 from openevt.data import DistanceMetric, LabeledDataset, Standardizer
 from openevt.errors import DataError, UsageError
 from openevt.serialize import fit_model, load_model, save_model
@@ -23,6 +23,26 @@ def test_container_header(model_path):
     assert doc["version"] == 1
     assert doc["kind"] == "gevc"
     assert doc["metric"] == "euclidean"
+
+
+@pytest.mark.parametrize("kind", ["gpdc", "gevc", "evm"])
+def test_loaded_points_are_read_only_and_shared(kind, tmp_path, monkeypatch):
+    # the matrix load_model parses is read-only, and the model reads it in
+    # place: through its index (gpdc, gevc) or as its points (evm)
+    path = tmp_path / "m.model"
+    save_model(fit_model(kind, gaussian_blobs(2, [(0.0, 0.0), (6.0, 0.0)], n_per=40)), path)
+    parsed, parse = [], serialize.payload_array
+
+    def spy(payload, field, *args, **kwargs):
+        arr = parse(payload, field, *args, **kwargs)
+        if field == "points":
+            parsed.append(arr)
+        return arr
+    monkeypatch.setattr(serialize, "payload_array", spy)
+    model = load_model(path).model
+    [points] = parsed
+    assert not points.flags.writeable and not model.points.flags.writeable
+    assert np.shares_memory(getattr(model, "index", model).points, points)
 
 
 def test_not_json(tmp_path):
